@@ -4,14 +4,12 @@ through its p-Laplacian approximation and a p -> 1 continuation."""
 __version__ = "0.1.0"
 
 from .mesh import (Annulus, Domain, Field, Interval, Mesh, MeshError,
-                   Rectangle, boundary_integrate, build_mesh, gradient,
-                   integrate, load_field)
+                   Rectangle, build_mesh, load_field)
 from .model import (ConditionReport, EnergySnapshot, ExpPower, ModelError,
                     NehariScaleError, Nonlinearity, Power, SumPowers,
                     WellReport, WellStatus, Zero, check_f_conditions,
                     default_dictionary, energy, estimate_dp,
-                    evaluate_nonlinearity, make_nonlinearity, nehari_I,
-                    nehari_scale, well_status)
+                    make_nonlinearity, nehari_I, nehari_scale, well_status)
 from .solver import (SolverConfig, Status, StepFailureError, Trajectory,
                      detect_tmax, gradient_bound_audit, l2_audit, run, step,
                      well_invariance_audit, write_trajectory_csv)

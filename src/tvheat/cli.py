@@ -23,7 +23,8 @@ from .mesh import Annulus, Field, Interval, Mesh, MeshError, Rectangle, \
     build_mesh, load_field
 from .model import ModelError, Nonlinearity, Zero, check_f_conditions, \
     default_dictionary, estimate_dp, make_nonlinearity
-from .limit import ContinuationPlan, run_continuation
+from .limit import ContinuationPlan, LimitError, default_p_sequence, \
+    run_continuation
 from .solver import SolverConfig, SolverError, Status, detect_tmax, \
     gradient_bound_audit, l2_audit, run, well_invariance_audit, \
     write_trajectory_csv
@@ -155,6 +156,9 @@ def parse_config(text: str) -> RunConfig:
     Every key is either consumed or rejected by name; silent ignoring of an
     unknown key is a defect.
     """
+    def floats(raw: str) -> tuple:
+        return tuple(float(x) for x in raw.split(","))
+
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
@@ -220,15 +224,17 @@ def parse_config(text: str) -> RunConfig:
     dictionary_size = 8
     if continuation:
         if csec.get("p_sequence"):
-            p_sequence = tuple(float(x) for x in
-                               csec["p_sequence"].split(","))
+            p_sequence = _get(csec, "p_sequence", floats)
         else:
             m0 = _get(csec, "m_start", int, 1)
             m1 = _get(csec, "m_end", int, 8)
-            p_sequence = tuple(1.0 + 2.0 ** (-m) for m in range(m0, m1 + 1))
+            p_sequence = default_p_sequence(m0, m1)
+            if not p_sequence:
+                raise ConfigError(
+                    f"key [continuation] m_end: must be >= m_start "
+                    f"(m_start={m0}, m_end={m1})")
         if csec.get("checkpoints"):
-            checkpoints = tuple(float(x) for x in
-                                csec["checkpoints"].split(","))
+            checkpoints = _get(csec, "checkpoints", floats)
         dictionary_size = _get(csec, "dictionary_size", int, 8)
         p_run = max(p_sequence)
     else:
@@ -293,6 +299,12 @@ def parse_config(text: str) -> RunConfig:
         "gradient_bound": _get(asec, "gradient_bound", bool, True) if asec else True,
         "conditions": _get(asec, "conditions", bool, True) if asec else True,
     }
+
+    if continuation:
+        try:
+            ContinuationPlan(u0, nl, solver, p_sequence)
+        except LimitError as exc:
+            raise ConfigError(f"key [continuation] p_sequence: {exc}") from None
 
     echo = {s: dict(cp[s]) for s in cp.sections()}
     return RunConfig(mesh, nl, solver, u0, continuation, p_sequence,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .mesh import Annulus, Field, Mesh
-from .model import Nonlinearity, Zero, default_dictionary, energy, \
+from .model import Nonlinearity, Zero, default_dictionary, diffusivity, \
     estimate_dp, grad_p_norm, total_variation
 from .solver import SolverConfig, Trajectory, run
 
@@ -73,11 +73,8 @@ def extract_flux(field: Field, p: float, eps: float = 0.0) -> FluxField:
     """Flux of a state at parameter p with gradient regularization eps."""
     if eps < 0:
         raise LimitError(f"eps must be >= 0, got {eps}")
-    mesh = field.mesh
-    g = mesh.gradient(field.values)
-    mag2 = (g ** 2).sum(axis=1) + eps ** 2
-    coef = np.where(mag2 > 0, np.maximum(mag2, 1e-300) ** ((p - 2.0) / 2.0), 0.0)
-    return flux_from_vectors(mesh, coef[:, None] * g)
+    g = field.grad
+    return flux_from_vectors(field.mesh, diffusivity(g, p, eps)[:, None] * g)
 
 
 def flux_alignment(fluxfield: FluxField, field: Field,
@@ -87,7 +84,7 @@ def flux_alignment(fluxfield: FluxField, field: Field,
     mesh = field.mesh
     if fluxfield.mesh is not mesh:
         raise LimitError("flux and field live on different meshes")
-    g = mesh.gradient(field.values)
+    g = field.grad
     mag = np.sqrt((g ** 2).sum(axis=1))
     if alignment_floor is None:
         alignment_floor = 1e-6 * mag.max(initial=0.0)
@@ -130,8 +127,7 @@ def green_residual(fluxfield: FluxField, w: Field) -> float:
     mesh = w.mesh
     if fluxfield.mesh is not mesh:
         raise LimitError("flux and field live on different meshes")
-    gw = mesh.gradient(w.values)
-    vol = mesh.integrate(np.einsum("ek,ek->e", fluxfield.z, gw))
+    vol = mesh.integrate(np.einsum("ek,ek->e", fluxfield.z, w.grad))
     bulk = mesh.integrate(w.values * fluxfield.div)
     bnd = mesh.boundary_integrate(
         w.values[mesh.boundary_nodes] * fluxfield.boundary_trace)
@@ -183,6 +179,8 @@ class ContinuationPlan:
 
     def __post_init__(self):
         ps = tuple(float(p) for p in self.p_sequence)
+        if not ps:
+            raise LimitError("p sequence is empty")
         if any(p <= 1.0 for p in ps):
             raise LimitError("every p in the sequence must exceed 1")
         if any(b >= a for a, b in zip(ps, ps[1:])):

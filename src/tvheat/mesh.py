@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -251,19 +252,32 @@ def _domain_header(domain: Domain) -> str:
 # Field
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Field:
-    """Nodal real values of u on a mesh at one time instant."""
+    """Nodal real values of u on a mesh at one time instant.
+
+    Immutable: ``values`` is a read-only copy owned by the field, so the
+    element-wise gradient is computed at most once and kept in ``grad``.
+    """
 
     mesh: Mesh
     values: np.ndarray = dc_field(repr=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.mesh.n_nodes,):
+        values = np.array(self.values, dtype=float)
+        if values.shape != (self.mesh.n_nodes,):
             raise MeshError(
-                f"field has {self.values.shape} values, mesh has "
+                f"field has {values.shape} values, mesh has "
                 f"{self.mesh.n_nodes} nodes")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        """Piecewise-constant gradient per element, shape (n_el, dim_coord)."""
+        g = self.mesh.gradient(self.values)
+        g.setflags(write=False)
+        return g
 
     @classmethod
     def zeros(cls, mesh: Mesh) -> "Field":
@@ -277,15 +291,15 @@ class Field:
 
     def constrained(self) -> "Field":
         """Copy with zero values on every boundary node."""
-        vals = self.values.copy()
-        vals[self.mesh.boundary_nodes] = 0.0
-        return Field(self.mesh, vals)
+        return Field(self.mesh,
+                     np.where(self.mesh.interior_mask, self.values, 0.0))
 
     def is_dirichlet(self, tol: float = 0.0) -> bool:
         return bool(np.all(np.abs(self.values[self.mesh.boundary_nodes]) <= tol))
 
     def copy(self) -> "Field":
-        return Field(self.mesh, self.values.copy())
+        """The same values without the cached gradient."""
+        return Field(self.mesh, self.values)
 
     def sup(self) -> float:
         return float(np.abs(self.values).max())
@@ -309,7 +323,7 @@ def load_field(path, mesh: Mesh) -> Field:
     if coords.shape != mesh.nodes.shape or not np.allclose(
             coords, mesh.nodes, rtol=1e-12, atol=1e-12):
         raise MeshError("field file does not match mesh node layout")
-    return Field(mesh, np.asarray(vals))
+    return Field(mesh, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -454,16 +468,3 @@ def _build_rectangle(domain: Rectangle, nx: int, ny: int) -> Mesh:
                 bnodes, np.array(bnormals), np.array(bweights),
                 belements, ops)
 
-
-# convenience module-level wrappers mirroring the mesh methods
-
-def gradient(field: Field) -> np.ndarray:
-    return field.mesh.gradient(field.values)
-
-
-def integrate(mesh: Mesh, samples) -> float:
-    return mesh.integrate(samples)
-
-
-def boundary_integrate(mesh: Mesh, boundary_samples) -> float:
-    return mesh.boundary_integrate(boundary_samples)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import hyp1f1
 
 from .mesh import Field, Mesh
 
@@ -120,8 +121,9 @@ class SumPowers(Nonlinearity):
 class ExpPower(Nonlinearity):
     """f(u) = |u|^(q-2) u exp(alpha u^2); theta = q.
 
-    F is the convergent series  sum_k alpha^k |u|^(q+2k) / (k! (q+2k)); for
-    q = 2 this sums to (exp(alpha u^2) - 1) / (2 alpha).
+    F(u) = |u|^q / q * 1F1(q/2; q/2 + 1; alpha u^2), the closed form of the
+    series  sum_k alpha^k |u|^(q+2k) / (k! (q+2k)); for q = 2 it is
+    (exp(alpha u^2) - 1) / (2 alpha).
     """
 
     def __init__(self, q: float, alpha: float, p0: float = 1.5):
@@ -140,21 +142,9 @@ class ExpPower(Nonlinearity):
 
     def F(self, u):
         u = np.asarray(u, dtype=float)
-        au2 = u ** 2
-        auq = np.abs(u) ** self.q
-        total = auq / self.q
-        term = auq.copy()
-        k = 0
-        while True:
-            k += 1
-            term = term * self.alpha * au2 / k
-            incr = term / (self.q + 2 * k)
-            total = total + incr
-            if k > 10 and np.all(incr <= 1e-17 * np.maximum(total, 1e-300)):
-                break
-            if k > 500:  # alpha*u^2 far outside any regime we integrate in
-                break
-        return total
+        a = 0.5 * self.q
+        return np.abs(u) ** self.q / self.q * hyp1f1(a, a + 1.0,
+                                                     self.alpha * u ** 2)
 
 
 _KINDS = {"zero": Zero, "power": Power, "sum_powers": SumPowers,
@@ -170,11 +160,6 @@ def make_nonlinearity(kind: str, **params) -> Nonlinearity:
     return cls(**params)
 
 
-def evaluate_nonlinearity(nl: Nonlinearity, u):
-    """Closed-form (f(u), F(u))."""
-    return nl(u)
-
-
 # ---------------------------------------------------------------------------
 # Energy and Nehari functional
 # ---------------------------------------------------------------------------
@@ -184,10 +169,18 @@ def _check_p(p: float):
         raise ModelError(f"p must exceed 1, got {p}")
 
 
+def diffusivity(g: np.ndarray, p: float, eps: float) -> np.ndarray:
+    """The regularized p-Laplacian coefficient (|g|^2 + eps^2)^((p-2)/2) per
+    element of the gradient ``g``. With eps = 0 a flat element would make it
+    0^((p-2)/2); the cap 1e-300 keeps it finite, and coefficient times g is
+    then 0 there."""
+    mag2 = (g ** 2).sum(axis=1) + eps ** 2
+    return np.maximum(mag2, 1e-300) ** ((p - 2.0) / 2.0)
+
+
 def grad_p_norm(field: Field, p: float) -> float:
     """Integral of |grad u|^p over the domain."""
-    g = field.mesh.gradient(field.values)
-    mag = np.sqrt((g ** 2).sum(axis=1))
+    mag = np.sqrt((field.grad ** 2).sum(axis=1))
     return field.mesh.integrate(mag ** p)
 
 
@@ -216,12 +209,9 @@ def energy_derivative(field: Field, direction: Field, p: float,
     int |grad u|^(p-2) grad u . grad v - int f(u) v."""
     _check_p(p)
     m = field.mesh
-    gu = m.gradient(field.values)
-    gv = m.gradient(direction.values)
-    mag = np.sqrt((gu ** 2).sum(axis=1) + eps ** 2)
-    coef = np.where(mag > 0, mag, 1.0) ** (p - 2.0)
-    coef = np.where(mag > 0, coef, 0.0)
-    diff = m.integrate(coef * (gu * gv).sum(axis=1))
+    gu = field.grad
+    diff = m.integrate(diffusivity(gu, p, eps)
+                       * (gu * direction.grad).sum(axis=1))
     return diff - m.integrate(nl.f(field.values) * direction.values)
 
 

@@ -23,8 +23,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import solveh_banded
 
 from .mesh import Field, Mesh
-from .model import EnergySnapshot, Nonlinearity, WellStatus, energy, \
-    grad_p_norm, snapshot, well_status
+from .model import EnergySnapshot, Nonlinearity, WellStatus, diffusivity, \
+    energy, grad_p_norm, snapshot, well_status
 
 
 class SolverError(RuntimeError):
@@ -102,16 +102,6 @@ class Trajectory:
 # One step
 # ---------------------------------------------------------------------------
 
-def _lagged_coefficients(mesh: Mesh, values: np.ndarray, p: float,
-                         eps: float) -> np.ndarray:
-    g = mesh.gradient(values)
-    mag2 = (g ** 2).sum(axis=1) + eps ** 2
-    if np.any(mag2 == 0.0):
-        # eps = 0 and a flat element: the degenerate coefficient is capped
-        mag2 = np.maximum(mag2, 1e-300)
-    return mag2 ** ((p - 2.0) / 2.0)
-
-
 def step(state: Field, t: float, cfg: SolverConfig, nl: Nonlinearity,
          dt: float | None = None):
     """One semi-implicit step of size dt (default cfg.dt0).
@@ -125,10 +115,8 @@ def step(state: Field, t: float, cfg: SolverConfig, nl: Nonlinearity,
     if not state.is_dirichlet():
         raise SolverError("state is not Dirichlet-constrained")
     u = state.values
-    coef = _lagged_coefficients(mesh, u, cfg.p, cfg.eps)
-    w = mesh.element_volumes * coef
+    w = mesh.element_volumes * diffusivity(state.grad, cfg.p, cfg.eps)
     qw = mesh.quad_weights
-    interior = mesh.interior_mask
     rhs_full = qw * (u / dt + nl.f(u))
 
     if mesh.dim_coord == 1:
@@ -162,7 +150,10 @@ def _solve_1d(mesh: Mesh, w, qw, rhs_full, dt):
     ab[0, 1:] = o_i
     ab[1, :] = d_i
     rhs = rhs_full[1:-1]
-    x = solveh_banded(ab, rhs)
+    try:
+        x = solveh_banded(ab, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise StepFailureError(f"banded solve failed: {exc}") from None
     # direct residual check of the banded solve
     Ax = d_i * x
     Ax[:-1] += o_i * x[1:]
@@ -294,7 +285,8 @@ def well_invariance_audit(traj: Trajectory, p: float, nl: Nonlinearity,
     worst_margin_E = math.inf
     worst_margin_I = math.inf
     for t, f in traj.states:
-        rep = well_status(f, p, nl, d_hat)
+        # a transient copy: the stored state keeps no gradient
+        rep = well_status(f.copy(), p, nl, d_hat)
         worst_margin_E = min(worst_margin_E, rep.margin_E)
         worst_margin_I = min(worst_margin_I, rep.margin_I)
         if rep.status is not WellStatus.INSIDE and first_violation is None:
@@ -346,7 +338,7 @@ def gradient_bound_audit(traj: Trajectory, p: float, theta: float,
     worst_margin = math.inf
     worst_value = 0.0
     for t, f in traj.states:
-        val = grad_p_norm(f, p)
+        val = grad_p_norm(f.copy(), p)   # transient copy, no stored gradient
         worst_value = max(worst_value, val)
         worst_margin = min(worst_margin, bound - val)
     diss = traj.dissipation_cum

@@ -187,6 +187,37 @@ class TestMain:
         assert main(["run", str(path)]) == 1
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block, key", [
+        ("p_sequence = 1.5, abc", "p_sequence"),
+        ("checkpoints = 0.1, soon", "checkpoints"),
+        ("m_start = 3\nm_end = 1", "m_end"),
+        ("p_sequence = 1.5, 1.7", "p_sequence"),
+    ], ids=["p_sequence_value", "checkpoints_value", "empty_m_range",
+            "increasing_p_sequence"])
+    def test_bad_continuation_fails_by_name(self, tmp_path, capsys, block,
+                                            key):
+        text = BASE.replace("[reaction]\nkind = power\nq = 3\n", "") \
+            + "\n[continuation]\n" + block + "\n"
+        with pytest.raises(ConfigError, match=key):
+            parse_config(text)
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        assert main(["run", str(path), "--output-dir",
+                     str(tmp_path / "out")]) == 1
+        assert key in capsys.readouterr().err
+
+    def test_step_failure_exit_code(self, tmp_path):
+        text = BASE.replace("[reaction]\nkind = power\nq = 3\n", "") \
+                   .replace("resolution = 50", "resolution = 40") \
+                   .replace("p = 1.5", "p = 1.5\neps = 0") \
+                   .replace("profile = hat", "profile = flat")
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output-dir", str(out)]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "step_failure"
+
     def test_end_to_end(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text(BASE)

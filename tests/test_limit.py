@@ -1,5 +1,7 @@
 """Flux extraction, weak-formulation audits and the p -> 1 continuation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from tvheat import (Annulus, ContinuationPlan, Field, Interval, Power,
                     green_residual, limit_energy, radial_sup_bound_check,
                     run_continuation)
 from tvheat.limit import LimitError, flux_from_vectors
+from tvheat.model import energy_derivative
 
 
 @pytest.fixture
@@ -48,6 +51,16 @@ class TestFlux:
         f = hat(mesh)
         ff = extract_flux(f, 1.5, eps=0.0)
         assert flux_alignment(ff, f) == pytest.approx(2.0 ** 0.5, rel=1e-12)
+
+    def test_flat_elements_without_regularization(self, mesh):
+        # eps = 0: the coefficient meets |grad u| = 0 on the plateau
+        f = Field(mesh, np.minimum(1.0, 4.0 * hat(mesh).values))
+        flat = f.grad[:, 0] == 0.0
+        assert flat.any()
+        ff = extract_flux(f, 1.5, eps=0.0)
+        assert np.all(np.isfinite(ff.z))
+        assert np.all(ff.z[flat] == 0.0)
+        assert math.isfinite(energy_derivative(f, hat(mesh), 1.5, Zero()))
 
     def test_alignment_vacuous_on_flat_field(self, mesh):
         f = Field.zeros(mesh)
@@ -91,6 +104,8 @@ class TestContinuation:
         with pytest.raises(LimitError):
             ContinuationPlan(hat(mesh), Zero(), cfg, p_sequence=(1.5, 1.25),
                              eps_schedule=(1e-2,))
+        with pytest.raises(LimitError):
+            ContinuationPlan(hat(mesh), Zero(), cfg, p_sequence=())
 
     def test_default_eps_schedule(self, mesh):
         cfg = SolverConfig(p=1.5, T_end=0.1)

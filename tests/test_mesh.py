@@ -149,6 +149,25 @@ class TestField:
         assert f.sup() == 2.0
         assert f.l2() == pytest.approx(2.0, rel=1e-12)
 
+    def test_values_are_owned_and_read_only(self):
+        mesh = build_mesh(Interval(1.0), 10)
+        vals = np.ones(mesh.n_nodes)
+        f = Field(mesh, vals)
+        vals[0] = 5.0
+        assert f.values[0] == 1.0
+        with pytest.raises(ValueError):
+            f.values[0] = 2.0
+        with pytest.raises(AttributeError):
+            f.values = np.zeros(mesh.n_nodes)
+
+    def test_gradient_is_kept(self):
+        mesh = build_mesh(Interval(1.0), 10)
+        f = Field.from_function(mesh, lambda x: x ** 2)
+        g = f.grad
+        assert f.grad is g
+        assert not g.flags.writeable
+        assert np.array_equal(g, mesh.gradient(f.values))
+
     def test_gradient_rejects_wrong_size(self):
         mesh = build_mesh(Interval(1.0), 10)
         with pytest.raises(MeshError):

@@ -9,8 +9,8 @@ from scipy.integrate import quad
 from tvheat import (Field, Interval, ModelError, NehariScaleError, Power,
                     SumPowers, Zero, build_mesh, check_f_conditions,
                     default_dictionary, energy, estimate_dp,
-                    evaluate_nonlinearity, make_nonlinearity, nehari_I,
-                    nehari_scale, well_status, WellStatus)
+                    make_nonlinearity, nehari_I, nehari_scale, well_status,
+                    WellStatus)
 from tvheat.model import ExpPower, energy_derivative, grad_p_norm, \
     total_variation
 
@@ -59,6 +59,13 @@ class TestNonlinearities:
             ref, _ = quad(nl.f, 0.0, t)
             assert nl.F(t) == pytest.approx(ref, rel=1e-10, abs=1e-14)
 
+    @pytest.mark.parametrize("alpha, u", [(1.0, 25.0), (0.5, 30.0)])
+    def test_exp_power_primitive_at_large_argument(self, alpha, u):
+        # q = 2: F(u) = (exp(alpha u^2) - 1) / (2 alpha)
+        nl = ExpPower(q=2.0, alpha=alpha)
+        exact = math.expm1(alpha * u * u) / (2.0 * alpha)
+        assert nl.F(u) == pytest.approx(exact, rel=1e-12)
+
     def test_make_nonlinearity(self):
         assert isinstance(make_nonlinearity("zero"), Zero)
         assert isinstance(make_nonlinearity("power", q=3.0), Power)
@@ -76,7 +83,7 @@ class TestNonlinearities:
     def test_evaluate_nonlinearity(self):
         nl = Power(q=3.0)
         u = np.array([1.0, 2.0])
-        fv, Fv = evaluate_nonlinearity(nl, u)
+        fv, Fv = nl(u)
         assert np.allclose(fv, nl.f(u))
         assert np.allclose(Fv, nl.F(u))
 

@@ -9,6 +9,8 @@ from tvheat import (Field, Interval, Power, SolverConfig, Zero, build_mesh,
                     default_dictionary, estimate_dp, nehari_scale, run, step,
                     detect_tmax, gradient_bound_audit, l2_audit,
                     well_invariance_audit, write_trajectory_csv)
+from tvheat import solver
+from tvheat.mesh import Mesh
 from tvheat.solver import SolverError, Status
 
 
@@ -102,6 +104,36 @@ class TestRun:
         assert traj.status.kind == "blowup"
         assert detect_tmax(traj, cfg) == traj.status.time
         assert traj.status.time < 5.0
+
+    def test_linear_solve_breakdown_is_step_failure(self):
+        # eps = 0 on a flat profile: the capped coefficient swamps the mass
+        # term and the banded Cholesky factorization breaks down
+        mesh = build_mesh(Interval(1.0), 40)
+        u0 = Field(mesh, np.ones(mesh.n_nodes)).constrained()
+        traj = run(mesh, u0, SolverConfig(p=1.5, eps=0.0), Zero())
+        assert traj.status.kind == "step_failure"
+        assert traj.status.time == 0.0
+
+    def test_one_gradient_per_step(self, mesh, monkeypatch):
+        # each state's gradient is kept, so a step computes only the
+        # gradient of its trial state
+        calls = {"gradient": 0, "step": 0}
+        gradient, step_ = Mesh.gradient, solver.step
+
+        def counted_gradient(self, values):
+            calls["gradient"] += 1
+            return gradient(self, values)
+
+        def counted_step(*args, **kwargs):
+            calls["step"] += 1
+            return step_(*args, **kwargs)
+
+        monkeypatch.setattr(Mesh, "gradient", counted_gradient)
+        monkeypatch.setattr(solver, "step", counted_step)
+        u0 = Field(mesh, np.ones(mesh.n_nodes)).constrained()
+        traj = run(mesh, u0, SolverConfig(p=1.5, T_end=0.05), Zero())
+        assert calls["step"] > len(traj.times) - 1   # some steps rejected
+        assert calls["gradient"] == calls["step"] + 1
 
     def test_checkpoint_times_are_hit(self, mesh):
         cfg = SolverConfig(p=2.0, eps=0.0, T_end=0.02,
