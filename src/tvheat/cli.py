@@ -223,6 +223,10 @@ def parse_config(text: str) -> RunConfig:
     checkpoints = ()
     dictionary_size = 8
     if continuation:
+        for key in ("p", "eps"):
+            if ssec is not None and key in ssec:
+                raise ConfigError(f"key [solver] {key}: unused in continuation "
+                                  "mode; the p sequence sets p, eps = (p-1)^2")
         if csec.get("p_sequence"):
             p_sequence = _get(csec, "p_sequence", floats)
         else:
@@ -406,15 +410,13 @@ def _run_single(cfg: RunConfig):
     tmax = detect_tmax(traj, cfg.solver)
     audits = {}
     if cfg.audits["well"] and has_reaction:
-        audits["well_invariance"] = well_invariance_audit(
-            traj, cfg.solver.p, nl, d_hat)
+        audits["well_invariance"] = well_invariance_audit(traj, d_hat)
     else:
         audits["well_invariance"] = "skipped"
     audits["l2"] = l2_audit(traj) if cfg.audits["l2"] else "skipped"
     if cfg.audits["gradient_bound"] and has_reaction \
             and nl.theta > cfg.solver.p:
-        audits["gradient_bound"] = gradient_bound_audit(
-            traj, cfg.solver.p, nl.theta, d_hat)
+        audits["gradient_bound"] = gradient_bound_audit(traj, nl.theta, d_hat)
     else:
         audits["gradient_bound"] = "skipped"
     if cfg.audits["conditions"]:

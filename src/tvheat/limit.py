@@ -290,8 +290,8 @@ def run_continuation(plan: ContinuationPlan) -> ContinuationReport:
             p=p, eps=eps, status=traj.status.kind,
             max_abs_z=max_z, alignment_min=align,
             boundary_sign_worst=bnd, grad_bound_worst=grad_worst,
-            dissipation_total=traj.dissipation_cum, d_hat=d_hat,
-            energy_inequality_worst_residual=worst_res,
+            dissipation_total=traj.snapshots[-1].dissipation_cum,
+            d_hat=d_hat, energy_inequality_worst_residual=worst_res,
             flux_increment=incr,
         ))
 

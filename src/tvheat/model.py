@@ -242,8 +242,10 @@ def nehari_scale(direction: Field, p: float, nl: Nonlinearity,
         return (A / B) ** (1.0 / (nl.q - p))
 
     def g(t):
-        # I_p(t phi) / t^p, a strictly decreasing crossing by (f1)-(f2)
-        return A - m.integrate(nl.f(t * phi) * phi) / t ** (p - 1.0)
+        # I_p(t phi) / t^p, a strictly decreasing crossing by (f1)-(f2); an
+        # overflow gives -inf, the exact limit the bracket relies on
+        with np.errstate(over="ignore"):
+            return A - m.integrate(nl.f(t * phi) * phi) / t ** (p - 1.0)
 
     lo, hi = 1e-8, 1e8
     if g(lo) <= 0 or g(hi) >= 0:
@@ -319,26 +321,30 @@ class WellReport:
 
 def well_status(field: Field, p: float, nl: Nonlinearity,
                 d_hat: float) -> WellReport:
-    """Classify a state against the potential well defined by the level
-    estimate ``d_hat``: Inside means E_p < d_hat and I_p > 0 (or u = 0).
+    """Evaluate ``field`` and classify it with ``classify_well``."""
+    _check_p(p)
+    return classify_well(grad_p_norm(field, p), energy(field, p, nl),
+                         nehari_I(field, p, nl), field.sup(), d_hat)
+
+
+def classify_well(grad_p: float, E_p: float, I_p: float, sup: float,
+                  d_hat: float) -> WellReport:
+    """Classify a state, given its int |grad u|^p, E_p, I_p and sup norm:
+    Inside means E_p < d_hat and I_p > 0 (or u = 0).
 
     Discrete strict inequalities use scale-aware slack: I_p > 0 means
     I_p > 1e-10 (1 + int |grad u|^p), E_p < d_hat means the margin exceeds
     1e-10 (1 + |d_hat|). States with |I_p| below 1e-9 of scale are OnNehari.
     """
-    _check_p(p)
-    gp = grad_p_norm(field, p)
-    E = energy(field, p, nl)
-    I = nehari_I(field, p, nl)
-    margin_E = d_hat - E
-    if field.sup() == 0.0:
-        return WellReport(d_hat, WellStatus.INSIDE, margin_E, I)
-    scale_I = 1.0 + gp
-    if abs(I) <= 1e-9 * scale_I:
-        return WellReport(d_hat, WellStatus.ON_NEHARI, margin_E, I)
-    if I > 1e-10 * scale_I and margin_E > 1e-10 * (1.0 + abs(d_hat)):
-        return WellReport(d_hat, WellStatus.INSIDE, margin_E, I)
-    return WellReport(d_hat, WellStatus.OUTSIDE, margin_E, I)
+    margin_E = d_hat - E_p
+    if sup == 0.0:
+        return WellReport(d_hat, WellStatus.INSIDE, margin_E, I_p)
+    scale_I = 1.0 + grad_p
+    if abs(I_p) <= 1e-9 * scale_I:
+        return WellReport(d_hat, WellStatus.ON_NEHARI, margin_E, I_p)
+    if I_p > 1e-10 * scale_I and margin_E > 1e-10 * (1.0 + abs(d_hat)):
+        return WellReport(d_hat, WellStatus.INSIDE, margin_E, I_p)
+    return WellReport(d_hat, WellStatus.OUTSIDE, margin_E, I_p)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +410,7 @@ class EnergySnapshot:
     l2: float
     sup: float
     dissipation_cum: float
+    grad_p: float   # int |grad u|^p
 
 
 def snapshot(field: Field, t: float, p: float, nl: Nonlinearity,
@@ -416,4 +423,5 @@ def snapshot(field: Field, t: float, p: float, nl: Nonlinearity,
         l2=field.l2(),
         sup=field.sup(),
         dissipation_cum=dissipation_cum,
+        grad_p=grad_p_norm(field, p),
     )

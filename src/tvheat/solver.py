@@ -23,8 +23,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import solveh_banded
 
 from .mesh import Field, Mesh
-from .model import EnergySnapshot, Nonlinearity, WellStatus, diffusivity, \
-    energy, grad_p_norm, snapshot, well_status
+from .model import Nonlinearity, WellStatus, classify_well, diffusivity, \
+    snapshot
 
 
 class SolverError(RuntimeError):
@@ -93,22 +93,15 @@ class Trajectory:
     states: list = dc_field(default_factory=list)   # (t, Field) pairs
     status: Status | None = None
 
-    @property
-    def dissipation_cum(self) -> float:
-        return self.snapshots[-1].dissipation_cum if self.snapshots else 0.0
-
 
 # ---------------------------------------------------------------------------
 # One step
 # ---------------------------------------------------------------------------
 
 def step(state: Field, t: float, cfg: SolverConfig, nl: Nonlinearity,
-         dt: float | None = None):
-    """One semi-implicit step of size dt (default cfg.dt0).
-
-    Returns (new field, dt used, dissipation residual). The residual is
-    ||du/dt||_2^2 dt + E_p(new) - E_p(old); the exact flow makes it zero.
-    """
+         dt: float | None = None) -> Field:
+    """One semi-implicit step of size dt (default cfg.dt0): returns the new
+    field. ``run`` judges the step from the two states' snapshots."""
     if dt is None:
         dt = cfg.dt0
     mesh = state.mesh
@@ -126,11 +119,7 @@ def step(state: Field, t: float, cfg: SolverConfig, nl: Nonlinearity,
 
     if not np.all(np.isfinite(new_vals)):
         raise StepFailureError(f"non-finite solution at t={t}")
-    new = Field(mesh, new_vals)
-    delta = new_vals - u
-    diss = float(qw @ delta ** 2) / dt
-    residual = diss + energy(new, cfg.p, nl) - energy(state, cfg.p, nl)
-    return new, dt, residual
+    return Field(mesh, new_vals)
 
 
 def _solve_1d(mesh: Mesh, w, qw, rhs_full, dt):
@@ -193,6 +182,7 @@ def run(mesh: Mesh, u0: Field, cfg: SolverConfig, nl: Nonlinearity,
         d_hat: float = math.inf) -> Trajectory:
     """Integrate to T_end or earlier termination (extinction, blow-up
     detection, step failure), with the dissipation-residual step controller.
+    Each trial state is evaluated once, in its snapshot; ``d_hat`` is unused.
     """
     if u0.mesh is not mesh:
         raise SolverError("initial field lives on a different mesh")
@@ -202,12 +192,12 @@ def run(mesh: Mesh, u0: Field, cfg: SolverConfig, nl: Nonlinearity,
     traj = Trajectory(mesh, cfg)
     t = 0.0
     state = u0.copy()
-    diss_cum = 0.0
+    snap = snapshot(state, t, cfg.p, nl, 0.0)
     traj.times.append(t)
-    traj.snapshots.append(snapshot(state, t, cfg.p, nl, diss_cum))
+    traj.snapshots.append(snap)
     traj.states.append((t, state.copy()))
 
-    if state.sup() <= cfg.tol_ext:
+    if snap.sup <= cfg.tol_ext:
         traj.status = Status("extinct", 0.0)
         return traj
 
@@ -220,13 +210,18 @@ def run(mesh: Mesh, u0: Field, cfg: SolverConfig, nl: Nonlinearity,
         target = next(c for c in targets if c > t + 1e-14 * cfg.T_end)
         dt_try = min(dt, target - t)
         try:
-            new, dt_used, residual = step(state, t, cfg, nl, dt_try)
+            new = step(state, t, cfg, nl, dt_try)
         except StepFailureError:
             traj.status = Status("step_failure", t)
             return traj
 
-        E_new = energy(new, cfg.p, nl)
-        tol = cfg.energy_residual_tol * (1.0 + abs(E_new))
+        t_new = t + dt_try
+        if abs(t_new - target) <= 1e-12 * max(1.0, target):
+            t_new = target
+        diss = float(mesh.quad_weights @ (new.values - state.values) ** 2) / dt_try
+        trial = snapshot(new, t_new, cfg.p, nl, snap.dissipation_cum + diss)
+        residual = diss + trial.E_p - snap.E_p
+        tol = cfg.energy_residual_tol * (1.0 + abs(trial.E_p))
         if cfg.adapt and abs(residual) > tol:
             dt = dt_try / 2.0
             if dt < cfg.dt_min:
@@ -235,23 +230,17 @@ def run(mesh: Mesh, u0: Field, cfg: SolverConfig, nl: Nonlinearity,
                 return traj
             continue
 
-        t_new = t + dt_used
-        if abs(t_new - target) <= 1e-12 * max(1.0, target):
-            t_new = target
-        diss_cum += float(mesh.quad_weights @ (new.values - state.values) ** 2) / dt_used
-        state = new
-        t = t_new
+        state, snap, t = new, trial, t_new
         accepted += 1
         traj.times.append(t)
-        traj.snapshots.append(snapshot(state, t, cfg.p, nl, diss_cum))
+        traj.snapshots.append(snap)
         if accepted % max(1, cfg.store_stride) == 0 or t in targets:
             traj.states.append((t, state.copy()))
 
-        s = state.sup()
-        if not math.isfinite(s) or s >= cfg.U_max:
+        if not math.isfinite(snap.sup) or snap.sup >= cfg.U_max:
             traj.status = Status("blowup", t)
             return traj
-        if s <= cfg.tol_ext:
+        if snap.sup <= cfg.tol_ext:
             traj.status = Status("extinct", t)
             return traj
 
@@ -278,24 +267,23 @@ def detect_tmax(traj: Trajectory, cfg: SolverConfig) -> float:
 # Audits
 # ---------------------------------------------------------------------------
 
-def well_invariance_audit(traj: Trajectory, p: float, nl: Nonlinearity,
-                          d_hat: float) -> dict:
-    """Check that every stored state stays inside the potential well."""
+def well_invariance_audit(traj: Trajectory, d_hat: float) -> dict:
+    """Check that every accepted state stays inside the potential well,
+    reading the snapshot ledger."""
     first_violation = None
     worst_margin_E = math.inf
     worst_margin_I = math.inf
-    for t, f in traj.states:
-        # a transient copy: the stored state keeps no gradient
-        rep = well_status(f.copy(), p, nl, d_hat)
+    for s in traj.snapshots:
+        rep = classify_well(s.grad_p, s.E_p, s.I_p, s.sup, d_hat)
         worst_margin_E = min(worst_margin_E, rep.margin_E)
         worst_margin_I = min(worst_margin_I, rep.margin_I)
         if rep.status is not WellStatus.INSIDE and first_violation is None:
-            first_violation = {"time": t, "status": rep.status.value,
+            first_violation = {"time": s.time, "status": rep.status.value,
                                "margin_E": rep.margin_E,
                                "margin_I": rep.margin_I}
     return {
         "all_inside": first_violation is None,
-        "n_states": len(traj.states),
+        "n_states": len(traj.snapshots),
         "worst_margin_E": worst_margin_E,
         "worst_margin_I": worst_margin_I,
         "first_violation": first_violation,
@@ -327,21 +315,22 @@ def l2_audit(traj: Trajectory, slack: float = 1e-8) -> dict:
     }
 
 
-def gradient_bound_audit(traj: Trajectory, p: float, theta: float,
-                         d_hat: float, tol: float = 1e-12) -> dict:
+def gradient_bound_audit(traj: Trajectory, theta: float, d_hat: float,
+                         tol: float = 1e-12) -> dict:
     """Audit the gradient ceiling theta p d_hat / (theta - p) and the
-    dissipation ceiling d_hat over stored states."""
+    dissipation ceiling d_hat over the accepted states' snapshots, with p
+    from the run's config."""
+    p = traj.cfg.p
     if not theta > p:
         raise SolverError(f"gradient bound needs theta > p "
                           f"(theta={theta}, p={p})")
     bound = theta * p * d_hat / (theta - p)
     worst_margin = math.inf
     worst_value = 0.0
-    for t, f in traj.states:
-        val = grad_p_norm(f.copy(), p)   # transient copy, no stored gradient
-        worst_value = max(worst_value, val)
-        worst_margin = min(worst_margin, bound - val)
-    diss = traj.dissipation_cum
+    for s in traj.snapshots:
+        worst_value = max(worst_value, s.grad_p)
+        worst_margin = min(worst_margin, bound - s.grad_p)
+    diss = traj.snapshots[-1].dissipation_cum
     return {
         "bound": bound,
         "max_grad_p_norm": worst_value,

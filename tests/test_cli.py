@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,7 +117,8 @@ class TestParseConfig:
         assert np.allclose(cfg.u0.values[interior], vals[interior])
 
     def test_continuation_block(self):
-        text = BASE.replace("[reaction]\nkind = power\nq = 3\n", "") + """
+        text = BASE.replace("[reaction]\nkind = power\nq = 3\n", "") \
+                   .replace("p = 1.5\n", "") + """
 [continuation]
 m_start = 1
 m_end = 3
@@ -162,7 +164,8 @@ class TestRunExperiment:
         assert (tmp_path / "summary.json").read_bytes() == first
 
     def test_continuation_run(self, tmp_path):
-        text = BASE.replace("[reaction]\nkind = power\nq = 3\n", "") + """
+        text = BASE.replace("[reaction]\nkind = power\nq = 3\n", "") \
+                   .replace("p = 1.5\n", "") + """
 [continuation]
 m_start = 1
 m_end = 2
@@ -187,18 +190,22 @@ class TestMain:
         assert main(["run", str(path)]) == 1
         assert "bogus" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("block, key", [
-        ("p_sequence = 1.5, abc", "p_sequence"),
-        ("checkpoints = 0.1, soon", "checkpoints"),
-        ("m_start = 3\nm_end = 1", "m_end"),
-        ("p_sequence = 1.5, 1.7", "p_sequence"),
+    @pytest.mark.parametrize("solver, block, key", [
+        ("", "p_sequence = 1.5, abc", "p_sequence"),
+        ("", "checkpoints = 0.1, soon", "checkpoints"),
+        ("", "m_start = 3\nm_end = 1", "m_end"),
+        ("", "p_sequence = 1.5, 1.7", "p_sequence"),
+        ("p = 1.9\n", "m_end = 2", "[solver] p"),
+        ("eps = 0.5\n", "m_end = 2", "[solver] eps"),
     ], ids=["p_sequence_value", "checkpoints_value", "empty_m_range",
-            "increasing_p_sequence"])
-    def test_bad_continuation_fails_by_name(self, tmp_path, capsys, block,
-                                            key):
+            "increasing_p_sequence", "solver_p", "solver_eps"])
+    def test_bad_continuation_fails_by_name(self, tmp_path, capsys, solver,
+                                            block, key):
+        # in continuation mode the p sequence sets p and eps = (p - 1)^2
         text = BASE.replace("[reaction]\nkind = power\nq = 3\n", "") \
+                   .replace("p = 1.5\n", solver) \
             + "\n[continuation]\n" + block + "\n"
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match=re.escape(key)):
             parse_config(text)
         path = tmp_path / "run.ini"
         path.write_text(text)

@@ -1,13 +1,14 @@
 """Reactions, energies, Nehari scaling and well classification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from tvheat import (Field, Interval, ModelError, NehariScaleError, Power,
-                    SumPowers, Zero, build_mesh, check_f_conditions,
+from tvheat import (Annulus, Field, Interval, ModelError, NehariScaleError,
+                    Power, SumPowers, Zero, build_mesh, check_f_conditions,
                     default_dictionary, energy, estimate_dp,
                     make_nonlinearity, nehari_I, nehari_scale, well_status,
                     WellStatus)
@@ -148,6 +149,16 @@ class TestNehariScale:
         scaled = Field(mesh, t * hat(mesh).values)
         assert abs(nehari_I(scaled, 1.5, nl)) <= 1e-9 * (
             1.0 + grad_p_norm(scaled, 1.5))
+
+    def test_exp_power_probe_overflows_silently(self):
+        # the bracket probes t up to 1e8, where exp(alpha t^2 phi^2)
+        # overflows to the limit -inf of I_p(t phi) / t^p
+        mesh = build_mesh(Annulus(1.0, 2.0, dim=3), 800)
+        nl = ExpPower(3.0, 1.0, p0=1.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d_hat = estimate_dp(mesh, 1.5, nl, default_dictionary(mesh, 8))
+        assert d_hat == 131.4552688774503
 
 
 class TestWell:

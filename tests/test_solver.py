@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from tvheat import (Field, Interval, Power, SolverConfig, Zero, build_mesh,
-                    default_dictionary, estimate_dp, nehari_scale, run, step,
-                    detect_tmax, gradient_bound_audit, l2_audit,
-                    well_invariance_audit, write_trajectory_csv)
-from tvheat import solver
+from tvheat import (Field, Interval, Power, SolverConfig, WellStatus, Zero,
+                    build_mesh, default_dictionary, energy, estimate_dp,
+                    nehari_scale, run, step, detect_tmax,
+                    gradient_bound_audit, l2_audit, well_invariance_audit,
+                    well_status, write_trajectory_csv)
+from tvheat import model, solver
 from tvheat.mesh import Mesh
+from tvheat.model import grad_p_norm
 from tvheat.solver import SolverError, Status
 
 
@@ -55,13 +57,17 @@ class TestStep:
         x = mesh.nodes[:, 0]
         u0 = Field(mesh, np.sin(np.pi * x)).constrained()
         cfg = SolverConfig(p=2.0, eps=0.0, dt0=1e-4)
-        new, dt, _ = step(u0, 0.0, cfg, Zero())
+        new = step(u0, 0.0, cfg, Zero())
         factor = new.values[mesh.interior_mask] / u0.values[mesh.interior_mask]
-        assert np.allclose(factor, math.exp(-math.pi ** 2 * dt), rtol=1e-3)
+        assert np.allclose(factor, math.exp(-math.pi ** 2 * cfg.dt0),
+                           rtol=1e-3)
 
     def test_step_dissipates_energy(self, mesh):
         cfg = SolverConfig(p=1.5, eps=1e-4, dt0=1e-4)
-        new, _, residual = step(hat(mesh), 0.0, cfg, Zero())
+        u = hat(mesh)
+        new = step(u, 0.0, cfg, Zero())
+        residual = (mesh.quad_weights @ (new.values - u.values) ** 2 / cfg.dt0
+                    + energy(new, 1.5, Zero()) - energy(u, 1.5, Zero()))
         # residual = dissipation + dE <= 0 means the step lost at least the
         # dissipated amount of energy
         assert residual <= 1e-8
@@ -115,25 +121,32 @@ class TestRun:
         assert traj.status.time == 0.0
 
     def test_one_gradient_per_step(self, mesh, monkeypatch):
-        # each state's gradient is kept, so a step computes only the
-        # gradient of its trial state
-        calls = {"gradient": 0, "step": 0}
-        gradient, step_ = Mesh.gradient, solver.step
+        # each state's gradient is kept and each state is evaluated once, in
+        # its snapshot, so a step computes only its trial state's gradient
+        # and energy
+        calls = {"gradient": 0, "energy": 0, "step": 0}
+        gradient, energy_, step_ = Mesh.gradient, model.energy, solver.step
 
         def counted_gradient(self, values):
             calls["gradient"] += 1
             return gradient(self, values)
+
+        def counted_energy(*args, **kwargs):
+            calls["energy"] += 1
+            return energy_(*args, **kwargs)
 
         def counted_step(*args, **kwargs):
             calls["step"] += 1
             return step_(*args, **kwargs)
 
         monkeypatch.setattr(Mesh, "gradient", counted_gradient)
+        monkeypatch.setattr(model, "energy", counted_energy)
         monkeypatch.setattr(solver, "step", counted_step)
         u0 = Field(mesh, np.ones(mesh.n_nodes)).constrained()
         traj = run(mesh, u0, SolverConfig(p=1.5, T_end=0.05), Zero())
         assert calls["step"] > len(traj.times) - 1   # some steps rejected
         assert calls["gradient"] == calls["step"] + 1
+        assert calls["energy"] == calls["step"] + 1
 
     def test_checkpoint_times_are_hit(self, mesh):
         cfg = SolverConfig(p=2.0, eps=0.0, T_end=0.02,
@@ -159,7 +172,7 @@ def confined():
 class TestAudits:
     def test_well_invariance(self, confined):
         traj, nl, d_hat = confined
-        audit = well_invariance_audit(traj, 1.5, nl, d_hat)
+        audit = well_invariance_audit(traj, d_hat)
         assert audit["all_inside"]
         assert audit["worst_margin_E"] > 0
         assert audit["worst_margin_I"] > 0
@@ -174,14 +187,41 @@ class TestAudits:
 
     def test_gradient_bound(self, confined):
         traj, nl, d_hat = confined
-        audit = gradient_bound_audit(traj, 1.5, nl.theta, d_hat)
+        audit = gradient_bound_audit(traj, nl.theta, d_hat)
         assert audit["holds"]
         assert audit["dissipation_below_level"]
 
     def test_gradient_bound_requires_theta_above_p(self, confined):
         traj, _, d_hat = confined
         with pytest.raises(SolverError):
-            gradient_bound_audit(traj, 1.5, 1.2, d_hat)
+            gradient_bound_audit(traj, 1.2, d_hat)
+
+    def test_snapshot_audits_match_per_state_evaluation(self, confined):
+        # reference: evaluate every stored state afresh; the second level
+        # puts the early states outside the well
+        traj, nl, d_hat = confined
+        mid = traj.snapshots[len(traj.snapshots) // 2].E_p
+        for level in (d_hat, mid):
+            reps = [(t, well_status(f.copy(), 1.5, nl, level))
+                    for t, f in traj.states]
+            first = next(({"time": t, "status": r.status.value,
+                           "margin_E": r.margin_E, "margin_I": r.margin_I}
+                          for t, r in reps
+                          if r.status is not WellStatus.INSIDE), None)
+            audit = well_invariance_audit(traj, level)
+            assert audit["worst_margin_E"] == min(r.margin_E for _, r in reps)
+            assert audit["worst_margin_I"] == min(r.margin_I for _, r in reps)
+            assert audit["first_violation"] == first
+        assert first is not None
+        audit = gradient_bound_audit(traj, nl.theta, d_hat)
+        assert audit["max_grad_p_norm"] == max(
+            grad_p_norm(f.copy(), 1.5) for _, f in traj.states)
+
+    def test_audits_cover_every_accepted_state(self, mesh):
+        cfg = SolverConfig(p=1.5, eps=1e-4, T_end=0.01, store_stride=3)
+        traj = run(mesh, hat(mesh, 0.01), cfg, Power(q=3.0))
+        audit = well_invariance_audit(traj, math.inf)
+        assert audit["n_states"] == len(traj.snapshots) > len(traj.states)
 
 
 class TestCsv:
