@@ -172,6 +172,46 @@ class Mesh:
     def interior_mask(self) -> np.ndarray:
         return self._interior_mask
 
+    @cached_property
+    def interior_band(self) -> tuple[sp.csc_matrix, int, np.ndarray]:
+        """Fixed pattern of the interior stiffness sum_k D_k^T diag(w) D_k.
+
+        Returns ``(S, b, interior)``: a sparse scatter ``S``, the bandwidth
+        ``b`` and the ``m`` interior node indices, in node order, such that
+        ``(S @ w).reshape(b + 1, m)`` is the stiffness among the interior
+        nodes for element weights ``w``, in LAPACK upper banded storage.
+        Built on first use, from each element's rows of the gradient
+        operators.
+        """
+        interior = np.flatnonzero(self._interior_mask)
+        m = len(interior)
+        pos = np.full(self.n_nodes, -1)
+        pos[interior] = np.arange(m)
+        n_el, n_loc = self.elements.shape
+        rows = np.repeat(np.arange(n_el), n_loc)
+        cols = self.elements.ravel()
+        # G[e, a, k] = D_k[e, elements[e, a]]
+        G = np.stack([np.asarray(D[rows, cols]).reshape(n_el, n_loc)
+                      for D in self.grad_ops], axis=2)
+        # element e adds w_e G[e, a] . G[e, c] to entry (i, j) of the upper
+        # triangle, i <= j, for each local node pair with both nodes interior
+        P = pos[self.elements]
+        coef, ii, jj, elem = [], [], [], []
+        for a in range(n_loc):
+            for c in range(n_loc):
+                i, j = P[:, a], P[:, c]
+                keep = (i >= 0) & (i <= j)
+                coef.append((G[keep, a] * G[keep, c]).sum(axis=1))
+                ii.append(i[keep])
+                jj.append(j[keep])
+                elem.append(np.flatnonzero(keep))
+        i, j = np.concatenate(ii), np.concatenate(jj)
+        b = int((j - i).max(initial=0))
+        S = sp.csc_matrix(
+            (np.concatenate(coef), ((b + i - j) * m + j, np.concatenate(elem))),
+            shape=((b + 1) * m, n_el))
+        return S, b, interior
+
     # -- operations --------------------------------------------------------
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
@@ -257,7 +297,8 @@ class Field:
     """Nodal real values of u on a mesh at one time instant.
 
     Immutable: ``values`` is a read-only copy owned by the field, so the
-    element-wise gradient is computed at most once and kept in ``grad``.
+    element-wise gradient and its magnitude are computed at most once and
+    kept in ``grad`` and ``grad_mag``.
     """
 
     mesh: Mesh
@@ -279,6 +320,13 @@ class Field:
         g.setflags(write=False)
         return g
 
+    @cached_property
+    def grad_mag(self) -> np.ndarray:
+        """Element-wise gradient magnitude |grad u|, shape (n_el,)."""
+        mag = np.sqrt((self.grad ** 2).sum(axis=1))
+        mag.setflags(write=False)
+        return mag
+
     @classmethod
     def zeros(cls, mesh: Mesh) -> "Field":
         return cls(mesh, np.zeros(mesh.n_nodes))
@@ -298,7 +346,7 @@ class Field:
         return bool(np.all(np.abs(self.values[self.mesh.boundary_nodes]) <= tol))
 
     def copy(self) -> "Field":
-        """The same values without the cached gradient."""
+        """The same values without the cached gradient and magnitude."""
         return Field(self.mesh, self.values)
 
     def sup(self) -> float:

@@ -180,8 +180,7 @@ def diffusivity(g: np.ndarray, p: float, eps: float) -> np.ndarray:
 
 def grad_p_norm(field: Field, p: float) -> float:
     """Integral of |grad u|^p over the domain."""
-    mag = np.sqrt((field.grad ** 2).sum(axis=1))
-    return field.mesh.integrate(mag ** p)
+    return field.mesh.integrate(field.grad_mag ** p)
 
 
 def total_variation(field: Field) -> float:

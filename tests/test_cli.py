@@ -225,6 +225,20 @@ class TestMain:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "step_failure"
 
+    def test_step_failure_exit_code_rectangle(self, tmp_path):
+        text = BASE.replace("[reaction]\nkind = power\nq = 3\n", "") \
+                   .replace("kind = interval\nlength = 1.0\n"
+                            "resolution = 50",
+                            "kind = rectangle\nresolution = 8") \
+                   .replace("p = 1.5", "p = 1.5\neps = 0") \
+                   .replace("profile = hat", "profile = flat")
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output-dir", str(out)]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "step_failure"
+
     def test_end_to_end(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text(BASE)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from tvheat import (Annulus, Field, Interval, MeshError, Rectangle,
                     build_mesh, load_field)
@@ -125,6 +126,37 @@ class TestRectangleMesh:
         build_mesh(Rectangle(1.0, 1.0), [7, 7]).validate()
 
 
+class TestInteriorBand:
+    @pytest.mark.parametrize("domain, resolution, bandwidth", [
+        (Interval(1.0), 30, 1),
+        (Annulus(1.0, 2.0, dim=3), 30, 1),
+        (Rectangle(1.0, 1.0), [9, 9], 9),
+        (Rectangle(2.0, 1.0), [16, 8], 8),
+        (Rectangle(1.0, 2.0), [8, 16], 16),
+    ], ids=["interval", "annulus3d", "rect9x9", "rect16x8", "rect8x16"])
+    def test_band_is_the_interior_stiffness(self, domain, resolution,
+                                            bandwidth):
+        mesh = build_mesh(domain, resolution)
+        S, b, interior = mesh.interior_band
+        assert b == bandwidth
+        assert np.array_equal(interior, np.flatnonzero(mesh.interior_mask))
+        w = np.random.default_rng(7).uniform(0.1, 10.0, mesh.n_elements)
+        K = sum(D.T @ sp.diags(w) @ D for D in mesh.grad_ops).toarray()
+        K = K[np.ix_(interior, interior)]
+        m = len(interior)
+        ab = (S @ w).reshape(b + 1, m)
+        A = np.zeros((m, m))
+        for d in range(b + 1):
+            i = np.arange(m - d)
+            A[i, i + d] = A[i + d, i] = ab[b - d, d:]
+        assert np.abs(A - K).max() <= 1e-13 * np.abs(K).max()
+
+    def test_pattern_is_built_on_first_use(self):
+        mesh = build_mesh(Rectangle(1.0, 1.0), [9, 9])
+        assert "interior_band" not in vars(mesh)
+        assert mesh.interior_band is mesh.interior_band
+
+
 class TestField:
     def test_constrained_zeroes_boundary(self):
         mesh = build_mesh(Interval(1.0), 20)
@@ -167,6 +199,23 @@ class TestField:
         assert f.grad is g
         assert not g.flags.writeable
         assert np.array_equal(g, mesh.gradient(f.values))
+
+    def test_gradient_magnitude_is_kept(self):
+        mesh = build_mesh(Rectangle(1.0, 1.0), [4, 3])
+        f = Field.from_function(mesh, lambda x, y: x * y - y ** 2)
+        mag = f.grad_mag
+        assert f.grad_mag is mag
+        assert not mag.flags.writeable
+        assert np.array_equal(mag, np.sqrt((f.grad ** 2).sum(axis=1)))
+
+    def test_copy_drops_every_cached_array(self):
+        mesh = build_mesh(Interval(1.0), 10)
+        f = Field.from_function(mesh, lambda x: x ** 2)
+        f.grad_mag
+        assert {"grad", "grad_mag"} <= set(vars(f))
+        c = f.copy()
+        assert np.array_equal(c.values, f.values)
+        assert not {"grad", "grad_mag"} & set(vars(c))
 
     def test_gradient_rejects_wrong_size(self):
         mesh = build_mesh(Interval(1.0), 10)

@@ -99,6 +99,14 @@ class TestEnergies:
     def test_total_variation(self, mesh):
         assert total_variation(hat(mesh, 3.0)) == pytest.approx(6.0)
 
+    def test_grad_p_norm_reads_the_kept_magnitude(self, mesh):
+        # the cached magnitude changes no bit of int |grad u|^p
+        rng = np.random.default_rng(3)
+        f = Field(mesh, rng.normal(size=mesh.n_nodes))
+        mag = np.sqrt((mesh.gradient(f.values) ** 2).sum(axis=1))
+        for p in (1.0, 1.5, 2.0):
+            assert grad_p_norm(f, p) == mesh.integrate(mag ** p)
+
     def test_energy_zero_reaction(self, mesh):
         f = hat(mesh)
         assert energy(f, 2.0, Zero()) == pytest.approx(2.0, rel=1e-12)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from tvheat import (Field, Interval, Power, SolverConfig, WellStatus, Zero,
+from tvheat import (Field, Interval, Power, Rectangle, SolverConfig,
+                    WellStatus, Zero,
                     build_mesh, default_dictionary, energy, estimate_dp,
                     nehari_scale, run, step, detect_tmax,
                     gradient_bound_audit, l2_audit, well_invariance_audit,
@@ -13,7 +14,7 @@ from tvheat import (Field, Interval, Power, SolverConfig, WellStatus, Zero,
 from tvheat import model, solver
 from tvheat.mesh import Mesh
 from tvheat.model import grad_p_norm
-from tvheat.solver import SolverError, Status
+from tvheat.solver import SolverError, Status, StepFailureError
 
 
 @pytest.fixture
@@ -72,6 +73,51 @@ class TestStep:
         # dissipated amount of energy
         assert residual <= 1e-8
 
+    def test_p2_dense_oracle_2d(self):
+        # the 2-D analogue of criterion 13: a dense backward-Euler heat step
+        # with lumped mass, Dirichlet rows replaced by the identity
+        mesh = build_mesh(Rectangle(1.0, 1.0), [6, 5])
+        rng = np.random.default_rng(13)
+        u0 = Field(mesh, rng.normal(size=mesh.n_nodes)).constrained()
+        nl = Power(q=3.0)
+        dt = 1e-3
+        stepped = step(u0, 0.0, SolverConfig(p=2.0, eps=0.0, dt0=dt), nl)
+        K = sum(D.toarray().T @ (mesh.element_volumes[:, None] * D.toarray())
+                for D in mesh.grad_ops)
+        A = np.diag(mesh.quad_weights / dt) + K
+        b = mesh.quad_weights * (u0.values / dt + nl.f(u0.values))
+        for i in mesh.boundary_nodes:
+            A[i, :] = 0.0
+            A[i, i] = 1.0
+            b[i] = 0.0
+        ref = np.linalg.solve(A, b)
+        assert np.abs(stepped.values - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("domain, resolution",
+                             [(Interval(1.0), 40), (Rectangle(1.0, 1.0), 8)],
+                             ids=["interval", "rectangle"])
+    def test_residual_gate_is_live(self, domain, resolution, monkeypatch):
+        # a solution off by a relative 1e-6 must fail the 1e-10 gate
+        mesh = build_mesh(domain, resolution)
+        x = mesh.nodes
+        u0 = Field(mesh, np.sin(np.pi * x).prod(axis=1)).constrained()
+        cfg = SolverConfig(p=1.5, eps=1e-2, dt0=1e-3)
+        solve = solver.solveh_banded
+        step(u0, 0.0, cfg, Zero())
+        monkeypatch.setattr(solver, "solveh_banded",
+                            lambda *a, **kw: solve(*a, **kw) * (1.0 + 1e-6))
+        with pytest.raises(StepFailureError, match="residual"):
+            step(u0, 0.0, cfg, Zero())
+
+    def test_non_finite_system_is_step_failure(self, mesh):
+        # a reaction that overflowed to inf fails the step by name
+        class Overflowed(Zero):
+            def f(self, u):
+                return np.where(u > 0.5, np.inf, 0.0)
+
+        with pytest.raises(StepFailureError):
+            step(hat(mesh), 0.0, SolverConfig(p=1.5), Overflowed())
+
     def test_unconstrained_state_rejected(self, mesh):
         cfg = SolverConfig(p=1.5)
         bad = Field(mesh, np.ones(mesh.n_nodes))
@@ -115,6 +161,14 @@ class TestRun:
         # eps = 0 on a flat profile: the capped coefficient swamps the mass
         # term and the banded Cholesky factorization breaks down
         mesh = build_mesh(Interval(1.0), 40)
+        u0 = Field(mesh, np.ones(mesh.n_nodes)).constrained()
+        traj = run(mesh, u0, SolverConfig(p=1.5, eps=0.0), Zero())
+        assert traj.status.kind == "step_failure"
+        assert traj.status.time == 0.0
+
+    def test_linear_solve_breakdown_is_step_failure_2d(self):
+        # the same degenerate solve on a rectangle, not a dt underflow
+        mesh = build_mesh(Rectangle(1.0, 1.0), 8)
         u0 = Field(mesh, np.ones(mesh.n_nodes)).constrained()
         traj = run(mesh, u0, SolverConfig(p=1.5, eps=0.0), Zero())
         assert traj.status.kind == "step_failure"
