@@ -150,15 +150,16 @@ def _get(sec, key, cast, default=None, required=False):
             f"{cast.__name__}") from None
 
 
+def floats(raw: str) -> tuple:
+    return tuple(float(x) for x in raw.split(","))
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a sectioned key=value run description.
 
     Every key is either consumed or rejected by name; silent ignoring of an
     unknown key is a defect.
     """
-    def floats(raw: str) -> tuple:
-        return tuple(float(x) for x in raw.split(","))
-
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
@@ -328,17 +329,22 @@ def _build_initial(mesh: Mesh, isec, profile: str) -> Field:
             center = lo + 0.5 * span
             width = span.copy()
         else:
-            c_raw = _get(isec, "center", str, None, required=True)
-            w_raw = _get(isec, "width", str, None, required=True)
-            center = np.array([float(x) for x in c_raw.split(",")])
-            width = np.array([float(x) for x in w_raw.split(",")])
-            if center.shape != (mesh.dim_coord,) or width.shape != (mesh.dim_coord,):
-                raise ConfigError(
-                    "[initial] center/width must match the domain dimension")
+            center = np.array(_get(isec, "center", floats, required=True))
+            width = np.array(_get(isec, "width", floats, required=True))
+            for key, v in (("center", center), ("width", width)):
+                if v.shape != (mesh.dim_coord,) or not np.all(np.isfinite(v)):
+                    raise ConfigError(
+                        f"key [initial] {key}: needs {mesh.dim_coord} finite "
+                        f"comma-separated values, got {isec[key]!r}")
+            if not np.all(width > 0):
+                raise ConfigError(f"key [initial] width: must be > 0, got "
+                                  f"{isec['width']!r}")
         prof = np.ones(mesh.n_nodes)
         for k in range(mesh.dim_coord):
-            prof *= np.maximum(
-                0.0, 1.0 - np.abs(coords[:, k] - center[k]) / (0.5 * width[k]))
+            # |x - c| / (w/2) overflows to inf for a tiny width: profile 0
+            with np.errstate(over="ignore"):
+                dist = 2.0 * (np.abs(coords[:, k] - center[k]) / width[k])
+            prof *= np.maximum(0.0, 1.0 - dist)
         return Field(mesh, amp * prof).constrained()
     if profile == "dictionary":
         idx = _get(isec, "index", int, 0)

@@ -59,13 +59,9 @@ def flux_from_vectors(mesh: Mesh, z: np.ndarray) -> FluxField:
                          f"({mesh.n_elements}, {mesh.dim_coord})")
     trace = np.einsum("bk,bk->b",
                       z[mesh.boundary_elements], mesh.boundary_normals)
-    # G_i = coefficient of w_i in sum_e v_e z_e . grad(w)_e
-    G = np.zeros(mesh.n_nodes)
-    for k, D in enumerate(mesh.grad_ops):
-        G += D.T @ (mesh.element_volumes * z[:, k])
     B = np.zeros(mesh.n_nodes)
     B[mesh.boundary_nodes] = mesh.boundary_weights * trace
-    div = (B - G) / mesh.quad_weights
+    div = (B - mesh.gradient_adjoint(z)) / mesh.quad_weights
     return FluxField(mesh, z, trace, div)
 
 
@@ -84,8 +80,7 @@ def flux_alignment(fluxfield: FluxField, field: Field,
     mesh = field.mesh
     if fluxfield.mesh is not mesh:
         raise LimitError("flux and field live on different meshes")
-    g = field.grad
-    mag = np.sqrt((g ** 2).sum(axis=1))
+    g, mag = field.grad, field.grad_mag
     if alignment_floor is None:
         alignment_floor = 1e-6 * mag.max(initial=0.0)
     active = mag > alignment_floor

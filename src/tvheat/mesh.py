@@ -124,6 +124,14 @@ class Mesh:
     boundary_weights : ndarray, shape (n_bnd,)
         Discrete (N-1)-dimensional boundary measure per boundary node
         (counting measure in 1D).
+    boundary_elements : ndarray of int
+        The first element incident to each boundary node, for flux traces.
+    grad_coeff : ndarray, shape (n_el, dim_coord + 1, dim_coord)
+        ``grad_coeff[e, a, k]`` is component k of the gradient of local node
+        a's basis function on element e. ``gradient``, ``gradient_adjoint``
+        and ``interior_band`` are all built from it.
+    interior_mask : ndarray of bool, shape (n_nodes,)
+        False on the boundary nodes.
     h : float
         Maximum element diameter.
 
@@ -132,7 +140,7 @@ class Mesh:
 
     def __init__(self, domain, nodes, elements, element_volumes, quad_weights,
                  boundary_nodes, boundary_normals, boundary_weights,
-                 boundary_elements, grad_ops):
+                 grad_coeff):
         self.domain = domain
         self.nodes = np.asarray(nodes, dtype=float)
         self.elements = np.asarray(elements, dtype=np.int64)
@@ -141,19 +149,27 @@ class Mesh:
         self.boundary_nodes = np.asarray(boundary_nodes, dtype=np.int64)
         self.boundary_normals = np.asarray(boundary_normals, dtype=float)
         self.boundary_weights = np.asarray(boundary_weights, dtype=float)
-        # one incident element per boundary node, used for flux traces
-        self.boundary_elements = np.asarray(boundary_elements, dtype=np.int64)
-        # sparse gradient operators, one per spatial component of the
-        # coordinate space (n_el x n_nodes); grad u|_e = [D @ u for D in ops]
-        self.grad_ops = tuple(grad_ops)
+        self.grad_coeff = np.asarray(grad_coeff, dtype=float)
+        n_el, n_loc, dim = self.grad_coeff.shape
+        # first occurrence of each node in the flattened element list
+        _, first = np.unique(self.elements, return_index=True)
+        self.boundary_elements = first[self.boundary_nodes] // n_loc
+        # one stacked operator: row e * dim_coord + k is component k on e
+        self._grad = sp.csr_matrix(
+            (self.grad_coeff.transpose(0, 2, 1).ravel(),
+             np.repeat(self.elements, dim, axis=0).ravel(),
+             np.arange(0, n_el * dim * n_loc + 1, n_loc)),
+            shape=(n_el * dim, self.n_nodes))
         edges = self.nodes[self.elements]
         diffs = edges[:, :, None, :] - edges[:, None, :, :]
         self.h = float(np.sqrt((diffs ** 2).sum(axis=-1)).max())
-        self._interior_mask = np.ones(self.n_nodes, dtype=bool)
-        self._interior_mask[self.boundary_nodes] = False
+        self.interior_mask = np.ones(self.n_nodes, dtype=bool)
+        self.interior_mask[self.boundary_nodes] = False
         for arr in (self.nodes, self.elements, self.element_volumes,
                     self.quad_weights, self.boundary_nodes,
-                    self.boundary_normals, self.boundary_weights):
+                    self.boundary_normals, self.boundary_weights,
+                    self.boundary_elements, self.grad_coeff,
+                    self.interior_mask):
             arr.setflags(write=False)
 
     @property
@@ -168,31 +184,22 @@ class Mesh:
     def dim_coord(self) -> int:
         return self.nodes.shape[1]
 
-    @property
-    def interior_mask(self) -> np.ndarray:
-        return self._interior_mask
-
     @cached_property
     def interior_band(self) -> tuple[sp.csc_matrix, int, np.ndarray]:
-        """Fixed pattern of the interior stiffness sum_k D_k^T diag(w) D_k.
+        """Fixed pattern of the interior stiffness D^T diag(w) D.
 
         Returns ``(S, b, interior)``: a sparse scatter ``S``, the bandwidth
         ``b`` and the ``m`` interior node indices, in node order, such that
         ``(S @ w).reshape(b + 1, m)`` is the stiffness among the interior
         nodes for element weights ``w``, in LAPACK upper banded storage.
-        Built on first use, from each element's rows of the gradient
-        operators.
+        Built on first use, from the gradient table.
         """
-        interior = np.flatnonzero(self._interior_mask)
+        interior = np.flatnonzero(self.interior_mask)
         m = len(interior)
         pos = np.full(self.n_nodes, -1)
         pos[interior] = np.arange(m)
         n_el, n_loc = self.elements.shape
-        rows = np.repeat(np.arange(n_el), n_loc)
-        cols = self.elements.ravel()
-        # G[e, a, k] = D_k[e, elements[e, a]]
-        G = np.stack([np.asarray(D[rows, cols]).reshape(n_el, n_loc)
-                      for D in self.grad_ops], axis=2)
+        G = self.grad_coeff
         # element e adds w_e G[e, a] . G[e, c] to entry (i, j) of the upper
         # triangle, i <= j, for each local node pair with both nodes interior
         P = pos[self.elements]
@@ -223,7 +230,13 @@ class Mesh:
         if values.shape != (self.n_nodes,):
             raise MeshError(
                 f"field has {values.shape} values, mesh has {self.n_nodes} nodes")
-        return np.stack([D @ values for D in self.grad_ops], axis=1)
+        return (self._grad @ values).reshape(self.n_elements, self.dim_coord)
+
+    def gradient_adjoint(self, z: np.ndarray) -> np.ndarray:
+        """The nodal vector G with G . w = sum_e v_e z_e . grad(w)_e for
+        every nodal w, for an element-wise vector field z (n_el, dim_coord)
+        and the element volumes v."""
+        return self._grad.T @ (self.element_volumes[:, None] * z).ravel()
 
     def integrate(self, samples: np.ndarray) -> float:
         """Quadrature of per-node or per-element samples over the domain."""
@@ -425,19 +438,14 @@ def _build_1d(domain, n: int) -> Mesh:
     np.add.at(quad_weights, elements[:, 1], w_right)
     element_volumes = omega * dP
 
-    rows = np.repeat(np.arange(n), 2)
-    cols = elements.ravel()
-    data = np.stack([-1.0 / h, 1.0 / h], axis=1).ravel()
-    D = sp.csr_matrix((data, (rows, cols)), shape=(n, n + 1))
+    grad_coeff = np.stack([-1.0 / h, 1.0 / h], axis=1)[:, :, None]
 
     boundary_nodes = np.array([0, n])
     boundary_normals = np.array([[-1.0], [1.0]])
     boundary_weights = omega * np.array([s0 ** (N - 1), s1 ** (N - 1)])
-    boundary_elements = np.array([0, n - 1])
 
     return Mesh(domain, r[:, None], elements, element_volumes, quad_weights,
-                boundary_nodes, boundary_normals, boundary_weights,
-                boundary_elements, [D])
+                boundary_nodes, boundary_normals, boundary_weights, grad_coeff)
 
 
 def _build_rectangle(domain: Rectangle, nx: int, ny: int) -> Mesh:
@@ -445,21 +453,14 @@ def _build_rectangle(domain: Rectangle, nx: int, ny: int) -> Mesh:
     ys = np.linspace(0.0, domain.ly, ny + 1)
     hx, hy = domain.lx / nx, domain.ly / ny
 
-    def nid(i, j):
-        return i * (ny + 1) + j
-
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     nodes = np.stack([X.ravel(), Y.ravel()], axis=1)
 
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            a, b = nid(i, j), nid(i + 1, j)
-            c, d = nid(i + 1, j + 1), nid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    elements = np.array(tris, dtype=np.int64)
-    n_el = len(elements)
+    # node (i, j) is i * (ny + 1) + j; cell (i, j) with lower-left corner a
+    # splits into the triangles (a, b, c) and (a, c, d), in cell order
+    a = (np.arange(nx)[:, None] * (ny + 1) + np.arange(ny)).ravel()
+    b, d = a + ny + 1, a + 1
+    elements = np.stack([a, b, b + 1, a, b + 1, d], axis=1).reshape(-1, 3)
 
     # P1 gradient coefficients per triangle
     v = nodes[elements]                       # (n_el, 3, 2)
@@ -473,46 +474,19 @@ def _build_rectangle(domain: Rectangle, nx: int, ny: int) -> Mesh:
     ga = -gb - gc
     coeff = np.stack([ga, gb, gc], axis=1)    # (n_el, 3, 2)
 
-    rows = np.repeat(np.arange(n_el), 3)
-    cols = elements.ravel()
-    ops = []
-    for k in range(2):
-        data = coeff[:, :, k].ravel()
-        ops.append(sp.csr_matrix((data, (rows, cols)),
-                                 shape=(n_el, nodes.shape[0])))
-
     quad_weights = np.zeros(nodes.shape[0])
     np.add.at(quad_weights, elements.ravel(), np.repeat(area / 3.0, 3))
 
-    # boundary: nodes on the four edges, outward unit normals, edge measures
-    bnodes, bnormals, bweights = [], [], []
-    for i in range(nx + 1):
-        for j in range(ny + 1):
-            on_x0, on_x1 = i == 0, i == nx
-            on_y0, on_y1 = j == 0, j == ny
-            if not (on_x0 or on_x1 or on_y0 or on_y1):
-                continue
-            nrm = np.array([-1.0 if on_x0 else (1.0 if on_x1 else 0.0),
-                            -1.0 if on_y0 else (1.0 if on_y1 else 0.0)])
-            nrm /= np.linalg.norm(nrm)
-            w = 0.0
-            if on_x0 or on_x1:
-                w += hy * (0.5 if (on_y0 or on_y1) else 1.0)
-            if on_y0 or on_y1:
-                w += hx * (0.5 if (on_x0 or on_x1) else 1.0)
-            bnodes.append(nid(i, j))
-            bnormals.append(nrm)
-            bweights.append(w)
-    bnodes = np.array(bnodes, dtype=np.int64)
-
-    # one incident triangle per boundary node
-    incident = {}
-    for e, tri in enumerate(elements):
-        for nidx in tri:
-            incident.setdefault(int(nidx), e)
-    belements = np.array([incident[int(i)] for i in bnodes], dtype=np.int64)
+    # boundary: the nodes on the four sides in node order, their outward unit
+    # normals, and half of each adjacent boundary edge as their measure
+    I, J = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="ij")
+    sign = np.stack([np.select([I == 0, I == nx], [-1.0, 1.0]).ravel(),
+                     np.select([J == 0, J == ny], [-1.0, 1.0]).ravel()], axis=1)
+    bnodes = np.flatnonzero(sign.any(axis=1))
+    sign = sign[bnodes]
+    bnormals = sign / np.linalg.norm(sign, axis=1, keepdims=True)
+    on_x, on_y = np.abs(sign).T
+    bweights = on_x * hy * (1.0 - on_y / 2) + on_y * hx * (1.0 - on_x / 2)
 
     return Mesh(domain, nodes, elements, area, quad_weights,
-                bnodes, np.array(bnormals), np.array(bweights),
-                belements, ops)
-
+                bnodes, bnormals, bweights, coeff)

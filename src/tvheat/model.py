@@ -123,7 +123,10 @@ class ExpPower(Nonlinearity):
 
     F(u) = |u|^q / q * 1F1(q/2; q/2 + 1; alpha u^2), the closed form of the
     series  sum_k alpha^k |u|^(q+2k) / (k! (q+2k)); for q = 2 it is
-    (exp(alpha u^2) - 1) / (2 alpha).
+    (exp(alpha u^2) - 1) / (2 alpha). Both return +-inf without a warning
+    where they overflow. 1F1 is evaluated at min(alpha u^2, 1e3): it is
+    already inf past about 716, and for huge arguments it takes seconds or
+    does not return.
     """
 
     def __init__(self, q: float, alpha: float, p0: float = 1.5):
@@ -138,13 +141,15 @@ class ExpPower(Nonlinearity):
 
     def f(self, u):
         u = np.asarray(u, dtype=float)
-        return _odd_power(u, self.q - 1.0) * np.exp(self.alpha * u ** 2)
+        with np.errstate(over="ignore"):
+            return _odd_power(u, self.q - 1.0) * np.exp(self.alpha * u ** 2)
 
     def F(self, u):
         u = np.asarray(u, dtype=float)
         a = 0.5 * self.q
-        return np.abs(u) ** self.q / self.q * hyp1f1(a, a + 1.0,
-                                                     self.alpha * u ** 2)
+        with np.errstate(over="ignore"):
+            z = np.minimum(self.alpha * u ** 2, 1e3)
+            return np.abs(u) ** self.q / self.q * hyp1f1(a, a + 1.0, z)
 
 
 _KINDS = {"zero": Zero, "power": Power, "sum_powers": SumPowers,

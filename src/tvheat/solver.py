@@ -9,7 +9,7 @@ energy-dissipation identity: a step is accepted only when
     ||du/dt||_2^2 dt + E_p(new) - E_p(old)
 
 is small relative to the energy scale. Blow-up is detected (threshold
-crossing or step underflow), never proven.
+crossing, an energy that overflows, or step underflow), never proven.
 """
 
 from __future__ import annotations
@@ -192,6 +192,10 @@ def run(mesh: Mesh, u0: Field, cfg: SolverConfig, nl: Nonlinearity,
             t_new = target
         diss = float(mesh.quad_weights @ (new.values - state.values) ** 2) / dt_try
         trial = snapshot(new, t_new, cfg.p, nl, snap.dissipation_cum + diss)
+        if not (math.isfinite(trial.E_p) and math.isfinite(trial.I_p)):
+            # the reaction overflowed; the residual gate cannot judge this
+            traj.status = Status("blowup", t)
+            return traj
         residual = diss + trial.E_p - snap.E_p
         tol = cfg.energy_residual_tol * (1.0 + abs(trial.E_p))
         if cfg.adapt and abs(residual) > tol:

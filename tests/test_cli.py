@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tvheat import Interval, build_mesh
 from tvheat.cli import (ConfigError, canonical_json, emit_summary, main,
@@ -213,6 +214,40 @@ class TestMain:
                      str(tmp_path / "out")]) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("amp", ["3", "8"])
+    def test_reaction_overflow_exit_code(self, tmp_path, amp):
+        # exp(u^2) overflows long before u_max: the first trial state's
+        # energy is -inf. Amplitude 3 used to end step_failure, 8 to hang.
+        text = BASE.replace("kind = power\nq = 3",
+                            "kind = exp_power\nq = 3\nalpha = 1") \
+                   .replace("amplitude = 0.01", f"amplitude = {amp}") \
+                   .replace("t_end = 0.02", "t_end = 1.0")
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output-dir", str(out)]) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "blowup"
+
+    @pytest.mark.parametrize("initial, key", [
+        ("center = abc\nwidth = 1", "center"),
+        ("center = 0.5\nwidth = 0", "width"),
+        ("center = 0.5\nwidth = -1", "width"),
+        ("center = nan\nwidth = 1", "center"),
+        ("center = 0.5\nwidth = inf", "width"),
+        ("center = 0.5, 0.5\nwidth = 1", "center"),
+    ], ids=["center_text", "width_zero", "width_negative", "center_nan",
+            "width_inf", "center_dimension"])
+    def test_bad_bump_fails_by_name(self, tmp_path, capsys, initial, key):
+        text = BASE.replace("profile = hat", "profile = bump\n" + initial)
+        with pytest.raises(ConfigError, match=re.escape(f"[initial] {key}")):
+            parse_config(text)
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        assert main(["run", str(path), "--output-dir",
+                     str(tmp_path / "out")]) == 1
+        assert f"[initial] {key}" in capsys.readouterr().err
+
     def test_step_failure_exit_code(self, tmp_path):
         text = BASE.replace("[reaction]\nkind = power\nq = 3\n", "") \
                    .replace("resolution = 50", "resolution = 40") \
@@ -245,6 +280,26 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["run", str(path), "--output-dir", str(out)]) == 0
         assert (out / "summary.json").exists()
+
+
+# one line of config text: no line breaks, so the value cannot add keys
+_line = st.text(st.characters(blacklist_characters="\n\r"), max_size=30)
+_numbers = st.lists(st.floats(), min_size=1, max_size=3).map(
+    lambda xs: ", ".join(map(repr, xs)))
+
+
+@settings(deadline=None)
+@given(center=st.one_of(_line, _numbers), width=st.one_of(_line, _numbers))
+def test_bump_values_parse_or_fail_by_name(center, width):
+    # any text as [initial] center and width either gives a finite bump or
+    # fails with a ConfigError; the resolution stays fixed
+    text = BASE.replace("profile = hat", f"profile = bump\ncenter = {center}"
+                        f"\nwidth = {width}")
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    assert np.all(np.isfinite(cfg.u0.values))
 
 
 def test_emit_summary_trailing_newline(tmp_path):

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from tvheat import (Annulus, Field, Interval, MeshError, Rectangle,
                     build_mesh, load_field)
@@ -125,6 +124,25 @@ class TestRectangleMesh:
     def test_validate(self):
         build_mesh(Rectangle(1.0, 1.0), [7, 7]).validate()
 
+    def test_boundary_arrays_by_hand(self):
+        # 3 x 2 cells of 2/3 x 1/2; node (i, j) is 3 i + j, and nodes 4 and
+        # 7 are interior. Cell (i, j) holds triangles 2 (2 i + j) and the next.
+        mesh = build_mesh(Rectangle(2.0, 1.0), [3, 2])
+        r = 1.0 / np.sqrt(2.0)
+        assert np.array_equal(mesh.boundary_nodes,
+                              [0, 1, 2, 3, 5, 6, 8, 9, 10, 11])
+        assert np.array_equal(mesh.boundary_normals, [
+            [-r, -r], [-1, 0], [-r, r], [0, -1], [0, 1],
+            [0, -1], [0, 1], [r, -r], [1, 0], [r, r]])
+        corner = 1.0 / 3.0 + 1.0 / 4.0
+        assert np.allclose(mesh.boundary_weights, [
+            corner, 0.5, corner, 2 / 3, 2 / 3, 2 / 3, 2 / 3, corner, 0.5,
+            corner], rtol=1e-15, atol=0)
+        assert np.array_equal(mesh.boundary_elements,
+                              [0, 1, 3, 0, 2, 4, 6, 8, 8, 10])
+        for node, e in zip(mesh.boundary_nodes, mesh.boundary_elements):
+            assert node in mesh.elements[e] and node not in mesh.elements[:e]
+
 
 class TestInteriorBand:
     @pytest.mark.parametrize("domain, resolution, bandwidth", [
@@ -141,7 +159,9 @@ class TestInteriorBand:
         assert b == bandwidth
         assert np.array_equal(interior, np.flatnonzero(mesh.interior_mask))
         w = np.random.default_rng(7).uniform(0.1, 10.0, mesh.n_elements)
-        K = sum(D.T @ sp.diags(w) @ D for D in mesh.grad_ops).toarray()
+        grads = np.stack([mesh.gradient(e) for e in np.eye(mesh.n_nodes)],
+                         axis=-1)
+        K = sum(D.T @ (w[:, None] * D) for D in np.moveaxis(grads, 1, 0))
         K = K[np.ix_(interior, interior)]
         m = len(interior)
         ab = (S @ w).reshape(b + 1, m)

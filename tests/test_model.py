@@ -67,6 +67,14 @@ class TestNonlinearities:
         exact = math.expm1(alpha * u * u) / (2.0 * alpha)
         assert nl.F(u) == pytest.approx(exact, rel=1e-12)
 
+    def test_exp_power_overflows_to_inf(self):
+        # 1F1 is evaluated at min(alpha u^2, 1e3); it used to hang at
+        # alpha u^2 = inf and take seconds at 1e12
+        nl = ExpPower(q=3.0, alpha=1.0)
+        for u in (1e6, 1e10, math.inf, -math.inf):
+            assert nl.F(u) == math.inf
+        assert nl.f(1e6) == math.inf and nl.f(-1e6) == -math.inf
+
     def test_make_nonlinearity(self):
         assert isinstance(make_nonlinearity("zero"), Zero)
         assert isinstance(make_nonlinearity("power", q=3.0), Power)

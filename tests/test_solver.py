@@ -13,7 +13,7 @@ from tvheat import (Field, Interval, Power, Rectangle, SolverConfig,
                     well_status, write_trajectory_csv)
 from tvheat import model, solver
 from tvheat.mesh import Mesh
-from tvheat.model import grad_p_norm
+from tvheat.model import ExpPower, grad_p_norm
 from tvheat.solver import SolverError, Status, StepFailureError
 
 
@@ -82,8 +82,10 @@ class TestStep:
         nl = Power(q=3.0)
         dt = 1e-3
         stepped = step(u0, 0.0, SolverConfig(p=2.0, eps=0.0, dt0=dt), nl)
-        K = sum(D.toarray().T @ (mesh.element_volumes[:, None] * D.toarray())
-                for D in mesh.grad_ops)
+        grads = np.stack([mesh.gradient(e) for e in np.eye(mesh.n_nodes)],
+                         axis=-1)
+        K = sum(D.T @ (mesh.element_volumes[:, None] * D)
+                for D in np.moveaxis(grads, 1, 0))
         A = np.diag(mesh.quad_weights / dt) + K
         b = mesh.quad_weights * (u0.values / dt + nl.f(u0.values))
         for i in mesh.boundary_nodes:
@@ -156,6 +158,17 @@ class TestRun:
         assert traj.status.kind == "blowup"
         assert detect_tmax(traj, cfg) == traj.status.time
         assert traj.status.time < 5.0
+
+    @pytest.mark.parametrize("amp", [3.0, 8.0])
+    def test_reaction_overflow_is_blowup(self, mesh, amp):
+        # f and F overflow far below U_max: a trial state with a non-finite
+        # energy ends the run at the last accepted time, outside the ledger
+        traj = run(mesh, hat(mesh, amp), SolverConfig(p=1.5),
+                   ExpPower(3.0, 1.0))
+        assert traj.status.kind == "blowup"
+        assert traj.status.time == traj.snapshots[-1].time
+        assert all(math.isfinite(s.E_p) and math.isfinite(s.I_p)
+                   for s in traj.snapshots)
 
     def test_linear_solve_breakdown_is_step_failure(self):
         # eps = 0 on a flat profile: the capped coefficient swamps the mass
