@@ -322,6 +322,9 @@ def _build_initial(mesh: Mesh, isec, profile: str) -> Field:
     lo, hi = coords.min(axis=0), coords.max(axis=0)
     span = hi - lo
     amp = _get(isec, "amplitude", float, 1.0) if isec else 1.0
+    if not math.isfinite(amp):
+        raise ConfigError(f"key [initial] amplitude: must be finite, got "
+                          f"{isec['amplitude']!r}")
     if profile == "flat":
         return Field(mesh, np.full(mesh.n_nodes, amp)).constrained()
     if profile in ("hat", "bump"):

@@ -337,16 +337,18 @@ def classify_well(grad_p: float, E_p: float, I_p: float, sup: float,
     Inside means E_p < d_hat and I_p > 0 (or u = 0).
 
     Discrete strict inequalities use scale-aware slack: I_p > 0 means
-    I_p > 1e-10 (1 + int |grad u|^p), E_p < d_hat means the margin exceeds
-    1e-10 (1 + |d_hat|). States with |I_p| below 1e-9 of scale are OnNehari.
+    I_p > 1e-10 int |grad u|^p, E_p < d_hat means the margin exceeds
+    1e-10 (1 + |d_hat|). States with |I_p| at most 1e-9 int |grad u|^p are
+    OnNehari. I_p is compared with int |grad u|^p alone, not with 1 plus
+    it: near u = 0, I_p is about int |grad u|^p, and an absolute slack
+    would put every small state on the Nehari manifold.
     """
     margin_E = d_hat - E_p
     if sup == 0.0:
         return WellReport(d_hat, WellStatus.INSIDE, margin_E, I_p)
-    scale_I = 1.0 + grad_p
-    if abs(I_p) <= 1e-9 * scale_I:
+    if abs(I_p) <= 1e-9 * grad_p:
         return WellReport(d_hat, WellStatus.ON_NEHARI, margin_E, I_p)
-    if I_p > 1e-10 * scale_I and margin_E > 1e-10 * (1.0 + abs(d_hat)):
+    if I_p > 1e-10 * grad_p and margin_E > 1e-10 * (1.0 + abs(d_hat)):
         return WellReport(d_hat, WellStatus.INSIDE, margin_E, I_p)
     return WellReport(d_hat, WellStatus.OUTSIDE, margin_E, I_p)
 

@@ -3,8 +3,11 @@
 Each step freezes the diffusion coefficient (|grad u|^2 + eps^2)^((p-2)/2) at
 the current state (lagged diffusivity), solves the resulting symmetric
 positive-definite system on the interior nodes by banded Cholesky, and treats
-the reaction explicitly. The step size is controlled by the discrete
-energy-dissipation identity: a step is accepted only when
+the reaction explicitly. Within one run, a 2-D system is solved by
+conjugate gradients preconditioned with the banded Cholesky factor of an
+earlier step's matrix, which changes little from step to step. The step
+size is controlled by the discrete energy-dissipation identity: a step is
+accepted only when
 
     ||du/dt||_2^2 dt + E_p(new) - E_p(old)
 
@@ -19,7 +22,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse.linalg as spla  # unused; bench/spans.py patches solver.spla
-from scipy.linalg import solveh_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import solveh_banded as lapack_solveh_banded
 
 from .mesh import Field, Mesh
 from .model import Nonlinearity, WellStatus, classify_well, diffusivity, \
@@ -55,8 +59,17 @@ class SolverConfig:
     def __post_init__(self):
         if not self.p > 1:
             raise SolverError(f"p must exceed 1, got {self.p}")
-        if self.eps < 0:
-            raise SolverError(f"eps must be >= 0, got {self.eps}")
+        # NaN fails every comparison, so each test is written to fail on it:
+        # a NaN tolerance or threshold would switch its check off
+        if not 0 <= self.eps < math.inf:
+            raise SolverError(f"eps must be finite and >= 0, got {self.eps}")
+        if not 0 < self.energy_residual_tol < math.inf:
+            raise SolverError(f"energy_residual_tol must be finite and > 0, "
+                              f"got {self.energy_residual_tol}")
+        if not math.isfinite(self.tol_ext):
+            raise SolverError(f"tol_ext must be finite, got {self.tol_ext}")
+        if math.isnan(self.U_max):
+            raise SolverError(f"U_max must not be NaN, got {self.U_max}")
         if not (self.dt_min < self.dt0 <= self.T_end):
             raise SolverError(
                 f"need dt_min < dt0 <= T_end, got {self.dt_min}, {self.dt0}, "
@@ -82,8 +95,9 @@ class Status:
 
 @dataclass
 class Trajectory:
-    """Time-indexed record of one run: snapshot ledger, stored states and
-    termination status."""
+    """Time-indexed record of one run: snapshot ledger, stored states,
+    termination status and the linear-solve counts (factorizations, and
+    preconditioned CG iterations, which stay 0 in 1-D)."""
 
     mesh: Mesh
     cfg: SolverConfig
@@ -91,6 +105,121 @@ class Trajectory:
     snapshots: list = dc_field(default_factory=list)
     states: list = dc_field(default_factory=list)   # (t, Field) pairs
     status: Status | None = None
+    factorizations: int = 0
+    pcg_iterations: int = 0
+
+
+# ---------------------------------------------------------------------------
+# Linear solve
+# ---------------------------------------------------------------------------
+
+PCG_REFACTOR_ITERS = 5   # a solve that needs more iterations refactors next
+PCG_MAX_ITERS = 50       # past this, refactor and solve directly
+PCG_RTOL = 1e-13         # ||r|| <= PCG_RTOL ||b||: 1000x inside the gate
+
+
+class BandedFactor:
+    """One run's banded Cholesky factor, kept across steps as the
+    preconditioner of the next steps' systems, with the run's solve counts.
+    ``run`` owns one; a second run starts from no factor, so its results do
+    not depend on what ran before."""
+
+    def __init__(self):
+        self.cb = None           # upper Cholesky factor in LAPACK band form
+        self.offsets = None      # the factored matrix's nonzero diagonals
+        self.factorizations = 0
+        self.iterations = 0
+
+    def solve(self, ab: np.ndarray, rhs: np.ndarray,
+              x0: np.ndarray) -> np.ndarray:
+        """PCG from ``x0`` with the held factor. A solve that needs more
+        than PCG_REFACTOR_ITERS iterations drops the factor; with no factor
+        held, or when PCG fails, factor ``ab`` and solve directly."""
+        if self.cb is not None:
+            x, its = self._pcg(ab, rhs, x0)
+            self.iterations += its
+            if x is not None:
+                if its > PCG_REFACTOR_ITERS:
+                    self.cb = None   # the next step factors its own matrix
+                return x
+        self.cb = None               # at most one factor is held
+        self.cb = cholesky_banded(ab, check_finite=False)
+        # each element adds w_e > 0 times a fixed coefficient, so a diagonal
+        # that is zero here stays zero; if one did not, step's residual
+        # gate, which reads the whole band, would fail the step
+        self.offsets = _band_offsets(ab)
+        self.factorizations += 1
+        return cho_solve_banded((self.cb, False), rhs, check_finite=False)
+
+    def _pcg(self, ab: np.ndarray, rhs: np.ndarray,
+             x: np.ndarray) -> tuple[np.ndarray | None, int]:
+        """Conjugate gradients on the banded system from ``x``,
+        preconditioned by the held factor (Saad, Iterative Methods for
+        Sparse Linear Systems, 2003, Alg. 9.1). Returns (x, iterations),
+        with x None when the stopping test is not met within PCG_MAX_ITERS
+        or the iteration breaks down."""
+        def precondition(r):
+            return cho_solve_banded((self.cb, False), r, check_finite=False)
+
+        tol = PCG_RTOL * np.linalg.norm(rhs)
+        r = rhs - _band_product(ab, x, self.offsets)
+        z = precondition(r)
+        d = z
+        rz = r @ z
+        k = 0
+        while not np.linalg.norm(r) <= tol:
+            if k == PCG_MAX_ITERS:
+                return None, k
+            Ad = _band_product(ab, d, self.offsets)
+            dAd = d @ Ad
+            if not dAd > 0.0:            # breakdown, or a non-finite system
+                return None, k
+            alpha = rz / dAd
+            x = x + alpha * d
+            r = r - alpha * Ad
+            z = precondition(r)
+            rz, rz_old = r @ z, rz
+            d = z + (rz / rz_old) * d
+            k += 1
+        return x, k
+
+
+def solveh_banded(ab: np.ndarray, rhs: np.ndarray,
+                  factor: BandedFactor | None, x0: np.ndarray) -> np.ndarray:
+    """Solve the symmetric positive definite system held in LAPACK upper
+    banded storage ``ab``: the one linear solve of a step.
+
+    In 1-D (bandwidth 1), or without a ``factor``, this is scipy's
+    ``solveh_banded`` (LAPACK ``ptsv`` / ``pbsv``). Otherwise it is
+    conjugate gradients from ``x0``, preconditioned by ``factor``'s held
+    factorization (see ``BandedFactor.solve``). The function keeps scipy's
+    name because the benchmark's tracer wraps ``solver.solveh_banded`` as
+    the linear-solve layer and counts one call per step.
+    """
+    if factor is None or ab.shape[0] == 2:
+        if factor is not None:
+            factor.factorizations += 1
+        return lapack_solveh_banded(ab, rhs, check_finite=False)
+    return factor.solve(ab, rhs, x0)
+
+
+def _band_offsets(ab: np.ndarray) -> list[int]:
+    """Offsets d > 0 of the super-diagonals of ``ab`` that hold a nonzero."""
+    b = ab.shape[0] - 1
+    return [b - r for r in np.flatnonzero(ab[:b].any(axis=1)).tolist()]
+
+
+def _band_product(ab: np.ndarray, x: np.ndarray,
+                  offsets: list[int]) -> np.ndarray:
+    """A @ x for the symmetric matrix A in LAPACK upper banded storage
+    ``ab``, reading only the super-diagonals at ``offsets``."""
+    b = ab.shape[0] - 1
+    Ax = ab[b] * x
+    for d in offsets:
+        a = ab[b - d, d:]              # A[i, i + d] for i = 0 .. m - d - 1
+        Ax[:-d] += a * x[d:]
+        Ax[d:] += a * x[:-d]
+    return Ax
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +227,12 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 def step(state: Field, t: float, cfg: SolverConfig, nl: Nonlinearity,
-         dt: float | None = None) -> Field:
+         dt: float | None = None,
+         factor: BandedFactor | None = None) -> Field:
     """One semi-implicit step of size dt (default cfg.dt0): returns the new
-    field. ``run`` judges the step from the two states' snapshots."""
+    field. ``run`` judges the step from the two states' snapshots. With a
+    ``factor`` (one run's), a 2-D system is solved by PCG preconditioned
+    with its held factorization; without one, directly."""
     if dt is None:
         dt = cfg.dt0
     mesh = state.mesh
@@ -115,7 +247,7 @@ def step(state: Field, t: float, cfg: SolverConfig, nl: Nonlinearity,
     rhs = (qw * (u / dt + nl.f(u)))[interior]
     try:
         # non-finite entries fail the factorization or the checks below
-        x = solveh_banded(ab, rhs, check_finite=False)
+        x = solveh_banded(ab, rhs, factor, u[interior])
     except np.linalg.LinAlgError as exc:
         raise StepFailureError(f"banded solve failed: {exc}") from None
     if not np.all(np.isfinite(x)):
@@ -132,7 +264,8 @@ def step(state: Field, t: float, cfg: SolverConfig, nl: Nonlinearity,
 
 def _banded_matvec(ab: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
     """A @ x and the largest absolute row sum of the symmetric matrix A held
-    in LAPACK upper banded storage ``ab``; all-zero diagonals are skipped."""
+    in LAPACK upper banded storage ``ab``; all-zero diagonals are skipped.
+    The residual gate's own product, independent of the solve it checks."""
     b = ab.shape[0] - 1
     Ax = ab[b] * x
     row_abs = np.abs(ab[b])
@@ -155,6 +288,7 @@ def run(mesh: Mesh, u0: Field, cfg: SolverConfig, nl: Nonlinearity,
     """Integrate to T_end or earlier termination (extinction, blow-up
     detection, step failure), with the dissipation-residual step controller.
     Each trial state is evaluated once, in its snapshot; ``d_hat`` is unused.
+    The run's steps share one ``BandedFactor``.
     """
     if u0.mesh is not mesh:
         raise SolverError("initial field lives on a different mesh")
@@ -162,16 +296,26 @@ def run(mesh: Mesh, u0: Field, cfg: SolverConfig, nl: Nonlinearity,
         raise SolverError("u0 is not Dirichlet-constrained")
 
     traj = Trajectory(mesh, cfg)
+    factor = BandedFactor()
+    traj.status = _march(traj, u0.copy(), cfg, nl, factor)
+    traj.factorizations = factor.factorizations
+    traj.pcg_iterations = factor.iterations
+    return traj
+
+
+def _march(traj: Trajectory, state: Field, cfg: SolverConfig,
+           nl: Nonlinearity, factor: BandedFactor) -> Status:
+    """``run``'s time loop: fills the ledger of ``traj`` and returns how the
+    run ended."""
+    mesh = traj.mesh
     t = 0.0
-    state = u0.copy()
     snap = snapshot(state, t, cfg.p, nl, 0.0)
     traj.times.append(t)
     traj.snapshots.append(snap)
     traj.states.append((t, state.copy()))
 
     if snap.sup <= cfg.tol_ext:
-        traj.status = Status("extinct", 0.0)
-        return traj
+        return Status("extinct", 0.0)
 
     targets = sorted({float(c) for c in cfg.checkpoint_times
                       if 0.0 < c <= cfg.T_end} | {cfg.T_end})
@@ -182,10 +326,9 @@ def run(mesh: Mesh, u0: Field, cfg: SolverConfig, nl: Nonlinearity,
         target = next(c for c in targets if c > t + 1e-14 * cfg.T_end)
         dt_try = min(dt, target - t)
         try:
-            new = step(state, t, cfg, nl, dt_try)
+            new = step(state, t, cfg, nl, dt_try, factor=factor)
         except StepFailureError:
-            traj.status = Status("step_failure", t)
-            return traj
+            return Status("step_failure", t)
 
         t_new = t + dt_try
         if abs(t_new - target) <= 1e-12 * max(1.0, target):
@@ -194,16 +337,14 @@ def run(mesh: Mesh, u0: Field, cfg: SolverConfig, nl: Nonlinearity,
         trial = snapshot(new, t_new, cfg.p, nl, snap.dissipation_cum + diss)
         if not (math.isfinite(trial.E_p) and math.isfinite(trial.I_p)):
             # the reaction overflowed; the residual gate cannot judge this
-            traj.status = Status("blowup", t)
-            return traj
+            return Status("blowup", t)
         residual = diss + trial.E_p - snap.E_p
         tol = cfg.energy_residual_tol * (1.0 + abs(trial.E_p))
         if cfg.adapt and abs(residual) > tol:
             dt = dt_try / 2.0
             if dt < cfg.dt_min:
                 # step underflow is treated as a blow-up detection
-                traj.status = Status("blowup", t)
-                return traj
+                return Status("blowup", t)
             continue
 
         state, snap, t = new, trial, t_new
@@ -214,19 +355,16 @@ def run(mesh: Mesh, u0: Field, cfg: SolverConfig, nl: Nonlinearity,
             traj.states.append((t, state.copy()))
 
         if not math.isfinite(snap.sup) or snap.sup >= cfg.U_max:
-            traj.status = Status("blowup", t)
-            return traj
+            return Status("blowup", t)
         if snap.sup <= cfg.tol_ext:
-            traj.status = Status("extinct", t)
-            return traj
+            return Status("extinct", t)
 
         if cfg.adapt and abs(residual) < 0.2 * tol:
             dt = min(dt_try * 1.4, cfg.dt_max)
         else:
             dt = dt_try
 
-    traj.status = Status("completed", cfg.T_end)
-    return traj
+    return Status("completed", cfg.T_end)
 
 
 def detect_tmax(traj: Trajectory, cfg: SolverConfig) -> float:

@@ -248,6 +248,31 @@ class TestMain:
                      str(tmp_path / "out")]) == 1
         assert f"[initial] {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, key", [
+        ("eps = nan", "[solver]: eps"),
+        ("eps = inf", "[solver]: eps"),
+        ("energy_residual_tol = nan", "[solver]: energy_residual_tol"),
+        ("energy_residual_tol = 0", "[solver]: energy_residual_tol"),
+        ("tol_ext = nan", "[solver]: tol_ext"),
+        ("u_max = nan", "[solver]: U_max"),
+        ("amplitude = nan", "[initial] amplitude"),
+        ("amplitude = inf", "[initial] amplitude"),
+    ], ids=["eps_nan", "eps_inf", "residual_tol_nan", "residual_tol_zero",
+            "tol_ext_nan", "u_max_nan", "amplitude_nan", "amplitude_inf"])
+    def test_value_that_switches_off_a_check_fails_by_name(
+            self, tmp_path, capsys, line, key):
+        # configparser keys are case-insensitive: U_max names key u_max
+        text = (BASE.replace("amplitude = 0.01", line)
+                if key.startswith("[initial]")
+                else BASE.replace("[solver]\n", f"[solver]\n{line}\n"))
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(text)
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        assert main(["run", str(path), "--output-dir",
+                     str(tmp_path / "out")]) == 1
+        assert key in capsys.readouterr().err
+
     def test_step_failure_exit_code(self, tmp_path):
         text = BASE.replace("[reaction]\nkind = power\nq = 3\n", "") \
                    .replace("resolution = 50", "resolution = 40") \

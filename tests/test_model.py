@@ -198,6 +198,13 @@ class TestWell:
         assert rep.margin_E > 0
         assert rep.margin_I > 0
 
+    def test_near_zero_state_inside(self, mesh):
+        # I_p is about int |grad u|^p > 0 near u = 0; an absolute slack of
+        # 1e-9 used to put this state on the Nehari manifold
+        rep = well_status(hat(mesh, 1e-8), 1.5, Power(q=3.0), 1.0)
+        assert rep.status is WellStatus.INSIDE
+        assert 0 < rep.margin_I < 1e-9
+
     def test_scaled_state_on_nehari(self, mesh):
         nl = Power(q=3.0)
         f = hat(mesh)

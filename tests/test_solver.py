@@ -40,6 +40,19 @@ class TestConfig:
         with pytest.raises(SolverError):
             SolverConfig(p=1.5, dt0=2.0, T_end=1.0)
 
+    @pytest.mark.parametrize("key, value", [
+        ("eps", math.nan), ("eps", math.inf),
+        ("energy_residual_tol", math.nan), ("energy_residual_tol", math.inf),
+        ("energy_residual_tol", 0.0), ("energy_residual_tol", -1e-5),
+        ("tol_ext", math.nan), ("tol_ext", math.inf), ("tol_ext", -math.inf),
+        ("U_max", math.nan),
+    ])
+    def test_values_that_switch_off_a_check(self, key, value):
+        # NaN fails every comparison: a NaN tolerance or threshold would
+        # silently switch off the step gate, extinction or blow-up detection
+        with pytest.raises(SolverError, match=key):
+            SolverConfig(p=1.5, **{key: value})
+
     def test_replace_rederives_dt_max(self):
         cfg = SolverConfig(p=1.5, T_end=1.0)
         cfg2 = cfg.replace(T_end=2.0)
@@ -224,6 +237,109 @@ class TestRun:
         stored = [t for t, _ in traj.states]
         for target in (0.007, 0.013, 0.02):
             assert min(abs(t - target) for t in stored) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def rect_run():
+    # rect2d at 16^2: Power(3), p = 1.5, a tensor hat of amplitude 1
+    mesh = build_mesh(Rectangle(1.0, 1.0), 16)
+    x = mesh.nodes
+    u0 = Field(mesh, np.maximum(0.0, 1.0 - 2.0 * np.abs(x - 0.5)).prod(axis=1))
+    cfg, nl = SolverConfig(p=1.5, T_end=0.02), Power(q=3.0)
+    return run(mesh, u0.constrained(), cfg, nl), cfg, nl
+
+
+class TestLinearSolve:
+    @pytest.mark.parametrize("lag", [1, 5, 20])
+    def test_stale_factor_pcg_matches_direct_solve(self, rect_run, lag):
+        traj, cfg, nl = rect_run
+        t_old, old = traj.states[-2 - lag]
+        t, state = traj.states[-2]
+        dt = traj.times[-1] - t
+        factor = solver.BandedFactor()
+        step(old, t_old, cfg, nl, dt, factor=factor)   # factors old's matrix
+        pcg = step(state, t, cfg, nl, dt, factor=factor)
+        assert factor.factorizations == 1 and factor.iterations > 0
+        direct = step(state, t, cfg, nl, dt)
+        assert np.abs(pcg.values - direct.values).max() <= \
+            1e-12 * np.abs(direct.values).max()
+
+    @pytest.mark.parametrize("dt_factor, dt", [(1e-8, 1e-4), (1e-4, 1e-8)])
+    def test_factor_from_a_far_dt_passes_the_gate(self, rect_run, dt_factor,
+                                                  dt):
+        # through PCG or the refactor fallback, step's residual gate passes
+        traj, cfg, nl = rect_run
+        t, state = traj.states[-2]
+        factor = solver.BandedFactor()
+        step(state, t, cfg, nl, dt_factor, factor=factor)
+        new = step(state, t, cfg, nl, dt, factor=factor)
+        direct = step(state, t, cfg, nl, dt)
+        assert np.abs(new.values - direct.values).max() <= \
+            1e-10 * np.abs(direct.values).max()
+
+    def test_slow_solve_refactors_next_step(self, rect_run):
+        # a factor from dt = 1e-8 needs more than PCG_REFACTOR_ITERS at
+        # dt = 1e-4; the next step factors its own matrix and solves directly
+        traj, cfg, nl = rect_run
+        t, state = traj.states[-2]
+        factor = solver.BandedFactor()
+        step(state, t, cfg, nl, 1e-8, factor=factor)
+        step(state, t, cfg, nl, 1e-4, factor=factor)
+        its = factor.iterations
+        assert its > solver.PCG_REFACTOR_ITERS
+        step(state, t, cfg, nl, 1e-4, factor=factor)
+        assert (factor.factorizations, factor.iterations) == (2, its)
+
+    def test_one_solve_per_step_in_2d(self, monkeypatch):
+        calls = {"solve": 0, "step": 0}
+        solve, step_ = solver.solveh_banded, solver.step
+
+        def counted_solve(*args, **kwargs):
+            calls["solve"] += 1
+            return solve(*args, **kwargs)
+
+        def counted_step(*args, **kwargs):
+            calls["step"] += 1
+            return step_(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solveh_banded", counted_solve)
+        monkeypatch.setattr(solver, "step", counted_step)
+        mesh = build_mesh(Rectangle(1.0, 1.0), 8)
+        x = mesh.nodes
+        u0 = Field(mesh, np.sin(np.pi * x).prod(axis=1)).constrained()
+        traj = run(mesh, u0, SolverConfig(p=1.5, T_end=0.01), Power(q=3.0))
+        assert calls["step"] >= len(traj.times) - 1 > 0
+        assert calls["solve"] == calls["step"]
+        assert traj.pcg_iterations > 0
+
+    def test_runs_are_bit_identical(self, rect_run):
+        # the factor belongs to one run: a second run starts afresh
+        traj, cfg, nl = rect_run
+        again = run(traj.mesh, traj.states[0][1], cfg, nl)
+        assert again.times == traj.times
+        assert np.array_equal(again.states[-1][1].values,
+                              traj.states[-1][1].values)
+
+    def test_2d_run_refactors_rarely(self, rect_run):
+        traj, _, _ = rect_run
+        assert traj.status.kind == "completed"
+        assert 0 < traj.factorizations < len(traj.times) - 1
+        assert traj.pcg_iterations > 0
+
+    def test_1d_solves_directly(self, mesh):
+        # every 1-D step is one tridiagonal factor-and-solve, no PCG
+        traj = run(mesh, hat(mesh), SolverConfig(p=1.5, T_end=0.01), Zero())
+        assert traj.pcg_iterations == 0
+        assert traj.factorizations >= len(traj.times) - 1 > 0
+
+    def test_1d_flat_extinction_time_unchanged(self):
+        # criterion 1's run, pinned to the last bit: 1-D keeps LAPACK ptsv
+        mesh = build_mesh(Interval(1.0), 400)
+        u0 = Field(mesh, np.ones(mesh.n_nodes)).constrained()
+        traj = run(mesh, u0, SolverConfig(p=1.01, eps=1e-4, T_end=1.0),
+                   Zero())
+        assert traj.status.kind == "extinct"
+        assert traj.status.time == 0.47995975959075643
 
 
 @pytest.fixture(scope="module")
