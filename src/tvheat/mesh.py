@@ -185,14 +185,17 @@ class Mesh:
         return self.nodes.shape[1]
 
     @cached_property
-    def interior_band(self) -> tuple[sp.csc_matrix, int, np.ndarray]:
+    def interior_band(self) -> tuple[sp.csc_matrix, int, np.ndarray,
+                                     list[int]]:
         """Fixed pattern of the interior stiffness D^T diag(w) D.
 
-        Returns ``(S, b, interior)``: a sparse scatter ``S``, the bandwidth
-        ``b`` and the ``m`` interior node indices, in node order, such that
-        ``(S @ w).reshape(b + 1, m)`` is the stiffness among the interior
-        nodes for element weights ``w``, in LAPACK upper banded storage.
-        Built on first use, from the gradient table.
+        Returns ``(S, b, interior, offsets)``: a sparse scatter ``S``, the
+        bandwidth ``b``, the ``m`` interior node indices, in node order, such
+        that ``(S @ w).reshape(b + 1, m)`` is the stiffness among the
+        interior nodes for element weights ``w``, in LAPACK upper banded
+        storage, and the offsets d > 0 of the super-diagonals that hold a
+        nonzero for positive ``w``, in decreasing order. Built on first use,
+        from the gradient table.
         """
         interior = np.flatnonzero(self.interior_mask)
         m = len(interior)
@@ -217,7 +220,11 @@ class Mesh:
         S = sp.csc_matrix(
             (np.concatenate(coef), ((b + i - j) * m + j, np.concatenate(elem))),
             shape=((b + 1) * m, n_el))
-        return S, b, interior
+        # band row r holds offset b - r; a coefficient that is exactly zero
+        # (a right angle's coupling) adds nothing for any w
+        rows = np.unique(S.indices[S.data != 0] // m)
+        offsets = [b - r for r in rows.tolist() if r < b]
+        return S, b, interior, offsets
 
     # -- operations --------------------------------------------------------
 

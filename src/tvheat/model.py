@@ -200,6 +200,20 @@ def energy(field: Field, p: float, nl: Nonlinearity) -> float:
     return grad_p_norm(field, p) / p - m.integrate(nl.F(field.values))
 
 
+def regularized_energy(field: Field, p: float, eps: float,
+                       snap: EnergySnapshot) -> float:
+    """E_p,eps(u) = (1/p) int (|grad u|^2 + eps^2)^(p/2) - int F(u), the
+    energy that a lagged-diffusivity step dissipates.
+
+    Computed as E_p(u) + (1/p)(int (|grad u|^2 + eps^2)^(p/2) -
+    int |grad u|^p) from ``snap``, the snapshot of ``field``, so that F is
+    not evaluated a second time.
+    """
+    _check_p(p)
+    lifted = field.mesh.integrate((field.grad_mag ** 2 + eps ** 2) ** (p / 2.0))
+    return snap.E_p + (lifted - snap.grad_p) / p
+
+
 def nehari_I(field: Field, p: float, nl: Nonlinearity) -> float:
     """I_p(u) = int |grad u|^p - int f(u) u  (the derivative of E_p along u)."""
     _check_p(p)

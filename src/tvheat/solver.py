@@ -5,14 +5,27 @@ the current state (lagged diffusivity), solves the resulting symmetric
 positive-definite system on the interior nodes by banded Cholesky, and treats
 the reaction explicitly. Within one run, a 2-D system is solved by
 conjugate gradients preconditioned with the banded Cholesky factor of an
-earlier step's matrix, which changes little from step to step. The step
-size is controlled by the discrete energy-dissipation identity: a step is
+earlier step's matrix, which changes little from step to step.
+
+A lagged step is a gradient-flow step of the regularized energy
+E_p,eps(u) = (1/p) int (|grad u|^2 + eps^2)^(p/2) - int F(u), so the step
+size is controlled by that energy's discrete dissipation identity: a step is
 accepted only when
 
-    ||du/dt||_2^2 dt + E_p(new) - E_p(old)
+    |  ||du/dt||_2^2 dt + E_p,eps(new) - E_p,eps(old)  |
+        <= energy_residual_tol (1 + |E_p(new)|).
 
-is small relative to the energy scale. Blow-up is detected (threshold
-crossing, an energy that overflows, or step underflow), never proven.
+For p <= 2 the lagged quadratic majorizes E_p,eps, and this residual is
+O(dt^2) (without reaction, never positive). Gating on E_p instead would
+leave an O(eps) gap that no dt removes. The snapshots, the CSV and the
+audits keep E_p.
+
+A trial step that ends extinct (sup <= tol_ext) is bisected from the same
+state, EXTINCTION_HALVINGS times, and the shortest step found extinct is
+taken if it passes the same gate; otherwise the original trial is judged.
+The extinction time is thus located to 2^-EXTINCTION_HALVINGS of the step
+that crossed it. Blow-up is detected (threshold crossing, an energy that
+overflows, or step underflow), never proven.
 """
 
 from __future__ import annotations
@@ -27,7 +40,7 @@ from scipy.linalg import solveh_banded as lapack_solveh_banded
 
 from .mesh import Field, Mesh
 from .model import Nonlinearity, WellStatus, classify_well, diffusivity, \
-    snapshot
+    regularized_energy, snapshot
 
 
 class SolverError(RuntimeError):
@@ -126,17 +139,17 @@ class BandedFactor:
 
     def __init__(self):
         self.cb = None           # upper Cholesky factor in LAPACK band form
-        self.offsets = None      # the factored matrix's nonzero diagonals
         self.factorizations = 0
         self.iterations = 0
 
-    def solve(self, ab: np.ndarray, rhs: np.ndarray,
-              x0: np.ndarray) -> np.ndarray:
-        """PCG from ``x0`` with the held factor. A solve that needs more
-        than PCG_REFACTOR_ITERS iterations drops the factor; with no factor
-        held, or when PCG fails, factor ``ab`` and solve directly."""
+    def solve(self, ab: np.ndarray, rhs: np.ndarray, x0: np.ndarray,
+              offsets: list[int]) -> np.ndarray:
+        """PCG from ``x0`` with the held factor, reading the super-diagonals
+        of ``ab`` at ``offsets``. A solve that needs more than
+        PCG_REFACTOR_ITERS iterations drops the factor; with no factor held,
+        or when PCG fails, factor ``ab`` and solve directly."""
         if self.cb is not None:
-            x, its = self._pcg(ab, rhs, x0)
+            x, its = self._pcg(ab, rhs, x0, offsets)
             self.iterations += its
             if x is not None:
                 if its > PCG_REFACTOR_ITERS:
@@ -144,15 +157,11 @@ class BandedFactor:
                 return x
         self.cb = None               # at most one factor is held
         self.cb = cholesky_banded(ab, check_finite=False)
-        # each element adds w_e > 0 times a fixed coefficient, so a diagonal
-        # that is zero here stays zero; if one did not, step's residual
-        # gate, which reads the whole band, would fail the step
-        self.offsets = _band_offsets(ab)
         self.factorizations += 1
         return cho_solve_banded((self.cb, False), rhs, check_finite=False)
 
-    def _pcg(self, ab: np.ndarray, rhs: np.ndarray,
-             x: np.ndarray) -> tuple[np.ndarray | None, int]:
+    def _pcg(self, ab: np.ndarray, rhs: np.ndarray, x: np.ndarray,
+             offsets: list[int]) -> tuple[np.ndarray | None, int]:
         """Conjugate gradients on the banded system from ``x``,
         preconditioned by the held factor (Saad, Iterative Methods for
         Sparse Linear Systems, 2003, Alg. 9.1). Returns (x, iterations),
@@ -162,7 +171,7 @@ class BandedFactor:
             return cho_solve_banded((self.cb, False), r, check_finite=False)
 
         tol = PCG_RTOL * np.linalg.norm(rhs)
-        r = rhs - _band_product(ab, x, self.offsets)
+        r = rhs - _band_product(ab, x, offsets)
         z = precondition(r)
         d = z
         rz = r @ z
@@ -170,7 +179,7 @@ class BandedFactor:
         while not np.linalg.norm(r) <= tol:
             if k == PCG_MAX_ITERS:
                 return None, k
-            Ad = _band_product(ab, d, self.offsets)
+            Ad = _band_product(ab, d, offsets)
             dAd = d @ Ad
             if not dAd > 0.0:            # breakdown, or a non-finite system
                 return None, k
@@ -185,9 +194,11 @@ class BandedFactor:
 
 
 def solveh_banded(ab: np.ndarray, rhs: np.ndarray,
-                  factor: BandedFactor | None, x0: np.ndarray) -> np.ndarray:
+                  factor: BandedFactor | None, x0: np.ndarray,
+                  offsets: list[int]) -> np.ndarray:
     """Solve the symmetric positive definite system held in LAPACK upper
-    banded storage ``ab``: the one linear solve of a step.
+    banded storage ``ab``, whose nonzero super-diagonals are at
+    ``offsets``: the one linear solve of a step.
 
     In 1-D (bandwidth 1), or without a ``factor``, this is scipy's
     ``solveh_banded`` (LAPACK ``ptsv`` / ``pbsv``). Otherwise it is
@@ -200,13 +211,7 @@ def solveh_banded(ab: np.ndarray, rhs: np.ndarray,
         if factor is not None:
             factor.factorizations += 1
         return lapack_solveh_banded(ab, rhs, check_finite=False)
-    return factor.solve(ab, rhs, x0)
-
-
-def _band_offsets(ab: np.ndarray) -> list[int]:
-    """Offsets d > 0 of the super-diagonals of ``ab`` that hold a nonzero."""
-    b = ab.shape[0] - 1
-    return [b - r for r in np.flatnonzero(ab[:b].any(axis=1)).tolist()]
+    return factor.solve(ab, rhs, x0, offsets)
 
 
 def _band_product(ab: np.ndarray, x: np.ndarray,
@@ -241,19 +246,19 @@ def step(state: Field, t: float, cfg: SolverConfig, nl: Nonlinearity,
     u = state.values
     w = mesh.element_volumes * diffusivity(state.grad, cfg.p, cfg.eps)
     qw = mesh.quad_weights
-    S, b, interior = mesh.interior_band
+    S, b, interior, offsets = mesh.interior_band
     ab = (S @ w).reshape(b + 1, len(interior))
     ab[b] += qw[interior] / dt
     rhs = (qw * (u / dt + nl.f(u)))[interior]
     try:
         # non-finite entries fail the factorization or the checks below
-        x = solveh_banded(ab, rhs, factor, u[interior])
+        x = solveh_banded(ab, rhs, factor, u[interior], offsets)
     except np.linalg.LinAlgError as exc:
         raise StepFailureError(f"banded solve failed: {exc}") from None
     if not np.all(np.isfinite(x)):
         raise StepFailureError(f"non-finite solution at t={t}")
     # backward-stable gate: ||Ax - b|| <= 1e-10 (||b|| + ||A||_inf ||x||)
-    Ax, norm_A = _banded_matvec(ab, x)
+    Ax, norm_A = _banded_matvec(ab, x, offsets)
     scale = float(np.linalg.norm(rhs) + norm_A * np.linalg.norm(x))
     if np.linalg.norm(Ax - rhs) > 1e-10 * max(scale, 1e-300):
         raise StepFailureError(f"banded solve residual above tolerance at t={t}")
@@ -262,16 +267,17 @@ def step(state: Field, t: float, cfg: SolverConfig, nl: Nonlinearity,
     return Field(mesh, new_vals)
 
 
-def _banded_matvec(ab: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
+def _banded_matvec(ab: np.ndarray, x: np.ndarray,
+                   offsets: list[int]) -> tuple[np.ndarray, float]:
     """A @ x and the largest absolute row sum of the symmetric matrix A held
-    in LAPACK upper banded storage ``ab``; all-zero diagonals are skipped.
-    The residual gate's own product, independent of the solve it checks."""
+    in LAPACK upper banded storage ``ab``, reading the super-diagonals at
+    ``offsets`` (the mesh's, so fixed before the solve). The residual
+    gate's own product, independent of the solve it checks."""
     b = ab.shape[0] - 1
     Ax = ab[b] * x
     row_abs = np.abs(ab[b])
-    for r in np.flatnonzero(ab[:b].any(axis=1)):
-        d = b - r
-        a = ab[r, d:]                  # A[i, i + d] for i = 0 .. m - d - 1
+    for d in offsets:
+        a = ab[b - d, d:]              # A[i, i + d] for i = 0 .. m - d - 1
         Ax[:-d] += a * x[d:]
         Ax[d:] += a * x[:-d]
         row_abs[:-d] += np.abs(a)
@@ -283,12 +289,16 @@ def _banded_matvec(ab: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
 # Run loop
 # ---------------------------------------------------------------------------
 
+EXTINCTION_HALVINGS = 8   # bisections locating the step that ends extinct
+
+
 def run(mesh: Mesh, u0: Field, cfg: SolverConfig, nl: Nonlinearity,
         d_hat: float = math.inf) -> Trajectory:
     """Integrate to T_end or earlier termination (extinction, blow-up
     detection, step failure), with the dissipation-residual step controller.
-    Each trial state is evaluated once, in its snapshot; ``d_hat`` is unused.
-    The run's steps share one ``BandedFactor``.
+    Each judged trial state is evaluated once, in its snapshot; the
+    bisection of an extinct trial reads only its probes' sup norms. The
+    run's steps share one ``BandedFactor``; ``d_hat`` is unused.
     """
     if u0.mesh is not mesh:
         raise SolverError("initial field lives on a different mesh")
@@ -310,6 +320,7 @@ def _march(traj: Trajectory, state: Field, cfg: SolverConfig,
     mesh = traj.mesh
     t = 0.0
     snap = snapshot(state, t, cfg.p, nl, 0.0)
+    E_eps = regularized_energy(state, cfg.p, cfg.eps, snap)
     traj.times.append(t)
     traj.snapshots.append(snap)
     traj.states.append((t, state.copy()))
@@ -327,27 +338,37 @@ def _march(traj: Trajectory, state: Field, cfg: SolverConfig,
         dt_try = min(dt, target - t)
         try:
             new = step(state, t, cfg, nl, dt_try, factor=factor)
+            trials = [(new, dt_try)]
+            if cfg.adapt and new.sup() <= cfg.tol_ext:
+                # judge the shortest extinct step first; the original trial
+                # only if that one fails the gate
+                trials = _extinction_crossing(state, t, cfg, nl, dt_try,
+                                              factor) + trials
         except StepFailureError:
             return Status("step_failure", t)
 
-        t_new = t + dt_try
-        if abs(t_new - target) <= 1e-12 * max(1.0, target):
-            t_new = target
-        diss = float(mesh.quad_weights @ (new.values - state.values) ** 2) / dt_try
-        trial = snapshot(new, t_new, cfg.p, nl, snap.dissipation_cum + diss)
-        if not (math.isfinite(trial.E_p) and math.isfinite(trial.I_p)):
-            # the reaction overflowed; the residual gate cannot judge this
-            return Status("blowup", t)
-        residual = diss + trial.E_p - snap.E_p
-        tol = cfg.energy_residual_tol * (1.0 + abs(trial.E_p))
-        if cfg.adapt and abs(residual) > tol:
+        for new, h in trials:
+            t_new = t + h
+            if abs(t_new - target) <= 1e-12 * max(1.0, target):
+                t_new = target
+            diss = float(mesh.quad_weights @ (new.values - state.values) ** 2) / h
+            trial = snapshot(new, t_new, cfg.p, nl, snap.dissipation_cum + diss)
+            if not (math.isfinite(trial.E_p) and math.isfinite(trial.I_p)):
+                # the reaction overflowed; the residual gate cannot judge this
+                return Status("blowup", t)
+            E_eps_new = regularized_energy(new, cfg.p, cfg.eps, trial)
+            residual = diss + E_eps_new - E_eps
+            tol = cfg.energy_residual_tol * (1.0 + abs(trial.E_p))
+            if not (cfg.adapt and abs(residual) > tol):
+                break
+        else:
             dt = dt_try / 2.0
             if dt < cfg.dt_min:
                 # step underflow is treated as a blow-up detection
                 return Status("blowup", t)
             continue
 
-        state, snap, t = new, trial, t_new
+        state, snap, E_eps, t = new, trial, E_eps_new, t_new
         accepted += 1
         traj.times.append(t)
         traj.snapshots.append(snap)
@@ -360,11 +381,30 @@ def _march(traj: Trajectory, state: Field, cfg: SolverConfig,
             return Status("extinct", t)
 
         if cfg.adapt and abs(residual) < 0.2 * tol:
-            dt = min(dt_try * 1.4, cfg.dt_max)
+            dt = min(h * 1.4, cfg.dt_max)
         else:
-            dt = dt_try
+            dt = h
 
     return Status("completed", cfg.T_end)
+
+
+def _extinction_crossing(state: Field, t: float, cfg: SolverConfig,
+                         nl: Nonlinearity, dt: float,
+                         factor: BandedFactor) -> list[tuple[Field, float]]:
+    """Bisect (0, dt] for the shortest step from ``state`` that ends extinct,
+    given that the step of size dt does. Returns [(field, size)] for the
+    shortest extinct step shorter than dt, or [] if there is none. The step
+    of size ``size - dt / 2 ** EXTINCTION_HALVINGS`` (``dt`` minus that, for
+    []) is not extinct: it was tried, or it is 0."""
+    lo, hi, found = 0.0, dt, []
+    for _ in range(EXTINCTION_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        new = step(state, t, cfg, nl, mid, factor=factor)
+        if new.sup() <= cfg.tol_ext:
+            hi, found = mid, [(new, mid)]
+        else:
+            lo = mid
+    return found
 
 
 def detect_tmax(traj: Trajectory, cfg: SolverConfig) -> float:

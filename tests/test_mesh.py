@@ -155,7 +155,7 @@ class TestInteriorBand:
     def test_band_is_the_interior_stiffness(self, domain, resolution,
                                             bandwidth):
         mesh = build_mesh(domain, resolution)
-        S, b, interior = mesh.interior_band
+        S, b, interior, offsets = mesh.interior_band
         assert b == bandwidth
         assert np.array_equal(interior, np.flatnonzero(mesh.interior_mask))
         w = np.random.default_rng(7).uniform(0.1, 10.0, mesh.n_elements)
@@ -165,6 +165,8 @@ class TestInteriorBand:
         K = K[np.ix_(interior, interior)]
         m = len(interior)
         ab = (S @ w).reshape(b + 1, m)
+        # the mesh's offsets are exactly the diagonals that hold a nonzero
+        assert offsets == [b - r for r in np.flatnonzero(ab[:b].any(axis=1))]
         A = np.zeros((m, m))
         for d in range(b + 1):
             i = np.arange(m - d)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded as lapack_solveh_banded
 
 from tvheat import (Field, Interval, Power, Rectangle, SolverConfig,
                     WellStatus, Zero,
@@ -13,7 +14,7 @@ from tvheat import (Field, Interval, Power, Rectangle, SolverConfig,
                     well_status, write_trajectory_csv)
 from tvheat import model, solver
 from tvheat.mesh import Mesh
-from tvheat.model import ExpPower, grad_p_norm
+from tvheat.model import ExpPower, grad_p_norm, regularized_energy
 from tvheat.solver import SolverError, Status, StepFailureError
 
 
@@ -332,15 +333,135 @@ class TestLinearSolve:
         assert traj.pcg_iterations == 0
         assert traj.factorizations >= len(traj.times) - 1 > 0
 
+    def test_1d_step_is_lapack_ptsv(self, monkeypatch):
+        # a 1-D step solves its band with LAPACK ptsv, bit for bit
+        solved = []
+        solve = solver.solveh_banded
+
+        def recorded(ab, rhs, *args):
+            x = solve(ab, rhs, *args)
+            solved.append((ab.copy(), rhs.copy(), x))
+            return x
+
+        monkeypatch.setattr(solver, "solveh_banded", recorded)
+        mesh = build_mesh(Interval(1.0), 400)
+        cfg = SolverConfig(p=1.01, eps=1e-4)
+        new = step(hat(mesh), 0.0, cfg, Zero(), 1e-3,
+                   factor=solver.BandedFactor())
+        (ab, rhs, x), = solved
+        assert ab.shape[0] == 2
+        assert np.array_equal(x, lapack_solveh_banded(ab, rhs))
+        assert np.array_equal(new.values[mesh.interior_mask], x)
+
     def test_1d_flat_extinction_time_unchanged(self):
-        # criterion 1's run, pinned to the last bit: 1-D keeps LAPACK ptsv
+        # criterion 1's run, pinned to the last bit: the step sequence of
+        # the E_p,eps gate and the extinction bisection
         mesh = build_mesh(Interval(1.0), 400)
         u0 = Field(mesh, np.ones(mesh.n_nodes)).constrained()
         traj = run(mesh, u0, SolverConfig(p=1.01, eps=1e-4, T_end=1.0),
                    Zero())
         assert traj.status.kind == "extinct"
-        assert traj.status.time == 0.47995975959075643
+        assert traj.status.time == 0.4800778155096372
 
+
+class TestEnergyGate:
+    def test_regularized_residual_is_second_order(self):
+        # criterion 7's first member from its state at t = 0.3: against
+        # E_p,eps a lagged step's residual is O(dt^2) and negative; against
+        # E_p it carries an O(eps) slope that no dt removes
+        mesh = build_mesh(Interval(1.0), 100)
+        u0 = Field(mesh, np.ones(mesh.n_nodes)).constrained()
+        p, eps = 1.5, 0.25
+        cfg = SolverConfig(p=p, eps=eps, T_end=0.3)
+        traj = run(mesh, u0, cfg, Zero())
+        t, u = traj.states[-1]
+        assert t == 0.3
+        old = model.snapshot(u, t, p, Zero(), 0.0)
+        E_eps = regularized_energy(u, p, eps, old)
+        r_eps = []
+        for dt in (1e-6, 1e-5, 1e-4, 1e-3):
+            new = step(u, t, cfg, Zero(), dt)
+            snap = model.snapshot(new, t + dt, p, Zero(), 0.0)
+            diss = mesh.quad_weights @ (new.values - u.values) ** 2 / dt
+            r_eps.append(diss + regularized_energy(new, p, eps, snap) - E_eps)
+            r_p = diss + snap.E_p - old.E_p
+            assert r_p / dt == pytest.approx(-0.24, abs=0.01)
+        assert max(r_eps) < 0.0
+        for small, large in zip(r_eps, r_eps[1:]):
+            assert 90.0 <= large / small <= 110.0
+
+    def test_regularized_energy_definition(self, mesh):
+        u = hat(mesh)
+        p, eps = 1.5, 0.25
+        snap = model.snapshot(u, 0.0, p, Power(q=3.0), 0.0)
+        direct = (mesh.integrate((u.grad_mag ** 2 + eps ** 2) ** (p / 2)) / p
+                  - mesh.integrate(Power(q=3.0).F(u.values)))
+        assert regularized_energy(u, p, eps, snap) == pytest.approx(
+            direct, rel=1e-14)
+        assert regularized_energy(u, p, 0.0, snap) == pytest.approx(
+            snap.E_p, rel=1e-14)
+
+    def test_one_reaction_primitive_per_snapshot(self, mesh, monkeypatch):
+        # the gate reuses the snapshot's E_p, and the extinction bisection
+        # reads only sup norms: F is evaluated once per snapshot
+        calls = {"F": 0, "snapshot": 0, "step": 0}
+        snapshot_, step_ = solver.snapshot, solver.step
+
+        class Counted(Power):
+            def F(self, u):
+                calls["F"] += 1
+                return super().F(u)
+
+        def counted_snapshot(*args, **kwargs):
+            calls["snapshot"] += 1
+            return snapshot_(*args, **kwargs)
+
+        def counted_step(*args, **kwargs):
+            calls["step"] += 1
+            return step_(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "snapshot", counted_snapshot)
+        monkeypatch.setattr(solver, "step", counted_step)
+        traj = run(mesh, hat(mesh), SolverConfig(p=1.5, T_end=2.0),
+                   Counted(q=3.0))
+        assert traj.status.kind == "extinct"
+        # u0 and every trial but the bisection probes get one snapshot
+        assert calls["snapshot"] == \
+            calls["step"] + 1 - solver.EXTINCTION_HALVINGS
+        assert calls["F"] == calls["snapshot"]
+
+
+class TestExtinctionCrossing:
+    @pytest.mark.parametrize("profile, nl", [("flat", Zero()),
+                                             ("hat", Power(q=3.0))])
+    def test_crossing_is_located(self, mesh, monkeypatch, profile, nl):
+        # the accepted extinction step h ends extinct from the last state,
+        # and the step shorter by the bisection's resolution does not
+        trials = []   # (dt, sup of the new state) of every step
+        step_ = solver.step
+
+        def recorded(state, t, cfg, nl, dt=None, factor=None):
+            new = step_(state, t, cfg, nl, dt, factor=factor)
+            trials.append((dt, new.sup()))
+            return new
+
+        monkeypatch.setattr(solver, "step", recorded)
+        u0 = (Field(mesh, np.ones(mesh.n_nodes)).constrained()
+              if profile == "flat" else hat(mesh))
+        cfg = SolverConfig(p=1.5, eps=1e-4, T_end=2.0)
+        traj = run(mesh, u0, cfg, nl)
+        assert traj.status.kind == "extinct"
+        t, u = traj.states[-2]
+        # the trial that ended extinct, then its bisection probes
+        halvings = solver.EXTINCTION_HALVINGS
+        (crossed, sup), probes = trials[-1 - halvings], trials[-halvings:]
+        assert sup <= cfg.tol_ext
+        h = min(dt for dt, sup in probes if sup <= cfg.tol_ext)
+        assert traj.times[-1] == t + h < t + crossed
+        delta = crossed / 2 ** halvings
+        assert step_(u, t, cfg, nl, h).sup() <= cfg.tol_ext
+        assert step_(u, t, cfg, nl, h - delta).sup() > cfg.tol_ext
+        assert u.sup() > cfg.tol_ext
 
 @pytest.fixture(scope="module")
 def confined():
