@@ -97,182 +97,164 @@ def emit_summary(report: dict, path) -> None:
 # Config schema
 # ---------------------------------------------------------------------------
 
-_SCHEMA = {
-    "domain": {"kind", "length", "a", "b", "dim", "lx", "ly", "resolution"},
-    "reaction": {"kind", "q", "s", "alpha", "p0"},
-    "solver": {"p", "eps", "dt0", "dt_min", "t_end", "u_max", "tol_ext",
-               "energy_residual_tol", "adapt", "store_stride", "dt_max"},
-    "initial": {"profile", "amplitude", "center", "width", "index", "path"},
-    "continuation": {"enabled", "m_start", "m_end", "p_sequence",
-                     "checkpoints", "dictionary_size"},
-    "output": {"directory", "trajectory_csv", "summary_json", "state_dumps"},
-    "audits": {"well", "l2", "gradient_bound", "conditions"},
-}
-
-
-@dataclass
-class RunConfig:
-    """Validated experiment description."""
-
-    mesh: Mesh
-    nl: Nonlinearity
-    solver: SolverConfig
-    u0: Field
-    continuation: bool
-    p_sequence: tuple
-    checkpoints: tuple
-    dictionary_size: int
-    out_dir: str
-    trajectory_csv: str
-    summary_json: str
-    state_dumps: str
-    audits: dict
-    echo: dict = dc_field(default_factory=dict)
-
-
-def _get(sec, key, cast, default=None, required=False):
-    if key not in sec:
-        if required:
-            raise ConfigError(f"missing required key [{sec.name}] {key}")
-        return default
-    raw = sec[key]
+def boolean(raw: str) -> bool:
     try:
-        if cast is bool:
-            if raw.lower() in ("true", "on", "yes", "1"):
-                return True
-            if raw.lower() in ("false", "off", "no", "0"):
-                return False
-            raise ValueError(raw)
-        return cast(raw)
-    except ValueError:
-        raise ConfigError(
-            f"key [{sec.name}] {key}: cannot parse {raw!r} as "
-            f"{cast.__name__}") from None
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(raw) from None
 
 
 def floats(raw: str) -> tuple:
     return tuple(float(x) for x in raw.split(","))
 
 
+def resolution(raw: str):
+    return [int(r) for r in raw.split("x")] if "x" in raw else int(raw)
+
+
+# _SCHEMA[section][key] casts the key's text. parse_config passes each
+# section's typed keys to the object it configures, whose own defaults and
+# checks apply; the CLI restates neither.
+_SCHEMA = {
+    "domain": {"kind": str, "length": float, "a": float, "b": float,
+               "dim": int, "lx": float, "ly": float, "resolution": resolution},
+    "reaction": {"kind": str, "q": float, "s": float, "alpha": float,
+                 "p0": float},
+    "solver": {"p": float, "eps": float, "dt0": float, "dt_min": float,
+               "t_end": float, "u_max": float, "tol_ext": float,
+               "energy_residual_tol": float, "store_stride": int,
+               "dt_max": float},
+    "initial": {"profile": str, "amplitude": float, "center": floats,
+                "width": floats, "index": int, "path": str},
+    "continuation": {"m_start": int, "m_end": int, "p_sequence": floats,
+                     "checkpoints": floats, "dictionary_size": int},
+    "output": {"directory": str, "trajectory_csv": str, "summary_json": str,
+               "state_dumps": str},
+    "audits": {"well": boolean, "l2": boolean, "gradient_bound": boolean,
+               "conditions": boolean},
+}
+_DOMAINS = {"interval": Interval, "annulus": Annulus, "rectangle": Rectangle}
+# keys named apart from the field they set
+_FIELDS = {"t_end": "T_end", "u_max": "U_max",
+           "checkpoints": "checkpoint_times", "directory": "out_dir"}
+# keys only a single run reads: continuation mode rejects them
+_SINGLE_ONLY = {"solver": ("p", "eps"),
+                "output": ("trajectory_csv", "state_dumps"),
+                "audits": tuple(_SCHEMA["audits"])}
+
+
+@dataclass
+class RunConfig:
+    """Validated experiment description; ``plan`` is None for a single run."""
+
+    mesh: Mesh
+    nl: Nonlinearity
+    solver: SolverConfig
+    u0: Field
+    plan: ContinuationPlan | None = None
+    out_dir: str = "."
+    trajectory_csv: str = "trajectory.csv"
+    summary_json: str = "summary.json"
+    state_dumps: str = "none"
+    audits: dict = dc_field(
+        default_factory=lambda: dict.fromkeys(_SCHEMA["audits"], True))
+    echo: dict = dc_field(default_factory=dict)
+
+
+def _read(cp: configparser.ConfigParser) -> dict:
+    """Every section's keys cast through _SCHEMA, under the name of the
+    field each sets; an unknown section or key, or a value its cast rejects,
+    fails by name."""
+    sections = {}
+    for name in cp.sections():
+        if name not in _SCHEMA:
+            raise ConfigError(f"unknown section [{name}]")
+        sections[name] = {}
+        for key, raw in cp[name].items():
+            cast = _SCHEMA[name].get(key)
+            if cast is None:
+                raise ConfigError(f"unknown key [{name}] {key}")
+            try:
+                sections[name][_FIELDS.get(key, key)] = cast(raw)
+            except ValueError:
+                raise ConfigError(f"key [{name}] {key}: cannot parse {raw!r} "
+                                  f"as {cast.__name__}") from None
+    return sections
+
+
+def _make(section: str, make, *args, **keys):
+    """``make(*args, **keys)`` with ``keys`` from config section ``section``:
+    a key ``make`` does not take or misses (a TypeError naming the key), and
+    a value it rejects, fail as a ConfigError naming the section."""
+    try:
+        return make(*args, **keys)
+    except (TypeError, MeshError, ModelError, SolverError, LimitError) as exc:
+        raise ConfigError(f"[{section}]: {exc}") from None
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a sectioned key=value run description.
 
-    Every key is either consumed or rejected by name; silent ignoring of an
-    unknown key is a defect.
+    Every key is either consumed or rejected by name; silent ignoring of a
+    key is a defect. A ``[continuation]`` section selects continuation mode.
     """
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
+    sections = _read(cp)
 
-    for section in cp.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
-        for key in cp[section]:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key [{section}] {key}")
-
-    # domain -------------------------------------------------------------
-    if "domain" not in cp:
+    if "domain" not in sections:
         raise ConfigError("missing [domain] section")
-    dom_sec = cp["domain"]
-    kind = _get(dom_sec, "kind", str, required=True)
-    if kind == "interval":
-        domain = Interval(_get(dom_sec, "length", float, 1.0))
-    elif kind == "annulus":
-        a = _get(dom_sec, "a", float, required=True)
-        b = _get(dom_sec, "b", float, required=True)
-        domain = Annulus(a, b, _get(dom_sec, "dim", int, 2))
-    elif kind == "rectangle":
-        domain = Rectangle(_get(dom_sec, "lx", float, 1.0),
-                           _get(dom_sec, "ly", float, 1.0))
-    else:
-        raise ConfigError(f"key [domain] kind: unknown domain {kind!r}")
-    res_raw = _get(dom_sec, "resolution", str, "100")
-    try:
-        resolution = ([int(r) for r in res_raw.split("x")]
-                      if "x" in res_raw else int(res_raw))
-    except ValueError:
-        raise ConfigError(
-            f"key [domain] resolution: cannot parse {res_raw!r}") from None
-    try:
-        mesh = build_mesh(domain, resolution)
-    except MeshError as exc:
-        raise ConfigError(str(exc)) from None
+    dom = dict(sections["domain"])
+    kind = dom.pop("kind", None)
+    if kind not in _DOMAINS:
+        raise ConfigError(f"key [domain] kind: must be one of "
+                          f"{sorted(_DOMAINS)}, got {kind!r}")
+    res = dom.pop("resolution", 100)
+    domain = _make("domain", _DOMAINS[kind], **dom)
+    mesh = _make("domain", build_mesh, domain, res)
 
-    # reaction -----------------------------------------------------------
-    rsec = cp["reaction"] if "reaction" in cp else {}
-    rkind = rsec.get("kind", "zero") if rsec else "zero"
-    params = {}
-    if rsec:
-        for key, cast in (("q", float), ("s", float), ("alpha", float),
-                          ("p0", float)):
-            if key in rsec:
-                params[key] = _get(rsec, key, cast)
-    try:
-        nl = make_nonlinearity(rkind, **params)
-    except (ModelError, TypeError) as exc:
-        raise ConfigError(f"[reaction]: {exc}") from None
+    nl = _make("reaction", make_nonlinearity,
+               **{"kind": "zero", **sections.get("reaction", {})})
 
-    # solver -------------------------------------------------------------
-    ssec = cp["solver"] if "solver" in cp else None
-    csec = cp["continuation"] if "continuation" in cp else None
-    continuation = bool(csec) and _get(csec, "enabled", bool, True)
+    solver = dict(sections.get("solver", {}))
+    cont = sections.get("continuation")
+    if cont is not None:
+        for section, keys in _SINGLE_ONLY.items():
+            for key in keys:
+                if key in sections.get(section, {}):
+                    raise ConfigError(f"key [{section}] {key}: unused in "
+                                      "continuation mode")
+        cont = dict(cont)
+        ms = {k: cont.pop(k) for k in ("m_start", "m_end") if k in cont}
+        if "p_sequence" not in cont:
+            cont["p_sequence"] = _make("continuation", default_p_sequence,
+                                       **ms)
+        elif ms:
+            raise ConfigError(f"key [continuation] {next(iter(ms))}: unused "
+                              "when p_sequence is given")
+        solver["p"] = max(cont["p_sequence"])
+    solver = _make("solver", SolverConfig, **solver)
 
-    p_sequence = ()
-    checkpoints = ()
-    dictionary_size = 8
-    if continuation:
-        for key in ("p", "eps"):
-            if ssec is not None and key in ssec:
-                raise ConfigError(f"key [solver] {key}: unused in continuation "
-                                  "mode; the p sequence sets p, eps = (p-1)^2")
-        if csec.get("p_sequence"):
-            p_sequence = _get(csec, "p_sequence", floats)
-        else:
-            m0 = _get(csec, "m_start", int, 1)
-            m1 = _get(csec, "m_end", int, 8)
-            p_sequence = default_p_sequence(m0, m1)
-            if not p_sequence:
-                raise ConfigError(
-                    f"key [continuation] m_end: must be >= m_start "
-                    f"(m_start={m0}, m_end={m1})")
-        if csec.get("checkpoints"):
-            checkpoints = _get(csec, "checkpoints", floats)
-        dictionary_size = _get(csec, "dictionary_size", int, 8)
-        p_run = max(p_sequence)
-    else:
-        if ssec is None or "p" not in ssec:
-            raise ConfigError("missing required key [solver] p")
-        p_run = _get(ssec, "p", float)
+    init = dict(sections.get("initial", {}))
+    profile = init.pop("profile", "flat")
+    if profile not in _PROFILES:
+        raise ConfigError(f"key [initial] profile: unknown profile "
+                          f"{profile!r}")
+    if not math.isfinite(init.get("amplitude", 0.0)):
+        raise ConfigError(f"key [initial] amplitude: must be finite, got "
+                          f"{init['amplitude']}")
+    u0 = _make("initial", _PROFILES[profile], mesh, **init)
 
-    def sget(key, cast, default):
-        return _get(ssec, key, cast, default) if ssec is not None else default
-
-    try:
-        solver = SolverConfig(
-            p=p_run,
-            eps=sget("eps", float, 1e-4),
-            dt0=sget("dt0", float, 1e-3),
-            dt_min=sget("dt_min", float, 1e-14),
-            T_end=sget("t_end", float, 1.0),
-            U_max=sget("u_max", float, 1e6),
-            tol_ext=sget("tol_ext", float, 1e-8),
-            energy_residual_tol=sget("energy_residual_tol", float, 1e-5),
-            adapt=sget("adapt", bool, True),
-            store_stride=sget("store_stride", int, 1),
-            dt_max=sget("dt_max", float, None),
-        )
-    except SolverError as exc:
-        raise ConfigError(f"[solver]: {exc}") from None
+    plan = None
+    if cont is not None:
+        plan = _make("continuation", ContinuationPlan, u0, nl, solver, **cont)
 
     # structural compatibility: the well machinery needs p < theta, and the
     # radial theory additionally needs p < p0
-    ps = p_sequence if continuation else (p_run,)
-    for p in ps:
-        if not p > 1:
-            raise ConfigError(f"key [solver] p: must exceed 1, got {p}")
+    for p in plan.p_sequence if plan else (solver.p,):
         if not isinstance(nl, Zero) and not p < nl.theta:
             raise ConfigError(
                 f"key [solver] p: needs p < theta (p={p}, theta={nl.theta})")
@@ -282,86 +264,68 @@ def parse_config(text: str) -> RunConfig:
                 f"key [solver] p: radial runs need p < p0 "
                 f"(p={p}, p0={nl.p0})")
 
-    # initial state ------------------------------------------------------
-    isec = cp["initial"] if "initial" in cp else {}
-    profile = isec.get("profile", "flat") if isec else "flat"
-    u0 = _build_initial(mesh, isec, profile)
-
-    # output -------------------------------------------------------------
-    osec = cp["output"] if "output" in cp else {}
-    out_dir = osec.get("directory", ".") if osec else "."
-    traj_csv = osec.get("trajectory_csv", "trajectory.csv") if osec else "trajectory.csv"
-    summary_json = osec.get("summary_json", "summary.json") if osec else "summary.json"
-    state_dumps = osec.get("state_dumps", "none") if osec else "none"
-    if state_dumps not in ("none", "checkpoints"):
+    cfg = RunConfig(mesh, nl, solver, u0, plan, **sections.get("output", {}),
+                    echo={s: dict(cp[s]) for s in cp.sections()})
+    if cfg.state_dumps not in ("none", "checkpoints"):
         raise ConfigError(
-            f"key [output] state_dumps: unknown mode {state_dumps!r}")
-
-    asec = cp["audits"] if "audits" in cp else None
-    audits = {
-        "well": _get(asec, "well", bool, True) if asec else True,
-        "l2": _get(asec, "l2", bool, True) if asec else True,
-        "gradient_bound": _get(asec, "gradient_bound", bool, True) if asec else True,
-        "conditions": _get(asec, "conditions", bool, True) if asec else True,
-    }
-
-    if continuation:
-        try:
-            ContinuationPlan(u0, nl, solver, p_sequence)
-        except LimitError as exc:
-            raise ConfigError(f"key [continuation] p_sequence: {exc}") from None
-
-    echo = {s: dict(cp[s]) for s in cp.sections()}
-    return RunConfig(mesh, nl, solver, u0, continuation, p_sequence,
-                     checkpoints, dictionary_size, out_dir, traj_csv,
-                     summary_json, state_dumps, audits, echo)
+            f"key [output] state_dumps: unknown mode {cfg.state_dumps!r}")
+    cfg.audits.update(sections.get("audits", {}))
+    return cfg
 
 
-def _build_initial(mesh: Mesh, isec, profile: str) -> Field:
-    coords = mesh.nodes
-    lo, hi = coords.min(axis=0), coords.max(axis=0)
+# [initial] profiles: each takes the mesh and the section's other keys
+
+def flat_profile(mesh: Mesh, amplitude: float = 1.0) -> Field:
+    return Field(mesh, np.full(mesh.n_nodes, amplitude)).constrained()
+
+
+def hat_profile(mesh: Mesh, amplitude: float = 1.0) -> Field:
+    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
     span = hi - lo
-    amp = _get(isec, "amplitude", float, 1.0) if isec else 1.0
-    if not math.isfinite(amp):
-        raise ConfigError(f"key [initial] amplitude: must be finite, got "
-                          f"{isec['amplitude']!r}")
-    if profile == "flat":
-        return Field(mesh, np.full(mesh.n_nodes, amp)).constrained()
-    if profile in ("hat", "bump"):
-        if profile == "hat":
-            center = lo + 0.5 * span
-            width = span.copy()
-        else:
-            center = np.array(_get(isec, "center", floats, required=True))
-            width = np.array(_get(isec, "width", floats, required=True))
-            for key, v in (("center", center), ("width", width)):
-                if v.shape != (mesh.dim_coord,) or not np.all(np.isfinite(v)):
-                    raise ConfigError(
-                        f"key [initial] {key}: needs {mesh.dim_coord} finite "
-                        f"comma-separated values, got {isec[key]!r}")
-            if not np.all(width > 0):
-                raise ConfigError(f"key [initial] width: must be > 0, got "
-                                  f"{isec['width']!r}")
-        prof = np.ones(mesh.n_nodes)
-        for k in range(mesh.dim_coord):
-            # |x - c| / (w/2) overflows to inf for a tiny width: profile 0
-            with np.errstate(over="ignore"):
-                dist = 2.0 * (np.abs(coords[:, k] - center[k]) / width[k])
-            prof *= np.maximum(0.0, 1.0 - dist)
-        return Field(mesh, amp * prof).constrained()
-    if profile == "dictionary":
-        idx = _get(isec, "index", int, 0)
-        dic = default_dictionary(mesh)
-        if not 0 <= idx < len(dic):
-            raise ConfigError(f"key [initial] index: out of range {idx}")
-        return Field(mesh, amp * dic[idx].values)
-    if profile == "file":
-        path = _get(isec, "path", str, None, required=True)
-        try:
-            return load_field(path, mesh).constrained()
-        except (OSError, MeshError) as exc:
-            raise ConfigError(f"[initial] path: {exc}") from None
-    raise ConfigError(f"key [initial] profile: unknown profile {profile!r}")
+    return _tent(mesh, amplitude, lo + 0.5 * span, span)
+
+
+def bump_profile(mesh: Mesh, center: tuple, width: tuple,
+                 amplitude: float = 1.0) -> Field:
+    center, width = np.array(center), np.array(width)
+    for key, v in (("center", center), ("width", width)):
+        if v.shape != (mesh.dim_coord,) or not np.all(np.isfinite(v)):
+            raise ConfigError(
+                f"key [initial] {key}: needs {mesh.dim_coord} finite "
+                f"comma-separated values, got {tuple(v)}")
+    if not np.all(width > 0):
+        raise ConfigError(f"key [initial] width: must be > 0, got "
+                          f"{tuple(width)}")
+    return _tent(mesh, amplitude, center, width)
+
+
+def _tent(mesh: Mesh, amp: float, center, width) -> Field:
+    prof = np.ones(mesh.n_nodes)
+    for k in range(mesh.dim_coord):
+        # |x - c| / (w/2) overflows to inf for a tiny width: profile 0
+        with np.errstate(over="ignore"):
+            dist = 2.0 * (np.abs(mesh.nodes[:, k] - center[k]) / width[k])
+        prof *= np.maximum(0.0, 1.0 - dist)
+    return Field(mesh, amp * prof).constrained()
+
+
+def dictionary_profile(mesh: Mesh, index: int = 0,
+                       amplitude: float = 1.0) -> Field:
+    dic = default_dictionary(mesh)
+    if not 0 <= index < len(dic):
+        raise ConfigError(f"key [initial] index: out of range {index}")
+    return Field(mesh, amplitude * dic[index].values)
+
+
+def file_profile(mesh: Mesh, path: str) -> Field:
+    try:
+        return load_field(path, mesh).constrained()
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"key [initial] path: {exc}") from None
+
+
+_PROFILES = {"flat": flat_profile, "hat": hat_profile, "bump": bump_profile,
+             "dictionary": dictionary_profile, "file": file_profile}
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +341,7 @@ def run_experiment(cfg: RunConfig) -> int:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 4
 
-    if cfg.continuation:
+    if cfg.plan is not None:
         summary, code = _run_continuation(cfg)
     else:
         summary, code = _run_single(cfg)
@@ -408,10 +372,10 @@ def _run_single(cfg: RunConfig):
         write_trajectory_csv(
             traj, os.path.join(cfg.out_dir, cfg.trajectory_csv))
         if cfg.state_dumps == "checkpoints":
-            for i, (t, f) in enumerate(traj.states):
-                if t in cfg.solver.checkpoint_times or t == traj.times[-1]:
-                    mesh.dump(os.path.join(cfg.out_dir, f"state_{i:05d}.txt"),
-                              f.values)
+            # the run's last state, under its index among the stored states
+            i = len(traj.states) - 1
+            mesh.dump(os.path.join(cfg.out_dir, f"state_{i:05d}.txt"),
+                      traj.states[-1][1].values)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return {"status": "io_error"}, 4
@@ -457,11 +421,7 @@ def _run_single(cfg: RunConfig):
 
 
 def _run_continuation(cfg: RunConfig):
-    plan = ContinuationPlan(
-        u0=cfg.u0, nl=cfg.nl, cfg_template=cfg.solver,
-        p_sequence=cfg.p_sequence, checkpoint_times=cfg.checkpoints,
-        dictionary_size=cfg.dictionary_size)
-    report = run_continuation(plan)
+    report = run_continuation(cfg.plan)
     statuses = [r.status for r in report.records]
     if any(s == "step_failure" for s in statuses):
         code = 3

@@ -155,14 +155,19 @@ def radial_sup_bound_check(field: Field) -> dict:
 # ---------------------------------------------------------------------------
 
 def default_p_sequence(m_start: int = 1, m_end: int = 8) -> tuple:
+    """p_m = 1 + 2^-m for m_start <= m <= m_end; past m = 52, p_m rounds
+    to 1."""
+    if not 0 <= m_start <= m_end <= 52:
+        raise LimitError(f"need 0 <= m_start <= m_end <= 52, got "
+                         f"m_start={m_start}, m_end={m_end}")
     return tuple(1.0 + 2.0 ** (-m) for m in range(m_start, m_end + 1))
 
 
 @dataclass
 class ContinuationPlan:
-    """A decreasing sequence of p values sharing initial data, reaction and
-    solver controls; regularization is coupled to p as eps = (p - 1)^2 unless
-    an explicit schedule is given."""
+    """A strictly decreasing sequence of p values in (1, 2] sharing initial
+    data, reaction and solver controls; regularization is coupled to p as
+    eps = (p - 1)^2 unless an explicit schedule is given."""
 
     u0: Field
     nl: Nonlinearity
@@ -175,16 +180,21 @@ class ContinuationPlan:
     def __post_init__(self):
         ps = tuple(float(p) for p in self.p_sequence)
         if not ps:
-            raise LimitError("p sequence is empty")
-        if any(p <= 1.0 for p in ps):
-            raise LimitError("every p in the sequence must exceed 1")
+            raise LimitError("p_sequence is empty")
+        if not all(1.0 < p <= 2.0 for p in ps):
+            raise LimitError(f"every p in p_sequence must lie in (1, 2], "
+                             f"got {ps}")
         if any(b >= a for a, b in zip(ps, ps[1:])):
-            raise LimitError("p sequence must be strictly decreasing")
+            raise LimitError("p_sequence must be strictly decreasing")
+        if not all(0 < c <= self.cfg_template.T_end
+                   for c in self.checkpoint_times):
+            raise LimitError(f"checkpoint_times must lie in (0, T_end], got "
+                             f"{tuple(self.checkpoint_times)}")
         self.p_sequence = ps
         if self.eps_schedule is None:
             self.eps_schedule = tuple((p - 1.0) ** 2 for p in ps)
         elif len(self.eps_schedule) != len(ps):
-            raise LimitError("eps schedule length does not match p sequence")
+            raise LimitError("eps_schedule length does not match p_sequence")
 
 
 @dataclass

@@ -32,11 +32,12 @@ class MeshError(ValueError):
 class Interval:
     """One-dimensional domain (0, length)."""
 
-    length: float
+    length: float = 1.0
 
     def __post_init__(self):
-        if not self.length > 0:
-            raise MeshError(f"interval length must be positive, got {self.length}")
+        if not 0 < self.length < math.inf:
+            raise MeshError(f"interval length must be positive and finite, "
+                            f"got {self.length}")
 
     @property
     def measure(self) -> float:
@@ -57,9 +58,11 @@ class Annulus:
 
     def __post_init__(self):
         if not (0 < self.a < self.b < math.inf):
-            raise MeshError(f"annulus requires 0 < a < b, got a={self.a}, b={self.b}")
+            raise MeshError(f"annulus requires 0 < a < b < inf, got "
+                            f"a={self.a}, b={self.b}")
         if self.dim < 2:
             raise MeshError(f"annulus requires dim >= 2, got {self.dim}")
+        _check_measure(self)
 
     @property
     def sphere_measure(self) -> float:
@@ -81,12 +84,14 @@ class Annulus:
 class Rectangle:
     """Axis-aligned rectangle (0, lx) x (0, ly)."""
 
-    lx: float
-    ly: float
+    lx: float = 1.0
+    ly: float = 1.0
 
     def __post_init__(self):
-        if not (self.lx > 0 and self.ly > 0):
-            raise MeshError(f"rectangle sides must be positive, got {self.lx}, {self.ly}")
+        if not (0 < self.lx < math.inf and 0 < self.ly < math.inf):
+            raise MeshError(f"rectangle sides must be positive and finite, "
+                            f"got lx={self.lx}, ly={self.ly}")
+        _check_measure(self)
 
     @property
     def measure(self) -> float:
@@ -98,6 +103,17 @@ class Rectangle:
 
 
 Domain = Interval | Annulus | Rectangle
+
+
+def _check_measure(domain: Domain) -> None:
+    """Reject a domain whose measure overflows: its quadrature weights would
+    be infinite."""
+    try:
+        finite = math.isfinite(domain.measure)
+    except OverflowError:   # a float power or math.gamma in Annulus.measure
+        finite = False
+    if not finite:
+        raise MeshError(f"{domain} has no finite measure")
 
 
 # ---------------------------------------------------------------------------
@@ -405,19 +421,22 @@ def build_mesh(domain: Domain, resolution) -> Mesh:
     for the rectangle.
     """
     if isinstance(domain, (Interval, Annulus)):
-        n = int(resolution)
-        if n < 2:
-            raise MeshError(f"resolution must be >= 2, got {resolution}")
-        return _build_1d(domain, n)
-    if isinstance(domain, Rectangle):
-        if np.isscalar(resolution):
-            nx = ny = int(resolution)
-        else:
-            nx, ny = (int(r) for r in resolution)
-        if nx < 2 or ny < 2:
-            raise MeshError(f"resolution must be >= 2 per axis, got {resolution}")
-        return _build_rectangle(domain, nx, ny)
-    raise MeshError(f"unknown domain {domain!r}")
+        build, axes = _build_1d, 1
+    elif isinstance(domain, Rectangle):
+        build, axes = _build_rectangle, 2
+    else:
+        raise MeshError(f"unknown domain {domain!r}")
+    counts = ([int(resolution)] * axes if np.isscalar(resolution)
+              else [int(r) for r in resolution])
+    if len(counts) != axes or min(counts) < 2:
+        raise MeshError(f"resolution must be {axes} count(s) >= 2, got "
+                        f"{resolution}")
+    try:
+        # element sizes too small or too large to invert or weigh
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return build(domain, *counts)
+    except FloatingPointError as err:
+        raise MeshError(f"{domain} at resolution {resolution}: {err}") from None
 
 
 def _build_1d(domain, n: int) -> Mesh:

@@ -82,8 +82,9 @@ class Power(Nonlinearity):
 
     def __init__(self, q: float, p0: float = 1.5):
         super().__init__(p0)
-        if not q > 1:
-            raise ModelError(f"power exponent must exceed 1, got {q}")
+        if not 1 < q < math.inf:
+            raise ModelError(f"power exponent q must be finite and exceed 1, "
+                             f"got {q}")
         self.q = float(q)
         self.theta = float(q)
 
@@ -102,8 +103,9 @@ class SumPowers(Nonlinearity):
 
     def __init__(self, q: float, s: float, p0: float = 1.5):
         super().__init__(p0)
-        if not (q > 1 and s > 1):
-            raise ModelError(f"exponents must exceed 1, got q={q}, s={s}")
+        if not (1 < q < math.inf and 1 < s < math.inf):
+            raise ModelError(f"exponents must be finite and exceed 1, got "
+                             f"q={q}, s={s}")
         self.q = float(q)
         self.s = float(s)
         self.theta = float(min(q, s))
@@ -131,10 +133,11 @@ class ExpPower(Nonlinearity):
 
     def __init__(self, q: float, alpha: float, p0: float = 1.5):
         super().__init__(p0)
-        if not q > 1:
-            raise ModelError(f"power exponent must exceed 1, got {q}")
-        if not alpha > 0:
-            raise ModelError(f"alpha must be positive, got {alpha}")
+        if not 1 < q < math.inf:
+            raise ModelError(f"power exponent q must be finite and exceed 1, "
+                             f"got {q}")
+        if not 0 < alpha < math.inf:
+            raise ModelError(f"alpha must be positive and finite, got {alpha}")
         self.q = float(q)
         self.alpha = float(alpha)
         self.theta = float(q)

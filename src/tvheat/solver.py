@@ -64,7 +64,6 @@ class SolverConfig:
     U_max: float = 1e6
     tol_ext: float = 1e-8
     energy_residual_tol: float = 1e-5
-    adapt: bool = True
     store_stride: int = 1
     checkpoint_times: tuple = ()
     dt_max: float | None = None   # defaults to T_end / 64
@@ -89,6 +88,12 @@ class SolverConfig:
                 f"{self.T_end}")
         if self.dt_max is None:
             self.dt_max = self.T_end / 64.0
+        if not 0 < self.dt_max < math.inf:
+            raise SolverError(f"dt_max (default T_end / 64) must be finite "
+                              f"and > 0, got {self.dt_max}")
+        if not self.store_stride >= 1:
+            raise SolverError(
+                f"store_stride must be >= 1, got {self.store_stride}")
 
     def replace(self, **kw) -> "SolverConfig":
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -307,16 +312,18 @@ def run(mesh: Mesh, u0: Field, cfg: SolverConfig, nl: Nonlinearity,
 
     traj = Trajectory(mesh, cfg)
     factor = BandedFactor()
-    traj.status = _march(traj, u0.copy(), cfg, nl, factor)
+    traj.status, last = _march(traj, u0.copy(), cfg, nl, factor)
+    if traj.states[-1][0] != traj.times[-1]:    # ended off the store stride
+        traj.states.append((traj.times[-1], last.copy()))
     traj.factorizations = factor.factorizations
     traj.pcg_iterations = factor.iterations
     return traj
 
 
 def _march(traj: Trajectory, state: Field, cfg: SolverConfig,
-           nl: Nonlinearity, factor: BandedFactor) -> Status:
+           nl: Nonlinearity, factor: BandedFactor) -> tuple[Status, Field]:
     """``run``'s time loop: fills the ledger of ``traj`` and returns how the
-    run ended."""
+    run ended and its last accepted state."""
     mesh = traj.mesh
     t = 0.0
     snap = snapshot(state, t, cfg.p, nl, 0.0)
@@ -326,7 +333,7 @@ def _march(traj: Trajectory, state: Field, cfg: SolverConfig,
     traj.states.append((t, state.copy()))
 
     if snap.sup <= cfg.tol_ext:
-        return Status("extinct", 0.0)
+        return Status("extinct", 0.0), state
 
     targets = sorted({float(c) for c in cfg.checkpoint_times
                       if 0.0 < c <= cfg.T_end} | {cfg.T_end})
@@ -339,13 +346,13 @@ def _march(traj: Trajectory, state: Field, cfg: SolverConfig,
         try:
             new = step(state, t, cfg, nl, dt_try, factor=factor)
             trials = [(new, dt_try)]
-            if cfg.adapt and new.sup() <= cfg.tol_ext:
+            if new.sup() <= cfg.tol_ext:
                 # judge the shortest extinct step first; the original trial
                 # only if that one fails the gate
                 trials = _extinction_crossing(state, t, cfg, nl, dt_try,
                                               factor) + trials
         except StepFailureError:
-            return Status("step_failure", t)
+            return Status("step_failure", t), state
 
         for new, h in trials:
             t_new = t + h
@@ -355,37 +362,37 @@ def _march(traj: Trajectory, state: Field, cfg: SolverConfig,
             trial = snapshot(new, t_new, cfg.p, nl, snap.dissipation_cum + diss)
             if not (math.isfinite(trial.E_p) and math.isfinite(trial.I_p)):
                 # the reaction overflowed; the residual gate cannot judge this
-                return Status("blowup", t)
+                return Status("blowup", t), state
             E_eps_new = regularized_energy(new, cfg.p, cfg.eps, trial)
             residual = diss + E_eps_new - E_eps
             tol = cfg.energy_residual_tol * (1.0 + abs(trial.E_p))
-            if not (cfg.adapt and abs(residual) > tol):
+            if not abs(residual) > tol:
                 break
         else:
             dt = dt_try / 2.0
             if dt < cfg.dt_min:
                 # step underflow is treated as a blow-up detection
-                return Status("blowup", t)
+                return Status("blowup", t), state
             continue
 
         state, snap, E_eps, t = new, trial, E_eps_new, t_new
         accepted += 1
         traj.times.append(t)
         traj.snapshots.append(snap)
-        if accepted % max(1, cfg.store_stride) == 0 or t in targets:
+        if accepted % cfg.store_stride == 0 or t in targets:
             traj.states.append((t, state.copy()))
 
         if not math.isfinite(snap.sup) or snap.sup >= cfg.U_max:
-            return Status("blowup", t)
+            return Status("blowup", t), state
         if snap.sup <= cfg.tol_ext:
-            return Status("extinct", t)
+            return Status("extinct", t), state
 
-        if cfg.adapt and abs(residual) < 0.2 * tol:
+        if abs(residual) < 0.2 * tol:
             dt = min(h * 1.4, cfg.dt_max)
         else:
             dt = h
 
-    return Status("completed", cfg.T_end)
+    return Status("completed", cfg.T_end), state
 
 
 def _extinction_crossing(state: Field, t: float, cfg: SolverConfig,

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tvheat import Interval, build_mesh
-from tvheat.cli import (ConfigError, canonical_json, emit_summary, main,
-                        parse_config, run_experiment)
+from tvheat import Interval, build_mesh, default_p_sequence, load_field
+from tvheat.cli import (_SCHEMA, ConfigError, RunConfig, canonical_json,
+                        emit_summary, main, parse_config, run_experiment)
 
 BASE = """
 [domain]
@@ -30,6 +30,12 @@ t_end = 0.02
 profile = hat
 amplitude = 0.01
 """
+
+def continuation_text(block: str) -> str:
+    """BASE in continuation mode: no reaction, no [solver] p, and ``block``
+    as the [continuation] section."""
+    return BASE.replace("[reaction]\nkind = power\nq = 3\n", "") \
+               .replace("p = 1.5\n", "") + "\n[continuation]\n" + block + "\n"
 
 
 class TestCanonicalJson:
@@ -57,7 +63,7 @@ class TestParseConfig:
         assert cfg.solver.p == 1.5
         assert cfg.mesh.n_nodes == 51
         assert cfg.u0.sup() == pytest.approx(0.01)
-        assert not cfg.continuation
+        assert cfg.plan is None
 
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match="unknown section"):
@@ -126,9 +132,15 @@ m_end = 3
 checkpoints = 0.01
 """
         cfg = parse_config(text)
-        assert cfg.continuation
-        assert cfg.p_sequence == (1.5, 1.25, 1.125)
-        assert cfg.checkpoints == (0.01,)
+        assert cfg.plan.p_sequence == (1.5, 1.25, 1.125)
+        assert cfg.plan.checkpoint_times == (0.01,)
+        assert cfg.plan.cfg_template is cfg.solver
+
+    def test_empty_continuation_section_selects_continuation(self):
+        # an empty section used to mean single mode, which then missed p
+        cfg = parse_config(continuation_text(""))
+        assert cfg.plan.p_sequence == default_p_sequence()
+        assert cfg.solver.p == 1.5
 
 
 class TestRunExperiment:
@@ -164,6 +176,22 @@ class TestRunExperiment:
         run_experiment(cfg)
         assert (tmp_path / "summary.json").read_bytes() == first
 
+    def test_last_state_dumped_off_stride(self, tmp_path):
+        # 302 accepted steps end extinct off the stride of 3; the final
+        # state used to go unstored, so no state file was written
+        text = BASE.replace("[reaction]\nkind = power\nq = 3\n", "") \
+                   .replace("p = 1.5", "p = 1.05\nstore_stride = 3") \
+            + "\n[output]\nstate_dumps = checkpoints\n"
+        cfg = parse_config(text)
+        cfg.out_dir = str(tmp_path)
+        assert run_experiment(cfg) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["status"] == "extinct"
+        dumps = sorted(p.name for p in tmp_path.glob("state_*.txt"))
+        assert dumps == ["state_00101.txt"]
+        last = load_field(tmp_path / dumps[0], cfg.mesh)
+        assert last.sup() == summary["final"]["sup"]
+
     def test_continuation_run(self, tmp_path):
         text = BASE.replace("[reaction]\nkind = power\nq = 3\n", "") \
                    .replace("p = 1.5\n", "") + """
@@ -198,8 +226,11 @@ class TestMain:
         ("", "p_sequence = 1.5, 1.7", "p_sequence"),
         ("p = 1.9\n", "m_end = 2", "[solver] p"),
         ("eps = 0.5\n", "m_end = 2", "[solver] eps"),
+        ("", "m_end = 53", "m_end"),
+        ("", "checkpoints = 5", "[continuation]: checkpoint_times"),
     ], ids=["p_sequence_value", "checkpoints_value", "empty_m_range",
-            "increasing_p_sequence", "solver_p", "solver_eps"])
+            "increasing_p_sequence", "solver_p", "solver_eps",
+            "m_end_past_52", "checkpoint_past_t_end"])
     def test_bad_continuation_fails_by_name(self, tmp_path, capsys, solver,
                                             block, key):
         # in continuation mode the p sequence sets p and eps = (p - 1)^2
@@ -257,8 +288,14 @@ class TestMain:
         ("u_max = nan", "[solver]: U_max"),
         ("amplitude = nan", "[initial] amplitude"),
         ("amplitude = inf", "[initial] amplitude"),
+        ("dt_max = 0", "[solver]: dt_max"),
+        ("dt_max = -1", "[solver]: dt_max"),
+        ("dt_max = nan", "[solver]: dt_max"),
+        ("store_stride = 0", "[solver]: store_stride"),
     ], ids=["eps_nan", "eps_inf", "residual_tol_nan", "residual_tol_zero",
-            "tol_ext_nan", "u_max_nan", "amplitude_nan", "amplitude_inf"])
+            "tol_ext_nan", "u_max_nan", "amplitude_nan", "amplitude_inf",
+            "dt_max_zero", "dt_max_negative", "dt_max_nan",
+            "store_stride_zero"])
     def test_value_that_switches_off_a_check_fails_by_name(
             self, tmp_path, capsys, line, key):
         # configparser keys are case-insensitive: U_max names key u_max
@@ -272,6 +309,46 @@ class TestMain:
         assert main(["run", str(path), "--output-dir",
                      str(tmp_path / "out")]) == 1
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, section, key", [
+        (BASE.replace("length = 1.0", "length = 1.0\na = 0.5"), "domain",
+         "a"),
+        (BASE.replace("profile = hat", "profile = hat\ncenter = 0.5"),
+         "initial", "center"),
+        (BASE.replace("profile = hat", "profile = flat\nwidth = 0.5"),
+         "initial", "width"),
+        (BASE.replace("profile = hat", "profile = file\npath = u0.txt"),
+         "initial", "amplitude"),
+        (continuation_text("p_sequence = 1.5, 1.25\nm_start = 1"),
+         "continuation", "m_start"),
+        (continuation_text("m_end = 2\n[audits]\nwell = false"), "audits",
+         "well"),
+        (continuation_text("m_end = 2\n[output]\ntrajectory_csv = t.csv"),
+         "output", "trajectory_csv"),
+        (BASE.replace("length = 1.0", "length = -1"), "domain", "length"),
+        (BASE.replace("kind = interval\nlength = 1.0",
+                      "kind = annulus\na = 2\nb = 1"), "domain", "a"),
+        (BASE.replace("kind = interval\nlength = 1.0",
+                      "kind = rectangle\nlx = 0"), "domain", "lx"),
+        (BASE.replace("kind = interval\nlength = 1.0",
+                      "kind = annulus\na = 1\nb = 2\ndim = 1"), "domain",
+         "dim"),
+    ], ids=["interval_a", "hat_center", "flat_width", "file_amplitude",
+            "p_sequence_m_start", "continuation_audits",
+            "continuation_trajectory_csv", "length_negative",
+            "annulus_a_above_b", "lx_zero", "dim_1"])
+    def test_unused_or_rejected_key_fails_by_name(self, tmp_path, capsys,
+                                                  text, section, key):
+        # each was accepted, silently ignored, or a traceback
+        named = re.compile(rf"\[{section}\].*\b{key}\b")
+        with pytest.raises(ConfigError, match=named):
+            parse_config(text)
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        assert main(["run", str(path), "--output-dir",
+                     str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert named.search(err) and "Traceback" not in err
 
     def test_step_failure_exit_code(self, tmp_path):
         text = BASE.replace("[reaction]\nkind = power\nq = 3\n", "") \
@@ -311,6 +388,75 @@ class TestMain:
 _line = st.text(st.characters(blacklist_characters="\n\r"), max_size=30)
 _numbers = st.lists(st.floats(), min_size=1, max_size=3).map(
     lambda xs: ", ".join(map(repr, xs)))
+
+# configs that together use every key of _SCHEMA, on tiny meshes
+_BASES = [
+    {"domain": {"kind": "interval", "length": "1", "resolution": "4"},
+     "reaction": {"kind": "sum_powers", "q": "3", "s": "4", "p0": "1.6"},
+     "solver": {"p": "1.5", "eps": "1e-4", "dt0": "1e-3", "dt_min": "1e-14",
+                "t_end": "0.02", "u_max": "1e6", "tol_ext": "1e-8",
+                "energy_residual_tol": "1e-5", "store_stride": "2",
+                "dt_max": "1e-3"},
+     "initial": {"profile": "bump", "amplitude": "0.5", "center": "0.5",
+                 "width": "0.5"},
+     "output": {"directory": "out", "trajectory_csv": "t.csv",
+                "summary_json": "s.json", "state_dumps": "checkpoints"},
+     "audits": {"well": "yes", "l2": "on", "gradient_bound": "1",
+                "conditions": "false"}},
+    {"domain": {"kind": "annulus", "a": "1", "b": "2", "dim": "3",
+                "resolution": "4"},
+     "reaction": {"kind": "exp_power", "q": "3", "alpha": "1", "p0": "1.9"},
+     "solver": {"p": "1.5"},
+     "initial": {"profile": "hat", "amplitude": "0.5"}},
+    {"domain": {"kind": "rectangle", "lx": "1", "ly": "2", "resolution": "4"},
+     "solver": {"p": "1.5"},
+     "initial": {"profile": "dictionary", "index": "1"}},
+    {"domain": {"kind": "interval", "resolution": "4"},
+     "solver": {"t_end": "0.1"},
+     "initial": {"profile": "file", "path": "{path}"},
+     "continuation": {"m_start": "1", "m_end": "3", "checkpoints": "0.05",
+                      "dictionary_size": "4"}},
+    {"domain": {"kind": "interval", "resolution": "4"},
+     "continuation": {"p_sequence": "1.5, 1.25"}},
+]
+
+
+@pytest.fixture(scope="module")
+def u0_path(tmp_path_factory):
+    mesh = build_mesh(Interval(1.0), 4)
+    path = tmp_path_factory.mktemp("u0") / "u0.txt"
+    mesh.dump(path, np.sin(np.pi * mesh.nodes[:, 0]))
+    return str(path)
+
+
+def render(sections: dict, u0_path: str) -> str:
+    return "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in
+                                         keys.items())
+                   for s, keys in sections.items()).replace("{path}", u0_path)
+
+
+@pytest.mark.parametrize("base", _BASES)
+def test_every_base_parses(u0_path, base):
+    assert isinstance(parse_config(render(base, u0_path)), RunConfig)
+
+
+@pytest.mark.parametrize("section, key", [
+    (s, k) for s in _SCHEMA for k in _SCHEMA[s]
+    if (s, k) != ("domain", "resolution")])
+@settings(deadline=None, max_examples=12)
+@given(value=st.one_of(_line, _numbers, st.integers().map(str)))
+def test_every_key_parses_or_fails_by_name(u0_path, section, key, value):
+    # any one-line text as one key's value, in a config that uses the key,
+    # gives a RunConfig or a ConfigError; resolution is left out because
+    # a large one is slow, not wrong
+    base = next(b for b in _BASES if key in b.get(section, {}))
+    sections = {s: dict(keys) for s, keys in base.items()}
+    sections[section][key] = value
+    try:
+        cfg = parse_config(render(sections, u0_path))
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
 
 
 @settings(deadline=None)

@@ -98,6 +98,14 @@ class TestContinuation:
         seq = default_p_sequence(1, 4)
         assert seq == (1.5, 1.25, 1.125, 1.0625)
 
+    @pytest.mark.parametrize("m_start, m_end", [(3, 1), (-1, 2), (1, 53),
+                                                (1, 10 ** 6)])
+    def test_default_sequence_range(self, m_start, m_end):
+        # past m = 52, 1 + 2^-m rounds to 1; the check comes before the
+        # sequence is built
+        with pytest.raises(LimitError, match="m_end"):
+            default_p_sequence(m_start, m_end)
+
     def test_plan_validation(self, mesh):
         cfg = SolverConfig(p=1.5, T_end=0.1)
         with pytest.raises(LimitError):
@@ -109,6 +117,14 @@ class TestContinuation:
                              eps_schedule=(1e-2,))
         with pytest.raises(LimitError):
             ContinuationPlan(hat(mesh), Zero(), cfg, p_sequence=())
+        # a NaN or a p above 2 used to pass, and fail only when run
+        for ps in ((1.5, math.nan), (1e200,), (3.0, 1.5)):
+            with pytest.raises(LimitError, match="p_sequence"):
+                ContinuationPlan(hat(mesh), Zero(), cfg, p_sequence=ps)
+        # a checkpoint past T_end, or NaN, used to audit the nearest state
+        for cs in ((0.5,), (0.05, math.nan), (0.0,)):
+            with pytest.raises(LimitError, match="checkpoint_times"):
+                ContinuationPlan(hat(mesh), Zero(), cfg, checkpoint_times=cs)
 
     def test_default_eps_schedule(self, mesh):
         cfg = SolverConfig(p=1.5, T_end=0.1)

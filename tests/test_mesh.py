@@ -40,6 +40,18 @@ class TestDomains:
         with pytest.raises(MeshError):
             Rectangle(0.0, 1.0)
 
+    @pytest.mark.parametrize("domain, kw", [
+        (Interval, {"length": np.inf}), (Interval, {"length": np.nan}),
+        (Rectangle, {"lx": np.inf}), (Rectangle, {"lx": 1e200, "ly": 1e200}),
+        (Annulus, {"a": 1.0, "b": np.inf}), (Annulus, {"a": 1.0, "b": 1e200}),
+        (Annulus, {"a": 1.0, "b": 2.0, "dim": 1000}),
+    ])
+    def test_non_finite_size_or_measure_rejected(self, domain, kw):
+        # each would give infinite quadrature weights; dim = 1000 used to
+        # raise OverflowError from the sphere measure
+        with pytest.raises(MeshError):
+            domain(**kw)
+
 
 class TestIntervalMesh:
     def test_quadrature_reproduces_measure(self):
@@ -70,6 +82,15 @@ class TestIntervalMesh:
     def test_resolution_too_small(self):
         with pytest.raises(MeshError):
             build_mesh(Interval(1.0), 1)
+
+    @pytest.mark.parametrize("domain, resolution", [
+        (Interval(1.0), [4, 4]), (Rectangle(), [4, 4, 4]),
+        (Interval(5e-324), 4), (Rectangle(1e-308, 1.0), 4),
+    ])
+    def test_unbuildable_mesh_rejected(self, domain, resolution):
+        # a count per axis, and element sizes that invert to a finite number
+        with pytest.raises(MeshError, match="resolution"):
+            build_mesh(domain, resolution)
 
 
 class TestAnnulusMesh:

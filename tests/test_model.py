@@ -88,6 +88,13 @@ class TestNonlinearities:
             SumPowers(q=0.5, s=5.0)
         with pytest.raises(ModelError):
             Power(q=3.0, p0=2.5)
+        # infinite exponents and rates used to be accepted
+        for make in (lambda: Power(q=math.inf),
+                     lambda: SumPowers(q=3.0, s=math.inf),
+                     lambda: ExpPower(q=math.inf, alpha=1.0),
+                     lambda: ExpPower(q=3.0, alpha=math.inf)):
+            with pytest.raises(ModelError):
+                make()
 
     def test_evaluate_nonlinearity(self):
         nl = Power(q=3.0)

@@ -47,12 +47,18 @@ class TestConfig:
         ("energy_residual_tol", 0.0), ("energy_residual_tol", -1e-5),
         ("tol_ext", math.nan), ("tol_ext", math.inf), ("tol_ext", -math.inf),
         ("U_max", math.nan),
+        ("dt_max", 0.0), ("dt_max", -1.0), ("dt_max", math.nan),
+        ("dt_max", math.inf), ("store_stride", 0), ("store_stride", -1),
     ])
     def test_values_that_switch_off_a_check(self, key, value):
         # NaN fails every comparison: a NaN tolerance or threshold would
         # silently switch off the step gate, extinction or blow-up detection
         with pytest.raises(SolverError, match=key):
             SolverConfig(p=1.5, **{key: value})
+
+    def test_derived_dt_max_is_checked(self):
+        with pytest.raises(SolverError, match="dt_max"):
+            SolverConfig(p=1.5, T_end=math.inf)
 
     def test_replace_rederives_dt_max(self):
         cfg = SolverConfig(p=1.5, T_end=1.0)
@@ -520,6 +526,25 @@ class TestAudits:
         audit = gradient_bound_audit(traj, nl.theta, d_hat)
         assert audit["max_grad_p_norm"] == max(
             grad_p_norm(f.copy(), 1.5) for _, f in traj.states)
+
+    @pytest.mark.parametrize("stride", [2, 3, 11])
+    def test_last_state_is_stored_on_every_exit(self, stride):
+        # 299 and 1,061 accepted steps: both runs end off each stride
+        mesh = build_mesh(Interval(1.0), 50)
+        for amp, cfg, nl, kind in (
+                (0.01, SolverConfig(p=1.05, store_stride=stride), Zero(),
+                 "extinct"),
+                (30.0, SolverConfig(p=1.5, T_end=2.0, U_max=1e2,
+                                    store_stride=stride), Power(q=3.0),
+                 "blowup")):
+            traj = run(mesh, hat(mesh, amp), cfg, nl)
+            assert traj.status.kind == kind
+            assert (len(traj.times) - 1) % stride
+            t, last = traj.states[-1]
+            assert t == traj.times[-1] == traj.status.time
+            assert last.sup() == traj.snapshots[-1].sup
+            assert [s for s, _ in traj.states[:-1]] == \
+                traj.times[:-1:stride]
 
     def test_audits_cover_every_accepted_state(self, mesh):
         cfg = SolverConfig(p=1.5, eps=1e-4, T_end=0.01, store_stride=3)
