@@ -23,8 +23,8 @@ from .mesh import Annulus, Field, Interval, Mesh, MeshError, Rectangle, \
     build_mesh, load_field
 from .model import ModelError, Nonlinearity, Zero, check_f_conditions, \
     default_dictionary, estimate_dp, make_nonlinearity
-from .limit import ContinuationPlan, LimitError, default_p_sequence, \
-    run_continuation
+from .limit import ContinuationPlan, LimitError, check_p_sequence, \
+    default_p_sequence, run_continuation
 from .solver import SolverConfig, SolverError, Status, detect_tmax, \
     gradient_bound_audit, l2_audit, run, well_invariance_audit, \
     write_trajectory_csv
@@ -221,6 +221,7 @@ def parse_config(text: str) -> RunConfig:
 
     solver = dict(sections.get("solver", {}))
     cont = sections.get("continuation")
+    p_key = "[solver] p"   # the key every p of the run comes from
     if cont is not None:
         for section, keys in _SINGLE_ONLY.items():
             for key in keys:
@@ -235,6 +236,10 @@ def parse_config(text: str) -> RunConfig:
         elif ms:
             raise ConfigError(f"key [continuation] {next(iter(ms))}: unused "
                               "when p_sequence is given")
+        p_key = "[continuation] " + ("/".join(ms) or "p_sequence")
+        # checked before the solver template takes its largest p
+        cont["p_sequence"] = _make("continuation", check_p_sequence,
+                                   cont["p_sequence"])
         solver["p"] = max(cont["p_sequence"])
     solver = _make("solver", SolverConfig, **solver)
 
@@ -257,11 +262,11 @@ def parse_config(text: str) -> RunConfig:
     for p in plan.p_sequence if plan else (solver.p,):
         if not isinstance(nl, Zero) and not p < nl.theta:
             raise ConfigError(
-                f"key [solver] p: needs p < theta (p={p}, theta={nl.theta})")
+                f"key {p_key}: needs p < theta (p={p}, theta={nl.theta})")
         if isinstance(domain, Annulus) and not isinstance(nl, Zero) \
                 and not p < nl.p0:
             raise ConfigError(
-                f"key [solver] p: radial runs need p < p0 "
+                f"key {p_key}: radial runs need p < p0 "
                 f"(p={p}, p0={nl.p0})")
 
     cfg = RunConfig(mesh, nl, solver, u0, plan, **sections.get("output", {}),
@@ -402,6 +407,7 @@ def _run_single(cfg: RunConfig):
     summary = {
         "mode": "single",
         "status": traj.status.kind,
+        "stop_reason": traj.status.reason,
         "t_final": traj.times[-1],
         "t_max": tmax,
         "extinction_time": (traj.status.time

@@ -163,6 +163,20 @@ def default_p_sequence(m_start: int = 1, m_end: int = 8) -> tuple:
     return tuple(1.0 + 2.0 ** (-m) for m in range(m_start, m_end + 1))
 
 
+def check_p_sequence(p_sequence) -> tuple:
+    """``p_sequence`` as a tuple of floats; raises LimitError unless it is
+    non-empty, strictly decreasing and inside (1, 2]."""
+    ps = tuple(float(p) for p in p_sequence)
+    if not ps:
+        raise LimitError("p_sequence is empty")
+    if not all(1.0 < p <= 2.0 for p in ps):
+        raise LimitError(f"every p in p_sequence must lie in (1, 2], "
+                         f"got {ps}")
+    if any(b >= a for a, b in zip(ps, ps[1:])):
+        raise LimitError("p_sequence must be strictly decreasing")
+    return ps
+
+
 @dataclass
 class ContinuationPlan:
     """A strictly decreasing sequence of p values in (1, 2] sharing initial
@@ -178,14 +192,7 @@ class ContinuationPlan:
     dictionary_size: int = 8
 
     def __post_init__(self):
-        ps = tuple(float(p) for p in self.p_sequence)
-        if not ps:
-            raise LimitError("p_sequence is empty")
-        if not all(1.0 < p <= 2.0 for p in ps):
-            raise LimitError(f"every p in p_sequence must lie in (1, 2], "
-                             f"got {ps}")
-        if any(b >= a for a, b in zip(ps, ps[1:])):
-            raise LimitError("p_sequence must be strictly decreasing")
+        ps = check_p_sequence(self.p_sequence)
         if not all(0 < c <= self.cfg_template.T_end
                    for c in self.checkpoint_times):
             raise LimitError(f"checkpoint_times must lie in (0, T_end], got "

@@ -71,10 +71,10 @@ class Zero(Nonlinearity):
     """No reaction: the pure diffusion flow."""
 
     def f(self, u):
-        return np.zeros_like(np.asarray(u, dtype=float))
+        return np.zeros(np.shape(u))
 
     def F(self, u):
-        return np.zeros_like(np.asarray(u, dtype=float))
+        return np.zeros(np.shape(u))
 
 
 class Power(Nonlinearity):
@@ -187,8 +187,10 @@ def diffusivity(g: np.ndarray, p: float, eps: float) -> np.ndarray:
 
 
 def grad_p_norm(field: Field, p: float) -> float:
-    """Integral of |grad u|^p over the domain."""
-    return field.mesh.integrate(field.grad_mag ** p)
+    """Integral of |grad u|^p over the domain, an element-wise quadrature
+    (``Mesh.integrate`` would read a mesh with as many nodes as elements,
+    such as the 2 x 3 rectangle, as nodal)."""
+    return float(field.mesh.element_volumes @ field.grad_mag ** p)
 
 
 def total_variation(field: Field) -> float:
@@ -213,7 +215,8 @@ def regularized_energy(field: Field, p: float, eps: float,
     not evaluated a second time.
     """
     _check_p(p)
-    lifted = field.mesh.integrate((field.grad_mag ** 2 + eps ** 2) ** (p / 2.0))
+    lifted = float(field.mesh.element_volumes
+                   @ (field.grad_mag ** 2 + eps ** 2) ** (p / 2.0))
     return snap.E_p + (lifted - snap.grad_p) / p
 
 
@@ -438,13 +441,21 @@ class EnergySnapshot:
 
 def snapshot(field: Field, t: float, p: float, nl: Nonlinearity,
              dissipation_cum: float) -> EnergySnapshot:
+    """The diagnostics of ``field`` in one pass: int |grad u|^p, f(u) and
+    F(u) are each evaluated once. Every field equals its definition
+    (``energy``, ``nehari_I``, ``total_variation``, ``Field.l2``,
+    ``Field.sup``, ``grad_p_norm``) bit for bit."""
+    _check_p(p)
+    m = field.mesh
+    u, qw = field.values, m.quad_weights
+    grad_p = grad_p_norm(field, p)
     return EnergySnapshot(
         time=t,
-        E_p=energy(field, p, nl),
-        I_p=nehari_I(field, p, nl),
-        tv=total_variation(field),
+        E_p=grad_p / p - float(qw @ nl.F(u)),
+        I_p=grad_p - float(qw @ (nl.f(u) * u)),
+        tv=float(m.element_volumes @ field.grad_mag),
         l2=field.l2(),
         sup=field.sup(),
         dissipation_cum=dissipation_cum,
-        grad_p=grad_p_norm(field, p),
+        grad_p=grad_p,
     )

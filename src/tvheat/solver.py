@@ -37,6 +37,7 @@ import numpy as np
 import scipy.sparse.linalg as spla  # unused; bench/spans.py patches solver.spla
 from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.linalg import solveh_banded as lapack_solveh_banded
+from scipy.linalg.lapack import dptsv
 
 from .mesh import Field, Mesh
 from .model import Nonlinearity, WellStatus, classify_well, diffusivity, \
@@ -105,8 +106,15 @@ class SolverConfig:
 
 @dataclass
 class Status:
+    """How a run ended: ``kind`` decides the exit code, ``reason`` names the
+    test that stopped it. Each reason belongs to one kind: t_end to
+    completed, tol_ext to extinct, u_max (sup >= U_max), energy_overflow
+    (E_p or I_p not finite) and dt_underflow (dt halved below dt_min) to
+    blowup, linear_solve to step_failure."""
+
     kind: str          # completed | extinct | blowup | step_failure
     time: float
+    reason: str
 
     EXIT_CODES = {"completed": 0, "extinct": 0, "blowup": 2, "step_failure": 3}
 
@@ -114,8 +122,10 @@ class Status:
 @dataclass
 class Trajectory:
     """Time-indexed record of one run: snapshot ledger, stored states,
-    termination status and the linear-solve counts (factorizations, and
-    preconditioned CG iterations, which stay 0 in 1-D)."""
+    termination status, the linear-solve counts (factorizations, and
+    preconditioned CG iterations, which stay 0 in 1-D) and the step counts
+    beside the accepted ones: trials the energy gate rejected, and the
+    bisection steps that located an extinction crossing."""
 
     mesh: Mesh
     cfg: SolverConfig
@@ -125,6 +135,8 @@ class Trajectory:
     status: Status | None = None
     factorizations: int = 0
     pcg_iterations: int = 0
+    rejected_steps: int = 0
+    extinction_probes: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +217,25 @@ def solveh_banded(ab: np.ndarray, rhs: np.ndarray,
     banded storage ``ab``, whose nonzero super-diagonals are at
     ``offsets``: the one linear solve of a step.
 
-    In 1-D (bandwidth 1), or without a ``factor``, this is scipy's
-    ``solveh_banded`` (LAPACK ``ptsv`` / ``pbsv``). Otherwise it is
-    conjugate gradients from ``x0``, preconditioned by ``factor``'s held
-    factorization (see ``BandedFactor.solve``). The function keeps scipy's
-    name because the benchmark's tracer wraps ``solver.solveh_banded`` as
-    the linear-solve layer and counts one call per step.
+    In 1-D (bandwidth 1) this is LAPACK ``ptsv``, called directly: the
+    routine scipy's ``solveh_banded`` ends in, without its argument
+    checks, which cost more than the solve of a few hundred unknowns.
+    Without a ``factor`` it is scipy's ``solveh_banded`` (LAPACK ``pbsv``).
+    Otherwise it is conjugate gradients from ``x0``, preconditioned by
+    ``factor``'s held factorization (see ``BandedFactor.solve``). The
+    function keeps scipy's name because the benchmark's tracer wraps
+    ``solver.solveh_banded`` as the linear-solve layer and counts one call
+    per step. A matrix that is not positive definite raises LinAlgError.
     """
-    if factor is None or ab.shape[0] == 2:
+    if ab.shape[0] == 2:
         if factor is not None:
             factor.factorizations += 1
+        _, _, x, info = dptsv(ab[1], ab[0, 1:], rhs)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"{info}th leading minor not positive definite")
+        return x
+    if factor is None:
         return lapack_solveh_banded(ab, rhs, check_finite=False)
     return factor.solve(ab, rhs, x0, offsets)
 
@@ -264,8 +285,9 @@ def step(state: Field, t: float, cfg: SolverConfig, nl: Nonlinearity,
         raise StepFailureError(f"non-finite solution at t={t}")
     # backward-stable gate: ||Ax - b|| <= 1e-10 (||b|| + ||A||_inf ||x||)
     Ax, norm_A = _banded_matvec(ab, x, offsets)
-    scale = float(np.linalg.norm(rhs) + norm_A * np.linalg.norm(x))
-    if np.linalg.norm(Ax - rhs) > 1e-10 * max(scale, 1e-300):
+    r = Ax - rhs
+    scale = math.sqrt(rhs @ rhs) + norm_A * math.sqrt(x @ x)
+    if math.sqrt(r @ r) > 1e-10 * max(scale, 1e-300):
         raise StepFailureError(f"banded solve residual above tolerance at t={t}")
     new_vals = np.zeros(mesh.n_nodes)
     new_vals[interior] = x
@@ -333,7 +355,7 @@ def _march(traj: Trajectory, state: Field, cfg: SolverConfig,
     traj.states.append((t, state.copy()))
 
     if snap.sup <= cfg.tol_ext:
-        return Status("extinct", 0.0), state
+        return Status("extinct", 0.0, "tol_ext"), state
 
     targets = sorted({float(c) for c in cfg.checkpoint_times
                       if 0.0 < c <= cfg.T_end} | {cfg.T_end})
@@ -351,8 +373,9 @@ def _march(traj: Trajectory, state: Field, cfg: SolverConfig,
                 # only if that one fails the gate
                 trials = _extinction_crossing(state, t, cfg, nl, dt_try,
                                               factor) + trials
+                traj.extinction_probes += EXTINCTION_HALVINGS
         except StepFailureError:
-            return Status("step_failure", t), state
+            return Status("step_failure", t, "linear_solve"), state
 
         for new, h in trials:
             t_new = t + h
@@ -362,17 +385,18 @@ def _march(traj: Trajectory, state: Field, cfg: SolverConfig,
             trial = snapshot(new, t_new, cfg.p, nl, snap.dissipation_cum + diss)
             if not (math.isfinite(trial.E_p) and math.isfinite(trial.I_p)):
                 # the reaction overflowed; the residual gate cannot judge this
-                return Status("blowup", t), state
+                return Status("blowup", t, "energy_overflow"), state
             E_eps_new = regularized_energy(new, cfg.p, cfg.eps, trial)
             residual = diss + E_eps_new - E_eps
             tol = cfg.energy_residual_tol * (1.0 + abs(trial.E_p))
             if not abs(residual) > tol:
                 break
         else:
+            traj.rejected_steps += 1
             dt = dt_try / 2.0
             if dt < cfg.dt_min:
                 # step underflow is treated as a blow-up detection
-                return Status("blowup", t), state
+                return Status("blowup", t, "dt_underflow"), state
             continue
 
         state, snap, E_eps, t = new, trial, E_eps_new, t_new
@@ -383,16 +407,16 @@ def _march(traj: Trajectory, state: Field, cfg: SolverConfig,
             traj.states.append((t, state.copy()))
 
         if not math.isfinite(snap.sup) or snap.sup >= cfg.U_max:
-            return Status("blowup", t), state
+            return Status("blowup", t, "u_max"), state
         if snap.sup <= cfg.tol_ext:
-            return Status("extinct", t), state
+            return Status("extinct", t, "tol_ext"), state
 
         if abs(residual) < 0.2 * tol:
             dt = min(h * 1.4, cfg.dt_max)
         else:
             dt = h
 
-    return Status("completed", cfg.T_end), state
+    return Status("completed", cfg.T_end, "t_end"), state
 
 
 def _extinction_crossing(state: Field, t: float, cfg: SolverConfig,

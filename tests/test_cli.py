@@ -152,7 +152,8 @@ class TestRunExperiment:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["format_version"] == 1
         assert summary["mode"] == "single"
-        assert summary["status"] in ("completed", "extinct")
+        assert (summary["status"], summary["stop_reason"]) == \
+            ("completed", "t_end")
         assert summary["audits"]["well_invariance"]["all_inside"] is True
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "# format_version=1"
@@ -165,7 +166,8 @@ class TestRunExperiment:
         cfg.out_dir = str(tmp_path)
         assert run_experiment(cfg) == 2
         summary = json.loads((tmp_path / "summary.json").read_text())
-        assert summary["status"] == "blowup"
+        assert (summary["status"], summary["stop_reason"]) == \
+            ("blowup", "u_max")
         assert summary["t_max"] != "inf"
 
     def test_summary_is_byte_stable(self, tmp_path):
@@ -333,10 +335,15 @@ class TestMain:
         (BASE.replace("kind = interval\nlength = 1.0",
                       "kind = annulus\na = 1\nb = 2\ndim = 1"), "domain",
          "dim"),
+        (continuation_text("p_sequence = 0.9"), "continuation",
+         "p_sequence"),
+        (BASE.replace("q = 3", "q = 1.4").replace("p = 1.5\n", "")
+         + "\n[continuation]\nm_end = 2\n", "continuation", "m_end"),
     ], ids=["interval_a", "hat_center", "flat_width", "file_amplitude",
             "p_sequence_m_start", "continuation_audits",
             "continuation_trajectory_csv", "length_negative",
-            "annulus_a_above_b", "lx_zero", "dim_1"])
+            "annulus_a_above_b", "lx_zero", "dim_1",
+            "continuation_p_below_1", "continuation_p_above_theta"])
     def test_unused_or_rejected_key_fails_by_name(self, tmp_path, capsys,
                                                   text, section, key):
         # each was accepted, silently ignored, or a traceback
@@ -349,6 +356,8 @@ class TestMain:
                      str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert named.search(err) and "Traceback" not in err
+        # no other section is blamed
+        assert set(re.findall(r"\[(\w+)\]", err)) == {section}
 
     def test_step_failure_exit_code(self, tmp_path):
         text = BASE.replace("[reaction]\nkind = power\nq = 3\n", "") \

@@ -8,12 +8,12 @@ import pytest
 from scipy.integrate import quad
 
 from tvheat import (Annulus, Field, Interval, ModelError, NehariScaleError,
-                    Power, SumPowers, Zero, build_mesh, check_f_conditions,
-                    default_dictionary, energy, estimate_dp,
-                    make_nonlinearity, nehari_I, nehari_scale, well_status,
-                    WellStatus)
+                    Power, Rectangle, SumPowers, Zero, build_mesh,
+                    check_f_conditions, default_dictionary, energy,
+                    estimate_dp, make_nonlinearity, nehari_I, nehari_scale,
+                    well_status, WellStatus)
 from tvheat.model import ExpPower, energy_derivative, grad_p_norm, \
-    total_variation
+    snapshot, total_variation
 
 
 @pytest.fixture
@@ -111,6 +111,13 @@ class TestEnergies:
         for p in (1.0, 1.5, 2.0):
             assert grad_p_norm(f, p) == pytest.approx(2.0 ** p, rel=1e-12)
 
+    def test_grad_p_norm_with_as_many_elements_as_nodes(self):
+        # 12 nodes and 12 triangles: the quadrature is still element-wise
+        m = build_mesh(Rectangle(1.0, 1.0), [2, 3])
+        f = Field(m, np.random.default_rng(2).normal(size=12))
+        ref = sum(v * g ** 1.5 for v, g in zip(m.element_volumes, f.grad_mag))
+        assert grad_p_norm(f, 1.5) == pytest.approx(ref, rel=1e-14)
+
     def test_total_variation(self, mesh):
         assert total_variation(hat(mesh, 3.0)) == pytest.approx(6.0)
 
@@ -121,6 +128,25 @@ class TestEnergies:
         mag = np.sqrt((mesh.gradient(f.values) ** 2).sum(axis=1))
         for p in (1.0, 1.5, 2.0):
             assert grad_p_norm(f, p) == mesh.integrate(mag ** p)
+
+    @pytest.mark.parametrize("domain, resolution", [
+        (Interval(1.0), 400), (Annulus(1.0, 2.0, dim=3), 200),
+        (Rectangle(1.0, 1.0), [9, 7])], ids=["interval", "annulus", "rect"])
+    @pytest.mark.parametrize("nl", [Zero(), Power(3.0), ExpPower(3.0, 1.0)],
+                             ids=["zero", "power", "exp_power"])
+    def test_snapshot_equals_the_definitions(self, domain, resolution, nl):
+        # the one-pass snapshot changes no bit of any diagnostic
+        m = build_mesh(domain, resolution)
+        rng = np.random.default_rng(5)
+        f = Field(m, rng.uniform(-1.0, 1.0, m.n_nodes)).constrained()
+        for p in (1.01, 1.5, 2.0):
+            s = snapshot(f, 0.25, p, nl, 0.5)
+            assert (s.time, s.dissipation_cum) == (0.25, 0.5)
+            assert s.E_p == energy(f, p, nl)
+            assert s.I_p == nehari_I(f, p, nl)
+            assert s.tv == total_variation(f)
+            assert s.l2 == f.l2() and s.sup == f.sup()
+            assert s.grad_p == grad_p_norm(f, p)
 
     def test_energy_zero_reaction(self, mesh):
         f = hat(mesh)

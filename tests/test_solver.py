@@ -153,7 +153,7 @@ class TestRun:
         u0 = Field(mesh, np.sin(np.pi * x)).constrained()
         cfg = SolverConfig(p=2.0, eps=0.0, T_end=0.05)
         traj = run(mesh, u0, cfg, Zero())
-        assert traj.status.kind == "completed"
+        assert (traj.status.kind, traj.status.reason) == ("completed", "t_end")
         assert traj.times[-1] == pytest.approx(0.05)
         assert traj.times == sorted(traj.times)
         assert detect_tmax(traj, cfg) == math.inf
@@ -164,7 +164,7 @@ class TestRun:
     def test_extinction_detected(self, mesh):
         cfg = SolverConfig(p=1.05, eps=1e-4, T_end=2.0, tol_ext=1e-6)
         traj = run(mesh, hat(mesh), cfg, Zero())
-        assert traj.status.kind == "extinct"
+        assert (traj.status.kind, traj.status.reason) == ("extinct", "tol_ext")
         assert traj.status.time < 2.0
         assert traj.snapshots[-1].sup <= 1e-6
 
@@ -175,7 +175,8 @@ class TestRun:
         u0 = Field(mesh, 3.0 * t * f.values)
         cfg = SolverConfig(p=1.5, eps=1e-4, T_end=5.0, U_max=1e4)
         traj = run(mesh, u0, cfg, nl)
-        assert traj.status.kind == "blowup"
+        assert (traj.status.kind, traj.status.reason) == ("blowup", "u_max")
+        assert traj.snapshots[-1].sup >= cfg.U_max
         assert detect_tmax(traj, cfg) == traj.status.time
         assert traj.status.time < 5.0
 
@@ -185,7 +186,8 @@ class TestRun:
         # energy ends the run at the last accepted time, outside the ledger
         traj = run(mesh, hat(mesh, amp), SolverConfig(p=1.5),
                    ExpPower(3.0, 1.0))
-        assert traj.status.kind == "blowup"
+        assert (traj.status.kind, traj.status.reason) == \
+            ("blowup", "energy_overflow")
         assert traj.status.time == traj.snapshots[-1].time
         assert all(math.isfinite(s.E_p) and math.isfinite(s.I_p)
                    for s in traj.snapshots)
@@ -199,41 +201,53 @@ class TestRun:
         assert traj.status.kind == "step_failure"
         assert traj.status.time == 0.0
 
+    def test_dt_underflow_is_told_from_a_crossing(self, mesh):
+        # no step passes a gate of 1e-300: dt0 = 1e-3 halves to 5e-4, below
+        # dt_min, at t = 0 with sup far below U_max
+        cfg = SolverConfig(p=1.5, dt0=1e-3, dt_min=6e-4,
+                           energy_residual_tol=1e-300)
+        traj = run(mesh, hat(mesh), cfg, Zero())
+        assert (traj.status.kind, traj.status.reason) == \
+            ("blowup", "dt_underflow")
+        assert traj.status.time == 0.0 and traj.rejected_steps == 1
+        assert Status.EXIT_CODES[traj.status.kind] == 2
+
     def test_linear_solve_breakdown_is_step_failure_2d(self):
         # the same degenerate solve on a rectangle, not a dt underflow
         mesh = build_mesh(Rectangle(1.0, 1.0), 8)
         u0 = Field(mesh, np.ones(mesh.n_nodes)).constrained()
         traj = run(mesh, u0, SolverConfig(p=1.5, eps=0.0), Zero())
-        assert traj.status.kind == "step_failure"
+        assert (traj.status.kind, traj.status.reason) == \
+            ("step_failure", "linear_solve")
         assert traj.status.time == 0.0
 
     def test_one_gradient_per_step(self, mesh, monkeypatch):
         # each state's gradient is kept and each state is evaluated once, in
         # its snapshot, so a step computes only its trial state's gradient
-        # and energy
-        calls = {"gradient": 0, "energy": 0, "step": 0}
-        gradient, energy_, step_ = Mesh.gradient, model.energy, solver.step
+        # and snapshot
+        calls = {"gradient": 0, "snapshot": 0, "step": 0}
+        gradient, snapshot_, step_ = Mesh.gradient, model.snapshot, solver.step
 
         def counted_gradient(self, values):
             calls["gradient"] += 1
             return gradient(self, values)
 
-        def counted_energy(*args, **kwargs):
-            calls["energy"] += 1
-            return energy_(*args, **kwargs)
+        def counted_snapshot(*args, **kwargs):
+            calls["snapshot"] += 1
+            return snapshot_(*args, **kwargs)
 
         def counted_step(*args, **kwargs):
             calls["step"] += 1
             return step_(*args, **kwargs)
 
         monkeypatch.setattr(Mesh, "gradient", counted_gradient)
-        monkeypatch.setattr(model, "energy", counted_energy)
+        monkeypatch.setattr(solver, "snapshot", counted_snapshot)
         monkeypatch.setattr(solver, "step", counted_step)
         u0 = Field(mesh, np.ones(mesh.n_nodes)).constrained()
         traj = run(mesh, u0, SolverConfig(p=1.5, T_end=0.05), Zero())
         assert calls["step"] > len(traj.times) - 1   # some steps rejected
         assert calls["gradient"] == calls["step"] + 1
-        assert calls["energy"] == calls["step"] + 1
+        assert calls["snapshot"] == calls["step"] + 1
 
     def test_checkpoint_times_are_hit(self, mesh):
         cfg = SolverConfig(p=2.0, eps=0.0, T_end=0.02,
@@ -359,6 +373,25 @@ class TestLinearSolve:
         assert np.array_equal(x, lapack_solveh_banded(ab, rhs))
         assert np.array_equal(new.values[mesh.interior_mask], x)
 
+    def test_tridiagonal_solve_matches_scipy(self):
+        # the direct ptsv call gives scipy's solveh_banded bit for bit
+        rng = np.random.default_rng(11)
+        for m in (2, 17, 400):
+            ab = np.empty((2, m))
+            ab[0] = rng.uniform(-1.0, 1.0, m)
+            ab[1] = 2.0 + rng.uniform(0.0, 1.0, m)   # diagonally dominant
+            rhs = rng.normal(size=m)
+            for factor in (None, solver.BandedFactor()):
+                x = solver.solveh_banded(ab, rhs, factor, rhs, [1])
+                assert np.array_equal(x, lapack_solveh_banded(ab, rhs))
+
+    def test_tridiagonal_solve_rejects_indefinite_band(self):
+        # [[1, 2, 0], [2, 1, 0.5], [0, 0.5, 1]]: the second minor is -3
+        ab = np.array([[0.0, 2.0, 0.5], [1.0, 1.0, 1.0]])
+        for factor in (None, solver.BandedFactor()):
+            with pytest.raises(np.linalg.LinAlgError):
+                solver.solveh_banded(ab, np.ones(3), factor, np.zeros(3), [1])
+
     def test_1d_flat_extinction_time_unchanged(self):
         # criterion 1's run, pinned to the last bit: the step sequence of
         # the E_p,eps gate and the extinction bisection
@@ -460,6 +493,10 @@ class TestExtinctionCrossing:
         t, u = traj.states[-2]
         # the trial that ended extinct, then its bisection probes
         halvings = solver.EXTINCTION_HALVINGS
+        # every step was accepted, rejected by the gate, or a probe
+        assert traj.extinction_probes == halvings
+        assert len(trials) == (len(traj.times) - 1 + traj.rejected_steps
+                               + traj.extinction_probes)
         (crossed, sup), probes = trials[-1 - halvings], trials[-halvings:]
         assert sup <= cfg.tol_ext
         h = min(dt for dt, sup in probes if sup <= cfg.tol_ext)
