@@ -69,8 +69,9 @@ def extract_flux(field: Field, p: float, eps: float = 0.0) -> FluxField:
     """Flux of a state at parameter p with gradient regularization eps."""
     if eps < 0:
         raise LimitError(f"eps must be >= 0, got {eps}")
-    g = field.grad
-    return flux_from_vectors(field.mesh, diffusivity(g, p, eps)[:, None] * g)
+    return flux_from_vectors(field.mesh,
+                             diffusivity(field.grad_sq, p, eps)[:, None]
+                             * field.grad)
 
 
 def flux_alignment(fluxfield: FluxField, field: Field,
@@ -122,7 +123,8 @@ def green_residual(fluxfield: FluxField, w: Field) -> float:
     mesh = w.mesh
     if fluxfield.mesh is not mesh:
         raise LimitError("flux and field live on different meshes")
-    vol = mesh.integrate(np.einsum("ek,ek->e", fluxfield.z, w.grad))
+    vol = float(mesh.element_volumes
+                @ np.einsum("ek,ek->e", fluxfield.z, w.grad))
     bulk = mesh.integrate(w.values * fluxfield.div)
     bnd = mesh.boundary_integrate(
         w.values[mesh.boundary_nodes] * fluxfield.boundary_trace)
@@ -292,8 +294,8 @@ def run_continuation(plan: ContinuationPlan) -> ContinuationReport:
 
         incr = None
         if prev_fluxes is not None:
-            diffs = [math.sqrt(mesh.integrate(
-                        ((a.z - b.z) ** 2).sum(axis=1)))
+            diffs = [math.sqrt(float(mesh.element_volumes
+                                     @ ((a.z - b.z) ** 2).sum(axis=1)))
                      for a, b in zip(fluxes, prev_fluxes)]
             incr = max(diffs, default=0.0)
         prev_fluxes = fluxes

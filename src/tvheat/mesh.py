@@ -206,12 +206,14 @@ class Mesh:
         """Fixed pattern of the interior stiffness D^T diag(w) D.
 
         Returns ``(S, b, interior, offsets)``: a sparse scatter ``S``, the
-        bandwidth ``b``, the ``m`` interior node indices, in node order, such
-        that ``(S @ w).reshape(b + 1, m)`` is the stiffness among the
-        interior nodes for element weights ``w``, in LAPACK upper banded
-        storage, and the offsets d > 0 of the super-diagonals that hold a
-        nonzero for positive ``w``, in decreasing order. Built on first use,
-        from the gradient table.
+        bandwidth ``b``, the ``m`` interior node indices, in node order, and
+        the offsets d > 0 of the super-diagonals that hold a nonzero for
+        positive element weights ``w``, in decreasing order. For such ``w``,
+        ``(S @ w).reshape(len(offsets) + 1, m)`` is the stiffness among the
+        interior nodes in compact band storage: row r holds super-diagonal
+        ``offsets[r]`` and the last row the diagonal, each as in LAPACK upper
+        banded storage (A[i, i + d] in column i + d); every other diagonal
+        within ``b`` is zero. Built on first use, from the gradient table.
         """
         interior = np.flatnonzero(self.interior_mask)
         m = len(interior)
@@ -231,16 +233,20 @@ class Mesh:
                 ii.append(i[keep])
                 jj.append(j[keep])
                 elem.append(np.flatnonzero(keep))
-        i, j = np.concatenate(ii), np.concatenate(jj)
-        b = int((j - i).max(initial=0))
+        coef, elem = np.concatenate(coef), np.concatenate(elem)
+        j = np.concatenate(jj)
+        d = j - np.concatenate(ii)
+        b = int(d.max(initial=0))
+        # a coefficient that is exactly zero (a right angle's coupling) adds
+        # nothing for any w: only the diagonals holding a nonzero are stored
+        diagonals = np.union1d(d[coef != 0], [0])[::-1]
+        row = np.full(b + 1, -1)
+        row[diagonals] = np.arange(len(diagonals))
+        keep = row[d] >= 0
         S = sp.csc_matrix(
-            (np.concatenate(coef), ((b + i - j) * m + j, np.concatenate(elem))),
-            shape=((b + 1) * m, n_el))
-        # band row r holds offset b - r; a coefficient that is exactly zero
-        # (a right angle's coupling) adds nothing for any w
-        rows = np.unique(S.indices[S.data != 0] // m)
-        offsets = [b - r for r in rows.tolist() if r < b]
-        return S, b, interior, offsets
+            (coef[keep], (row[d[keep]] * m + j[keep], elem[keep])),
+            shape=(len(diagonals) * m, n_el))
+        return S, b, interior, diagonals[:-1].tolist()
 
     # -- operations --------------------------------------------------------
 
@@ -262,15 +268,14 @@ class Mesh:
         return self._grad.T @ (self.element_volumes[:, None] * z).ravel()
 
     def integrate(self, samples: np.ndarray) -> float:
-        """Quadrature of per-node or per-element samples over the domain."""
+        """Quadrature of nodal samples over the domain. Element samples are
+        integrated as ``element_volumes @ samples``: a mesh can have as many
+        elements as nodes, so their shape cannot tell them apart."""
         samples = np.asarray(samples, dtype=float)
-        if samples.shape == (self.n_nodes,):
-            return float(self.quad_weights @ samples)
-        if samples.shape == (self.n_elements,):
-            return float(self.element_volumes @ samples)
-        raise MeshError(
-            f"samples sized {samples.shape}; expected ({self.n_nodes},) nodal "
-            f"or ({self.n_elements},) elementwise")
+        if samples.shape != (self.n_nodes,):
+            raise MeshError(f"samples sized {samples.shape}; expected "
+                            f"({self.n_nodes},) nodal")
+        return float(self.quad_weights @ samples)
 
     def boundary_integrate(self, boundary_samples: np.ndarray) -> float:
         """Integral against the discrete boundary measure."""
@@ -333,8 +338,9 @@ class Field:
     """Nodal real values of u on a mesh at one time instant.
 
     Immutable: ``values`` is a read-only copy owned by the field, so the
-    element-wise gradient and its magnitude are computed at most once and
-    kept in ``grad`` and ``grad_mag``.
+    element-wise gradient, its squared magnitude and its magnitude are
+    computed at most once and kept in ``grad``, ``grad_sq`` and
+    ``grad_mag``.
     """
 
     mesh: Mesh
@@ -357,9 +363,21 @@ class Field:
         return g
 
     @cached_property
+    def grad_sq(self) -> np.ndarray:
+        """Element-wise |grad u|^2, shape (n_el,): the squares of the
+        components summed in component order, which is
+        ``(grad ** 2).sum(axis=1)`` bit for bit."""
+        g = self.grad
+        sq = g[:, 0] * g[:, 0]
+        for k in range(1, g.shape[1]):
+            sq += g[:, k] * g[:, k]
+        sq.setflags(write=False)
+        return sq
+
+    @cached_property
     def grad_mag(self) -> np.ndarray:
         """Element-wise gradient magnitude |grad u|, shape (n_el,)."""
-        mag = np.sqrt((self.grad ** 2).sum(axis=1))
+        mag = np.sqrt(self.grad_sq)
         mag.setflags(write=False)
         return mag
 
@@ -379,10 +397,12 @@ class Field:
                      np.where(self.mesh.interior_mask, self.values, 0.0))
 
     def is_dirichlet(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.values[self.mesh.boundary_nodes]) <= tol))
+        """Whether every boundary value is at most ``tol`` in magnitude; a
+        NaN makes the largest magnitude NaN, which fails the comparison."""
+        return bool(np.abs(self.values[self.mesh.boundary_nodes]).max() <= tol)
 
     def copy(self) -> "Field":
-        """The same values without the cached gradient and magnitude."""
+        """The same values without the cached gradient arrays."""
         return Field(self.mesh, self.values)
 
     def sup(self) -> float:

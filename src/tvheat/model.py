@@ -177,19 +177,17 @@ def _check_p(p: float):
         raise ModelError(f"p must exceed 1, got {p}")
 
 
-def diffusivity(g: np.ndarray, p: float, eps: float) -> np.ndarray:
+def diffusivity(grad_sq: np.ndarray, p: float, eps: float) -> np.ndarray:
     """The regularized p-Laplacian coefficient (|g|^2 + eps^2)^((p-2)/2) per
-    element of the gradient ``g``. With eps = 0 a flat element would make it
+    element, from the squared gradient magnitudes ``grad_sq`` = |g|^2
+    (``Field.grad_sq``). With eps = 0 a flat element would make it
     0^((p-2)/2); the cap 1e-300 keeps it finite, and coefficient times g is
     then 0 there."""
-    mag2 = (g ** 2).sum(axis=1) + eps ** 2
-    return np.maximum(mag2, 1e-300) ** ((p - 2.0) / 2.0)
+    return np.maximum(grad_sq + eps ** 2, 1e-300) ** ((p - 2.0) / 2.0)
 
 
 def grad_p_norm(field: Field, p: float) -> float:
-    """Integral of |grad u|^p over the domain, an element-wise quadrature
-    (``Mesh.integrate`` would read a mesh with as many nodes as elements,
-    such as the 2 x 3 rectangle, as nodal)."""
+    """Integral of |grad u|^p over the domain, an element-wise quadrature."""
     return float(field.mesh.element_volumes @ field.grad_mag ** p)
 
 
@@ -233,9 +231,9 @@ def energy_derivative(field: Field, direction: Field, p: float,
     int |grad u|^(p-2) grad u . grad v - int f(u) v."""
     _check_p(p)
     m = field.mesh
-    gu = field.grad
-    diff = m.integrate(diffusivity(gu, p, eps)
-                       * (gu * direction.grad).sum(axis=1))
+    diff = float(m.element_volumes
+                 @ (diffusivity(field.grad_sq, p, eps)
+                    * (field.grad * direction.grad).sum(axis=1)))
     return diff - m.integrate(nl.f(field.values) * direction.values)
 
 

@@ -35,9 +35,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse.linalg as spla  # unused; bench/spans.py patches solver.spla
-from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.linalg import solveh_banded as lapack_solveh_banded
-from scipy.linalg.lapack import dptsv
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dptsv
 
 from .mesh import Field, Mesh
 from .model import Nonlinearity, WellStatus, classify_well, diffusivity, \
@@ -155,99 +154,126 @@ class BandedFactor:
     not depend on what ran before."""
 
     def __init__(self):
-        self.cb = None           # upper Cholesky factor in LAPACK band form
+        self.chol = None         # upper Cholesky factor in LAPACK band form
         self.factorizations = 0
         self.iterations = 0
 
-    def solve(self, ab: np.ndarray, rhs: np.ndarray, x0: np.ndarray,
-              offsets: list[int]) -> np.ndarray:
-        """PCG from ``x0`` with the held factor, reading the super-diagonals
-        of ``ab`` at ``offsets``. A solve that needs more than
-        PCG_REFACTOR_ITERS iterations drops the factor; with no factor held,
-        or when PCG fails, factor ``ab`` and solve directly."""
-        if self.cb is not None:
-            x, its = self._pcg(ab, rhs, x0, offsets)
+    def solve(self, band: np.ndarray, rhs: np.ndarray, x0: np.ndarray,
+              offsets: list[int], b: int) -> np.ndarray:
+        """PCG from ``x0`` with the held factor, for the compact band
+        ``band`` with super-diagonals at ``offsets`` (see ``solveh_banded``).
+        A solve that needs more than PCG_REFACTOR_ITERS iterations drops the
+        factor; with no factor held, or when PCG fails, factor the full
+        band of width ``b`` with LAPACK ``pbtrf`` and solve directly."""
+        if self.chol is not None:
+            x, its = self._pcg(band, rhs, x0, offsets)
             self.iterations += its
             if x is not None:
                 if its > PCG_REFACTOR_ITERS:
-                    self.cb = None   # the next step factors its own matrix
+                    self.chol = None   # the next step factors its own matrix
                 return x
-        self.cb = None               # at most one factor is held
-        self.cb = cholesky_banded(ab, check_finite=False)
+        self.chol = None               # at most one factor is held
+        chol, info = dpbtrf(_full_band(band, offsets, b), overwrite_ab=1)
+        _check_info(info, "pbtrf")
+        self.chol = chol
         self.factorizations += 1
-        return cho_solve_banded((self.cb, False), rhs, check_finite=False)
+        return self._back_solve(rhs)
 
-    def _pcg(self, ab: np.ndarray, rhs: np.ndarray, x: np.ndarray,
+    def _back_solve(self, r: np.ndarray) -> np.ndarray:
+        """The held factor's solve, LAPACK ``pbtrs``."""
+        x, info = dpbtrs(self.chol, r)
+        _check_info(info, "pbtrs")
+        return x
+
+    def _pcg(self, band: np.ndarray, rhs: np.ndarray, x: np.ndarray,
              offsets: list[int]) -> tuple[np.ndarray | None, int]:
         """Conjugate gradients on the banded system from ``x``,
         preconditioned by the held factor (Saad, Iterative Methods for
         Sparse Linear Systems, 2003, Alg. 9.1). Returns (x, iterations),
         with x None when the stopping test is not met within PCG_MAX_ITERS
         or the iteration breaks down."""
-        def precondition(r):
-            return cho_solve_banded((self.cb, False), r, check_finite=False)
-
         tol = PCG_RTOL * np.linalg.norm(rhs)
-        r = rhs - _band_product(ab, x, offsets)
-        z = precondition(r)
+        r = rhs - _band_product(band, x, offsets)
+        z = self._back_solve(r)
         d = z
         rz = r @ z
         k = 0
         while not np.linalg.norm(r) <= tol:
             if k == PCG_MAX_ITERS:
                 return None, k
-            Ad = _band_product(ab, d, offsets)
+            Ad = _band_product(band, d, offsets)
             dAd = d @ Ad
             if not dAd > 0.0:            # breakdown, or a non-finite system
                 return None, k
             alpha = rz / dAd
             x = x + alpha * d
             r = r - alpha * Ad
-            z = precondition(r)
+            z = self._back_solve(r)
             rz, rz_old = r @ z, rz
             d = z + (rz / rz_old) * d
             k += 1
         return x, k
 
 
-def solveh_banded(ab: np.ndarray, rhs: np.ndarray,
+def solveh_banded(band: np.ndarray, rhs: np.ndarray,
                   factor: BandedFactor | None, x0: np.ndarray,
-                  offsets: list[int]) -> np.ndarray:
-    """Solve the symmetric positive definite system held in LAPACK upper
-    banded storage ``ab``, whose nonzero super-diagonals are at
-    ``offsets``: the one linear solve of a step.
+                  offsets: list[int], b: int) -> np.ndarray:
+    """Solve the symmetric positive definite system of bandwidth ``b`` held
+    in compact band storage ``band``: row r holds the super-diagonal at
+    ``offsets[r]`` and the last row the diagonal, each as in LAPACK upper
+    banded storage, and every other diagonal is zero. The one linear solve
+    of a step.
 
-    In 1-D (bandwidth 1) this is LAPACK ``ptsv``, called directly: the
-    routine scipy's ``solveh_banded`` ends in, without its argument
-    checks, which cost more than the solve of a few hundred unknowns.
-    Without a ``factor`` it is scipy's ``solveh_banded`` (LAPACK ``pbsv``).
-    Otherwise it is conjugate gradients from ``x0``, preconditioned by
-    ``factor``'s held factorization (see ``BandedFactor.solve``). The
-    function keeps scipy's name because the benchmark's tracer wraps
-    ``solver.solveh_banded`` as the linear-solve layer and counts one call
-    per step. A matrix that is not positive definite raises LinAlgError.
+    In 1-D (bandwidth 1, where the compact band is LAPACK's) this is LAPACK
+    ``ptsv``, called directly: the routine scipy's ``solveh_banded`` ends
+    in, without its argument checks, which cost more than the solve of a
+    few hundred unknowns. Without a ``factor`` it is scipy's
+    ``solveh_banded`` (LAPACK ``pbsv``) on the full band. Otherwise it is
+    conjugate gradients from ``x0``, preconditioned by ``factor``'s held
+    factorization (see ``BandedFactor.solve``). The function keeps scipy's
+    name because the benchmark's tracer wraps ``solver.solveh_banded`` as
+    the linear-solve layer and counts one call per step. A matrix that is
+    not positive definite raises LinAlgError.
     """
-    if ab.shape[0] == 2:
+    if b == 1:
         if factor is not None:
             factor.factorizations += 1
-        _, _, x, info = dptsv(ab[1], ab[0, 1:], rhs)
-        if info > 0:
-            raise np.linalg.LinAlgError(
-                f"{info}th leading minor not positive definite")
+        _, _, x, info = dptsv(band[1], band[0, 1:], rhs)
+        _check_info(info, "ptsv")
         return x
     if factor is None:
-        return lapack_solveh_banded(ab, rhs, check_finite=False)
-    return factor.solve(ab, rhs, x0, offsets)
+        return lapack_solveh_banded(_full_band(band, offsets, b), rhs,
+                                    overwrite_ab=True, check_finite=False)
+    return factor.solve(band, rhs, x0, offsets, b)
 
 
-def _band_product(ab: np.ndarray, x: np.ndarray,
+def _check_info(info: int, routine: str) -> None:
+    """Raise on a LAPACK routine's failure: LinAlgError for a matrix that
+    is not positive definite (info > 0), ValueError for a bad argument."""
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{routine}: {info}th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"{routine}: illegal value in argument {-info}")
+
+
+def _full_band(band: np.ndarray, offsets: list[int], b: int) -> np.ndarray:
+    """The LAPACK upper banded storage, b + 1 rows, of the compact band
+    ``band``, in Fortran order so that LAPACK reads it without a copy."""
+    ab = np.zeros((b + 1, band.shape[1]), order="F")
+    for row, d in zip(band, offsets):
+        ab[b - d, d:] = row[d:]
+    ab[b] = band[-1]
+    return ab
+
+
+def _band_product(band: np.ndarray, x: np.ndarray,
                   offsets: list[int]) -> np.ndarray:
-    """A @ x for the symmetric matrix A in LAPACK upper banded storage
-    ``ab``, reading only the super-diagonals at ``offsets``."""
-    b = ab.shape[0] - 1
-    Ax = ab[b] * x
-    for d in offsets:
-        a = ab[b - d, d:]              # A[i, i + d] for i = 0 .. m - d - 1
+    """A @ x for the symmetric matrix A in compact band storage ``band``
+    with super-diagonals at ``offsets``."""
+    Ax = band[-1] * x
+    for row, d in zip(band, offsets):
+        a = row[d:]                    # A[i, i + d] for i = 0 .. m - d - 1
         Ax[:-d] += a * x[d:]
         Ax[d:] += a * x[:-d]
     return Ax
@@ -270,21 +296,21 @@ def step(state: Field, t: float, cfg: SolverConfig, nl: Nonlinearity,
     if not state.is_dirichlet():
         raise SolverError("state is not Dirichlet-constrained")
     u = state.values
-    w = mesh.element_volumes * diffusivity(state.grad, cfg.p, cfg.eps)
+    w = mesh.element_volumes * diffusivity(state.grad_sq, cfg.p, cfg.eps)
     qw = mesh.quad_weights
     S, b, interior, offsets = mesh.interior_band
-    ab = (S @ w).reshape(b + 1, len(interior))
-    ab[b] += qw[interior] / dt
+    band = (S @ w).reshape(len(offsets) + 1, len(interior))
+    band[-1] += qw[interior] / dt
     rhs = (qw * (u / dt + nl.f(u)))[interior]
     try:
         # non-finite entries fail the factorization or the checks below
-        x = solveh_banded(ab, rhs, factor, u[interior], offsets)
+        x = solveh_banded(band, rhs, factor, u[interior], offsets, b)
     except np.linalg.LinAlgError as exc:
         raise StepFailureError(f"banded solve failed: {exc}") from None
     if not np.all(np.isfinite(x)):
         raise StepFailureError(f"non-finite solution at t={t}")
     # backward-stable gate: ||Ax - b|| <= 1e-10 (||b|| + ||A||_inf ||x||)
-    Ax, norm_A = _banded_matvec(ab, x, offsets)
+    Ax, norm_A = _banded_matvec(band, x, offsets)
     r = Ax - rhs
     scale = math.sqrt(rhs @ rhs) + norm_A * math.sqrt(x @ x)
     if math.sqrt(r @ r) > 1e-10 * max(scale, 1e-300):
@@ -294,17 +320,16 @@ def step(state: Field, t: float, cfg: SolverConfig, nl: Nonlinearity,
     return Field(mesh, new_vals)
 
 
-def _banded_matvec(ab: np.ndarray, x: np.ndarray,
+def _banded_matvec(band: np.ndarray, x: np.ndarray,
                    offsets: list[int]) -> tuple[np.ndarray, float]:
     """A @ x and the largest absolute row sum of the symmetric matrix A held
-    in LAPACK upper banded storage ``ab``, reading the super-diagonals at
-    ``offsets`` (the mesh's, so fixed before the solve). The residual
-    gate's own product, independent of the solve it checks."""
-    b = ab.shape[0] - 1
-    Ax = ab[b] * x
-    row_abs = np.abs(ab[b])
-    for d in offsets:
-        a = ab[b - d, d:]              # A[i, i + d] for i = 0 .. m - d - 1
+    in compact band storage ``band`` with super-diagonals at ``offsets``
+    (the mesh's, so fixed before the solve). The residual gate's own
+    product, independent of the solve it checks."""
+    Ax = band[-1] * x
+    row_abs = np.abs(band[-1])
+    for row, d in zip(band, offsets):
+        a = row[d:]                    # A[i, i + d] for i = 0 .. m - d - 1
         Ax[:-d] += a * x[d:]
         Ax[d:] += a * x[:-d]
         row_abs[:-d] += np.abs(a)

@@ -9,7 +9,7 @@ from tvheat import (Annulus, ContinuationPlan, Field, Interval, Power,
                     Rectangle, SolverConfig, Zero, boundary_sign_check,
                     build_mesh, default_p_sequence, extract_flux,
                     flux_alignment, green_residual, limit_energy,
-                    radial_sup_bound_check, run_continuation)
+                    radial_sup_bound_check, run, run_continuation)
 from tvheat.limit import LimitError, flux_from_vectors
 from tvheat.model import energy_derivative
 
@@ -48,6 +48,17 @@ class TestFlux:
             w = Field(m, rng.normal(size=m.n_nodes))
             scale = (1.0 + np.abs(z).max()) * (1.0 + w.sup())
             assert green_residual(ff, w) <= 1e-12 * scale, m.domain
+
+    @pytest.mark.parametrize("resolution", [[2, 3], [3, 2]])
+    def test_green_residual_with_as_many_elements_as_nodes(self, resolution):
+        # 12 nodes and 12 triangles: the volume term is still element-wise
+        m = build_mesh(Rectangle(1.0, 1.0), resolution)
+        assert m.n_nodes == m.n_elements
+        rng = np.random.default_rng(1)
+        z = rng.normal(size=(m.n_elements, m.dim_coord))
+        w = Field(m, rng.normal(size=m.n_nodes))
+        scale = (1.0 + np.abs(z).max()) * (1.0 + w.sup())
+        assert green_residual(flux_from_vectors(m, z), w) <= 1e-12 * scale
 
     def test_alignment_unit_slope(self, mesh):
         # z . grad u = |grad u|^p, so the ratio is int|g|^p / int|g| = 2^(p-1)
@@ -149,6 +160,30 @@ class TestContinuation:
                                        "boundary_sign"}
         d = report.as_dict()
         assert len(d["records"]) == 3
+
+    @pytest.mark.parametrize("resolution", [[2, 3], [3, 2]])
+    def test_flux_increment_with_as_many_elements_as_nodes(self, resolution):
+        # the L2 distance of two members' fluxes is an element-wise
+        # quadrature on a mesh with 12 nodes and 12 triangles too
+        m = build_mesh(Rectangle(1.0, 1.0), resolution)
+        assert m.n_nodes == m.n_elements
+        x = m.nodes
+        u0 = Field(m, np.sin(np.pi * x).prod(axis=1) + x[:, 0]).constrained()
+        cfg = SolverConfig(p=1.5, T_end=0.01)
+        plan = ContinuationPlan(u0, Zero(), cfg, p_sequence=(1.5, 1.25),
+                                checkpoint_times=(0.01,))
+        report = run_continuation(plan)
+        z = []
+        for p, eps in zip(plan.p_sequence, plan.eps_schedule):
+            traj = run(m, u0, cfg.replace(p=p, eps=eps,
+                                          checkpoint_times=(0.01,)), Zero())
+            assert traj.states[-1][0] == 0.01
+            z.append(extract_flux(traj.states[-1][1], p, eps).z)
+        ref = math.sqrt(sum(vol * (dz @ dz) for vol, dz
+                            in zip(m.element_volumes, z[1] - z[0])))
+        assert ref > 0.0
+        assert report.records[1].flux_increment == pytest.approx(ref,
+                                                                 rel=1e-12)
 
     def test_limit_energy_of_hat(self, mesh):
         # TV of the hat is 2 and the boundary trace term vanishes

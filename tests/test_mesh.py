@@ -1,10 +1,12 @@
 """Mesh construction, quadrature and gradient operators."""
 
+import math
+
 import numpy as np
 import pytest
 
 from tvheat import (Annulus, Field, Interval, MeshError, Rectangle,
-                    build_mesh, load_field)
+                    build_mesh, load_field, solver)
 
 
 class TestDomains:
@@ -58,6 +60,17 @@ class TestIntervalMesh:
         mesh = build_mesh(Interval(1.5), 37)
         assert mesh.quad_weights.sum() == pytest.approx(1.5, rel=1e-13)
         assert mesh.integrate(np.ones(mesh.n_nodes)) == pytest.approx(1.5)
+
+    def test_integrate_takes_nodal_samples_only(self):
+        # element samples are integrated against element_volumes; a mesh
+        # with as many elements as nodes could not tell them apart by shape
+        mesh = build_mesh(Interval(1.5), 37)
+        with pytest.raises(MeshError, match="nodal"):
+            mesh.integrate(np.ones(mesh.n_elements))
+        square = build_mesh(Rectangle(1.0, 1.0), [2, 3])
+        assert square.n_nodes == square.n_elements
+        x = square.nodes[:, 0]
+        assert square.integrate(x) == pytest.approx(0.5, rel=1e-14)
 
     def test_quadrature_linear_moment(self):
         mesh = build_mesh(Interval(1.0), 64)
@@ -185,7 +198,8 @@ class TestInteriorBand:
         K = sum(D.T @ (w[:, None] * D) for D in np.moveaxis(grads, 1, 0))
         K = K[np.ix_(interior, interior)]
         m = len(interior)
-        ab = (S @ w).reshape(b + 1, m)
+        ab = solver._full_band((S @ w).reshape(len(offsets) + 1, m),
+                               offsets, b)
         # the mesh's offsets are exactly the diagonals that hold a nonzero
         assert offsets == [b - r for r in np.flatnonzero(ab[:b].any(axis=1))]
         A = np.zeros((m, m))
@@ -193,6 +207,9 @@ class TestInteriorBand:
             i = np.arange(m - d)
             A[i, i + d] = A[i + d, i] = ab[b - d, d:]
         assert np.abs(A - K).max() <= 1e-13 * np.abs(K).max()
+        # the diagonals that the compact band leaves out are exactly zero
+        for d in set(range(1, b + 1)) - set(offsets):
+            assert np.all(np.diagonal(K, d) == 0.0)
 
     def test_pattern_is_built_on_first_use(self):
         mesh = build_mesh(Rectangle(1.0, 1.0), [9, 9])
@@ -251,14 +268,45 @@ class TestField:
         assert not mag.flags.writeable
         assert np.array_equal(mag, np.sqrt((f.grad ** 2).sum(axis=1)))
 
+    @pytest.mark.parametrize("domain, resolution", [
+        (Interval(1.0), 30), (Annulus(1.0, 2.0, dim=3), 30),
+        (Rectangle(2.0, 1.0), [9, 7])], ids=["interval", "annulus", "rect"])
+    def test_squared_gradient_is_kept(self, domain, resolution):
+        # the component-wise sum is the reduction over the components, bit
+        # for bit, and the magnitude is its square root
+        mesh = build_mesh(domain, resolution)
+        f = Field(mesh, np.random.default_rng(6).normal(size=mesh.n_nodes))
+        sq = f.grad_sq
+        assert f.grad_sq is sq
+        assert not sq.flags.writeable
+        assert np.array_equal(sq, (f.grad ** 2).sum(axis=1))
+        assert np.array_equal(f.grad_mag, np.sqrt(sq))
+
     def test_copy_drops_every_cached_array(self):
         mesh = build_mesh(Interval(1.0), 10)
         f = Field.from_function(mesh, lambda x: x ** 2)
         f.grad_mag
-        assert {"grad", "grad_mag"} <= set(vars(f))
+        assert {"grad", "grad_sq", "grad_mag"} <= set(vars(f))
         c = f.copy()
         assert np.array_equal(c.values, f.values)
-        assert not {"grad", "grad_mag"} & set(vars(c))
+        assert not {"grad", "grad_sq", "grad_mag"} & set(vars(c))
+
+    def test_dirichlet_check(self):
+        mesh = build_mesh(Rectangle(1.0, 1.0), [4, 3])
+        f = Field(mesh, np.ones(mesh.n_nodes)).constrained()
+        assert f.is_dirichlet()
+        last = mesh.boundary_nodes[-1]
+        for value in (1e-9, -1e-9):
+            g = Field(mesh, np.where(np.arange(mesh.n_nodes) == last, value,
+                                     f.values))
+            assert not g.is_dirichlet()
+            assert g.is_dirichlet(tol=1e-9)
+            assert not g.is_dirichlet(tol=5e-10)
+        # a NaN boundary value is not Dirichlet under any tolerance
+        g = Field(mesh, np.where(np.arange(mesh.n_nodes) == last, np.nan,
+                                 f.values))
+        assert not g.is_dirichlet()
+        assert not g.is_dirichlet(tol=math.inf)
 
     def test_gradient_rejects_wrong_size(self):
         mesh = build_mesh(Interval(1.0), 10)

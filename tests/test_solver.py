@@ -1,5 +1,6 @@
 """Time stepping, adaptivity, termination detection and audits."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -382,7 +383,7 @@ class TestLinearSolve:
             ab[1] = 2.0 + rng.uniform(0.0, 1.0, m)   # diagonally dominant
             rhs = rng.normal(size=m)
             for factor in (None, solver.BandedFactor()):
-                x = solver.solveh_banded(ab, rhs, factor, rhs, [1])
+                x = solver.solveh_banded(ab, rhs, factor, rhs, [1], 1)
                 assert np.array_equal(x, lapack_solveh_banded(ab, rhs))
 
     def test_tridiagonal_solve_rejects_indefinite_band(self):
@@ -390,7 +391,23 @@ class TestLinearSolve:
         ab = np.array([[0.0, 2.0, 0.5], [1.0, 1.0, 1.0]])
         for factor in (None, solver.BandedFactor()):
             with pytest.raises(np.linalg.LinAlgError):
-                solver.solveh_banded(ab, np.ones(3), factor, np.zeros(3), [1])
+                solver.solveh_banded(ab, np.ones(3), factor, np.zeros(3), [1],
+                                     1)
+
+    @pytest.mark.parametrize("held", [False, True], ids=["fresh", "held"])
+    def test_indefinite_2d_band_is_step_failure(self, held):
+        # a negative dt makes the mass term, and so the band, indefinite:
+        # LAPACK pbtrf reports it, whether or not a factor is held
+        mesh = build_mesh(Rectangle(1.0, 1.0), 8)
+        u = Field(mesh, np.sin(np.pi * mesh.nodes).prod(axis=1)).constrained()
+        cfg, factor = SolverConfig(p=1.5), solver.BandedFactor()
+        if held:
+            step(u, 0.0, cfg, Zero(), 1e-3, factor=factor)
+        with pytest.raises(StepFailureError, match="pbtrf"):
+            step(u, 0.0, cfg, Zero(), -1e-3, factor=factor)
+        assert factor.factorizations == int(held)
+        with pytest.raises(StepFailureError):
+            step(u, 0.0, cfg, Zero(), -1e-3)
 
     def test_1d_flat_extinction_time_unchanged(self):
         # criterion 1's run, pinned to the last bit: the step sequence of
@@ -401,6 +418,15 @@ class TestLinearSolve:
                    Zero())
         assert traj.status.kind == "extinct"
         assert traj.status.time == 0.4800778155096372
+
+    def test_2d_run_unchanged(self, rect_run):
+        # the 2-D companion: the stale-factor PCG run, pinned to the last bit
+        traj, _, _ = rect_run
+        digest = hashlib.sha256(traj.states[-1][1].values.tobytes())
+        assert digest.hexdigest() == ("87e2dc5f927e09f0f60772decfac7e7f"
+                                      "048793ce43965fd28bc2bd4704f7c053")
+        assert len(traj.times) - 1 == 281
+        assert (traj.factorizations, traj.pcg_iterations) == (7, 1221)
 
 
 class TestEnergyGate:
@@ -433,8 +459,8 @@ class TestEnergyGate:
         u = hat(mesh)
         p, eps = 1.5, 0.25
         snap = model.snapshot(u, 0.0, p, Power(q=3.0), 0.0)
-        direct = (mesh.integrate((u.grad_mag ** 2 + eps ** 2) ** (p / 2)) / p
-                  - mesh.integrate(Power(q=3.0).F(u.values)))
+        lifted = mesh.element_volumes @ (u.grad_mag ** 2 + eps ** 2) ** (p / 2)
+        direct = lifted / p - mesh.integrate(Power(q=3.0).F(u.values))
         assert regularized_energy(u, p, eps, snap) == pytest.approx(
             direct, rel=1e-14)
         assert regularized_energy(u, p, 0.0, snap) == pytest.approx(
