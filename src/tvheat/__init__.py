@@ -11,8 +11,8 @@ from .model import (ConditionReport, EnergySnapshot, ExpPower, ModelError,
                     default_dictionary, energy, estimate_dp,
                     make_nonlinearity, nehari_I, nehari_scale, well_status)
 from .solver import (SolverConfig, Status, StepFailureError, Trajectory,
-                     detect_tmax, gradient_bound_audit, l2_audit, run, step,
-                     well_invariance_audit, write_trajectory_csv)
+                     detect_tmax, gradient_bound_audit, l2_audit, march, run,
+                     step, well_invariance_audit, write_trajectory_csv)
 from .limit import (ContinuationPlan, ContinuationReport, FluxField,
                     boundary_sign_check, default_p_sequence, extract_flux,
                     flux_alignment, green_residual, limit_energy,

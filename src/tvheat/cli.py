@@ -138,7 +138,7 @@ _DOMAINS = {"interval": Interval, "annulus": Annulus, "rectangle": Rectangle}
 _FIELDS = {"t_end": "T_end", "u_max": "U_max",
            "checkpoints": "checkpoint_times", "directory": "out_dir"}
 # keys only a single run reads: continuation mode rejects them
-_SINGLE_ONLY = {"solver": ("p", "eps"),
+_SINGLE_ONLY = {"solver": ("p", "eps", "store_stride"),
                 "output": ("trajectory_csv", "state_dumps"),
                 "audits": tuple(_SCHEMA["audits"])}
 

@@ -11,6 +11,7 @@ uniform energy/dissipation bounds along a decreasing sequence of p values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .mesh import Annulus, Field, Mesh
 from .model import Nonlinearity, Zero, default_dictionary, diffusivity, \
     estimate_dp, grad_p_norm, total_variation
-from .solver import SolverConfig, Trajectory, run
+from .solver import SolverConfig, Trajectory, march
 
 
 class LimitError(ValueError):
@@ -218,6 +219,9 @@ class MemberRecord:
     dissipation_total: float
     d_hat: float
     energy_inequality_worst_residual: float
+    accepted_steps: int
+    rejected_steps: int      # trials the energy gate rejected
+    extinction_probes: int   # bisection steps locating extinction
     flux_increment: float | None = None   # L2 distance to previous member
 
     def as_dict(self) -> dict:
@@ -252,11 +256,14 @@ def _checkpoint_states(traj: Trajectory, checkpoints) -> list:
 def run_continuation(plan: ContinuationPlan) -> ContinuationReport:
     """Run every member of the plan and audit the weak-formulation conditions.
 
-    Per member: full solver run, flux extraction at the checkpoints, flux
-    magnitude/alignment/boundary-sign audits, the p_m energy and dissipation
-    ceilings, the level estimate, and the p = 1 energy inequality evaluated
-    with the limit energy. A failed member surfaces its status; the report is
-    still emitted for the completed members.
+    The members run in one lockstep ``march``, each keeping only the states
+    its record reads: the initial state, the states at the checkpoints and
+    T_end, and the last state. Per member: flux extraction at the
+    checkpoints, flux magnitude/alignment/boundary-sign audits, the p_m
+    energy and dissipation ceilings, the level estimate, the p = 1 energy
+    inequality evaluated with the limit energy, and the step counts. A
+    failed member surfaces its status; the report is still emitted for the
+    completed members.
     """
     mesh = plan.u0.mesh
     nl = plan.nl
@@ -269,14 +276,15 @@ def run_continuation(plan: ContinuationPlan) -> ContinuationReport:
     if has_reaction and plan.u0.sup() > 0:
         dictionary = dictionary + [plan.u0]
 
-    for p, eps in zip(plan.p_sequence, plan.eps_schedule):
-        cfg = plan.cfg_template.replace(
-            p=p, eps=eps,
-            checkpoint_times=tuple(sorted(
-                set(plan.cfg_template.checkpoint_times) | set(checkpoints))))
-        d_hat = estimate_dp(mesh, p, nl, dictionary) if has_reaction else math.inf
-        traj = run(mesh, plan.u0, cfg, nl, d_hat)
+    cfgs = [plan.cfg_template.replace(
+        p=p, eps=eps, store_stride=sys.maxsize,   # no state by stride
+        checkpoint_times=tuple(sorted(
+            set(plan.cfg_template.checkpoint_times) | set(checkpoints))))
+        for p, eps in zip(plan.p_sequence, plan.eps_schedule)]
+    trajs = march(mesh, plan.u0, cfgs, nl)
 
+    for p, eps, traj in zip(plan.p_sequence, plan.eps_schedule, trajs):
+        d_hat = estimate_dp(mesh, p, nl, dictionary) if has_reaction else math.inf
         states = _checkpoint_states(traj, checkpoints)
         fluxes = [extract_flux(f, p, eps) for _, f in states]
         max_z = max((ff.max_abs() for ff in fluxes), default=0.0)
@@ -306,6 +314,9 @@ def run_continuation(plan: ContinuationPlan) -> ContinuationReport:
             boundary_sign_worst=bnd, grad_bound_worst=grad_worst,
             dissipation_total=traj.snapshots[-1].dissipation_cum,
             d_hat=d_hat, energy_inequality_worst_residual=worst_res,
+            accepted_steps=len(traj.times) - 1,
+            rejected_steps=traj.rejected_steps,
+            extinction_probes=traj.extinction_probes,
             flux_increment=incr,
         ))
 

@@ -151,6 +151,11 @@ class Mesh:
     h : float
         Maximum element diameter.
 
+    A mesh whose element e joins nodes e and e + 1 and whose boundary is its
+    two end nodes (every ``Interval`` and ``Annulus`` mesh) is a chain: there
+    ``gradient`` and ``interior_stiffness`` read slices of the gradient table
+    instead of multiplying by a sparse matrix, with the same result.
+
     The mesh is immutable after construction; concurrent shared reads are safe.
     """
 
@@ -248,18 +253,87 @@ class Mesh:
             shape=(len(diagonals) * m, n_el))
         return S, b, interior, diagonals[:-1].tolist()
 
+    @cached_property
+    def _chain(self) -> tuple[np.ndarray, ...] | None:
+        """The slice coefficients of a chain mesh (see the class docstring),
+        or None for any other mesh; built on first use, from the gradient
+        table.
+
+        ``(left, right)`` are the gradient coefficients of each element's
+        two nodes. The band rows of the interior stiffness for element
+        weights w are ``upper * w[1:-1]`` (the super-diagonal, from the
+        second interior node on) and ``diag_left * w[:-1] + diag_right *
+        w[1:]`` (the diagonal): each entry sums the same products in the
+        same order as ``interior_band``'s scatter.
+        """
+        n_el = self.n_elements
+        chain = (self.dim_coord == 1 and self.n_nodes == n_el + 1
+                 and np.array_equal(self.elements[:, 0], np.arange(n_el))
+                 and np.array_equal(self.elements[:, 1], np.arange(1, n_el + 1))
+                 and np.array_equal(self.boundary_nodes, [0, n_el]))
+        if not chain:
+            return None
+        left = np.ascontiguousarray(self.grad_coeff[:, 0, 0])
+        right = np.ascontiguousarray(self.grad_coeff[:, 1, 0])
+        return (left, right, (left * right)[1:-1], (right * right)[:-1],
+                (left * left)[1:])
+
+    @cached_property
+    def interior(self) -> slice | np.ndarray:
+        """The interior nodes in node order, for indexing: a slice where
+        they are one contiguous range (every chain mesh), which numpy
+        copies several times faster than it gathers an index array, and
+        the index array otherwise."""
+        interior = np.flatnonzero(self.interior_mask)
+        if interior.size and np.array_equal(
+                interior, np.arange(interior[0], interior[-1] + 1)):
+            return slice(int(interior[0]), int(interior[-1]) + 1)
+        return interior
+
     # -- operations --------------------------------------------------------
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
-        """Piecewise-constant gradient per element, shape (n_el, dim_coord).
+        """Piecewise-constant gradient per element, shape (n_el, dim_coord),
+        or (k, n_el, dim_coord) for a stack of k nodal vectors (k, n_nodes).
 
-        First-order consistent: exact on affine fields.
+        First-order consistent: exact on affine fields. Each row of a stack
+        gets the gradient of that row alone, bit for bit.
         """
         values = np.asarray(values, dtype=float)
-        if values.shape != (self.n_nodes,):
+        if values.ndim not in (1, 2) or values.shape[-1] != self.n_nodes:
             raise MeshError(
                 f"field has {values.shape} values, mesh has {self.n_nodes} nodes")
-        return (self._grad @ values).reshape(self.n_elements, self.dim_coord)
+        if self._chain is not None:
+            left, right = self._chain[:2]
+            return (left * values[..., :-1] + right * values[..., 1:])[..., None]
+        # a stack's rows are the columns of one sparse product
+        return np.ascontiguousarray((self._grad @ values.T).T).reshape(
+            values.shape[:-1] + (self.n_elements, self.dim_coord))
+
+    def interior_stiffness(self, w: np.ndarray) -> np.ndarray:
+        """The stiffness among the interior nodes for element weights ``w``
+        (n_el,) in the compact band storage described in ``interior_band``,
+        shape (len(offsets) + 1, m). For a stack of weights (k, n_el) it is
+        (len(offsets) + 1, k, m): band row r of every member, then the
+        next, so that each band row flattens to that of one block-diagonal
+        matrix whose blocks couple only through exact zeros (the first d
+        entries of the row of offset d). Each member gets the band of its
+        weights alone, bit for bit."""
+        if self._chain is not None:
+            upper, diag_left, diag_right = self._chain[2:]
+            band = np.empty((2,) + w.shape[:-1] + (self.n_nodes - 2,))
+            band[0, ..., 0] = 0.0
+            np.multiply(upper, w[..., 1:-1], out=band[0, ..., 1:])
+            np.multiply(diag_left, w[..., :-1], out=band[1])
+            band[1] += diag_right * w[..., 1:]
+            return band
+        S, _, interior, offsets = self.interior_band
+        rows, m = len(offsets) + 1, len(interior)
+        if w.ndim == 1:
+            return (S @ w).reshape(rows, m)
+        # a stack's members are the columns of one sparse product
+        return np.ascontiguousarray(
+            (S @ w.T).reshape(rows, m, -1).transpose(0, 2, 1))
 
     def gradient_adjoint(self, z: np.ndarray) -> np.ndarray:
         """The nodal vector G with G . w = sum_e v_e z_e . grad(w)_e for
@@ -329,13 +403,31 @@ def _domain_header(domain: Domain) -> str:
     return f"kind=rectangle lx={domain.lx:.17g} ly={domain.ly:.17g}"
 
 
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product over the last axis of ``a`` and ``b``, one per row of
+    a stack: for vectors it is ``a @ b`` bit for bit, and each row of a
+    stack gets the same bits as that row alone. (A matrix-vector ``@``
+    does not: BLAS gemv sums in another order than the dot product.)"""
+    if a.ndim == b.ndim == 1:
+        return a @ b
+    # contiguous rows: BLAS sums a strided vector in another order
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 # ---------------------------------------------------------------------------
 # Field
 # ---------------------------------------------------------------------------
 
+_GRADIENTS = ("grad", "grad_sq", "grad_mag")
+
+
 @dataclass(frozen=True)
 class Field:
-    """Nodal real values of u on a mesh at one time instant.
+    """Nodal real values of u on a mesh at one time instant, or a stack of
+    k such fields: ``values`` of shape (k, n_nodes), one field per row.
+    Every method and kept array of a stack works row by row and gives each
+    row what that row alone would get, bit for bit.
 
     Immutable: ``values`` is a read-only copy owned by the field, so the
     element-wise gradient, its squared magnitude and its magnitude are
@@ -347,8 +439,10 @@ class Field:
     values: np.ndarray = dc_field(repr=False)
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        if values.shape != (self.mesh.n_nodes,):
+        # C order: a stack's rows are then contiguous, and BLAS sums a
+        # strided row in another order than a contiguous one
+        values = np.array(self.values, dtype=float, order="C")
+        if values.ndim not in (1, 2) or values.shape[-1] != self.mesh.n_nodes:
             raise MeshError(
                 f"field has {values.shape} values, mesh has "
                 f"{self.mesh.n_nodes} nodes")
@@ -357,29 +451,57 @@ class Field:
 
     @cached_property
     def grad(self) -> np.ndarray:
-        """Piecewise-constant gradient per element, shape (n_el, dim_coord)."""
+        """Piecewise-constant gradient per element, shape (n_el, dim_coord)
+        ((k, n_el, dim_coord) for a stack)."""
         g = self.mesh.gradient(self.values)
         g.setflags(write=False)
         return g
 
     @cached_property
     def grad_sq(self) -> np.ndarray:
-        """Element-wise |grad u|^2, shape (n_el,): the squares of the
-        components summed in component order, which is
-        ``(grad ** 2).sum(axis=1)`` bit for bit."""
+        """Element-wise |grad u|^2, shape (n_el,) ((k, n_el) for a stack):
+        the squares of the components summed in component order, which is
+        ``(grad ** 2).sum(axis=-1)`` bit for bit."""
         g = self.grad
-        sq = g[:, 0] * g[:, 0]
-        for k in range(1, g.shape[1]):
-            sq += g[:, k] * g[:, k]
+        sq = g[..., 0] * g[..., 0]
+        for k in range(1, g.shape[-1]):
+            sq += g[..., k] * g[..., k]
         sq.setflags(write=False)
         return sq
 
     @cached_property
     def grad_mag(self) -> np.ndarray:
-        """Element-wise gradient magnitude |grad u|, shape (n_el,)."""
+        """Element-wise gradient magnitude |grad u|, shape (n_el,) ((k, n_el)
+        for a stack)."""
         mag = np.sqrt(self.grad_sq)
         mag.setflags(write=False)
         return mag
+
+    def rows(self, index) -> "Field":
+        """The rows of this stack that ``index`` selects, keeping the
+        gradient arrays already computed for them: a plain field for a row
+        number, a stack for a slice or a sequence of row numbers (and, for
+        a plain field, a stack of one for None)."""
+        sub = Field(self.mesh, self.values[index])
+        kept = vars(self)
+        for name in _GRADIENTS:
+            if name in kept:
+                a = kept[name][index]
+                a.setflags(write=False)
+                vars(sub)[name] = a
+        return sub
+
+    @classmethod
+    def stack(cls, fields) -> "Field":
+        """One stack of the rows of the stacks ``fields``, in order, keeping
+        the gradient arrays that all of them have computed."""
+        out = cls(fields[0].mesh, np.concatenate([f.values for f in fields]))
+        for name in _GRADIENTS:
+            if all(name in vars(f) for f in fields):
+                a = np.concatenate([vars(f)[name] for f in fields])
+                a.setflags(write=False)
+                vars(out)[name] = a
+        return out
 
     @classmethod
     def zeros(cls, mesh: Mesh) -> "Field":
@@ -397,19 +519,26 @@ class Field:
                      np.where(self.mesh.interior_mask, self.values, 0.0))
 
     def is_dirichlet(self, tol: float = 0.0) -> bool:
-        """Whether every boundary value is at most ``tol`` in magnitude; a
-        NaN makes the largest magnitude NaN, which fails the comparison."""
-        return bool(np.abs(self.values[self.mesh.boundary_nodes]).max() <= tol)
+        """Whether every boundary value (of every row of a stack) is at most
+        ``tol`` in magnitude; a NaN makes the largest magnitude NaN, which
+        fails the comparison."""
+        return bool(np.abs(self.values[..., self.mesh.boundary_nodes]).max()
+                    <= tol)
 
     def copy(self) -> "Field":
         """The same values without the cached gradient arrays."""
         return Field(self.mesh, self.values)
 
-    def sup(self) -> float:
-        return float(np.abs(self.values).max())
+    def sup(self) -> float | np.ndarray:
+        """max |u|; a (k,) array for a stack."""
+        sup = np.abs(self.values).max(axis=-1)
+        return float(sup) if sup.ndim == 0 else sup
 
-    def l2(self) -> float:
-        return math.sqrt(float(self.mesh.quad_weights @ self.values ** 2))
+    def l2(self) -> float | np.ndarray:
+        """The L2 norm under the nodal quadrature; a (k,) array for a
+        stack."""
+        l2 = np.sqrt(rowdot(self.values ** 2, self.mesh.quad_weights))
+        return float(l2) if l2.ndim == 0 else l2
 
 
 def load_field(path, mesh: Mesh) -> Field:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import hyp1f1
 
-from .mesh import Field, Mesh
+from .mesh import Field, Mesh, rowdot
 
 
 class ModelError(ValueError):
@@ -172,18 +172,42 @@ def make_nonlinearity(kind: str, **params) -> Nonlinearity:
 # Energy and Nehari functional
 # ---------------------------------------------------------------------------
 
-def _check_p(p: float):
-    if not p > 1:
+def _check_p(p):
+    """Raise unless p, or every p of a stack's (k,) array, exceeds 1."""
+    if not (bool((p > 1).all()) if isinstance(p, np.ndarray) else p > 1):
         raise ModelError(f"p must exceed 1, got {p}")
 
 
-def diffusivity(grad_sq: np.ndarray, p: float, eps: float) -> np.ndarray:
+def _power(x: np.ndarray, e) -> np.ndarray:
+    """x ** e for a float e; for a stack's (k, n) x and (k,) exponents e,
+    each row raised to its own exponent by the same scalar ``**`` that the
+    row alone gets (numpy's ``**`` squares for the exponent 2, where an
+    exponent array would call pow)."""
+    if not isinstance(e, np.ndarray):
+        return x ** e
+    out = np.empty(x.shape)
+    for i, ei in enumerate(e.tolist()):
+        out[i] = x[i] ** ei
+    return out
+
+
+def _squared(eps):
+    """eps ** 2 for a float; for a stack's (k,) eps, the (k, 1) column of
+    each row's own Python square."""
+    if not isinstance(eps, np.ndarray):
+        return eps ** 2
+    return np.array([e ** 2 for e in eps.tolist()])[:, None]
+
+
+def diffusivity(grad_sq: np.ndarray, p, eps) -> np.ndarray:
     """The regularized p-Laplacian coefficient (|g|^2 + eps^2)^((p-2)/2) per
     element, from the squared gradient magnitudes ``grad_sq`` = |g|^2
-    (``Field.grad_sq``). With eps = 0 a flat element would make it
-    0^((p-2)/2); the cap 1e-300 keeps it finite, and coefficient times g is
-    then 0 there."""
-    return np.maximum(grad_sq + eps ** 2, 1e-300) ** ((p - 2.0) / 2.0)
+    (``Field.grad_sq``). For a stack's (k, n_el) ``grad_sq``, p and eps are
+    (k,) arrays, one per row, and each row is what it would be alone. With
+    eps = 0 a flat element would make it 0^((p-2)/2); the cap 1e-300 keeps
+    it finite, and coefficient times g is then 0 there."""
+    return _power(np.maximum(grad_sq + _squared(eps), 1e-300),
+                  (p - 2.0) / 2.0)
 
 
 def grad_p_norm(field: Field, p: float) -> float:
@@ -203,19 +227,21 @@ def energy(field: Field, p: float, nl: Nonlinearity) -> float:
     return grad_p_norm(field, p) / p - m.integrate(nl.F(field.values))
 
 
-def regularized_energy(field: Field, p: float, eps: float,
-                       snap: EnergySnapshot) -> float:
+def regularized_energy(field: Field, p, eps,
+                       snap: EnergySnapshot) -> float | np.ndarray:
     """E_p,eps(u) = (1/p) int (|grad u|^2 + eps^2)^(p/2) - int F(u), the
     energy that a lagged-diffusivity step dissipates.
 
     Computed as E_p(u) + (1/p)(int (|grad u|^2 + eps^2)^(p/2) -
     int |grad u|^p) from ``snap``, the snapshot of ``field``, so that F is
-    not evaluated a second time.
+    not evaluated a second time. For a stack, p and eps are (k,) arrays and
+    the result is one energy per row, each equal to that row's alone.
     """
     _check_p(p)
-    lifted = float(field.mesh.element_volumes
-                   @ (field.grad_mag ** 2 + eps ** 2) ** (p / 2.0))
-    return snap.E_p + (lifted - snap.grad_p) / p
+    lifted = rowdot(_power(field.grad_mag ** 2 + _squared(eps), p / 2.0),
+                    field.mesh.element_volumes)
+    E = snap.E_p + (lifted - snap.grad_p) / p
+    return float(E) if E.ndim == 0 else E
 
 
 def nehari_I(field: Field, p: float, nl: Nonlinearity) -> float:
@@ -436,24 +462,38 @@ class EnergySnapshot:
     dissipation_cum: float
     grad_p: float   # int |grad u|^p
 
+    def rows(self) -> list[EnergySnapshot]:
+        """The snapshots of a stack's rows, with float fields; [self] for
+        the snapshot of a plain field."""
+        if not isinstance(self.E_p, np.ndarray):
+            return [self]
+        cols = [np.asarray(v, dtype=float).tolist() for v in vars(self).values()]
+        return [EnergySnapshot(*row) for row in zip(*cols)]
 
-def snapshot(field: Field, t: float, p: float, nl: Nonlinearity,
-             dissipation_cum: float) -> EnergySnapshot:
+
+def snapshot(field: Field, t, p, nl: Nonlinearity,
+             dissipation_cum) -> EnergySnapshot:
     """The diagnostics of ``field`` in one pass: int |grad u|^p, f(u) and
     F(u) are each evaluated once. Every field equals its definition
     (``energy``, ``nehari_I``, ``total_variation``, ``Field.l2``,
-    ``Field.sup``, ``grad_p_norm``) bit for bit."""
+    ``Field.sup``, ``grad_p_norm``) bit for bit.
+
+    A stack of k fields is evaluated in the same pass, with ``t``, ``p``
+    and ``dissipation_cum`` given per row as (k,) arrays; every field of
+    the snapshot is then a (k,) array (``EnergySnapshot.rows`` splits it),
+    each row equal to the snapshot of that row alone."""
     _check_p(p)
     m = field.mesh
-    u, qw = field.values, m.quad_weights
-    grad_p = grad_p_norm(field, p)
-    return EnergySnapshot(
-        time=t,
-        E_p=grad_p / p - float(qw @ nl.F(u)),
-        I_p=grad_p - float(qw @ (nl.f(u) * u)),
-        tv=float(m.element_volumes @ field.grad_mag),
-        l2=field.l2(),
-        sup=field.sup(),
-        dissipation_cum=dissipation_cum,
-        grad_p=grad_p,
-    )
+    u, qw, vol = field.values, m.quad_weights, m.element_volumes
+    mag = field.grad_mag
+    grad_p = rowdot(_power(mag, p), vol)
+    integrals = (grad_p / p - rowdot(nl.F(u), qw),
+                 grad_p - rowdot(nl.f(u) * u, qw),
+                 rowdot(mag, vol),
+                 grad_p)
+    if u.ndim == 1:
+        integrals = [float(v) for v in integrals]
+    E_p, I_p, tv, grad_p = integrals
+    return EnergySnapshot(time=t, E_p=E_p, I_p=I_p, tv=tv, l2=field.l2(),
+                          sup=field.sup(), dissipation_cum=dissipation_cum,
+                          grad_p=grad_p)

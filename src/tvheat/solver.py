@@ -38,9 +38,9 @@ import scipy.sparse.linalg as spla  # unused; bench/spans.py patches solver.spla
 from scipy.linalg import solveh_banded as lapack_solveh_banded
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dptsv
 
-from .mesh import Field, Mesh
-from .model import Nonlinearity, WellStatus, classify_well, diffusivity, \
-    regularized_energy, snapshot
+from .mesh import Field, Mesh, rowdot
+from .model import EnergySnapshot, Nonlinearity, WellStatus, classify_well, \
+    diffusivity, regularized_energy, snapshot
 
 
 class SolverError(RuntimeError):
@@ -215,8 +215,7 @@ class BandedFactor:
         return x, k
 
 
-def solveh_banded(band: np.ndarray, rhs: np.ndarray,
-                  factor: BandedFactor | None, x0: np.ndarray,
+def solveh_banded(band: np.ndarray, rhs: np.ndarray, factor, x0: np.ndarray,
                   offsets: list[int], b: int) -> np.ndarray:
     """Solve the symmetric positive definite system of bandwidth ``b`` held
     in compact band storage ``band``: row r holds the super-diagonal at
@@ -230,11 +229,44 @@ def solveh_banded(band: np.ndarray, rhs: np.ndarray,
     few hundred unknowns. Without a ``factor`` it is scipy's
     ``solveh_banded`` (LAPACK ``pbsv``) on the full band. Otherwise it is
     conjugate gradients from ``x0``, preconditioned by ``factor``'s held
-    factorization (see ``BandedFactor.solve``). The function keeps scipy's
-    name because the benchmark's tracer wraps ``solver.solveh_banded`` as
-    the linear-solve layer and counts one call per step. A matrix that is
-    not positive definite raises LinAlgError.
+    factorization (see ``BandedFactor.solve``). A matrix that is not
+    positive definite raises LinAlgError.
+
+    A stack of k systems (``band`` of shape (len(offsets) + 1, k, m), as
+    ``Mesh.interior_stiffness`` lays it out, ``rhs`` and ``x0`` (k, m),
+    ``factor`` a sequence of k factors or None) is solved in this one call,
+    each member as above with its own factor; a member whose matrix is not
+    positive definite comes back NaN instead. In 1-D the stack is one
+    ``ptsv`` call on its block-diagonal matrix, whose zero couplings leave
+    every block's arithmetic as it is alone; only a stack with a failed
+    block is solved again block by block. The function keeps scipy's name
+    because the benchmark's tracer wraps ``solver.solveh_banded`` as the
+    linear-solve layer and counts one call per step.
     """
+    if band.ndim == 2:
+        return _solve(band, rhs, factor, x0, offsets, b)
+    factors = [None] * len(rhs) if factor is None else factor
+    if b == 1:
+        for f in factors:
+            if f is not None:
+                f.factorizations += 1
+        _, _, x, info = dptsv(band[1].ravel(), band[0].ravel()[1:],
+                              rhs.ravel())
+        if info == 0 and np.isfinite(x).all():
+            return x.reshape(rhs.shape)
+        factors = [None] * len(rhs)      # counted above
+    x = np.empty(rhs.shape)
+    for i, f in enumerate(factors):
+        try:
+            x[i] = _solve(band[:, i], rhs[i], f, x0[i], offsets, b)
+        except np.linalg.LinAlgError:
+            x[i] = np.nan
+    return x
+
+
+def _solve(band: np.ndarray, rhs: np.ndarray, factor: BandedFactor | None,
+           x0: np.ndarray, offsets: list[int], b: int) -> np.ndarray:
+    """``solveh_banded`` for one system."""
     if b == 1:
         if factor is not None:
             factor.factorizations += 1
@@ -283,58 +315,85 @@ def _band_product(band: np.ndarray, x: np.ndarray,
 # One step
 # ---------------------------------------------------------------------------
 
-def step(state: Field, t: float, cfg: SolverConfig, nl: Nonlinearity,
-         dt: float | None = None,
-         factor: BandedFactor | None = None) -> Field:
+def step(state: Field, t, cfg, nl: Nonlinearity, dt=None,
+         factor=None) -> Field:
     """One semi-implicit step of size dt (default cfg.dt0): returns the new
-    field. ``run`` judges the step from the two states' snapshots. With a
+    field. ``march`` judges the step from the two states' snapshots. With a
     ``factor`` (one run's), a 2-D system is solved by PCG preconditioned
-    with its held factorization; without one, directly."""
-    if dt is None:
-        dt = cfg.dt0
+    with its held factorization; without one, directly. A failed solve
+    raises StepFailureError.
+
+    ``state`` may also be a stack of k fields (see ``Field``), stepped in
+    one pass: ``cfg`` is then a sequence of k configs, ``dt`` (required)
+    the k step sizes and ``factor`` a sequence of k factors (or None), one
+    per row, and one ``solveh_banded`` call solves every row. A row whose solve
+    fails comes back NaN; every other row is the step of that row alone,
+    bit for bit.
+    """
     mesh = state.mesh
     if not state.is_dirichlet():
         raise SolverError("state is not Dirichlet-constrained")
     u = state.values
-    w = mesh.element_volumes * diffusivity(state.grad_sq, cfg.p, cfg.eps)
-    qw = mesh.quad_weights
-    S, b, interior, offsets = mesh.interior_band
-    band = (S @ w).reshape(len(offsets) + 1, len(interior))
-    band[-1] += qw[interior] / dt
-    rhs = (qw * (u / dt + nl.f(u)))[interior]
+    single = u.ndim == 1
+    if single:
+        p, eps = cfg.p, cfg.eps
+        dt = cfg.dt0 if dt is None else dt
+    else:
+        p = np.array([c.p for c in cfg])
+        eps = np.array([c.eps for c in cfg])
+        dt = np.asarray(dt, dtype=float)[:, None]
+    w = mesh.element_volumes * diffusivity(state.grad_sq, p, eps)
+    _, b, _, offsets = mesh.interior_band
+    interior = mesh.interior
+    qw, u_in = mesh.quad_weights[interior], u[..., interior]
+    band = mesh.interior_stiffness(w)
+    band[-1] += qw / dt
+    rhs = qw * (u_in / dt + nl.f(u_in))
     try:
         # non-finite entries fail the factorization or the checks below
-        x = solveh_banded(band, rhs, factor, u[interior], offsets, b)
+        x = solveh_banded(band, rhs, factor, u_in, offsets, b)
     except np.linalg.LinAlgError as exc:
         raise StepFailureError(f"banded solve failed: {exc}") from None
-    if not np.all(np.isfinite(x)):
+    finite = np.isfinite(x).all(axis=-1)
+    if single and not finite:
         raise StepFailureError(f"non-finite solution at t={t}")
-    # backward-stable gate: ||Ax - b|| <= 1e-10 (||b|| + ||A||_inf ||x||)
-    Ax, norm_A = _banded_matvec(band, x, offsets)
-    r = Ax - rhs
-    scale = math.sqrt(rhs @ rhs) + norm_A * math.sqrt(x @ x)
-    if math.sqrt(r @ r) > 1e-10 * max(scale, 1e-300):
+    # backward-stable gate: ||Ax - b|| <= 1e-10 (||b|| + ||A||_inf ||x||),
+    # over a stack's block-diagonal matrix at once; a member that is not
+    # finite has failed already, and is zeroed here so that its blocks'
+    # zero couplings (0 * inf) cannot reach its neighbours
+    if not finite.all():
+        x = np.where(finite[:, None], x, 0.0)
+    Ax, row_abs = _banded_matvec(band.reshape(len(band), -1), x.ravel(),
+                                 offsets)
+    r = Ax.reshape(x.shape) - rhs
+    norm_A = row_abs.reshape(x.shape).max(axis=-1)
+    scale = np.sqrt(rowdot(rhs, rhs)) + norm_A * np.sqrt(rowdot(x, x))
+    inaccurate = np.sqrt(rowdot(r, r)) > 1e-10 * np.maximum(scale, 1e-300)
+    if single and inaccurate:
         raise StepFailureError(f"banded solve residual above tolerance at t={t}")
-    new_vals = np.zeros(mesh.n_nodes)
-    new_vals[interior] = x
+    new_vals = np.zeros(u.shape)
+    new_vals[..., interior] = x
+    if not single:
+        new_vals[~finite | inaccurate] = np.nan
     return Field(mesh, new_vals)
 
 
 def _banded_matvec(band: np.ndarray, x: np.ndarray,
-                   offsets: list[int]) -> tuple[np.ndarray, float]:
-    """A @ x and the largest absolute row sum of the symmetric matrix A held
-    in compact band storage ``band`` with super-diagonals at ``offsets``
-    (the mesh's, so fixed before the solve). The residual gate's own
-    product, independent of the solve it checks."""
+                   offsets: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """A @ x and the absolute row sums of the symmetric matrix A held in
+    compact band storage ``band`` with super-diagonals at ``offsets`` (the
+    mesh's, so fixed before the solve). The residual gate's own product,
+    independent of the solve it checks."""
     Ax = band[-1] * x
     row_abs = np.abs(band[-1])
     for row, d in zip(band, offsets):
         a = row[d:]                    # A[i, i + d] for i = 0 .. m - d - 1
         Ax[:-d] += a * x[d:]
         Ax[d:] += a * x[:-d]
-        row_abs[:-d] += np.abs(a)
-        row_abs[d:] += np.abs(a)
-    return Ax, float(row_abs.max())
+        a = np.abs(a)
+        row_abs[:-d] += a
+        row_abs[d:] += a
+    return Ax, row_abs
 
 
 # ---------------------------------------------------------------------------
@@ -347,117 +406,257 @@ EXTINCTION_HALVINGS = 8   # bisections locating the step that ends extinct
 def run(mesh: Mesh, u0: Field, cfg: SolverConfig, nl: Nonlinearity,
         d_hat: float = math.inf) -> Trajectory:
     """Integrate to T_end or earlier termination (extinction, blow-up
-    detection, step failure), with the dissipation-residual step controller.
-    Each judged trial state is evaluated once, in its snapshot; the
-    bisection of an extinct trial reads only its probes' sup norms. The
-    run's steps share one ``BandedFactor``; ``d_hat`` is unused.
+    detection, step failure), with the dissipation-residual step
+    controller: ``march`` of one member. ``d_hat`` is unused."""
+    return march(mesh, u0, [cfg], nl)[0]
+
+
+def march(mesh: Mesh, u0: Field, cfgs, nl: Nonlinearity) -> list[Trajectory]:
+    """Integrate one member per config in ``cfgs`` from ``u0`` in lockstep,
+    each to its T_end or earlier termination; returns their trajectories.
+
+    Each iteration advances every running member at once: one ``step``
+    call and one ``snapshot`` call serve the stack of their states (see
+    ``Field``). A stack of one marches as a plain field, whose 1-D arrays
+    cost less than a (1, n) stack's. Each member's step size, gate verdict,
+    extinction bisection and stop reason are its own, in Python floats, so
+    each member ends bit for bit as it would alone; a member that stops
+    leaves the stack. Each judged trial state is evaluated once, in a
+    snapshot; the bisection of an extinct trial reads only its probes' sup
+    norms. A member's steps share one ``BandedFactor``. A member stores its
+    initial state, every ``store_stride``-th accepted state, the states at
+    its targets (its checkpoint times and T_end) and its last state.
     """
     if u0.mesh is not mesh:
         raise SolverError("initial field lives on a different mesh")
     if not u0.is_dirichlet():
         raise SolverError("u0 is not Dirichlet-constrained")
-
-    traj = Trajectory(mesh, cfg)
-    factor = BandedFactor()
-    traj.status, last = _march(traj, u0.copy(), cfg, nl, factor)
-    if traj.states[-1][0] != traj.times[-1]:    # ended off the store stride
-        traj.states.append((traj.times[-1], last.copy()))
-    traj.factorizations = factor.factorizations
-    traj.pcg_iterations = factor.iterations
-    return traj
-
-
-def _march(traj: Trajectory, state: Field, cfg: SolverConfig,
-           nl: Nonlinearity, factor: BandedFactor) -> tuple[Status, Field]:
-    """``run``'s time loop: fills the ledger of ``traj`` and returns how the
-    run ended and its last accepted state."""
-    mesh = traj.mesh
-    t = 0.0
-    snap = snapshot(state, t, cfg.p, nl, 0.0)
-    E_eps = regularized_energy(state, cfg.p, cfg.eps, snap)
-    traj.times.append(t)
-    traj.snapshots.append(snap)
-    traj.states.append((t, state.copy()))
-
-    if snap.sup <= cfg.tol_ext:
-        return Status("extinct", 0.0, "tol_ext"), state
-
-    targets = sorted({float(c) for c in cfg.checkpoint_times
-                      if 0.0 < c <= cfg.T_end} | {cfg.T_end})
-    dt = min(cfg.dt0, cfg.dt_max)
-    accepted = 0
-
-    while t < cfg.T_end:
-        target = next(c for c in targets if c > t + 1e-14 * cfg.T_end)
-        dt_try = min(dt, target - t)
-        try:
-            new = step(state, t, cfg, nl, dt_try, factor=factor)
-            trials = [(new, dt_try)]
-            if new.sup() <= cfg.tol_ext:
-                # judge the shortest extinct step first; the original trial
-                # only if that one fails the gate
-                trials = _extinction_crossing(state, t, cfg, nl, dt_try,
-                                              factor) + trials
-                traj.extinction_probes += EXTINCTION_HALVINGS
-        except StepFailureError:
-            return Status("step_failure", t, "linear_solve"), state
-
-        for new, h in trials:
-            t_new = t + h
-            if abs(t_new - target) <= 1e-12 * max(1.0, target):
-                t_new = target
-            diss = float(mesh.quad_weights @ (new.values - state.values) ** 2) / h
-            trial = snapshot(new, t_new, cfg.p, nl, snap.dissipation_cum + diss)
-            if not (math.isfinite(trial.E_p) and math.isfinite(trial.I_p)):
-                # the reaction overflowed; the residual gate cannot judge this
-                return Status("blowup", t, "energy_overflow"), state
-            E_eps_new = regularized_energy(new, cfg.p, cfg.eps, trial)
-            residual = diss + E_eps_new - E_eps
-            tol = cfg.energy_residual_tol * (1.0 + abs(trial.E_p))
-            if not abs(residual) > tol:
-                break
+    members = [_Member(Trajectory(mesh, cfg)) for cfg in cfgs]
+    k = len(members)
+    start = Field(mesh, u0.values if k == 1
+                  else np.broadcast_to(u0.values, (k, mesh.n_nodes)))
+    zeros = _per_member([0.0] * k, array=True)
+    p = _per_member([m.cfg.p for m in members], array=True)
+    eps = _per_member([m.cfg.eps for m in members], array=True)
+    snaps = snapshot(start, zeros, p, nl, zeros)
+    E_eps = _listed(regularized_energy(start, p, eps, snaps))
+    running = []
+    for row, (m, snap) in enumerate(zip(members, snaps.rows())):
+        m.state, m.row = start, (None if k == 1 else row)
+        m.snap, m.E_eps = snap, E_eps[row]
+        m.traj.times.append(0.0)
+        m.traj.snapshots.append(snap)
+        m.traj.states.append((0.0, u0.copy()))
+        if snap.sup <= m.cfg.tol_ext:
+            m.stop(Status("extinct", 0.0, "tol_ext"))
         else:
-            traj.rejected_steps += 1
-            dt = dt_try / 2.0
-            if dt < cfg.dt_min:
-                # step underflow is treated as a blow-up detection
-                return Status("blowup", t, "dt_underflow"), state
-            continue
+            running.append(m)
+    while running:
+        running = _advance(running, mesh, nl)
+    return [m.traj for m in members]
 
-        state, snap, E_eps, t = new, trial, E_eps_new, t_new
-        accepted += 1
-        traj.times.append(t)
+
+class _Member:
+    """One member of a ``march``: its trajectory and factor, and its step
+    control in Python floats. Its current state is row ``row`` of the
+    stack ``state``, or ``state`` itself, a plain field, when ``row`` is
+    None; ``h`` is the size of its step in flight, which ends at or before
+    ``target``."""
+
+    __slots__ = ("traj", "cfg", "factor", "targets", "accepted", "t", "dt",
+                 "h", "target", "snap", "E_eps", "state", "row")
+
+    def __init__(self, traj: Trajectory):
+        cfg = traj.cfg
+        self.traj, self.cfg, self.factor = traj, cfg, BandedFactor()
+        self.targets = sorted({float(c) for c in cfg.checkpoint_times
+                               if 0.0 < c <= cfg.T_end} | {cfg.T_end})
+        self.accepted = 0
+        self.t = 0.0
+        self.dt = min(cfg.dt0, cfg.dt_max)
+
+    def aim(self) -> None:
+        """Set the next target and the size of the next step."""
+        self.target = next(c for c in self.targets
+                           if c > self.t + 1e-14 * self.cfg.T_end)
+        self.h = min(self.dt, self.target - self.t)
+
+    def accept(self, state: Field, row: int | None, h: float,
+               snap: EnergySnapshot, E_eps: float, residual: float,
+               tol: float) -> None:
+        """Take the trial step of size ``h`` to row ``row`` of ``state``,
+        evaluated in ``snap``; stop at blow-up, extinction or T_end, else
+        set the next dt."""
+        traj, cfg = self.traj, self.cfg
+        self.state, self.row, self.snap, self.E_eps = state, row, snap, E_eps
+        self.t = snap.time
+        self.accepted += 1
+        traj.times.append(self.t)
         traj.snapshots.append(snap)
-        if accepted % cfg.store_stride == 0 or t in targets:
-            traj.states.append((t, state.copy()))
-
+        if self.accepted % cfg.store_stride == 0 or self.t in self.targets:
+            traj.states.append((self.t, self._field()))
         if not math.isfinite(snap.sup) or snap.sup >= cfg.U_max:
-            return Status("blowup", t, "u_max"), state
-        if snap.sup <= cfg.tol_ext:
-            return Status("extinct", t, "tol_ext"), state
-
-        if abs(residual) < 0.2 * tol:
-            dt = min(h * 1.4, cfg.dt_max)
+            self.stop(Status("blowup", self.t, "u_max"))
+        elif snap.sup <= cfg.tol_ext:
+            self.stop(Status("extinct", self.t, "tol_ext"))
+        elif self.t >= cfg.T_end:
+            self.stop(Status("completed", cfg.T_end, "t_end"))
+        elif abs(residual) < 0.2 * tol:
+            self.dt = min(h * 1.4, cfg.dt_max)
         else:
-            dt = h
+            self.dt = h
 
-    return Status("completed", cfg.T_end, "t_end"), state
+    def reject(self) -> None:
+        """Halve the size of the step in flight; step underflow is treated
+        as a blow-up detection."""
+        self.traj.rejected_steps += 1
+        self.dt = self.h / 2.0
+        if self.dt < self.cfg.dt_min:
+            self.stop(Status("blowup", self.t, "dt_underflow"))
+
+    def stop(self, status: Status) -> None:
+        """End the member's run: its status, its last state if not stored
+        yet, and its solve counts."""
+        traj = self.traj
+        traj.status = status
+        if traj.states[-1][0] != traj.times[-1]:
+            traj.states.append((traj.times[-1], self._field()))
+        traj.factorizations = self.factor.factorizations
+        traj.pcg_iterations = self.factor.iterations
+
+    def _field(self) -> Field:
+        """A copy of the current state, without gradient arrays."""
+        values = self.state.values
+        return Field(self.state.mesh,
+                     values if self.row is None else values[self.row])
 
 
-def _extinction_crossing(state: Field, t: float, cfg: SolverConfig,
-                         nl: Nonlinearity, dt: float,
-                         factor: BandedFactor) -> list[tuple[Field, float]]:
-    """Bisect (0, dt] for the shortest step from ``state`` that ends extinct,
-    given that the step of size dt does. Returns [(field, size)] for the
-    shortest extinct step shorter than dt, or [] if there is none. The step
-    of size ``size - dt / 2 ** EXTINCTION_HALVINGS`` (``dt`` minus that, for
-    []) is not extinct: it was tried, or it is 0."""
-    lo, hi, found = 0.0, dt, []
+def _advance(running: list[_Member], mesh: Mesh,
+             nl: Nonlinearity) -> list[_Member]:
+    """One iteration of ``march``: step the running members once, judge
+    their trials, and return the members still running."""
+    for m in running:
+        m.aim()
+    state = _gather([(m.state, m.row) for m in running])
+    one = len(running) == 1
+    try:
+        new = step(state, _per_member([m.t for m in running]),
+                   _per_member([m.cfg for m in running]), nl,
+                   _per_member([m.h for m in running], array=True),
+                   factor=_per_member([m.factor for m in running]))
+    except StepFailureError:            # only a plain field's solve raises
+        new = None
+    sups = [math.nan] if new is None else _listed(new.sup())
+    judging = []   # (member, its trials: [(field, row, size)]) to judge
+    for i, (m, sup) in enumerate(zip(running, sups)):
+        trials = [(new, None if one else i, m.h)]
+        failed = sup != sup             # NaN: the member's solve failed
+        if not failed and sup <= m.cfg.tol_ext:
+            # judge the shortest extinct step first; the original trial
+            # only if that one fails the gate
+            try:
+                trials = _extinction_crossing(
+                    state if one else state.rows(i), m, nl) + trials
+                m.traj.extinction_probes += EXTINCTION_HALVINGS
+            except StepFailureError:
+                failed = True
+        if failed:
+            m.stop(Status("step_failure", m.t, "linear_solve"))
+        else:
+            judging.append((m, trials))
+    while judging:
+        judging = _judge(judging, mesh, nl)
+    return [m for m in running if m.traj.status is None]
+
+
+def _judge(judging: list, mesh: Mesh, nl: Nonlinearity) -> list:
+    """Judge each member's first trial, all in one snapshot: accept it,
+    reject the step or stop the member. Returns the members left with a
+    trial to judge next, with their remaining trials."""
+    members = [m for m, _ in judging]
+    hs = [trials[0][2] for _, trials in judging]
+    old = _gather([(m.state, m.row) for m in members])
+    new = _gather([trials[0][:2] for _, trials in judging])
+    diss = _listed(rowdot((new.values - old.values) ** 2, mesh.quad_weights)
+                   / _per_member(hs, array=True))
+    t_new = []
+    for m, h in zip(members, hs):
+        t = m.t + h
+        if abs(t - m.target) <= 1e-12 * max(1.0, m.target):
+            t = m.target
+        t_new.append(t)
+    p = _per_member([m.cfg.p for m in members], array=True)
+    snaps = snapshot(new, _per_member(t_new, array=True), p, nl,
+                     _per_member([m.snap.dissipation_cum + d
+                                  for m, d in zip(members, diss)],
+                                 array=True))
+    E_eps = _listed(regularized_energy(
+        new, p, _per_member([m.cfg.eps for m in members], array=True), snaps))
+    one = len(members) == 1
+    again = []
+    for i, ((m, trials), snap) in enumerate(zip(judging, snaps.rows())):
+        if not (math.isfinite(snap.E_p) and math.isfinite(snap.I_p)):
+            # the reaction overflowed; the residual gate cannot judge this
+            m.stop(Status("blowup", m.t, "energy_overflow"))
+            continue
+        residual = diss[i] + E_eps[i] - m.E_eps
+        tol = m.cfg.energy_residual_tol * (1.0 + abs(snap.E_p))
+        if not abs(residual) > tol:
+            m.accept(new, None if one else i, hs[i], snap, E_eps[i],
+                     residual, tol)
+        elif len(trials) > 1:
+            again.append((m, trials[1:]))
+        else:
+            m.reject()
+    return again
+
+
+def _per_member(values: list, array: bool = False):
+    """Per-member values as ``step`` and ``snapshot`` take them for the
+    stack of their members: the value itself for a stack of one, which
+    marches as a plain field, else the list, or its (k,) array."""
+    if len(values) == 1:
+        return values[0]
+    return np.array(values) if array else values
+
+
+def _listed(result) -> list:
+    """A per-member result as a list of floats: a stack's array, or the
+    float of a plain field."""
+    return result.tolist() if isinstance(result, np.ndarray) else [float(result)]
+
+
+def _gather(refs: list) -> Field:
+    """The states ``refs`` = [(field, row), ...] name (row ``row`` of a
+    stack, or a plain field for row None) as one stack in order, or as a
+    plain field for a single ref; no copy when they are a whole stack."""
+    if len(refs) == 1:
+        field, row = refs[0]
+        return field if row is None else field.rows(row)
+    first = refs[0][0]
+    if all(f is first for f, _ in refs):
+        rows = [r for _, r in refs]
+        return first if rows == list(range(len(first.values))) \
+            else first.rows(rows)
+    return Field.stack([f.rows(None if r is None else slice(r, r + 1))
+                        for f, r in refs])
+
+
+def _extinction_crossing(state: Field, m: _Member,
+                         nl: Nonlinearity) -> list[tuple]:
+    """Bisect (0, h] for the shortest step of member ``m`` from ``state``,
+    its current state as a plain field, that ends extinct, given that the
+    step of size h = m.h does. Returns [(field, None, size)] for the
+    shortest extinct step shorter than h, or [] if there is none. The step
+    of size ``size - h / 2 ** EXTINCTION_HALVINGS`` (``h`` minus that, for
+    []) is not extinct: it was tried, or it is 0. A probe whose solve fails
+    raises StepFailureError."""
+    lo, hi, found = 0.0, m.h, []
     for _ in range(EXTINCTION_HALVINGS):
         mid = 0.5 * (lo + hi)
-        new = step(state, t, cfg, nl, mid, factor=factor)
-        if new.sup() <= cfg.tol_ext:
-            hi, found = mid, [(new, mid)]
+        new = step(state, m.t, m.cfg, nl, mid, factor=m.factor)
+        if new.sup() <= m.cfg.tol_ext:
+            hi, found = mid, [(new, None, mid)]
         else:
             lo = mid
     return found

@@ -327,6 +327,9 @@ class TestMain:
          "well"),
         (continuation_text("m_end = 2\n[output]\ntrajectory_csv = t.csv"),
          "output", "trajectory_csv"),
+        (continuation_text("m_end = 2").replace("[solver]\n",
+                                                "[solver]\nstore_stride = 2\n"),
+         "solver", "store_stride"),
         (BASE.replace("length = 1.0", "length = -1"), "domain", "length"),
         (BASE.replace("kind = interval\nlength = 1.0",
                       "kind = annulus\na = 2\nb = 1"), "domain", "a"),
@@ -341,7 +344,8 @@ class TestMain:
          + "\n[continuation]\nm_end = 2\n", "continuation", "m_end"),
     ], ids=["interval_a", "hat_center", "flat_width", "file_amplitude",
             "p_sequence_m_start", "continuation_audits",
-            "continuation_trajectory_csv", "length_negative",
+            "continuation_trajectory_csv", "continuation_store_stride",
+            "length_negative",
             "annulus_a_above_b", "lx_zero", "dim_1",
             "continuation_p_below_1", "continuation_p_above_theta"])
     def test_unused_or_rejected_key_fails_by_name(self, tmp_path, capsys,

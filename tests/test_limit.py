@@ -10,6 +10,7 @@ from tvheat import (Annulus, ContinuationPlan, Field, Interval, Power,
                     build_mesh, default_p_sequence, extract_flux,
                     flux_alignment, green_residual, limit_energy,
                     radial_sup_bound_check, run, run_continuation)
+from tvheat import limit
 from tvheat.limit import LimitError, flux_from_vectors
 from tvheat.model import energy_derivative
 
@@ -184,6 +185,51 @@ class TestContinuation:
         assert ref > 0.0
         assert report.records[1].flux_increment == pytest.approx(ref,
                                                                  rel=1e-12)
+
+    def test_criterion_7_member_step_counts(self):
+        # criterion 7's members, pinned to the counts each took when run
+        # alone, one after another
+        mesh = build_mesh(Interval(1.0), 400)
+        u0 = Field(mesh, np.ones(mesh.n_nodes)).constrained()
+        plan = ContinuationPlan(u0, Zero(),
+                                SolverConfig(p=1.5, eps=1e-4, T_end=0.41),
+                                p_sequence=default_p_sequence(1, 6),
+                                checkpoint_times=(0.4,))
+        records = run_continuation(plan).records
+        assert [r.accepted_steps for r in records] == \
+            [3308, 2910, 2805, 2391, 2017, 1577]
+        assert [r.rejected_steps for r in records] == \
+            [14, 14, 15, 13, 11, 12]
+        assert [r.extinction_probes for r in records] == [0] * 6
+
+    def test_members_keep_only_the_states_they_read(self, mesh,
+                                                    monkeypatch):
+        # the initial state, the checkpoints, T_end and the last state,
+        # whatever the template's store_stride; the extinct member's last
+        # state is its extinction
+        trajs = []
+        march = limit.march
+
+        def kept(*args):
+            trajs.extend(march(*args))
+            return trajs
+
+        monkeypatch.setattr(limit, "march", kept)
+        cfg = SolverConfig(p=1.5, T_end=0.05, store_stride=1)
+        plan = ContinuationPlan(hat(mesh, 0.1), Zero(), cfg,
+                                p_sequence=(1.5, 1.03),
+                                checkpoint_times=(0.01, 0.02))
+        report = run_continuation(plan)
+        assert [r.status for r in report.records] == ["completed", "extinct"]
+        done, extinct = trajs
+        assert [t for t, _ in done.states] == [0.0, 0.01, 0.02, 0.05]
+        assert [t for t, _ in extinct.states][:3] == [0.0, 0.01, 0.02]
+        assert [t for t, _ in extinct.states][3:] == [extinct.status.time]
+        for traj, rec in zip(trajs, report.records):
+            assert rec.accepted_steps == len(traj.times) - 1
+            assert rec.rejected_steps == traj.rejected_steps
+            assert rec.extinction_probes == traj.extinction_probes
+        assert report.records[1].extinction_probes > 0
 
     def test_limit_energy_of_hat(self, mesh):
         # TV of the hat is 2 and the boundary trace term vanishes

@@ -216,6 +216,36 @@ class TestInteriorBand:
         assert "interior_band" not in vars(mesh)
         assert mesh.interior_band is mesh.interior_band
 
+    @pytest.mark.parametrize("domain, resolution", [
+        (Interval(1.0), 30), (Annulus(1.0, 2.0, dim=3), 30),
+        (Rectangle(1.0, 1.0), [9, 9]), (Rectangle(1.0, 1.0), [6, 2])],
+        ids=["interval", "annulus3d", "rect9x9", "rect6x2"])
+    def test_stiffness_is_the_scatter(self, domain, resolution):
+        # a chain's band from slices of the gradient table is the scatter's
+        # band bit for bit; a stack's members are each their own band
+        mesh = build_mesh(domain, resolution)
+        S, _, interior, offsets = mesh.interior_band
+        chain = isinstance(domain, (Interval, Annulus))
+        assert (mesh._chain is not None) == chain
+        w = np.random.default_rng(7).uniform(0.1, 10.0, (3, mesh.n_elements))
+        bands = mesh.interior_stiffness(w)
+        assert bands.shape == (len(offsets) + 1, 3, len(interior))
+        for i in range(3):
+            ref = (S @ w[i]).reshape(len(offsets) + 1, len(interior))
+            assert mesh.interior_stiffness(w[i]).tobytes() == ref.tobytes()
+            assert np.ascontiguousarray(bands[:, i]).tobytes() == \
+                ref.tobytes()
+        # where the interior nodes are one range they index as a slice
+        assert np.array_equal(np.arange(mesh.n_nodes)[mesh.interior],
+                              interior)
+        assert isinstance(mesh.interior, slice) == chain
+
+    def test_chain_is_built_on_first_use(self):
+        mesh = build_mesh(Interval(1.0), 30)
+        assert "_chain" not in vars(mesh)
+        mesh.gradient(np.zeros(mesh.n_nodes))
+        assert "_chain" in vars(mesh)
+
 
 class TestField:
     def test_constrained_zeroes_boundary(self):
@@ -312,6 +342,43 @@ class TestField:
         mesh = build_mesh(Interval(1.0), 10)
         with pytest.raises(MeshError):
             mesh.gradient(np.zeros(4))
+        with pytest.raises(MeshError):
+            mesh.gradient(np.zeros((2, 2, mesh.n_nodes)))
+
+    @pytest.mark.parametrize("domain, resolution", [
+        (Interval(1.0), 30), (Annulus(1.0, 2.0, dim=3), 30),
+        (Rectangle(2.0, 1.0), [9, 7])], ids=["interval", "annulus", "rect"])
+    def test_stack_is_row_by_row(self, domain, resolution):
+        # a stack's gradient arrays and norms are its rows', bit for bit;
+        # rows and stack keep the arrays already computed
+        mesh = build_mesh(domain, resolution)
+        rng = np.random.default_rng(9)
+        stack = Field(mesh, rng.normal(size=(3, mesh.n_nodes)))
+        rows = [Field(mesh, v) for v in stack.values]
+        for name in ("grad", "grad_sq", "grad_mag"):
+            assert getattr(stack, name).tobytes() == np.stack(
+                [getattr(f, name) for f in rows]).tobytes()
+        assert stack.sup().tolist() == [f.sup() for f in rows]
+        assert stack.l2().tolist() == [f.l2() for f in rows]
+        if isinstance(domain, (Interval, Annulus)):
+            # the chain's slices give the scatter's gradient
+            sparse = (mesh._grad @ stack.values[0]).reshape(-1, 1)
+            assert rows[0].grad.tobytes() == sparse.tobytes()
+        part = stack.rows([2, 0])
+        assert {"grad", "grad_sq", "grad_mag"} <= set(vars(part))
+        assert part.grad_mag.tobytes() == np.stack(
+            [rows[2].grad_mag, rows[0].grad_mag]).tobytes()
+        one = stack.rows(1)
+        assert one.values.shape == (mesh.n_nodes,)
+        assert one.grad_sq.tobytes() == rows[1].grad_sq.tobytes()
+        both = Field.stack([stack.rows(slice(0, 1)), rows[1].rows(None)])
+        assert "grad_mag" in vars(both)
+        assert both.values.tobytes() == stack.values[:2].tobytes()
+        assert both.values.flags.c_contiguous
+        # a broadcast stack is stored row by row too
+        wide = Field(mesh, np.broadcast_to(rows[0].values,
+                                           (3, mesh.n_nodes)))
+        assert wide.values.flags.c_contiguous
 
 
 class TestDumpLoad:

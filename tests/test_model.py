@@ -12,8 +12,8 @@ from tvheat import (Annulus, Field, Interval, ModelError, NehariScaleError,
                     check_f_conditions, default_dictionary, energy,
                     estimate_dp, make_nonlinearity, nehari_I, nehari_scale,
                     well_status, WellStatus)
-from tvheat.model import ExpPower, energy_derivative, grad_p_norm, \
-    snapshot, total_variation
+from tvheat.model import ExpPower, diffusivity, energy_derivative, \
+    grad_p_norm, regularized_energy, snapshot, total_variation
 
 
 @pytest.fixture
@@ -162,6 +162,35 @@ class TestEnergies:
             assert s.tv == total_variation(f)
             assert s.l2 == f.l2() and s.sup == f.sup()
             assert s.grad_p == grad_p_norm(f, p)
+
+    @pytest.mark.parametrize("domain, resolution", [
+        (Interval(1.0), 400), (Annulus(1.0, 2.0, dim=3), 200),
+        (Rectangle(1.0, 1.0), [9, 7])], ids=["interval", "annulus", "rect"])
+    @pytest.mark.parametrize("nl", [Zero(), Power(3.0), ExpPower(3.0, 1.0)],
+                             ids=["zero", "power", "exp_power"])
+    def test_stack_snapshot_is_each_rows(self, domain, resolution, nl):
+        # one pass over a stack gives each row its own snapshot, and so
+        # its definitions, bit for bit; p = 2 is a numpy ** shortcut
+        m = build_mesh(domain, resolution)
+        rng = np.random.default_rng(8)
+        stack = Field(m, rng.uniform(-1.0, 1.0, (4, m.n_nodes))).constrained()
+        ps, eps = np.array([1.01, 1.5, 2.0, 1.25]), np.array([0.0, 1e-4,
+                                                             0.5, 1e-2])
+        times, cum = [0.1, 0.2, 0.3, 0.4], [1.0, 2.0, 3.0, 4.0]
+        snaps = snapshot(stack, times, ps, nl, cum).rows()
+        E_eps = regularized_energy(stack, ps, eps, snapshot(
+            stack, [0.0] * 4, ps, nl, [0.0] * 4))
+        for i, (s, p, e) in enumerate(zip(snaps, ps.tolist(), eps.tolist())):
+            f = Field(m, stack.values[i])
+            alone = snapshot(f, times[i], p, nl, cum[i])
+            assert s == alone
+            assert (s.E_p, s.I_p, s.tv, s.l2, s.sup, s.grad_p) == (
+                energy(f, p, nl), nehari_I(f, p, nl), total_variation(f),
+                f.l2(), f.sup(), grad_p_norm(f, p))
+            assert E_eps[i] == regularized_energy(f, p, e, alone)
+            assert np.array_equal(
+                diffusivity(stack.grad_sq, ps, eps)[i],
+                diffusivity(f.grad_sq, p, e))
 
     def test_energy_zero_reaction(self, mesh):
         f = hat(mesh)

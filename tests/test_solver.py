@@ -10,7 +10,7 @@ from scipy.linalg import solveh_banded as lapack_solveh_banded
 from tvheat import (Field, Interval, Power, Rectangle, SolverConfig,
                     WellStatus, Zero,
                     build_mesh, default_dictionary, energy, estimate_dp,
-                    nehari_scale, run, step, detect_tmax,
+                    march, nehari_scale, run, step, detect_tmax,
                     gradient_bound_audit, l2_audit, well_invariance_audit,
                     well_status, write_trajectory_csv)
 from tvheat import model, solver
@@ -427,6 +427,101 @@ class TestLinearSolve:
                                       "048793ce43965fd28bc2bd4704f7c053")
         assert len(traj.times) - 1 == 281
         assert (traj.factorizations, traj.pcg_iterations) == (7, 1221)
+
+
+class TestLockstep:
+    """``march`` runs its members as one stack; each ends bit for bit as
+    ``run`` (a stack of one) ends it alone."""
+
+    @staticmethod
+    def assert_each_as_alone(mesh, u0, cfgs, nl):
+        together = march(mesh, u0, cfgs, nl)
+        for cfg, traj in zip(cfgs, together):
+            alone = run(mesh, u0, cfg, nl)
+            assert traj.status == alone.status
+            assert traj.times == alone.times
+            assert traj.snapshots == alone.snapshots
+            assert [t for t, _ in traj.states] == [t for t, _ in alone.states]
+            assert all(a.values.tobytes() == b.values.tobytes()
+                       for (_, a), (_, b) in zip(traj.states, alone.states))
+            counts = ("rejected_steps", "extinction_probes", "factorizations",
+                      "pcg_iterations")
+            assert [getattr(traj, c) for c in counts] == \
+                [getattr(alone, c) for c in counts]
+        return [(t.status.kind, t.status.reason) for t in together]
+
+    def test_extinct_member_leaves_while_others_go_on(self):
+        # p = 1.05 bisects its extinction crossing at t = 0.028; the others
+        # run on to T_end, one storing by stride, one at a checkpoint
+        mesh = build_mesh(Interval(1.0), 50)
+        cfgs = [SolverConfig(p=1.05, T_end=0.05),
+                SolverConfig(p=1.5, T_end=0.05, checkpoint_times=(0.025,)),
+                SolverConfig(p=2.0, eps=0.0, T_end=0.05, store_stride=3)]
+        assert self.assert_each_as_alone(mesh, hat(mesh, 0.1), cfgs,
+                                         Zero()) == \
+            [("extinct", "tol_ext"), ("completed", "t_end"),
+             ("completed", "t_end")]
+
+    def test_failed_solve_leaves_while_others_complete(self):
+        # eps = 0 on a flat profile: the member's band is not positive
+        # definite, and its row of the stacked step comes back NaN
+        mesh = build_mesh(Interval(1.0), 50)
+        u0 = Field(mesh, np.ones(mesh.n_nodes)).constrained()
+        cfgs = [SolverConfig(p=1.5, eps=0.0),
+                SolverConfig(p=1.5, T_end=0.02),
+                SolverConfig(p=1.25, eps=1e-2, T_end=0.01)]
+        assert self.assert_each_as_alone(mesh, u0, cfgs, Zero()) == \
+            [("step_failure", "linear_solve"), ("completed", "t_end"),
+             ("completed", "t_end")]
+
+    def test_energy_overflow_leaves_while_others_complete(self):
+        # the reaction overflows in the first long trial; members with
+        # short horizons complete first
+        mesh = build_mesh(Interval(1.0), 50)
+        cfgs = [SolverConfig(p=1.5),
+                SolverConfig(p=1.5, T_end=1e-7, dt0=1e-9),
+                SolverConfig(p=1.25, T_end=1e-8, dt0=1e-10)]
+        assert self.assert_each_as_alone(mesh, hat(mesh, 3.0), cfgs,
+                                         ExpPower(3.0, 1.0)) == \
+            [("blowup", "energy_overflow"), ("completed", "t_end"),
+             ("completed", "t_end")]
+
+    def test_rectangle_members_keep_their_own_factor(self):
+        # each member's stale-factor PCG counts are its own
+        mesh = build_mesh(Rectangle(1.0, 1.0), 8)
+        x = mesh.nodes
+        u0 = Field(mesh, np.maximum(0.0, 1.0 - 2.0 * np.abs(x - 0.5))
+                   .prod(axis=1)).constrained()
+        cfgs = [SolverConfig(p=p, eps=(p - 1.0) ** 2, T_end=0.01)
+                for p in (1.5, 1.25, 1.125)]
+        assert self.assert_each_as_alone(mesh, u0, cfgs, Power(q=3.0)) == \
+            [("completed", "t_end")] * 3
+        assert all(t.pcg_iterations > 0 for t in march(mesh, u0, cfgs,
+                                                       Power(q=3.0)))
+
+    @pytest.mark.parametrize("domain, resolution",
+                             [(Interval(1.0), 40), (Rectangle(1.0, 1.0), 8)],
+                             ids=["interval", "rectangle"])
+    def test_stacked_step_is_each_row_alone(self, domain, resolution):
+        # one call steps every row as a plain field would; a row whose
+        # solve fails (eps = 0 on a flat profile) comes back NaN
+        mesh = build_mesh(domain, resolution)
+        x = mesh.nodes
+        rows = [np.sin(np.pi * x).prod(axis=1), np.ones(mesh.n_nodes),
+                np.sin(2.0 * np.pi * x).prod(axis=1)]
+        stack = Field(mesh, rows).constrained()
+        cfgs = [SolverConfig(p=1.5), SolverConfig(p=1.5, eps=0.0),
+                SolverConfig(p=1.25, eps=1e-2)]
+        dts = [1e-3, 1e-3, 5e-4]
+        factors = [solver.BandedFactor() for _ in cfgs]
+        new = step(stack, [0.0] * 3, cfgs, Zero(), dts, factor=factors)
+        assert np.isnan(new.values[1]).all()
+        with pytest.raises(StepFailureError):
+            step(stack.rows(1), 0.0, cfgs[1], Zero(), dts[1])
+        for i in (0, 2):
+            alone = step(stack.rows(i), 0.0, cfgs[i], Zero(), dts[i],
+                         factor=solver.BandedFactor())
+            assert new.values[i].tobytes() == alone.values.tobytes()
 
 
 class TestEnergyGate:
