@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -296,8 +297,9 @@ def run_continuation(plan: ContinuationPlan) -> ContinuationReport:
 
         worst_res = -math.inf
         for (t, f) in states:
-            snaps = [s for s in traj.snapshots if s.time <= t + 1e-14]
-            diss = snaps[-1].dissipation_cum if snaps else 0.0
+            # the last snapshot at or before t; the ledger's times increase
+            last = bisect_right(traj.times, t + 1e-14) - 1
+            diss = traj.snapshots[last].dissipation_cum if last >= 0 else 0.0
             worst_res = max(worst_res, diss + limit_energy(f, nl) - E1_0)
 
         incr = None

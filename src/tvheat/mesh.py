@@ -290,6 +290,14 @@ class Mesh:
             return slice(int(interior[0]), int(interior[-1]) + 1)
         return interior
 
+    @cached_property
+    def interior_weights(self) -> np.ndarray:
+        """The quadrature weights of the interior nodes, in node order,
+        read-only; built on first use."""
+        qw = self.quad_weights[self.interior]
+        qw.setflags(write=False)
+        return qw
+
     # -- operations --------------------------------------------------------
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
@@ -305,7 +313,9 @@ class Mesh:
                 f"field has {values.shape} values, mesh has {self.n_nodes} nodes")
         if self._chain is not None:
             left, right = self._chain[:2]
-            return (left * values[..., :-1] + right * values[..., 1:])[..., None]
+            g = left * values[..., :-1]
+            g += right * values[..., 1:]
+            return g[..., None]
         # a stack's rows are the columns of one sparse product
         return np.ascontiguousarray((self._grad @ values.T).T).reshape(
             values.shape[:-1] + (self.n_elements, self.dim_coord))
@@ -429,10 +439,12 @@ class Field:
     Every method and kept array of a stack works row by row and gives each
     row what that row alone would get, bit for bit.
 
-    Immutable: ``values`` is a read-only copy owned by the field, so the
+    Immutable: ``values`` is read-only and owned by the field, so the
     element-wise gradient, its squared magnitude and its magnitude are
     computed at most once and kept in ``grad``, ``grad_sq`` and
-    ``grad_mag``.
+    ``grad_mag``, and so are the sup norm and the reaction f(u)
+    (``sup``, ``reaction``). A field built from a caller's array copies
+    it; ``Field.adopt`` takes over an array its caller made for it.
     """
 
     mesh: Mesh
@@ -478,10 +490,10 @@ class Field:
         return mag
 
     def rows(self, index) -> "Field":
-        """The rows of this stack that ``index`` selects, keeping the
-        gradient arrays already computed for them: a plain field for a row
-        number, a stack for a slice or a sequence of row numbers (and, for
-        a plain field, a stack of one for None)."""
+        """The rows of this stack that ``index`` selects, copied, keeping
+        the gradient arrays and the reaction already computed for them: a
+        plain field for a row number, a stack for a slice or a sequence of
+        row numbers (and, for a plain field, a stack of one for None)."""
         sub = Field(self.mesh, self.values[index])
         kept = vars(self)
         for name in _GRADIENTS:
@@ -489,19 +501,57 @@ class Field:
                 a = kept[name][index]
                 a.setflags(write=False)
                 vars(sub)[name] = a
+        if "_reaction" in kept:
+            nl, f = kept["_reaction"]
+            f = f[index]
+            f.setflags(write=False)
+            vars(sub)["_reaction"] = (nl, f)
         return sub
 
     @classmethod
     def stack(cls, fields) -> "Field":
         """One stack of the rows of the stacks ``fields``, in order, keeping
-        the gradient arrays that all of them have computed."""
-        out = cls(fields[0].mesh, np.concatenate([f.values for f in fields]))
+        the gradient arrays, and the reaction, that all of them have
+        computed."""
+        out = cls.adopt(fields[0].mesh,
+                        np.concatenate([f.values for f in fields]))
         for name in _GRADIENTS:
             if all(name in vars(f) for f in fields):
                 a = np.concatenate([vars(f)[name] for f in fields])
                 a.setflags(write=False)
                 vars(out)[name] = a
+        kept = [vars(f).get("_reaction") for f in fields]
+        if all(r is not None and r[0] is kept[0][0] for r in kept):
+            f = np.concatenate([r[1] for r in kept])
+            f.setflags(write=False)
+            vars(out)["_reaction"] = (kept[0][0], f)
         return out
+
+    @classmethod
+    def adopt(cls, mesh: Mesh, values: np.ndarray,
+              dirichlet: bool = False) -> "Field":
+        """The field of ``values`` without a copy: a float array in C order,
+        shaped as a field's or a stack's, that its caller allocated for the
+        field and no longer writes. It becomes read-only. ``dirichlet``
+        says that the caller wrote zeros on every boundary node, so that
+        ``is_dirichlet`` need not look."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "mesh", mesh)
+        values.setflags(write=False)
+        object.__setattr__(field, "values", values)
+        if dirichlet:
+            vars(field)["_boundary_max"] = 0.0
+        return field
+
+    def reaction(self, nl) -> np.ndarray:
+        """f(u) of the reaction ``nl`` (a ``model.Nonlinearity``), read-only:
+        evaluated once and kept, for the last reaction asked for."""
+        kept = vars(self).get("_reaction")
+        if kept is None or kept[0] is not nl:
+            f = np.asarray(nl.f(self.values), dtype=float)
+            f.setflags(write=False)
+            kept = vars(self)["_reaction"] = (nl, f)
+        return kept[1]
 
     @classmethod
     def zeros(cls, mesh: Mesh) -> "Field":
@@ -521,18 +571,31 @@ class Field:
     def is_dirichlet(self, tol: float = 0.0) -> bool:
         """Whether every boundary value (of every row of a stack) is at most
         ``tol`` in magnitude; a NaN makes the largest magnitude NaN, which
-        fails the comparison."""
-        return bool(np.abs(self.values[..., self.mesh.boundary_nodes]).max()
-                    <= tol)
+        fails the comparison. The largest magnitude is computed once and
+        kept."""
+        largest = vars(self).get("_boundary_max")
+        if largest is None:
+            largest = float(np.abs(self.values[..., self.mesh.boundary_nodes])
+                            .max())
+            vars(self)["_boundary_max"] = largest
+        return bool(largest <= tol)
 
     def copy(self) -> "Field":
         """The same values without the cached gradient arrays."""
         return Field(self.mesh, self.values)
 
     def sup(self) -> float | np.ndarray:
-        """max |u|; a (k,) array for a stack."""
-        sup = np.abs(self.values).max(axis=-1)
-        return float(sup) if sup.ndim == 0 else sup
+        """max |u|; a read-only (k,) array for a stack. Computed once and
+        kept."""
+        sup = vars(self).get("_sup")
+        if sup is None:
+            sup = np.abs(self.values).max(axis=-1)
+            if sup.ndim == 0:
+                sup = float(sup)
+            else:
+                sup.setflags(write=False)
+            vars(self)["_sup"] = sup
+        return sup
 
     def l2(self) -> float | np.ndarray:
         """The L2 norm under the nodal quadrature; a (k,) array for a

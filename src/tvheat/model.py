@@ -178,25 +178,71 @@ def _check_p(p):
         raise ModelError(f"p must exceed 1, got {p}")
 
 
-def _power(x: np.ndarray, e) -> np.ndarray:
-    """x ** e for a float e; for a stack's (k, n) x and (k,) exponents e,
-    each row raised to its own exponent by the same scalar ``**`` that the
-    row alone gets (numpy's ``**`` squares for the exponent 2, where an
-    exponent array would call pow)."""
-    if not isinstance(e, np.ndarray):
+# the exponents for which numpy's ``**`` may take a shortcut (square, sqrt,
+# reciprocal) where ``np.power(x, e, out=...)`` calls pow, depending on the
+# numpy version; for every other scalar exponent both call pow
+_SHORTCUTS = (2.0, 0.5, -1.0)
+
+
+def _power(x: np.ndarray, e, out: np.ndarray | None = None) -> np.ndarray:
+    """x ** e. For a float e, the one ``**``. For a stack's (k, n) x and a
+    list of k exponents (``Terms``), each row is raised to its own scalar
+    exponent, which gives it the bits of the row's own ``**``: written
+    into its row of ``out`` (a new array if None) by ``np.power``, or by
+    ``**`` for an exponent in ``_SHORTCUTS`` (one exponent array for all
+    rows would call pow where ``**`` squares)."""
+    if not isinstance(e, list):
         return x ** e
-    out = np.empty(x.shape)
-    for i, ei in enumerate(e.tolist()):
-        out[i] = x[i] ** ei
+    if out is None:
+        out = np.empty(x.shape)
+    for i, ei in enumerate(e):
+        if ei in _SHORTCUTS:
+            out[i] = x[i] ** ei
+        else:
+            np.power(x[i], ei, out=out[i])
     return out
 
 
-def _squared(eps):
-    """eps ** 2 for a float; for a stack's (k,) eps, the (k, 1) column of
-    each row's own Python square."""
-    if not isinstance(eps, np.ndarray):
-        return eps ** 2
-    return np.array([e ** 2 for e in eps.tolist()])[:, None]
+class Terms:
+    """The constants of the regularized p-terms, computed once for a plain
+    field or a stack and shared by every evaluation: p, eps^2 and the
+    exponents p, (p - 2)/2 (the coefficient's) and p/2 (the lifted energy
+    density's).
+
+    For a plain field each is a float. For a stack of k fields, given p
+    and eps as (k,) arrays, ``p`` is a (k,) array, ``eps_sq`` the (k, 1)
+    column of each row's own Python square and each exponent a list of k
+    floats, which ``_power`` raises each row to. Every row then gets the
+    bits it gets alone.
+    """
+
+    __slots__ = ("p", "eps_sq", "p_exp", "coef_exp", "lift_exp")
+
+    def __init__(self, p, eps=0.0):
+        if isinstance(p, np.ndarray):
+            eps = np.broadcast_to(np.asarray(eps, dtype=float), p.shape)
+            self.p = p
+            self.eps_sq = np.array([e ** 2 for e in eps.tolist()])[:, None]
+            self.p_exp = p.tolist()
+            self.coef_exp = ((p - 2.0) / 2.0).tolist()
+            self.lift_exp = (p / 2.0).tolist()
+        else:
+            self.p = self.p_exp = p
+            self.eps_sq = eps ** 2
+            self.coef_exp = (p - 2.0) / 2.0
+            self.lift_exp = p / 2.0
+
+    def coefficient(self, grad_sq: np.ndarray) -> np.ndarray:
+        """``diffusivity`` with these constants, as a new array."""
+        s = grad_sq + self.eps_sq
+        return _power(np.maximum(s, 1e-300, out=s), self.coef_exp)
+
+    def lifted(self, mag: np.ndarray, out: np.ndarray | None = None
+               ) -> np.ndarray:
+        """(|g|^2 + eps^2)^(p/2) per element, from the gradient magnitudes
+        ``mag`` (``Field.grad_mag``; ``grad_sq`` would move its last
+        bits)."""
+        return _power(mag ** 2 + self.eps_sq, self.lift_exp, out)
 
 
 def diffusivity(grad_sq: np.ndarray, p, eps) -> np.ndarray:
@@ -206,8 +252,7 @@ def diffusivity(grad_sq: np.ndarray, p, eps) -> np.ndarray:
     (k,) arrays, one per row, and each row is what it would be alone. With
     eps = 0 a flat element would make it 0^((p-2)/2); the cap 1e-300 keeps
     it finite, and coefficient times g is then 0 there."""
-    return _power(np.maximum(grad_sq + _squared(eps), 1e-300),
-                  (p - 2.0) / 2.0)
+    return Terms(p, eps).coefficient(grad_sq)
 
 
 def grad_p_norm(field: Field, p: float) -> float:
@@ -235,10 +280,12 @@ def regularized_energy(field: Field, p, eps,
     Computed as E_p(u) + (1/p)(int (|grad u|^2 + eps^2)^(p/2) -
     int |grad u|^p) from ``snap``, the snapshot of ``field``, so that F is
     not evaluated a second time. For a stack, p and eps are (k,) arrays and
-    the result is one energy per row, each equal to that row's alone.
+    the result is one energy per row, each equal to that row's alone. A
+    snapshot given the ``Terms`` of p and eps holds the same value as
+    ``E_eps``.
     """
     _check_p(p)
-    lifted = rowdot(_power(field.grad_mag ** 2 + _squared(eps), p / 2.0),
+    lifted = rowdot(Terms(p, eps).lifted(field.grad_mag),
                     field.mesh.element_volumes)
     E = snap.E_p + (lifted - snap.grad_p) / p
     return float(E) if E.ndim == 0 else E
@@ -449,9 +496,11 @@ def check_f_conditions(nl: Nonlinearity, p0: float,
 # Snapshot record
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class EnergySnapshot:
-    """Per-time record of the variational diagnostics along a trajectory."""
+    """Per-time record of the variational diagnostics along a trajectory.
+    A run keeps one per accepted state, so the record has slots and no
+    instance dictionary."""
 
     time: float
     E_p: float
@@ -461,39 +510,77 @@ class EnergySnapshot:
     sup: float
     dissipation_cum: float
     grad_p: float   # int |grad u|^p
+    E_eps: float | None = None   # E_p,eps, from a snapshot given its Terms
 
     def rows(self) -> list[EnergySnapshot]:
         """The snapshots of a stack's rows, with float fields; [self] for
         the snapshot of a plain field."""
-        if not isinstance(self.E_p, np.ndarray):
+        if not isinstance(self.E_p, tuple):
             return [self]
-        cols = [np.asarray(v, dtype=float).tolist() for v in vars(self).values()]
-        return [EnergySnapshot(*row) for row in zip(*cols)]
+        return [EnergySnapshot(*row) for row in zip(
+            self.time, self.E_p, self.I_p, self.tv, self.l2, self.sup,
+            self.dissipation_cum, self.grad_p, self.E_eps)]
 
 
-def snapshot(field: Field, t, p, nl: Nonlinearity,
-             dissipation_cum) -> EnergySnapshot:
+def snapshot(field: Field, t, p, nl: Nonlinearity, dissipation_cum,
+             terms: Terms | None = None) -> EnergySnapshot:
     """The diagnostics of ``field`` in one pass: int |grad u|^p, f(u) and
-    F(u) are each evaluated once. Every field equals its definition
-    (``energy``, ``nehari_I``, ``total_variation``, ``Field.l2``,
-    ``Field.sup``, ``grad_p_norm``) bit for bit.
+    F(u) are each evaluated once, f(u) is kept with the field
+    (``Field.reaction``), and every integral is one quadrature dot
+    product. Every field equals its definition (``energy``, ``nehari_I``,
+    ``total_variation``, ``Field.l2``, ``Field.sup``, ``grad_p_norm``) bit
+    for bit.
 
     A stack of k fields is evaluated in the same pass, with ``t``, ``p``
-    and ``dissipation_cum`` given per row as (k,) arrays; every field of
-    the snapshot is then a (k,) array (``EnergySnapshot.rows`` splits it),
-    each row equal to the snapshot of that row alone."""
-    _check_p(p)
+    and ``dissipation_cum`` given per row (k values, p as a (k,) array);
+    every field of the snapshot then holds k values
+    (``EnergySnapshot.rows`` splits it), each row equal to the snapshot of
+    that row alone.
+
+    ``terms`` are the precomputed ``Terms`` of p and of the eps that the
+    step gate takes E_p,eps at; the snapshot then also holds E_p,eps
+    (``E_eps``, equal to ``regularized_energy``), from the same pass.
+    Without them ``E_eps`` is None, and every other field is the same."""
+    lifted = terms is not None
+    if not lifted:
+        _check_p(p)
+        terms = Terms(p)
     m = field.mesh
-    u, qw, vol = field.values, m.quad_weights, m.element_volumes
-    mag = field.grad_mag
-    grad_p = rowdot(_power(mag, p), vol)
-    integrals = (grad_p / p - rowdot(nl.F(u), qw),
-                 grad_p - rowdot(nl.f(u) * u, qw),
-                 rowdot(mag, vol),
-                 grad_p)
+    u, mag = field.values, field.grad_mag
+    vol, qw = m.element_volumes, m.quad_weights
     if u.ndim == 1:
-        integrals = [float(v) for v in integrals]
-    E_p, I_p, tv, grad_p = integrals
-    return EnergySnapshot(time=t, E_p=E_p, I_p=I_p, tv=tv, l2=field.l2(),
-                          sup=field.sup(), dissipation_cum=dissipation_cum,
-                          grad_p=grad_p)
+        cells = [float(_power(mag, terms.p_exp) @ vol), float(mag @ vol)]
+        if lifted:
+            cells.append(float(terms.lifted(mag) @ vol))
+        nodes = [float(nl.F(u) @ qw), float((field.reaction(nl) * u) @ qw),
+                 float((u * u) @ qw)]
+        return EnergySnapshot(*_fields(t, terms.p_exp, dissipation_cum,
+                                       field.sup(), cells, nodes))
+    # a stack: the integrands of each quadrature are the rows of one array
+    # (element-wise |grad u|^p, |grad u| and the lifted density; nodal F(u),
+    # f(u) u and u^2), and one matrix product takes one dot product per row
+    k = len(u)
+    cells = np.empty((k, 2 + lifted, m.n_elements))
+    _power(mag, terms.p_exp, cells[:, 0])
+    cells[:, 1] = mag
+    if lifted:
+        terms.lifted(mag, cells[:, 2])
+    nodes = np.empty((k, 3, m.n_nodes))
+    nodes[:, 0] = nl.F(u)
+    np.multiply(field.reaction(nl), u, out=nodes[:, 1])
+    np.multiply(u, u, out=nodes[:, 2])
+    return EnergySnapshot(*zip(*map(
+        _fields, t, terms.p_exp, dissipation_cum, field.sup().tolist(),
+        rowdot(cells, vol).tolist(), rowdot(nodes, qw).tolist())))
+
+
+def _fields(t, p, dissipation_cum, sup, cells, nodes) -> tuple:
+    """The fields of one snapshot, in Python floats, from its element
+    quadratures (int |grad u|^p, int |grad u| and, if taken, the lifted
+    integral) and nodal ones (int F(u), int f(u) u, int u^2)."""
+    grad_p, tv, *lifted = cells
+    F, fu, uu = nodes
+    E_p = grad_p / p - F
+    E_eps = E_p + (lifted[0] - grad_p) / p if lifted else None
+    return (t, E_p, grad_p - fu, tv, math.sqrt(uu), sup, dissipation_cum,
+            grad_p, E_eps)

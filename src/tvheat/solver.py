@@ -39,8 +39,8 @@ from scipy.linalg import solveh_banded as lapack_solveh_banded
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dptsv
 
 from .mesh import Field, Mesh, rowdot
-from .model import EnergySnapshot, Nonlinearity, WellStatus, classify_well, \
-    diffusivity, regularized_energy, snapshot
+from .model import EnergySnapshot, Nonlinearity, Terms, WellStatus, \
+    classify_well, snapshot
 
 
 class SolverError(RuntimeError):
@@ -236,7 +236,8 @@ def solveh_banded(band: np.ndarray, rhs: np.ndarray, factor, x0: np.ndarray,
     ``Mesh.interior_stiffness`` lays it out, ``rhs`` and ``x0`` (k, m),
     ``factor`` a sequence of k factors or None) is solved in this one call,
     each member as above with its own factor; a member whose matrix is not
-    positive definite comes back NaN instead. In 1-D the stack is one
+    positive definite, or whose solution is not finite, comes back as a
+    row of NaN instead. In 1-D the stack is one
     ``ptsv`` call on its block-diagonal matrix, whose zero couplings leave
     every block's arithmetic as it is alone; only a stack with a failed
     block is solved again block by block. The function keeps scipy's name
@@ -260,6 +261,8 @@ def solveh_banded(band: np.ndarray, rhs: np.ndarray, factor, x0: np.ndarray,
         try:
             x[i] = _solve(band[:, i], rhs[i], f, x0[i], offsets, b)
         except np.linalg.LinAlgError:
+            x[i] = np.nan
+        if not np.isfinite(x[i]).all():
             x[i] = np.nan
     return x
 
@@ -315,13 +318,14 @@ def _band_product(band: np.ndarray, x: np.ndarray,
 # One step
 # ---------------------------------------------------------------------------
 
-def step(state: Field, t, cfg, nl: Nonlinearity, dt=None,
-         factor=None) -> Field:
+def step(state: Field, t, cfg, nl: Nonlinearity, dt=None, factor=None,
+         terms: Terms | None = None) -> Field:
     """One semi-implicit step of size dt (default cfg.dt0): returns the new
     field. ``march`` judges the step from the two states' snapshots. With a
     ``factor`` (one run's), a 2-D system is solved by PCG preconditioned
     with its held factorization; without one, directly. A failed solve
-    raises StepFailureError.
+    raises StepFailureError. The reaction term is the state's kept f(u)
+    (``Field.reaction``).
 
     ``state`` may also be a stack of k fields (see ``Field``), stepped in
     one pass: ``cfg`` is then a sequence of k configs, ``dt`` (required)
@@ -329,6 +333,10 @@ def step(state: Field, t, cfg, nl: Nonlinearity, dt=None,
     per row, and one ``solveh_banded`` call solves every row. A row whose solve
     fails comes back NaN; every other row is the step of that row alone,
     bit for bit.
+
+    ``terms`` are the ``Terms`` of the configs' p and eps, which ``march``
+    computes once per stack; without them ``step`` computes them from
+    ``cfg``, with the same result.
     """
     mesh = state.mesh
     if not state.is_dirichlet():
@@ -336,61 +344,101 @@ def step(state: Field, t, cfg, nl: Nonlinearity, dt=None,
     u = state.values
     single = u.ndim == 1
     if single:
-        p, eps = cfg.p, cfg.eps
         dt = cfg.dt0 if dt is None else dt
     else:
-        p = np.array([c.p for c in cfg])
-        eps = np.array([c.eps for c in cfg])
         dt = np.asarray(dt, dtype=float)[:, None]
-    w = mesh.element_volumes * diffusivity(state.grad_sq, p, eps)
+    if terms is None:
+        terms = _terms(cfg)
+    w = terms.coefficient(state.grad_sq)
+    w *= mesh.element_volumes
     _, b, _, offsets = mesh.interior_band
-    interior = mesh.interior
-    qw, u_in = mesh.quad_weights[interior], u[..., interior]
+    interior, qw = mesh.interior, mesh.interior_weights
     band = mesh.interior_stiffness(w)
     band[-1] += qw / dt
-    rhs = qw * (u_in / dt + nl.f(u_in))
+    u_in = u[..., interior]
+    rhs = u_in / dt
+    rhs += state.reaction(nl)[..., interior]
+    rhs *= qw
     try:
         # non-finite entries fail the factorization or the checks below
         x = solveh_banded(band, rhs, factor, u_in, offsets, b)
     except np.linalg.LinAlgError as exc:
         raise StepFailureError(f"banded solve failed: {exc}") from None
-    finite = np.isfinite(x).all(axis=-1)
-    if single and not finite:
-        raise StepFailureError(f"non-finite solution at t={t}")
-    # backward-stable gate: ||Ax - b|| <= 1e-10 (||b|| + ||A||_inf ||x||),
-    # over a stack's block-diagonal matrix at once; a member that is not
-    # finite has failed already, and is zeroed here so that its blocks'
-    # zero couplings (0 * inf) cannot reach its neighbours
+    new = np.zeros(u.shape)
+    new[..., interior] = x
+    if single:
+        if not np.isfinite(x).all():
+            raise StepFailureError(f"non-finite solution at t={t}")
+        if not _gate(band, x, rhs, offsets):
+            raise StepFailureError(
+                f"banded solve residual above tolerance at t={t}")
+        return Field.adopt(mesh, new, dirichlet=True)
+    passed = _gate(band, x, rhs, offsets)
+    if all(passed):
+        return Field.adopt(mesh, new, dirichlet=True)
+    new[[not ok for ok in passed]] = np.nan
+    return Field.adopt(mesh, new)
+
+
+def _terms(cfg) -> Terms:
+    """The ``Terms`` of one config's p and eps, or of a sequence of configs'
+    for their stack."""
+    if isinstance(cfg, SolverConfig):
+        return Terms(cfg.p, cfg.eps)
+    return Terms(np.array([c.p for c in cfg]), np.array([c.eps for c in cfg]))
+
+
+def _gate(band: np.ndarray, x: np.ndarray, rhs: np.ndarray,
+          offsets: list[int]) -> bool | list[bool]:
+    """The backward-stable residual gate ||Ax - b|| <= 1e-10 (||b|| +
+    ||A||_inf ||x||), each norm the square root of ``v @ v``, in Python
+    floats, for the finite solution ``x`` of the system in compact band
+    storage ``band``. For a stack, whose band rows flatten to one
+    block-diagonal matrix, one verdict per member, each as it is alone,
+    False for a member whose solve failed (a row of NaN, as
+    ``solveh_banded`` returns it); such a member is read as zero here, so
+    that its blocks' zero couplings (0 * nan) cannot reach its
+    neighbours."""
+    if x.ndim == 1:
+        r, row_abs = _banded_matvec(band, x, offsets)
+        r -= rhs
+        return _accurate(r @ r, rhs @ rhs, float(row_abs.max()), x @ x)
+    finite = ~np.isnan(x[:, 0])         # a failed member is a row of NaN
     if not finite.all():
         x = np.where(finite[:, None], x, 0.0)
-    Ax, row_abs = _banded_matvec(band.reshape(len(band), -1), x.ravel(),
-                                 offsets)
-    r = Ax.reshape(x.shape) - rhs
-    norm_A = row_abs.reshape(x.shape).max(axis=-1)
-    scale = np.sqrt(rowdot(rhs, rhs)) + norm_A * np.sqrt(rowdot(x, x))
-    inaccurate = np.sqrt(rowdot(r, r)) > 1e-10 * np.maximum(scale, 1e-300)
-    if single and inaccurate:
-        raise StepFailureError(f"banded solve residual above tolerance at t={t}")
-    new_vals = np.zeros(u.shape)
-    new_vals[..., interior] = x
-    if not single:
-        new_vals[~finite | inaccurate] = np.nan
-    return Field(mesh, new_vals)
+    # each member's r, b and x: the rows of one array, one dot product each
+    v = np.empty((3,) + x.shape)
+    r, row_abs = _banded_matvec(band.reshape(len(band), -1), x.reshape(-1),
+                                offsets, out=v[0].reshape(-1))
+    r -= rhs.reshape(-1)
+    v[1], v[2] = rhs, x
+    rr, bb, xx = rowdot(v, v).tolist()
+    norm_A = row_abs.reshape(x.shape).max(axis=-1).tolist()
+    return [f and _accurate(*norms)
+            for f, *norms in zip(finite.tolist(), rr, bb, norm_A, xx)]
 
 
-def _banded_matvec(band: np.ndarray, x: np.ndarray,
-                   offsets: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """A @ x and the absolute row sums of the symmetric matrix A held in
-    compact band storage ``band`` with super-diagonals at ``offsets`` (the
-    mesh's, so fixed before the solve). The residual gate's own product,
-    independent of the solve it checks."""
-    Ax = band[-1] * x
-    row_abs = np.abs(band[-1])
-    for row, d in zip(band, offsets):
-        a = row[d:]                    # A[i, i + d] for i = 0 .. m - d - 1
-        Ax[:-d] += a * x[d:]
-        Ax[d:] += a * x[:-d]
-        a = np.abs(a)
+def _accurate(rr: float, bb: float, norm_A: float, xx: float) -> bool:
+    """The gate's verdict from ||r||^2, ||b||^2, ||A||_inf and ||x||^2."""
+    scale = math.sqrt(bb) + norm_A * math.sqrt(xx)
+    return math.sqrt(rr) <= 1e-10 * max(scale, 1e-300)
+
+
+def _banded_matvec(band: np.ndarray, x: np.ndarray, offsets: list[int],
+                   out: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """A @ x (into ``out`` if given) and the absolute row sums of the
+    symmetric matrix A held in compact band storage ``band`` with
+    super-diagonals at ``offsets`` (the mesh's, so fixed before the
+    solve). The residual gate's own product, independent of the solve it
+    checks."""
+    Ax = np.multiply(band[-1], x, out=out)
+    magnitudes = np.abs(band)
+    row_abs = magnitudes[-1]
+    for row, a, d in zip(band, magnitudes, offsets):
+        e, a = row[d:], a[d:]          # A[i, i + d] for i = 0 .. m - d - 1
+        Ax[:-d] += e * x[d:]
+        Ax[d:] += e * x[:-d]
         row_abs[:-d] += a
         row_abs[d:] += a
     return Ax, row_abs
@@ -417,15 +465,19 @@ def march(mesh: Mesh, u0: Field, cfgs, nl: Nonlinearity) -> list[Trajectory]:
 
     Each iteration advances every running member at once: one ``step``
     call and one ``snapshot`` call serve the stack of their states (see
-    ``Field``). A stack of one marches as a plain field, whose 1-D arrays
-    cost less than a (1, n) stack's. Each member's step size, gate verdict,
-    extinction bisection and stop reason are its own, in Python floats, so
-    each member ends bit for bit as it would alone; a member that stops
-    leaves the stack. Each judged trial state is evaluated once, in a
-    snapshot; the bisection of an extinct trial reads only its probes' sup
-    norms. A member's steps share one ``BandedFactor``. A member stores its
-    initial state, every ``store_stride``-th accepted state, the states at
-    its targets (its checkpoint times and T_end) and its last state.
+    ``Field``), with the stack's constants (``_Stack``) built once, when it
+    forms, and again only when a member leaves it. A stack of one marches
+    as a plain field, whose 1-D arrays cost less than a (1, n) stack's.
+    Each member's step size, gate verdict, extinction bisection and stop
+    reason are its own, in Python floats, so each member ends bit for bit
+    as it would alone; a member that stops leaves the stack. Each judged
+    trial state is evaluated once, in a snapshot that also gives its
+    E_p,eps, and keeps its sup norm and f(u), which the next steps from it
+    (retries and extinction probes included) reuse; the bisection of an
+    extinct trial reads only its probes' sup norms. A member's steps share
+    one ``BandedFactor``. A member stores its initial state, every
+    ``store_stride``-th accepted state, the states at its targets (its
+    checkpoint times and T_end) and its last state.
     """
     if u0.mesh is not mesh:
         raise SolverError("initial field lives on a different mesh")
@@ -435,15 +487,12 @@ def march(mesh: Mesh, u0: Field, cfgs, nl: Nonlinearity) -> list[Trajectory]:
     k = len(members)
     start = Field(mesh, u0.values if k == 1
                   else np.broadcast_to(u0.values, (k, mesh.n_nodes)))
-    zeros = _per_member([0.0] * k, array=True)
-    p = _per_member([m.cfg.p for m in members], array=True)
-    eps = _per_member([m.cfg.eps for m in members], array=True)
-    snaps = snapshot(start, zeros, p, nl, zeros)
-    E_eps = _listed(regularized_energy(start, p, eps, snaps))
+    stack = _Stack(members)
+    zeros = _per_member([0.0] * k)
+    snaps = snapshot(start, zeros, stack.terms.p, nl, zeros, stack.terms)
     running = []
     for row, (m, snap) in enumerate(zip(members, snaps.rows())):
-        m.state, m.row = start, (None if k == 1 else row)
-        m.snap, m.E_eps = snap, E_eps[row]
+        m.state, m.row, m.snap = start, (None if k == 1 else row), snap
         m.traj.times.append(0.0)
         m.traj.snapshots.append(snap)
         m.traj.states.append((0.0, u0.copy()))
@@ -452,7 +501,9 @@ def march(mesh: Mesh, u0: Field, cfgs, nl: Nonlinearity) -> list[Trajectory]:
         else:
             running.append(m)
     while running:
-        running = _advance(running, mesh, nl)
+        if len(running) != len(stack.members):
+            stack = _Stack(running)
+        running = _advance(stack, mesh, nl)
     return [m.traj for m in members]
 
 
@@ -460,35 +511,39 @@ class _Member:
     """One member of a ``march``: its trajectory and factor, and its step
     control in Python floats. Its current state is row ``row`` of the
     stack ``state``, or ``state`` itself, a plain field, when ``row`` is
-    None; ``h`` is the size of its step in flight, which ends at or before
-    ``target``."""
+    None, and ``snap`` is that state's snapshot; ``h`` is the size of its
+    step in flight, which ends at or before ``target``, its targets'
+    entry ``next_target``."""
 
-    __slots__ = ("traj", "cfg", "factor", "targets", "accepted", "t", "dt",
-                 "h", "target", "snap", "E_eps", "state", "row")
+    __slots__ = ("traj", "cfg", "factor", "targets", "next_target",
+                 "accepted", "t", "dt", "h", "target", "snap", "state", "row")
 
     def __init__(self, traj: Trajectory):
         cfg = traj.cfg
         self.traj, self.cfg, self.factor = traj, cfg, BandedFactor()
         self.targets = sorted({float(c) for c in cfg.checkpoint_times
                                if 0.0 < c <= cfg.T_end} | {cfg.T_end})
+        self.next_target = 0
         self.accepted = 0
         self.t = 0.0
         self.dt = min(cfg.dt0, cfg.dt_max)
 
     def aim(self) -> None:
-        """Set the next target and the size of the next step."""
-        self.target = next(c for c in self.targets
-                           if c > self.t + 1e-14 * self.cfg.T_end)
+        """Set the next target, the first one past t, and the size of the
+        next step."""
+        reached = self.t + 1e-14 * self.cfg.T_end
+        while self.targets[self.next_target] <= reached:
+            self.next_target += 1
+        self.target = self.targets[self.next_target]
         self.h = min(self.dt, self.target - self.t)
 
     def accept(self, state: Field, row: int | None, h: float,
-               snap: EnergySnapshot, E_eps: float, residual: float,
-               tol: float) -> None:
+               snap: EnergySnapshot, residual: float, tol: float) -> None:
         """Take the trial step of size ``h`` to row ``row`` of ``state``,
         evaluated in ``snap``; stop at blow-up, extinction or T_end, else
         set the next dt."""
         traj, cfg = self.traj, self.cfg
-        self.state, self.row, self.snap, self.E_eps = state, row, snap, E_eps
+        self.state, self.row, self.snap = state, row, snap
         self.t = snap.time
         self.accepted += 1
         traj.times.append(self.t)
@@ -525,25 +580,44 @@ class _Member:
         traj.pcg_iterations = self.factor.iterations
 
     def _field(self) -> Field:
-        """A copy of the current state, without gradient arrays."""
+        """A copy of the current state, without gradient arrays. A stack's
+        row is copied so that the stored state does not keep its stack; a
+        plain field's values are copied too, because a stored state that
+        shares the array the march made for it leaves the heap fragmented
+        (the flat run of criterion 1 peaked about 1 MB higher)."""
         values = self.state.values
         return Field(self.state.mesh,
                      values if self.row is None else values[self.row])
 
 
-def _advance(running: list[_Member], mesh: Mesh,
-             nl: Nonlinearity) -> list[_Member]:
-    """One iteration of ``march``: step the running members once, judge
-    their trials, and return the members still running."""
+class _Stack:
+    """The members that one ``march`` iteration steps together, with what
+    ``step`` and ``snapshot`` take for them: their configs, their factors
+    and the ``Terms`` of their p and eps (for a stack of one, a plain
+    field's). Built when the stack forms, and again when a member leaves
+    it."""
+
+    __slots__ = ("members", "cfgs", "factors", "terms")
+
+    def __init__(self, members: list[_Member]):
+        self.members = members
+        self.cfgs = _per_member([m.cfg for m in members])
+        self.factors = _per_member([m.factor for m in members])
+        self.terms = _terms(self.cfgs)
+
+
+def _advance(stack: _Stack, mesh: Mesh, nl: Nonlinearity) -> list[_Member]:
+    """One iteration of ``march``: step the running members of ``stack``
+    once, judge their trials, and return the members still running."""
+    running = stack.members
     for m in running:
         m.aim()
     state = _gather([(m.state, m.row) for m in running])
     one = len(running) == 1
     try:
-        new = step(state, _per_member([m.t for m in running]),
-                   _per_member([m.cfg for m in running]), nl,
-                   _per_member([m.h for m in running], array=True),
-                   factor=_per_member([m.factor for m in running]))
+        new = step(state, _per_member([m.t for m in running]), stack.cfgs,
+                   nl, _per_member([m.h for m in running]),
+                   factor=stack.factors, terms=stack.terms)
     except StepFailureError:            # only a plain field's solve raises
         new = None
     sups = [math.nan] if new is None else _listed(new.sup())
@@ -564,34 +638,45 @@ def _advance(running: list[_Member], mesh: Mesh,
             m.stop(Status("step_failure", m.t, "linear_solve"))
         else:
             judging.append((m, trials))
+    # usually every member judges its stepped row first: then the stacks
+    # to judge are the ones just stepped
+    stacks = (state, new) if len(judging) == len(running) and all(
+        len(trials) == 1 for _, trials in judging) else None
     while judging:
-        judging = _judge(judging, mesh, nl)
+        judging = _judge(judging, mesh, nl, stack, stacks)
+        stacks = None
     return [m for m in running if m.traj.status is None]
 
 
-def _judge(judging: list, mesh: Mesh, nl: Nonlinearity) -> list:
+def _judge(judging: list, mesh: Mesh, nl: Nonlinearity, stack: _Stack,
+           stacks: tuple[Field, Field] | None = None) -> list:
     """Judge each member's first trial, all in one snapshot: accept it,
-    reject the step or stop the member. Returns the members left with a
-    trial to judge next, with their remaining trials."""
+    reject the step or stop the member. ``stacks`` are the members' states
+    and first trials as stacks, when known. Returns the members left with
+    a trial to judge next, with their remaining trials."""
     members = [m for m, _ in judging]
     hs = [trials[0][2] for _, trials in judging]
-    old = _gather([(m.state, m.row) for m in members])
-    new = _gather([trials[0][:2] for _, trials in judging])
-    diss = _listed(rowdot((new.values - old.values) ** 2, mesh.quad_weights)
-                   / _per_member(hs, array=True))
-    t_new = []
-    for m, h in zip(members, hs):
+    old, new = stacks or (_gather([(m.state, m.row) for m in members]),
+                          _gather([trials[0][:2] for _, trials in judging]))
+    step_sq = new.values - old.values
+    step_sq *= step_sq
+    quad = _listed(rowdot(step_sq, mesh.quad_weights))
+    # freed before the verdicts store accepted states, so that a stored
+    # copy can take its memory: a run that stores every state otherwise
+    # leaves the heap fragmented (radial_exp peaked about 3 MB higher)
+    del step_sq
+    t_new, cum, diss = [], [], []
+    for m, h, q in zip(members, hs, quad):
         t = m.t + h
         if abs(t - m.target) <= 1e-12 * max(1.0, m.target):
             t = m.target
         t_new.append(t)
-    p = _per_member([m.cfg.p for m in members], array=True)
-    snaps = snapshot(new, _per_member(t_new, array=True), p, nl,
-                     _per_member([m.snap.dissipation_cum + d
-                                  for m, d in zip(members, diss)],
-                                 array=True))
-    E_eps = _listed(regularized_energy(
-        new, p, _per_member([m.cfg.eps for m in members], array=True), snaps))
+        diss.append(q / h)
+        cum.append(m.snap.dissipation_cum + diss[-1])
+    terms = (stack.terms if len(members) == len(stack.members)
+             else _terms(_per_member([m.cfg for m in members])))
+    snaps = snapshot(new, _per_member(t_new), terms.p, nl, _per_member(cum),
+                     terms)
     one = len(members) == 1
     again = []
     for i, ((m, trials), snap) in enumerate(zip(judging, snaps.rows())):
@@ -599,11 +684,10 @@ def _judge(judging: list, mesh: Mesh, nl: Nonlinearity) -> list:
             # the reaction overflowed; the residual gate cannot judge this
             m.stop(Status("blowup", m.t, "energy_overflow"))
             continue
-        residual = diss[i] + E_eps[i] - m.E_eps
+        residual = diss[i] + snap.E_eps - m.snap.E_eps
         tol = m.cfg.energy_residual_tol * (1.0 + abs(snap.E_p))
         if not abs(residual) > tol:
-            m.accept(new, None if one else i, hs[i], snap, E_eps[i],
-                     residual, tol)
+            m.accept(new, None if one else i, hs[i], snap, residual, tol)
         elif len(trials) > 1:
             again.append((m, trials[1:]))
         else:
@@ -611,13 +695,11 @@ def _judge(judging: list, mesh: Mesh, nl: Nonlinearity) -> list:
     return again
 
 
-def _per_member(values: list, array: bool = False):
+def _per_member(values: list):
     """Per-member values as ``step`` and ``snapshot`` take them for the
     stack of their members: the value itself for a stack of one, which
-    marches as a plain field, else the list, or its (k,) array."""
-    if len(values) == 1:
-        return values[0]
-    return np.array(values) if array else values
+    marches as a plain field, else the list."""
+    return values[0] if len(values) == 1 else values
 
 
 def _listed(result) -> list:
@@ -634,10 +716,11 @@ def _gather(refs: list) -> Field:
         field, row = refs[0]
         return field if row is None else field.rows(row)
     first = refs[0][0]
+    if len(refs) == len(first.values) and all(
+            f is first and r == i for i, (f, r) in enumerate(refs)):
+        return first
     if all(f is first for f, _ in refs):
-        rows = [r for _, r in refs]
-        return first if rows == list(range(len(first.values))) \
-            else first.rows(rows)
+        return first.rows([r for _, r in refs])
     return Field.stack([f.rows(None if r is None else slice(r, r + 1))
                         for f, r in refs])
 

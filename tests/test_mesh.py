@@ -282,6 +282,22 @@ class TestField:
         with pytest.raises(AttributeError):
             f.values = np.zeros(mesh.n_nodes)
 
+    def test_adopted_values_are_not_copied(self):
+        # the constructor copies a caller's array; adopt takes over an array
+        # made for the field; either way the values are read-only, and a
+        # stack's row is a copy that does not share the stack's memory
+        mesh = build_mesh(Interval(1.0), 10)
+        vals = np.ones((2, mesh.n_nodes))
+        f = Field(mesh, vals)
+        assert not np.shares_memory(f.values, vals)
+        vals[0, 0] = 5.0
+        assert f.values[0, 0] == 1.0
+        g = Field.adopt(mesh, vals)
+        assert g.values is vals and not vals.flags.writeable
+        row = g.rows(1)
+        assert not np.shares_memory(row.values, g.values)
+        assert not row.values.flags.writeable
+
     def test_gradient_is_kept(self):
         mesh = build_mesh(Interval(1.0), 10)
         f = Field.from_function(mesh, lambda x: x ** 2)

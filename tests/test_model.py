@@ -12,7 +12,7 @@ from tvheat import (Annulus, Field, Interval, ModelError, NehariScaleError,
                     check_f_conditions, default_dictionary, energy,
                     estimate_dp, make_nonlinearity, nehari_I, nehari_scale,
                     well_status, WellStatus)
-from tvheat.model import ExpPower, diffusivity, energy_derivative, \
+from tvheat.model import ExpPower, Terms, diffusivity, energy_derivative, \
     grad_p_norm, regularized_energy, snapshot, total_variation
 
 
@@ -191,6 +191,28 @@ class TestEnergies:
             assert np.array_equal(
                 diffusivity(stack.grad_sq, ps, eps)[i],
                 diffusivity(f.grad_sq, p, e))
+
+    @pytest.mark.parametrize("domain, resolution", [
+        (Interval(1.0), 400), (Annulus(1.0, 2.0, dim=3), 200),
+        (Rectangle(1.0, 1.0), [9, 7])], ids=["interval", "annulus", "rect"])
+    @pytest.mark.parametrize("nl", [Zero(), Power(3.0), ExpPower(3.0, 1.0)],
+                             ids=["zero", "power", "exp_power"])
+    def test_snapshot_holds_the_regularized_energy(self, domain, resolution,
+                                                   nl):
+        # given the Terms of p and eps, a snapshot's E_eps is
+        # regularized_energy bit for bit, alone and for each row of a stack
+        m = build_mesh(domain, resolution)
+        rng = np.random.default_rng(7)
+        stack = Field(m, rng.uniform(-1.0, 1.0, (3, m.n_nodes))).constrained()
+        ps, eps = np.array([1.01, 1.5, 2.0]), np.array([1e-4, 0.5, 0.0])
+        rows = snapshot(stack, [0.0] * 3, ps, nl, [0.0] * 3,
+                        Terms(ps, eps)).rows()
+        for i, (p, e) in enumerate(zip(ps.tolist(), eps.tolist())):
+            f = stack.rows(i)
+            alone = snapshot(f, 0.0, p, nl, 0.0, Terms(p, e))
+            assert alone.E_eps == regularized_energy(f, p, e, alone)
+            assert rows[i] == alone
+        assert snapshot(stack.rows(0), 0.0, 1.5, nl, 0.0).E_eps is None
 
     def test_energy_zero_reaction(self, mesh):
         f = hat(mesh)

@@ -132,6 +132,49 @@ class TestStep:
         with pytest.raises(StepFailureError, match="residual"):
             step(u0, 0.0, cfg, Zero())
 
+    @pytest.mark.parametrize("domain, resolution",
+                             [(Interval(1.0), 40), (Rectangle(1.0, 1.0), 8)],
+                             ids=["interval", "rectangle"])
+    def test_residual_gate_is_live_for_one_member(self, domain, resolution,
+                                                  monkeypatch):
+        # one member's solution off by a relative 1e-6 fails the 1e-10 gate
+        # alone: a stacked step returns its row as NaN, and the march stops
+        # it with linear_solve while the others end as they would alone
+        mesh = build_mesh(domain, resolution)
+        u0 = Field(mesh, np.sin(np.pi * mesh.nodes).prod(axis=1)).constrained()
+        cfgs = [SolverConfig(p=p, eps=(p - 1.0) ** 2, T_end=0.01)
+                for p in (1.5, 1.25, 1.125)]
+        alone = [run(mesh, u0, cfg, Zero()) for cfg in cfgs]
+        solve = solver.solveh_banded
+
+        def perturbed(band, rhs, *args):
+            x = solve(band, rhs, *args)
+            if x.ndim == 2 and len(x) == len(cfgs):   # the member is stacked
+                x[1] *= 1.0 + 1e-6
+            return x
+
+        monkeypatch.setattr(solver, "solveh_banded", perturbed)
+        stack = Field(mesh, np.broadcast_to(u0.values, (3, mesh.n_nodes)))
+        new = step(stack, [0.0] * 3, cfgs, Zero(), [1e-3] * 3,
+                   factor=[solver.BandedFactor() for _ in cfgs])
+        assert np.isnan(new.values[1]).all()
+        for i in (0, 2):
+            ref = step(u0, 0.0, cfgs[i], Zero(), 1e-3,
+                       factor=solver.BandedFactor())
+            assert new.values[i].tobytes() == ref.values.tobytes()
+        together = march(mesh, u0, cfgs, Zero())
+        assert (together[1].status.kind, together[1].status.reason) == \
+            ("step_failure", "linear_solve")
+        assert together[1].times == [0.0]
+        for i in (0, 2):
+            traj, ref = together[i], alone[i]
+            assert traj.status == ref.status
+            assert (traj.times, traj.snapshots) == (ref.times, ref.snapshots)
+            assert [(t, f.values.tobytes()) for t, f in traj.states] == \
+                [(t, f.values.tobytes()) for t, f in ref.states]
+            assert (traj.factorizations, traj.pcg_iterations) == \
+                (ref.factorizations, ref.pcg_iterations)
+
     def test_non_finite_system_is_step_failure(self, mesh):
         # a reaction that overflowed to inf fails the step by name
         class Overflowed(Zero):
@@ -259,6 +302,21 @@ class TestRun:
         stored = [t for t, _ in traj.states]
         for target in (0.007, 0.013, 0.02):
             assert min(abs(t - target) for t in stored) < 1e-12
+
+    def test_stored_states_are_read_only_and_own_their_rows(self):
+        # every stored state is read-only and owns its values: a stacked
+        # member's row is copied, so that it keeps no stack alive
+        mesh = build_mesh(Interval(1.0), 50)
+        cfgs = [SolverConfig(p=1.5, T_end=0.01),
+                SolverConfig(p=1.25, T_end=0.01, store_stride=2)]
+        for trajs in (march(mesh, hat(mesh), cfgs, Zero()),
+                      [run(mesh, hat(mesh), cfgs[0], Zero())]):
+            for traj in trajs:
+                assert len(traj.states) > 2
+                for _, f in traj.states:
+                    assert f.values.shape == (mesh.n_nodes,)
+                    assert not f.values.flags.writeable
+                    assert f.values.base is None
 
 
 @pytest.fixture(scope="module")
@@ -563,14 +621,20 @@ class TestEnergyGate:
 
     def test_one_reaction_primitive_per_snapshot(self, mesh, monkeypatch):
         # the gate reuses the snapshot's E_p, and the extinction bisection
-        # reads only sup norms: F is evaluated once per snapshot
-        calls = {"F": 0, "snapshot": 0, "step": 0}
+        # reads only sup norms: F is evaluated once per snapshot; each step
+        # reuses its state's f(u), kept from the state's snapshot, so f is
+        # evaluated once per snapshot too
+        calls = {"F": 0, "f": 0, "snapshot": 0, "step": 0}
         snapshot_, step_ = solver.snapshot, solver.step
 
         class Counted(Power):
             def F(self, u):
                 calls["F"] += 1
                 return super().F(u)
+
+            def f(self, u):
+                calls["f"] += 1
+                return super().f(u)
 
         def counted_snapshot(*args, **kwargs):
             calls["snapshot"] += 1
@@ -589,6 +653,7 @@ class TestEnergyGate:
         assert calls["snapshot"] == \
             calls["step"] + 1 - solver.EXTINCTION_HALVINGS
         assert calls["F"] == calls["snapshot"]
+        assert calls["f"] == calls["snapshot"]
 
 
 class TestExtinctionCrossing:
@@ -600,8 +665,8 @@ class TestExtinctionCrossing:
         trials = []   # (dt, sup of the new state) of every step
         step_ = solver.step
 
-        def recorded(state, t, cfg, nl, dt=None, factor=None):
-            new = step_(state, t, cfg, nl, dt, factor=factor)
+        def recorded(state, t, cfg, nl, dt=None, **kwargs):
+            new = step_(state, t, cfg, nl, dt, **kwargs)
             trials.append((dt, new.sup()))
             return new
 
