@@ -444,7 +444,8 @@ class Field:
     computed at most once and kept in ``grad``, ``grad_sq`` and
     ``grad_mag``, and so are the sup norm and the reaction f(u)
     (``sup``, ``reaction``). A field built from a caller's array copies
-    it; ``Field.adopt`` takes over an array its caller made for it.
+    it; ``step`` and ``Field.stack`` hand over arrays they made for the
+    field instead (``Field._adopt``).
     """
 
     mesh: Mesh
@@ -513,7 +514,7 @@ class Field:
         """One stack of the rows of the stacks ``fields``, in order, keeping
         the gradient arrays, and the reaction, that all of them have
         computed."""
-        out = cls.adopt(fields[0].mesh,
+        out = cls._adopt(fields[0].mesh,
                         np.concatenate([f.values for f in fields]))
         for name in _GRADIENTS:
             if all(name in vars(f) for f in fields):
@@ -528,8 +529,8 @@ class Field:
         return out
 
     @classmethod
-    def adopt(cls, mesh: Mesh, values: np.ndarray,
-              dirichlet: bool = False) -> "Field":
+    def _adopt(cls, mesh: Mesh, values: np.ndarray,
+               dirichlet: bool = False) -> "Field":
         """The field of ``values`` without a copy: a float array in C order,
         shaped as a field's or a stack's, that its caller allocated for the
         field and no longer writes. It becomes read-only. ``dirichlet``

@@ -210,24 +210,23 @@ class Terms:
     density's).
 
     For a plain field each is a float. For a stack of k fields, given p
-    and eps as (k,) arrays, ``p`` is a (k,) array, ``eps_sq`` the (k, 1)
-    column of each row's own Python square and each exponent a list of k
-    floats, which ``_power`` raises each row to. Every row then gets the
-    bits it gets alone.
+    and eps as (k,) arrays, ``eps_sq`` is the (k, 1) column of each row's
+    own Python square and each exponent a list of k floats, which
+    ``_power`` raises each row to. Every row then gets the bits it gets
+    alone.
     """
 
-    __slots__ = ("p", "eps_sq", "p_exp", "coef_exp", "lift_exp")
+    __slots__ = ("eps_sq", "p_exp", "coef_exp", "lift_exp")
 
     def __init__(self, p, eps=0.0):
         if isinstance(p, np.ndarray):
             eps = np.broadcast_to(np.asarray(eps, dtype=float), p.shape)
-            self.p = p
             self.eps_sq = np.array([e ** 2 for e in eps.tolist()])[:, None]
             self.p_exp = p.tolist()
             self.coef_exp = ((p - 2.0) / 2.0).tolist()
             self.lift_exp = (p / 2.0).tolist()
         else:
-            self.p = self.p_exp = p
+            self.p_exp = p
             self.eps_sq = eps ** 2
             self.coef_exp = (p - 2.0) / 2.0
             self.lift_exp = p / 2.0
@@ -510,7 +509,7 @@ class EnergySnapshot:
     sup: float
     dissipation_cum: float
     grad_p: float   # int |grad u|^p
-    E_eps: float | None = None   # E_p,eps, from a snapshot given its Terms
+    E_eps: float    # E_p,eps at the eps of the snapshot's Terms
 
     def rows(self) -> list[EnergySnapshot]:
         """The snapshots of a stack's rows, with float fields; [self] for
@@ -522,8 +521,8 @@ class EnergySnapshot:
             self.dissipation_cum, self.grad_p, self.E_eps)]
 
 
-def snapshot(field: Field, t, p, nl: Nonlinearity, dissipation_cum,
-             terms: Terms | None = None) -> EnergySnapshot:
+def snapshot(field: Field, t, p, nl: Nonlinearity,
+             dissipation_cum) -> EnergySnapshot:
     """The diagnostics of ``field`` in one pass: int |grad u|^p, f(u) and
     F(u) are each evaluated once, f(u) is kept with the field
     (``Field.reaction``), and every integral is one quadrature dot
@@ -537,21 +536,22 @@ def snapshot(field: Field, t, p, nl: Nonlinearity, dissipation_cum,
     (``EnergySnapshot.rows`` splits it), each row equal to the snapshot of
     that row alone.
 
-    ``terms`` are the precomputed ``Terms`` of p and of the eps that the
-    step gate takes E_p,eps at; the snapshot then also holds E_p,eps
-    (``E_eps``, equal to ``regularized_energy``), from the same pass.
-    Without them ``E_eps`` is None, and every other field is the same."""
-    lifted = terms is not None
-    if not lifted:
+    ``p`` may also be given as the ``Terms`` of p and an eps, which
+    ``march`` computes once per stack; a bare p stands for ``Terms(p)``,
+    whose eps is 0, and gives the same bits. ``E_eps`` is E_p,eps at that
+    eps, equal to ``regularized_energy``, from the same pass: the energy
+    that the step gate compares."""
+    if isinstance(p, Terms):
+        terms = p
+    else:
         _check_p(p)
         terms = Terms(p)
     m = field.mesh
     u, mag = field.values, field.grad_mag
     vol, qw = m.element_volumes, m.quad_weights
     if u.ndim == 1:
-        cells = [float(_power(mag, terms.p_exp) @ vol), float(mag @ vol)]
-        if lifted:
-            cells.append(float(terms.lifted(mag) @ vol))
+        cells = [float(_power(mag, terms.p_exp) @ vol), float(mag @ vol),
+                 float(terms.lifted(mag) @ vol)]
         nodes = [float(nl.F(u) @ qw), float((field.reaction(nl) * u) @ qw),
                  float((u * u) @ qw)]
         return EnergySnapshot(*_fields(t, terms.p_exp, dissipation_cum,
@@ -560,11 +560,10 @@ def snapshot(field: Field, t, p, nl: Nonlinearity, dissipation_cum,
     # (element-wise |grad u|^p, |grad u| and the lifted density; nodal F(u),
     # f(u) u and u^2), and one matrix product takes one dot product per row
     k = len(u)
-    cells = np.empty((k, 2 + lifted, m.n_elements))
+    cells = np.empty((k, 3, m.n_elements))
     _power(mag, terms.p_exp, cells[:, 0])
     cells[:, 1] = mag
-    if lifted:
-        terms.lifted(mag, cells[:, 2])
+    terms.lifted(mag, cells[:, 2])
     nodes = np.empty((k, 3, m.n_nodes))
     nodes[:, 0] = nl.F(u)
     np.multiply(field.reaction(nl), u, out=nodes[:, 1])
@@ -576,11 +575,10 @@ def snapshot(field: Field, t, p, nl: Nonlinearity, dissipation_cum,
 
 def _fields(t, p, dissipation_cum, sup, cells, nodes) -> tuple:
     """The fields of one snapshot, in Python floats, from its element
-    quadratures (int |grad u|^p, int |grad u| and, if taken, the lifted
-    integral) and nodal ones (int F(u), int f(u) u, int u^2)."""
-    grad_p, tv, *lifted = cells
+    quadratures (int |grad u|^p, int |grad u| and the lifted integral) and
+    nodal ones (int F(u), int f(u) u, int u^2)."""
+    grad_p, tv, lifted = cells
     F, fu, uu = nodes
     E_p = grad_p / p - F
-    E_eps = E_p + (lifted[0] - grad_p) / p if lifted else None
     return (t, E_p, grad_p - fu, tv, math.sqrt(uu), sup, dissipation_cum,
-            grad_p, E_eps)
+            grad_p, E_p + (lifted - grad_p) / p)

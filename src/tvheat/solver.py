@@ -372,12 +372,12 @@ def step(state: Field, t, cfg, nl: Nonlinearity, dt=None, factor=None,
         if not _gate(band, x, rhs, offsets):
             raise StepFailureError(
                 f"banded solve residual above tolerance at t={t}")
-        return Field.adopt(mesh, new, dirichlet=True)
+        return Field._adopt(mesh, new, dirichlet=True)
     passed = _gate(band, x, rhs, offsets)
     if all(passed):
-        return Field.adopt(mesh, new, dirichlet=True)
+        return Field._adopt(mesh, new, dirichlet=True)
     new[[not ok for ok in passed]] = np.nan
-    return Field.adopt(mesh, new)
+    return Field._adopt(mesh, new)
 
 
 def _terms(cfg) -> Terms:
@@ -489,7 +489,7 @@ def march(mesh: Mesh, u0: Field, cfgs, nl: Nonlinearity) -> list[Trajectory]:
                   else np.broadcast_to(u0.values, (k, mesh.n_nodes)))
     stack = _Stack(members)
     zeros = _per_member([0.0] * k)
-    snaps = snapshot(start, zeros, stack.terms.p, nl, zeros, stack.terms)
+    snaps = snapshot(start, zeros, stack.terms, nl, zeros)
     running = []
     for row, (m, snap) in enumerate(zip(members, snaps.rows())):
         m.state, m.row, m.snap = start, (None if k == 1 else row), snap
@@ -638,26 +638,19 @@ def _advance(stack: _Stack, mesh: Mesh, nl: Nonlinearity) -> list[_Member]:
             m.stop(Status("step_failure", m.t, "linear_solve"))
         else:
             judging.append((m, trials))
-    # usually every member judges its stepped row first: then the stacks
-    # to judge are the ones just stepped
-    stacks = (state, new) if len(judging) == len(running) and all(
-        len(trials) == 1 for _, trials in judging) else None
     while judging:
-        judging = _judge(judging, mesh, nl, stack, stacks)
-        stacks = None
+        judging = _judge(judging, mesh, nl, stack)
     return [m for m in running if m.traj.status is None]
 
 
-def _judge(judging: list, mesh: Mesh, nl: Nonlinearity, stack: _Stack,
-           stacks: tuple[Field, Field] | None = None) -> list:
+def _judge(judging: list, mesh: Mesh, nl: Nonlinearity, stack: _Stack) -> list:
     """Judge each member's first trial, all in one snapshot: accept it,
-    reject the step or stop the member. ``stacks`` are the members' states
-    and first trials as stacks, when known. Returns the members left with
-    a trial to judge next, with their remaining trials."""
+    reject the step or stop the member. Returns the members left with a
+    trial to judge next, with their remaining trials."""
     members = [m for m, _ in judging]
     hs = [trials[0][2] for _, trials in judging]
-    old, new = stacks or (_gather([(m.state, m.row) for m in members]),
-                          _gather([trials[0][:2] for _, trials in judging]))
+    old = _gather([(m.state, m.row) for m in members])
+    new = _gather([trials[0][:2] for _, trials in judging])
     step_sq = new.values - old.values
     step_sq *= step_sq
     quad = _listed(rowdot(step_sq, mesh.quad_weights))
@@ -675,8 +668,7 @@ def _judge(judging: list, mesh: Mesh, nl: Nonlinearity, stack: _Stack,
         cum.append(m.snap.dissipation_cum + diss[-1])
     terms = (stack.terms if len(members) == len(stack.members)
              else _terms(_per_member([m.cfg for m in members])))
-    snaps = snapshot(new, _per_member(t_new), terms.p, nl, _per_member(cum),
-                     terms)
+    snaps = snapshot(new, _per_member(t_new), terms, nl, _per_member(cum))
     one = len(members) == 1
     again = []
     for i, ((m, trials), snap) in enumerate(zip(judging, snaps.rows())):

@@ -283,7 +283,7 @@ class TestField:
             f.values = np.zeros(mesh.n_nodes)
 
     def test_adopted_values_are_not_copied(self):
-        # the constructor copies a caller's array; adopt takes over an array
+        # the constructor copies a caller's array; _adopt takes over an array
         # made for the field; either way the values are read-only, and a
         # stack's row is a copy that does not share the stack's memory
         mesh = build_mesh(Interval(1.0), 10)
@@ -292,7 +292,7 @@ class TestField:
         assert not np.shares_memory(f.values, vals)
         vals[0, 0] = 5.0
         assert f.values[0, 0] == 1.0
-        g = Field.adopt(mesh, vals)
+        g = Field._adopt(mesh, vals)
         assert g.values is vals and not vals.flags.writeable
         row = g.rows(1)
         assert not np.shares_memory(row.values, g.values)

@@ -199,20 +199,23 @@ class TestEnergies:
                              ids=["zero", "power", "exp_power"])
     def test_snapshot_holds_the_regularized_energy(self, domain, resolution,
                                                    nl):
-        # given the Terms of p and eps, a snapshot's E_eps is
-        # regularized_energy bit for bit, alone and for each row of a stack
+        # given the Terms of p and eps as its p, a snapshot's E_eps is
+        # regularized_energy bit for bit, alone and for each row of a stack;
+        # a bare p gives the bits of Terms(p), whose eps is 0
         m = build_mesh(domain, resolution)
         rng = np.random.default_rng(7)
         stack = Field(m, rng.uniform(-1.0, 1.0, (3, m.n_nodes))).constrained()
         ps, eps = np.array([1.01, 1.5, 2.0]), np.array([1e-4, 0.5, 0.0])
-        rows = snapshot(stack, [0.0] * 3, ps, nl, [0.0] * 3,
-                        Terms(ps, eps)).rows()
+        rows = snapshot(stack, [0.0] * 3, Terms(ps, eps), nl,
+                        [0.0] * 3).rows()
         for i, (p, e) in enumerate(zip(ps.tolist(), eps.tolist())):
             f = stack.rows(i)
-            alone = snapshot(f, 0.0, p, nl, 0.0, Terms(p, e))
+            alone = snapshot(f, 0.0, Terms(p, e), nl, 0.0)
             assert alone.E_eps == regularized_energy(f, p, e, alone)
             assert rows[i] == alone
-        assert snapshot(stack.rows(0), 0.0, 1.5, nl, 0.0).E_eps is None
+            bare = snapshot(f, 0.0, p, nl, 0.0)
+            assert bare == snapshot(f, 0.0, Terms(p), nl, 0.0)
+            assert bare.E_eps == regularized_energy(f, p, 0.0, bare)
 
     def test_energy_zero_reaction(self, mesh):
         f = hat(mesh)
