@@ -9,6 +9,7 @@ mountain-pass level, and potential-well classification of states.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -123,13 +124,31 @@ class SumPowers(Nonlinearity):
 class ExpPower(Nonlinearity):
     """f(u) = |u|^(q-2) u exp(alpha u^2); theta = q.
 
-    F(u) = |u|^q / q * 1F1(q/2; q/2 + 1; alpha u^2), the closed form of the
-    series  sum_k alpha^k |u|^(q+2k) / (k! (q+2k)); for q = 2 it is
+    F(u) = |u|^q / q * 1F1(q/2; q/2 + 1; z), z = alpha u^2, the closed form
+    of the series  sum_k alpha^k |u|^(q+2k) / (k! (q+2k)); for q = 2 it is
     (exp(alpha u^2) - 1) / (2 alpha). Both return +-inf without a warning
-    where they overflow. 1F1 is evaluated at min(alpha u^2, 1e3): it is
-    already inf past about 716, and for huge arguments it takes seconds or
-    does not return.
+    where they overflow.
+
+    F is evaluated node by node. Where z <= ``Z0`` it is
+    |u|^q / q * (1 + r), with r = sum_(k>=1) d_k z^k, d_k = a / ((a + k) k!)
+    and a = q/2: Kummer's series of 1F1 (DLMF 13.2.2 with b = a + 1),
+    summed in ascending k and added to |u|^q / q last. That is within 4 ulp
+    of expm1 for q = 2 and within 8 ulp of ``scipy.special.hyp1f1``, whose
+    own error is of the same size. The sum stops at the first k where
+    d_k z_max^(k-1), for the array's largest z, is below 2^-55 d_1. Every
+    term is positive and falls with k, so each later term is below a
+    quarter of an ulp of every node's partial sum and cannot change it:
+    each value is the one its node gets alone, in a stack, a slice or a
+    scalar, and a decayed state needs only a few terms. Above ``Z0``, and
+    at nan and +-inf, F uses ``hyp1f1`` at min(z, 1e3): that is already
+    inf past about 716, and for huge arguments it takes seconds or does
+    not return.
     """
+
+    # the series' range. On 801 nodes with z up to 1 the series takes 17
+    # terms and F costs about 0.8 of F through hyp1f1; near z = 2 the two
+    # cost the same
+    Z0 = 1.0
 
     def __init__(self, q: float, alpha: float, p0: float = 1.5):
         super().__init__(p0)
@@ -141,6 +160,18 @@ class ExpPower(Nonlinearity):
         self.q = float(q)
         self.alpha = float(alpha)
         self.theta = float(q)
+        # d_1, d_2, ...: every coefficient whose term can reach
+        # _EIGHTH_ULP times the first, d_1 z, at some z <= Z0
+        a = 0.5 * self.q
+        self._d = []
+        inv_fact = z0_k = 1.0
+        for k in itertools.count(1):
+            inv_fact /= k
+            d = a / (a + k) * inv_fact
+            if k > 1 and d * z0_k < _EIGHTH_ULP * self._d[0]:
+                break
+            self._d.append(d)
+            z0_k *= self.Z0
 
     def f(self, u):
         u = np.asarray(u, dtype=float)
@@ -149,10 +180,53 @@ class ExpPower(Nonlinearity):
 
     def F(self, u):
         u = np.asarray(u, dtype=float)
-        a = 0.5 * self.q
+        if u.ndim == 0:
+            # as a one-node array: numpy raises a 0-d array to a power with
+            # the C library's pow, whose last bit can differ from its loop's
+            return self._primitive(u[None])[0]
+        return self._primitive(u)
+
+    def _primitive(self, u: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
-            z = np.minimum(self.alpha * u ** 2, 1e3)
-            return np.abs(u) ** self.q / self.q * hyp1f1(a, a + 1.0, z)
+            z = self.alpha * u ** 2
+            lead = np.abs(u) ** self.q / self.q
+            z_max = float(z.max(initial=0.0))
+            if z_max <= self.Z0:
+                F = self._tail(z, z_max)
+                F *= lead
+                F += lead
+                return F
+            # nan, +-inf or z above Z0 somewhere: hyp1f1 for those nodes
+            a = 0.5 * self.q
+            small = z <= self.Z0
+            s = np.ones(z.shape)
+            s[~small] = hyp1f1(a, a + 1.0, np.minimum(z[~small], 1e3))
+            F = lead * s
+            if small.any():
+                zs = z[small]
+                F[small] += lead[small] * self._tail(zs, float(zs.max()))
+            return F
+
+    def _tail(self, z: np.ndarray, z_max: float) -> np.ndarray:
+        """1F1(q/2; q/2 + 1; z) - 1 for an array of finite z in [0, Z0]
+        whose largest is ``z_max``, node by node, as a new array."""
+        d_1 = self._d[0]
+        r = z * d_1
+        zk = z.copy()
+        t = np.empty(z.shape)
+        z_max_k = 1.0
+        for d in self._d[1:]:
+            z_max_k *= z_max
+            if d * z_max_k < _EIGHTH_ULP * d_1:
+                break
+            np.multiply(zk, z, out=zk)
+            r += np.multiply(zk, d, out=t)
+        return r
+
+
+# an eighth of an ulp of 1: a term below this fraction of a positive sum is
+# below a quarter of an ulp of it, so adding it leaves the sum as it is
+_EIGHTH_ULP = 2.0 ** -55
 
 
 _KINDS = {"zero": Zero, "power": Power, "sum_powers": SumPowers,

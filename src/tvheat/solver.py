@@ -830,6 +830,7 @@ def gradient_bound_audit(traj: Trajectory, theta: float, d_hat: float,
 # ---------------------------------------------------------------------------
 
 CSV_COLUMNS = ("t", "E_p", "I_p", "tv", "l2", "sup", "dissipation_cum", "dt")
+_CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -840,6 +841,5 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         for s in traj.snapshots:
             dt = 0.0 if prev_t is None else s.time - prev_t
             prev_t = s.time
-            row = (s.time, s.E_p, s.I_p, s.tv, s.l2, s.sup,
-                   s.dissipation_cum, dt)
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+            fh.write(_CSV_ROW % (s.time, s.E_p, s.I_p, s.tv, s.l2, s.sup,
+                                 s.dissipation_cum, dt))

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import hyp1f1
 
 from tvheat import (Annulus, Field, Interval, ModelError, NehariScaleError,
                     Power, Rectangle, SumPowers, Zero, build_mesh,
@@ -74,6 +75,74 @@ class TestNonlinearities:
         for u in (1e6, 1e10, math.inf, -math.inf):
             assert nl.F(u) == math.inf
         assert nl.f(1e6) == math.inf and nl.f(-1e6) == -math.inf
+
+    @staticmethod
+    def _exp_power_sample(nl, n_random=0):
+        # u with z = alpha u^2 at 0, deep in the series' range, on both
+        # sides of Z0 and far past it, with +-u, nan and +-inf; then
+        # n_random values of z spread over (0, Z0]
+        z0 = nl.Z0
+        z = np.array([0.0, 1e-12, 1e-4, 0.07, np.nextafter(z0, 0.0), z0,
+                      np.nextafter(z0, 2.0), 1.2 * z0, 30.0])
+        u = np.sqrt(z / nl.alpha)
+        rng = np.random.default_rng(3)
+        z_random = z0 * np.concatenate([rng.uniform(0, 1, n_random // 2),
+                                        10 ** rng.uniform(-12, 0, n_random
+                                                          - n_random // 2)])
+        return np.concatenate([u, -u[::-1], [np.nan, np.inf, -np.inf],
+                               np.sqrt(z_random / nl.alpha)])
+
+    @pytest.mark.parametrize("q, alpha", [(2.0, 1.0), (3.0, 1.0),
+                                          (2.5, 0.7), (4.0, 3.0)])
+    def test_exp_power_primitive_is_pointwise(self, q, alpha):
+        # the series' length follows the array's largest alpha u^2, but
+        # each value is the one its node gets alone: as a scalar, a slice
+        # or a row of a stack
+        nl = ExpPower(q, alpha)
+        u = self._exp_power_sample(nl, n_random=600)
+        F = nl.F(u)
+        for i, ui in enumerate(u):
+            np.testing.assert_array_equal(nl.F(u[i:i + 1]), F[i:i + 1])
+            np.testing.assert_array_equal(nl.F(ui), F[i])
+        rng = np.random.default_rng(7)
+        stack = np.stack([u, u[::-1], rng.permutation(u), 1e-3 * u])
+        Fs = nl.F(stack)
+        for row, Frow in zip(stack, Fs):
+            np.testing.assert_array_equal(nl.F(row), Frow)
+        decayed = 1e-3 * u[np.isfinite(u)]
+        np.testing.assert_array_equal(nl.F(decayed),
+                                      [nl.F(v) for v in decayed])
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.7, 2.0])
+    def test_exp_power_primitive_at_q2_matches_expm1(self, alpha):
+        # q = 2: F(u) = (exp(alpha u^2) - 1) / (2 alpha), within 4 ulp for
+        # alpha u^2 up to a little past Z0
+        nl = ExpPower(2.0, alpha)
+        u = np.sqrt(np.linspace(0.0, 1.2 * nl.Z0, 4001)[1:] / alpha)
+        exact = np.expm1(alpha * u ** 2) / (2.0 * alpha)
+        ulps = np.abs(nl.F(u) - exact) / np.spacing(exact)
+        assert ulps.max() <= 4.0
+
+    @pytest.mark.parametrize("q", [2.5, 3.0, 4.0])
+    def test_exp_power_series_matches_hyp1f1(self, q):
+        nl = ExpPower(q, 1.0)
+        u = np.sqrt(np.linspace(0.0, nl.Z0, 4001)[1:])
+        a = 0.5 * q
+        ref = np.abs(u) ** q / q * hyp1f1(a, a + 1.0, u ** 2)
+        ulps = np.abs(nl.F(u) - ref) / np.spacing(ref)
+        assert ulps.max() <= 8.0
+
+    def test_exp_power_primitive_edge_values(self):
+        nl = ExpPower(3.0, 1.0)
+        u = self._exp_power_sample(nl)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            F, F_neg = nl.F(u), nl.F(-u)
+            zero, nan = nl.F(0.0), nl.F(math.nan)
+        assert zero == 0.0 and nl.F(np.zeros(3)).tolist() == [0.0] * 3
+        np.testing.assert_array_equal(F, F_neg)
+        assert math.isnan(nan) and np.isnan(F[-3])
+        assert np.all(F[np.isfinite(u) & (u != 0)] > 0)
 
     def test_make_nonlinearity(self):
         assert isinstance(make_nonlinearity("zero"), Zero)

@@ -15,8 +15,9 @@ from tvheat import (Field, Interval, Power, Rectangle, SolverConfig,
                     well_status, write_trajectory_csv)
 from tvheat import model, solver
 from tvheat.mesh import Mesh
-from tvheat.model import ExpPower, grad_p_norm, regularized_energy
-from tvheat.solver import SolverError, Status, StepFailureError
+from tvheat.model import EnergySnapshot, ExpPower, grad_p_norm, \
+    regularized_energy
+from tvheat.solver import SolverError, Status, StepFailureError, Trajectory
 
 
 @pytest.fixture
@@ -790,3 +791,29 @@ class TestCsv:
         assert len(lines) == 2 + len(traj.snapshots)
         first = [float(v) for v in lines[2].split(",")]
         assert first[0] == 0.0 and len(first) == 8
+
+    def test_rows_are_each_value_formatted_alone(self, mesh, tmp_path):
+        # each row is one %-format string; the file must stay the one that
+        # formatting each value alone with ".17g" writes
+        odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.0 / 3.0,
+               -2.5e300, 0.1]
+        snaps = [EnergySnapshot(*(odd[(i + j) % len(odd)] for j in range(9)))
+                 for i in range(len(odd))]
+        snaps[0].time = 0.0
+        traj = Trajectory(mesh, SolverConfig(p=1.5), times=[0.0],
+                          snapshots=snaps)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        expected = ["# format_version=1",
+                    "t,E_p,I_p,tv,l2,sup,dissipation_cum,dt"]
+        prev_t = None
+        for s in snaps:
+            dt = 0.0 if prev_t is None else s.time - prev_t
+            prev_t = s.time
+            row = (s.time, s.E_p, s.I_p, s.tv, s.l2, s.sup,
+                   s.dissipation_cum, dt)
+            expected.append(",".join(f"{x:.17g}" for x in row))
+        text = path.read_text()
+        assert text == "\n".join(expected) + "\n"
+        for token in (",nan,", ",inf,", ",-inf,", ",-0,", "e-324,"):
+            assert token in text
