@@ -122,8 +122,7 @@ _SCHEMA = {
                  "p0": float},
     "solver": {"p": float, "eps": float, "dt0": float, "dt_min": float,
                "t_end": float, "u_max": float, "tol_ext": float,
-               "energy_residual_tol": float, "store_stride": int,
-               "dt_max": float},
+               "energy_residual_tol": float, "dt_max": float},
     "initial": {"profile": str, "amplitude": float, "center": floats,
                 "width": floats, "index": int, "path": str},
     "continuation": {"m_start": int, "m_end": int, "p_sequence": floats,
@@ -138,7 +137,7 @@ _DOMAINS = {"interval": Interval, "annulus": Annulus, "rectangle": Rectangle}
 _FIELDS = {"t_end": "T_end", "u_max": "U_max",
            "checkpoints": "checkpoint_times", "directory": "out_dir"}
 # keys only a single run reads: continuation mode rejects them
-_SINGLE_ONLY = {"solver": ("p", "eps", "store_stride"),
+_SINGLE_ONLY = {"solver": ("p", "eps"),
                 "output": ("trajectory_csv", "state_dumps"),
                 "audits": tuple(_SCHEMA["audits"])}
 
@@ -377,15 +376,15 @@ def _run_single(cfg: RunConfig):
         write_trajectory_csv(
             traj, os.path.join(cfg.out_dir, cfg.trajectory_csv))
         if cfg.state_dumps == "checkpoints":
-            # the run's last state, under its index among the stored states
-            i = len(traj.states) - 1
+            # the run's last state, under its accepted-step count
+            i = len(traj.times) - 1
             mesh.dump(os.path.join(cfg.out_dir, f"state_{i:05d}.txt"),
                       traj.states[-1][1].values)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return {"status": "io_error"}, 4
 
-    tmax = detect_tmax(traj, cfg.solver)
+    tmax = detect_tmax(traj)
     audits = {}
     if cfg.audits["well"] and has_reaction:
         audits["well_invariance"] = well_invariance_audit(traj, d_hat)

@@ -11,7 +11,6 @@ uniform energy/dissipation bounds along a decreasing sequence of p values.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 
@@ -47,13 +46,14 @@ class FluxField:
 
 
 def flux_from_vectors(mesh: Mesh, z: np.ndarray) -> FluxField:
-    """Wrap an element-wise vector field; trace by the normal component at
-    the boundary-adjacent element, divergence by adjointness:
+    """Wrap an element-wise vector field of shape (n_el, dim_coord), or
+    (n_el,) on a 1-D mesh; trace by the normal component at the
+    boundary-adjacent element, divergence by adjointness:
 
         sum_e v_e z_e . grad(w)_e + sum_i w_i qw_i div_i
             = sum_b bw_b w_b trace_b      for every nodal w.
     """
-    z = np.atleast_2d(np.asarray(z, dtype=float))
+    z = np.asarray(z, dtype=float)
     if z.shape == (mesh.n_elements,):
         z = z[:, None]
     if z.shape != (mesh.n_elements, mesh.dim_coord):
@@ -257,8 +257,8 @@ def _checkpoint_states(traj: Trajectory, checkpoints) -> list:
 def run_continuation(plan: ContinuationPlan) -> ContinuationReport:
     """Run every member of the plan and audit the weak-formulation conditions.
 
-    The members run in one lockstep ``march``, each keeping only the states
-    its record reads: the initial state, the states at the checkpoints and
+    The members run in one lockstep ``march``, which keeps the states each
+    record reads: the initial state, the states at the checkpoints and
     T_end, and the last state. Per member: flux extraction at the
     checkpoints, flux magnitude/alignment/boundary-sign audits, the p_m
     energy and dissipation ceilings, the level estimate, the p = 1 energy
@@ -278,8 +278,7 @@ def run_continuation(plan: ContinuationPlan) -> ContinuationReport:
         dictionary = dictionary + [plan.u0]
 
     cfgs = [plan.cfg_template.replace(
-        p=p, eps=eps, store_stride=sys.maxsize,   # no state by stride
-        checkpoint_times=tuple(sorted(
+        p=p, eps=eps, checkpoint_times=tuple(sorted(
             set(plan.cfg_template.checkpoint_times) | set(checkpoints))))
         for p, eps in zip(plan.p_sequence, plan.eps_schedule)]
     trajs = march(mesh, plan.u0, cfgs, nl)

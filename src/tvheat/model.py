@@ -9,6 +9,7 @@ mountain-pass level, and potential-well classification of states.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,6 +28,20 @@ class ModelError(ValueError):
 def _odd_power(u, e):
     """sign(u) |u|^e, finite at u = 0 for any e > 0."""
     return np.sign(u) * np.abs(u) ** e
+
+
+def _nodewise(method):
+    """A reaction's f or F on u as a float array. A 0-d u is evaluated as
+    a one-node array, because numpy's scalar pow can differ in the last
+    bit from its array loop. Each reaction class applies it to its own f
+    and F, which stay in the class dictionary for the benchmark's tracer."""
+    @functools.wraps(method)
+    def evaluate(self, u):
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 0:
+            return method(self, u[None])[0]
+        return method(self, u)
+    return evaluate
 
 
 class NehariScaleError(RuntimeError):
@@ -63,19 +78,17 @@ class Nonlinearity:
     def F(self, u):
         raise NotImplementedError
 
-    def __call__(self, u):
-        """Return (f(u), F(u))."""
-        return self.f(u), self.F(u)
-
 
 class Zero(Nonlinearity):
     """No reaction: the pure diffusion flow."""
 
+    @_nodewise
     def f(self, u):
-        return np.zeros(np.shape(u))
+        return np.zeros(u.shape)
 
+    @_nodewise
     def F(self, u):
-        return np.zeros(np.shape(u))
+        return np.zeros(u.shape)
 
 
 class Power(Nonlinearity):
@@ -89,12 +102,12 @@ class Power(Nonlinearity):
         self.q = float(q)
         self.theta = float(q)
 
+    @_nodewise
     def f(self, u):
-        u = np.asarray(u, dtype=float)
         return _odd_power(u, self.q - 1.0)
 
+    @_nodewise
     def F(self, u):
-        u = np.asarray(u, dtype=float)
         return np.abs(u) ** self.q / self.q
 
 
@@ -111,12 +124,12 @@ class SumPowers(Nonlinearity):
         self.s = float(s)
         self.theta = float(min(q, s))
 
+    @_nodewise
     def f(self, u):
-        u = np.asarray(u, dtype=float)
         return _odd_power(u, self.q - 1.0) + _odd_power(u, self.s - 1.0)
 
+    @_nodewise
     def F(self, u):
-        u = np.asarray(u, dtype=float)
         au = np.abs(u)
         return au ** self.q / self.q + au ** self.s / self.s
 
@@ -173,20 +186,13 @@ class ExpPower(Nonlinearity):
             self._d.append(d)
             z0_k *= self.Z0
 
+    @_nodewise
     def f(self, u):
-        u = np.asarray(u, dtype=float)
         with np.errstate(over="ignore"):
             return _odd_power(u, self.q - 1.0) * np.exp(self.alpha * u ** 2)
 
+    @_nodewise
     def F(self, u):
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 0:
-            # as a one-node array: numpy raises a 0-d array to a power with
-            # the C library's pow, whose last bit can differ from its loop's
-            return self._primitive(u[None])[0]
-        return self._primitive(u)
-
-    def _primitive(self, u: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
             z = self.alpha * u ** 2
             lead = np.abs(u) ** self.q / self.q
@@ -540,7 +546,7 @@ def check_f_conditions(nl: Nonlinearity, p0: float,
     if sample_grid is None:
         sample_grid = np.logspace(-8, 1, 400)
     t = np.concatenate([-sample_grid[::-1], sample_grid])
-    ft, Ft = nl(t)
+    ft, Ft = nl.f(t), nl.F(t)
 
     small = sample_grid[sample_grid <= 10 * sample_grid.min()]
     tsmall = np.concatenate([-small, small])

@@ -64,7 +64,6 @@ class SolverConfig:
     U_max: float = 1e6
     tol_ext: float = 1e-8
     energy_residual_tol: float = 1e-5
-    store_stride: int = 1
     checkpoint_times: tuple = ()
     dt_max: float | None = None   # defaults to T_end / 64
 
@@ -91,9 +90,6 @@ class SolverConfig:
         if not 0 < self.dt_max < math.inf:
             raise SolverError(f"dt_max (default T_end / 64) must be finite "
                               f"and > 0, got {self.dt_max}")
-        if not self.store_stride >= 1:
-            raise SolverError(
-                f"store_stride must be >= 1, got {self.store_stride}")
 
     def replace(self, **kw) -> "SolverConfig":
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -475,9 +471,9 @@ def march(mesh: Mesh, u0: Field, cfgs, nl: Nonlinearity) -> list[Trajectory]:
     E_p,eps, and keeps its sup norm and f(u), which the next steps from it
     (retries and extinction probes included) reuse; the bisection of an
     extinct trial reads only its probes' sup norms. A member's steps share
-    one ``BandedFactor``. A member stores its initial state, every
-    ``store_stride``-th accepted state, the states at its targets (its
-    checkpoint times and T_end) and its last state.
+    one ``BandedFactor``. A member stores only its initial state, the
+    states at its targets (its checkpoint times and T_end) and its last
+    state.
     """
     if u0.mesh is not mesh:
         raise SolverError("initial field lives on a different mesh")
@@ -515,8 +511,8 @@ class _Member:
     step in flight, which ends at or before ``target``, its targets'
     entry ``next_target``."""
 
-    __slots__ = ("traj", "cfg", "factor", "targets", "next_target",
-                 "accepted", "t", "dt", "h", "target", "snap", "state", "row")
+    __slots__ = ("traj", "cfg", "factor", "targets", "next_target", "t",
+                 "dt", "h", "target", "snap", "state", "row")
 
     def __init__(self, traj: Trajectory):
         cfg = traj.cfg
@@ -524,7 +520,6 @@ class _Member:
         self.targets = sorted({float(c) for c in cfg.checkpoint_times
                                if 0.0 < c <= cfg.T_end} | {cfg.T_end})
         self.next_target = 0
-        self.accepted = 0
         self.t = 0.0
         self.dt = min(cfg.dt0, cfg.dt_max)
 
@@ -545,10 +540,9 @@ class _Member:
         traj, cfg = self.traj, self.cfg
         self.state, self.row, self.snap = state, row, snap
         self.t = snap.time
-        self.accepted += 1
         traj.times.append(self.t)
         traj.snapshots.append(snap)
-        if self.accepted % cfg.store_stride == 0 or self.t in self.targets:
+        if self.t in self.targets:
             traj.states.append((self.t, self._field()))
         if not math.isfinite(snap.sup) or snap.sup >= cfg.U_max:
             self.stop(Status("blowup", self.t, "u_max"))
@@ -580,11 +574,8 @@ class _Member:
         traj.pcg_iterations = self.factor.iterations
 
     def _field(self) -> Field:
-        """A copy of the current state, without gradient arrays. A stack's
-        row is copied so that the stored state does not keep its stack; a
-        plain field's values are copied too, because a stored state that
-        shares the array the march made for it leaves the heap fragmented
-        (the flat run of criterion 1 peaked about 1 MB higher)."""
+        """A copy of the current state, without gradient arrays; a stack's
+        row is copied so that the stored state does not keep its stack."""
         values = self.state.values
         return Field(self.state.mesh,
                      values if self.row is None else values[self.row])
@@ -654,10 +645,6 @@ def _judge(judging: list, mesh: Mesh, nl: Nonlinearity, stack: _Stack) -> list:
     step_sq = new.values - old.values
     step_sq *= step_sq
     quad = _listed(rowdot(step_sq, mesh.quad_weights))
-    # freed before the verdicts store accepted states, so that a stored
-    # copy can take its memory: a run that stores every state otherwise
-    # leaves the heap fragmented (radial_exp peaked about 3 MB higher)
-    del step_sq
     t_new, cum, diss = [], [], []
     for m, h, q in zip(members, hs, quad):
         t = m.t + h
@@ -737,7 +724,7 @@ def _extinction_crossing(state: Field, m: _Member,
     return found
 
 
-def detect_tmax(traj: Trajectory, cfg: SolverConfig) -> float:
+def detect_tmax(traj: Trajectory) -> float:
     """Maximal existence time realized operationally: the blow-up detection
     time, or infinity for global (completed or extinct) runs."""
     if traj.status is None:

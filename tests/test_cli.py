@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -178,19 +179,21 @@ class TestRunExperiment:
         run_experiment(cfg)
         assert (tmp_path / "summary.json").read_bytes() == first
 
-    def test_last_state_dumped_off_stride(self, tmp_path):
-        # 302 accepted steps end extinct off the stride of 3; the final
-        # state used to go unstored, so no state file was written
+    def test_last_state_dumped_under_its_step_count(self, tmp_path):
+        # the extinct state ends 302 accepted steps, one CSV row each after
+        # the initial state's
         text = BASE.replace("[reaction]\nkind = power\nq = 3\n", "") \
-                   .replace("p = 1.5", "p = 1.05\nstore_stride = 3") \
+                   .replace("p = 1.5", "p = 1.05") \
             + "\n[output]\nstate_dumps = checkpoints\n"
         cfg = parse_config(text)
         cfg.out_dir = str(tmp_path)
         assert run_experiment(cfg) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["status"] == "extinct"
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()[2:]
+        assert len(rows) - 1 == 302
         dumps = sorted(p.name for p in tmp_path.glob("state_*.txt"))
-        assert dumps == ["state_00101.txt"]
+        assert dumps == ["state_00302.txt"]
         last = load_field(tmp_path / dumps[0], cfg.mesh)
         assert last.sup() == summary["final"]["sup"]
 
@@ -293,11 +296,9 @@ class TestMain:
         ("dt_max = 0", "[solver]: dt_max"),
         ("dt_max = -1", "[solver]: dt_max"),
         ("dt_max = nan", "[solver]: dt_max"),
-        ("store_stride = 0", "[solver]: store_stride"),
     ], ids=["eps_nan", "eps_inf", "residual_tol_nan", "residual_tol_zero",
             "tol_ext_nan", "u_max_nan", "amplitude_nan", "amplitude_inf",
-            "dt_max_zero", "dt_max_negative", "dt_max_nan",
-            "store_stride_zero"])
+            "dt_max_zero", "dt_max_negative", "dt_max_nan"])
     def test_value_that_switches_off_a_check_fails_by_name(
             self, tmp_path, capsys, line, key):
         # configparser keys are case-insensitive: U_max names key u_max
@@ -330,6 +331,8 @@ class TestMain:
         (continuation_text("m_end = 2").replace("[solver]\n",
                                                 "[solver]\nstore_stride = 2\n"),
          "solver", "store_stride"),
+        (BASE.replace("[solver]\n", "[solver]\nstore_stride = 2\n"), "solver",
+         "store_stride"),
         (BASE.replace("length = 1.0", "length = -1"), "domain", "length"),
         (BASE.replace("kind = interval\nlength = 1.0",
                       "kind = annulus\na = 2\nb = 1"), "domain", "a"),
@@ -345,6 +348,7 @@ class TestMain:
     ], ids=["interval_a", "hat_center", "flat_width", "file_amplitude",
             "p_sequence_m_start", "continuation_audits",
             "continuation_trajectory_csv", "continuation_store_stride",
+            "single_store_stride",
             "length_negative",
             "annulus_a_above_b", "lx_zero", "dim_1",
             "continuation_p_below_1", "continuation_p_above_theta"])
@@ -408,8 +412,7 @@ _BASES = [
      "reaction": {"kind": "sum_powers", "q": "3", "s": "4", "p0": "1.6"},
      "solver": {"p": "1.5", "eps": "1e-4", "dt0": "1e-3", "dt_min": "1e-14",
                 "t_end": "0.02", "u_max": "1e6", "tol_ext": "1e-8",
-                "energy_residual_tol": "1e-5", "store_stride": "2",
-                "dt_max": "1e-3"},
+                "energy_residual_tol": "1e-5", "dt_max": "1e-3"},
      "initial": {"profile": "bump", "amplitude": "0.5", "center": "0.5",
                  "width": "0.5"},
      "output": {"directory": "out", "trajectory_csv": "t.csv",
@@ -484,6 +487,26 @@ def test_bump_values_parse_or_fail_by_name(center, width):
     except ConfigError:
         return
     assert np.all(np.isfinite(cfg.u0.values))
+
+
+def test_readme_config_table_names_every_key():
+    # each row of README's config table names its keys in backquotes in
+    # its second column, under the last section named in its first; each
+    # section names every key of _SCHEMA's, once, and no other
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    named, section = {}, None
+    for line in readme.read_text().splitlines():
+        cells = line.split("|")
+        if len(cells) < 4 or not line.startswith("|"):
+            continue
+        title = re.match(r"\s*`\[(\w+)\]`", cells[1])
+        if title:
+            section = title.group(1)
+        if section is not None:
+            named.setdefault(section, []).extend(
+                re.findall(r"`(\w+)`", cells[2]))
+    assert {s: sorted(keys) for s, keys in named.items()} == \
+        {s: sorted(keys) for s, keys in _SCHEMA.items()}
 
 
 def test_emit_summary_trailing_newline(tmp_path):

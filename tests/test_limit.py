@@ -39,6 +39,20 @@ class TestFlux:
         with pytest.raises(LimitError):
             extract_flux(hat(mesh), 1.5, eps=-1.0)
 
+    def test_flat_flux_on_an_interval(self, mesh):
+        # a 1-D mesh takes an (n_el,) flux as its (n_el, 1) column; a 2-D
+        # mesh has no such reading
+        z = np.random.default_rng(2).normal(size=mesh.n_elements)
+        flat, column = flux_from_vectors(mesh, z), \
+            flux_from_vectors(mesh, z[:, None])
+        assert flat.z.shape == (mesh.n_elements, 1)
+        for a, b in ((flat.z, column.z), (flat.div, column.div),
+                     (flat.boundary_trace, column.boundary_trace)):
+            assert np.array_equal(a, b)
+        square = build_mesh(Rectangle(1.0, 1.0), 4)
+        with pytest.raises(LimitError, match="expected"):
+            flux_from_vectors(square, np.zeros(square.n_elements))
+
     def test_green_residual_is_arithmetic_zero(self, mesh):
         # the divergence is the gradient's adjoint on every kind of mesh
         rng = np.random.default_rng(0)
@@ -204,9 +218,8 @@ class TestContinuation:
 
     def test_members_keep_only_the_states_they_read(self, mesh,
                                                     monkeypatch):
-        # the initial state, the checkpoints, T_end and the last state,
-        # whatever the template's store_stride; the extinct member's last
-        # state is its extinction
+        # the initial state, the checkpoints, T_end and the last state; the
+        # extinct member's last state is its extinction
         trajs = []
         march = limit.march
 
@@ -215,7 +228,7 @@ class TestContinuation:
             return trajs
 
         monkeypatch.setattr(limit, "march", kept)
-        cfg = SolverConfig(p=1.5, T_end=0.05, store_stride=1)
+        cfg = SolverConfig(p=1.5, T_end=0.05)
         plan = ContinuationPlan(hat(mesh, 0.1), Zero(), cfg,
                                 p_sequence=(1.5, 1.03),
                                 checkpoint_times=(0.01, 0.02))

@@ -30,6 +30,26 @@ def hat(mesh, amp=1.0):
     return Field(mesh, amp * np.maximum(0.0, 1.0 - 2.0 * np.abs(x - 0.5)))
 
 
+def run_keeping_states(*args):
+    """``run(*args)`` and every state it accepted, as (t, field) pairs from
+    the initial state on. A plain run's ledger entries are the very
+    snapshots ``solver.snapshot`` returned, so recording the field behind
+    each snapshot maps ``traj.snapshots`` back to the states without
+    changing the run."""
+    evaluated = {}   # id(snapshot): (snapshot, field), each kept alive
+    snapshot_ = solver.snapshot
+
+    def recorded(field, *rest):
+        snap = snapshot_(field, *rest)
+        evaluated[id(snap)] = (snap, field)
+        return snap
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "snapshot", recorded)
+        traj = run(*args)
+    return traj, [(s.time, evaluated[id(s)][1]) for s in traj.snapshots]
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = SolverConfig(p=1.5)
@@ -50,7 +70,7 @@ class TestConfig:
         ("tol_ext", math.nan), ("tol_ext", math.inf), ("tol_ext", -math.inf),
         ("U_max", math.nan),
         ("dt_max", 0.0), ("dt_max", -1.0), ("dt_max", math.nan),
-        ("dt_max", math.inf), ("store_stride", 0), ("store_stride", -1),
+        ("dt_max", math.inf),
     ])
     def test_values_that_switch_off_a_check(self, key, value):
         # NaN fails every comparison: a NaN tolerance or threshold would
@@ -201,7 +221,7 @@ class TestRun:
         assert (traj.status.kind, traj.status.reason) == ("completed", "t_end")
         assert traj.times[-1] == pytest.approx(0.05)
         assert traj.times == sorted(traj.times)
-        assert detect_tmax(traj, cfg) == math.inf
+        assert detect_tmax(traj) == math.inf
         # decay tracks the heat kernel to the time-discretization error
         ref = math.exp(-math.pi ** 2 * 0.05)
         assert traj.snapshots[-1].sup == pytest.approx(ref, rel=5e-3)
@@ -222,7 +242,7 @@ class TestRun:
         traj = run(mesh, u0, cfg, nl)
         assert (traj.status.kind, traj.status.reason) == ("blowup", "u_max")
         assert traj.snapshots[-1].sup >= cfg.U_max
-        assert detect_tmax(traj, cfg) == traj.status.time
+        assert detect_tmax(traj) == traj.status.time
         assert traj.status.time < 5.0
 
     @pytest.mark.parametrize("amp", [3.0, 8.0])
@@ -308,8 +328,9 @@ class TestRun:
         # every stored state is read-only and owns its values: a stacked
         # member's row is copied, so that it keeps no stack alive
         mesh = build_mesh(Interval(1.0), 50)
-        cfgs = [SolverConfig(p=1.5, T_end=0.01),
-                SolverConfig(p=1.25, T_end=0.01, store_stride=2)]
+        cfgs = [SolverConfig(p=1.5, T_end=0.01, checkpoint_times=(0.005,)),
+                SolverConfig(p=1.25, T_end=0.01,
+                             checkpoint_times=(0.002, 0.004, 0.006, 0.008))]
         for trajs in (march(mesh, hat(mesh), cfgs, Zero()),
                       [run(mesh, hat(mesh), cfgs[0], Zero())]):
             for traj in trajs:
@@ -321,21 +342,34 @@ class TestRun:
 
 
 @pytest.fixture(scope="module")
-def rect_run():
+def rect_kept():
     # rect2d at 16^2: Power(3), p = 1.5, a tensor hat of amplitude 1
     mesh = build_mesh(Rectangle(1.0, 1.0), 16)
     x = mesh.nodes
     u0 = Field(mesh, np.maximum(0.0, 1.0 - 2.0 * np.abs(x - 0.5)).prod(axis=1))
     cfg, nl = SolverConfig(p=1.5, T_end=0.02), Power(q=3.0)
-    return run(mesh, u0.constrained(), cfg, nl), cfg, nl
+    traj, states = run_keeping_states(mesh, u0.constrained(), cfg, nl)
+    return traj, cfg, nl, states
+
+
+@pytest.fixture(scope="module")
+def rect_run(rect_kept):
+    return rect_kept[:3]
+
+
+@pytest.fixture(scope="module")
+def rect_states(rect_kept):
+    """Every accepted state of ``rect_run``."""
+    return rect_kept[3]
 
 
 class TestLinearSolve:
     @pytest.mark.parametrize("lag", [1, 5, 20])
-    def test_stale_factor_pcg_matches_direct_solve(self, rect_run, lag):
+    def test_stale_factor_pcg_matches_direct_solve(self, rect_run,
+                                                   rect_states, lag):
         traj, cfg, nl = rect_run
-        t_old, old = traj.states[-2 - lag]
-        t, state = traj.states[-2]
+        t_old, old = rect_states[-2 - lag]
+        t, state = rect_states[-2]
         dt = traj.times[-1] - t
         factor = solver.BandedFactor()
         step(old, t_old, cfg, nl, dt, factor=factor)   # factors old's matrix
@@ -346,11 +380,11 @@ class TestLinearSolve:
             1e-12 * np.abs(direct.values).max()
 
     @pytest.mark.parametrize("dt_factor, dt", [(1e-8, 1e-4), (1e-4, 1e-8)])
-    def test_factor_from_a_far_dt_passes_the_gate(self, rect_run, dt_factor,
-                                                  dt):
+    def test_factor_from_a_far_dt_passes_the_gate(self, rect_run, rect_states,
+                                                  dt_factor, dt):
         # through PCG or the refactor fallback, step's residual gate passes
         traj, cfg, nl = rect_run
-        t, state = traj.states[-2]
+        t, state = rect_states[-2]
         factor = solver.BandedFactor()
         step(state, t, cfg, nl, dt_factor, factor=factor)
         new = step(state, t, cfg, nl, dt, factor=factor)
@@ -358,11 +392,11 @@ class TestLinearSolve:
         assert np.abs(new.values - direct.values).max() <= \
             1e-10 * np.abs(direct.values).max()
 
-    def test_slow_solve_refactors_next_step(self, rect_run):
+    def test_slow_solve_refactors_next_step(self, rect_run, rect_states):
         # a factor from dt = 1e-8 needs more than PCG_REFACTOR_ITERS at
         # dt = 1e-4; the next step factors its own matrix and solves directly
         traj, cfg, nl = rect_run
-        t, state = traj.states[-2]
+        t, state = rect_states[-2]
         factor = solver.BandedFactor()
         step(state, t, cfg, nl, 1e-8, factor=factor)
         step(state, t, cfg, nl, 1e-4, factor=factor)
@@ -511,11 +545,12 @@ class TestLockstep:
 
     def test_extinct_member_leaves_while_others_go_on(self):
         # p = 1.05 bisects its extinction crossing at t = 0.028; the others
-        # run on to T_end, one storing by stride, one at a checkpoint
+        # run on to T_end, storing at one checkpoint and at four
         mesh = build_mesh(Interval(1.0), 50)
         cfgs = [SolverConfig(p=1.05, T_end=0.05),
                 SolverConfig(p=1.5, T_end=0.05, checkpoint_times=(0.025,)),
-                SolverConfig(p=2.0, eps=0.0, T_end=0.05, store_stride=3)]
+                SolverConfig(p=2.0, eps=0.0, T_end=0.05,
+                             checkpoint_times=(0.01, 0.02, 0.03, 0.04))]
         assert self.assert_each_as_alone(mesh, hat(mesh, 0.1), cfgs,
                                          Zero()) == \
             [("extinct", "tol_ext"), ("completed", "t_end"),
@@ -675,9 +710,9 @@ class TestExtinctionCrossing:
         u0 = (Field(mesh, np.ones(mesh.n_nodes)).constrained()
               if profile == "flat" else hat(mesh))
         cfg = SolverConfig(p=1.5, eps=1e-4, T_end=2.0)
-        traj = run(mesh, u0, cfg, nl)
+        traj, states = run_keeping_states(mesh, u0, cfg, nl)
         assert traj.status.kind == "extinct"
-        t, u = traj.states[-2]
+        t, u = states[-2]
         # the trial that ended extinct, then its bisection probes
         halvings = solver.EXTINCTION_HALVINGS
         # every step was accepted, rejected by the gate, or a probe
@@ -699,20 +734,20 @@ def confined():
     nl = Power(q=3.0)
     d_hat = estimate_dp(mesh, 1.5, nl, default_dictionary(mesh, 8))
     cfg = SolverConfig(p=1.5, eps=1e-4, T_end=0.05, tol_ext=1e-6)
-    traj = run(mesh, hat(mesh, 0.01), cfg, nl, d_hat)
-    return traj, nl, d_hat
+    traj, states = run_keeping_states(mesh, hat(mesh, 0.01), cfg, nl, d_hat)
+    return traj, nl, d_hat, states
 
 
 class TestAudits:
     def test_well_invariance(self, confined):
-        traj, nl, d_hat = confined
+        traj, nl, d_hat, _ = confined
         audit = well_invariance_audit(traj, d_hat)
         assert audit["all_inside"]
         assert audit["worst_margin_E"] > 0
         assert audit["worst_margin_I"] > 0
 
     def test_l2_monotone(self, confined):
-        traj, _, _ = confined
+        traj, _, _, _ = confined
         audit = l2_audit(traj)
         assert audit["monotone"]
         assert audit["bounded_by_initial"]
@@ -720,24 +755,24 @@ class TestAudits:
         assert audit["identity_rel_err"] < 1e-2
 
     def test_gradient_bound(self, confined):
-        traj, nl, d_hat = confined
+        traj, nl, d_hat, _ = confined
         audit = gradient_bound_audit(traj, nl.theta, d_hat)
         assert audit["holds"]
         assert audit["dissipation_below_level"]
 
     def test_gradient_bound_requires_theta_above_p(self, confined):
-        traj, _, d_hat = confined
+        traj, _, d_hat, _ = confined
         with pytest.raises(SolverError):
             gradient_bound_audit(traj, 1.2, d_hat)
 
     def test_snapshot_audits_match_per_state_evaluation(self, confined):
-        # reference: evaluate every stored state afresh; the second level
+        # reference: evaluate every accepted state afresh; the second level
         # puts the early states outside the well
-        traj, nl, d_hat = confined
+        traj, nl, d_hat, states = confined
         mid = traj.snapshots[len(traj.snapshots) // 2].E_p
         for level in (d_hat, mid):
             reps = [(t, well_status(f.copy(), 1.5, nl, level))
-                    for t, f in traj.states]
+                    for t, f in states]
             first = next(({"time": t, "status": r.status.value,
                            "margin_E": r.margin_E, "margin_I": r.margin_I}
                           for t, r in reps
@@ -749,32 +784,50 @@ class TestAudits:
         assert first is not None
         audit = gradient_bound_audit(traj, nl.theta, d_hat)
         assert audit["max_grad_p_norm"] == max(
-            grad_p_norm(f.copy(), 1.5) for _, f in traj.states)
+            grad_p_norm(f.copy(), 1.5) for _, f in states)
 
-    @pytest.mark.parametrize("stride", [2, 3, 11])
-    def test_last_state_is_stored_on_every_exit(self, stride):
-        # 299 and 1,061 accepted steps: both runs end off each stride
+    @pytest.mark.parametrize("kind", ["extinct", "blowup", "completed",
+                                      "step_failure"])
+    def test_last_state_is_stored_on_every_exit(self, kind):
+        # a run stores its initial state, the state at each target it
+        # reaches and its last state, and so does a member that marches
+        # stacked to its end (beside a twin); the extinct and blow-up runs
+        # end between targets
         mesh = build_mesh(Interval(1.0), 50)
-        for amp, cfg, nl, kind in (
-                (0.01, SolverConfig(p=1.05, store_stride=stride), Zero(),
-                 "extinct"),
-                (30.0, SolverConfig(p=1.5, T_end=2.0, U_max=1e2,
-                                    store_stride=stride), Power(q=3.0),
-                 "blowup")):
-            traj = run(mesh, hat(mesh, amp), cfg, nl)
-            assert traj.status.kind == kind
-            assert (len(traj.times) - 1) % stride
-            t, last = traj.states[-1]
-            assert t == traj.times[-1] == traj.status.time
-            assert last.sup() == traj.snapshots[-1].sup
-            assert [s for s, _ in traj.states[:-1]] == \
-                traj.times[:-1:stride]
+        u0, cfg, nl, reached = {
+            "extinct": (hat(mesh, 0.01), SolverConfig(
+                p=1.05, checkpoint_times=(0.001, 0.002)), Zero(),
+                (0.001, 0.002)),
+            "blowup": (hat(mesh, 30.0), SolverConfig(
+                p=1.5, T_end=2.0, U_max=1e2, checkpoint_times=(0.01, 0.02)),
+                Power(q=3.0), (0.01, 0.02)),
+            "completed": (hat(mesh, 0.01), SolverConfig(
+                p=1.5, T_end=0.01, checkpoint_times=(0.005,)), Power(q=3.0),
+                (0.005, 0.01)),
+            "step_failure": (Field(mesh, np.ones(mesh.n_nodes)).constrained(),
+                             SolverConfig(p=1.5, eps=0.0), Zero(), ()),
+        }[kind]
+        traj, states = run_keeping_states(mesh, u0, cfg, nl)
+        every = dict(states)
+        stacked = march(mesh, u0, [cfg, cfg], nl)[0]
+        assert stacked.times == traj.times
+        for run_ in (traj, stacked):
+            assert run_.status.kind == kind
+            t, last = run_.states[-1]
+            assert t == run_.times[-1] == run_.status.time
+            assert last.sup() == run_.snapshots[-1].sup
+            assert [s for s, _ in run_.states] == \
+                sorted({0.0, *reached, t})
+            assert all(f.values.tobytes() == every[s].values.tobytes()
+                       for s, f in run_.states)
 
     def test_audits_cover_every_accepted_state(self, mesh):
-        cfg = SolverConfig(p=1.5, eps=1e-4, T_end=0.01, store_stride=3)
-        traj = run(mesh, hat(mesh, 0.01), cfg, Power(q=3.0))
+        cfg = SolverConfig(p=1.5, eps=1e-4, T_end=0.01)
+        traj, states = run_keeping_states(mesh, hat(mesh, 0.01), cfg,
+                                          Power(q=3.0))
         audit = well_invariance_audit(traj, math.inf)
-        assert audit["n_states"] == len(traj.snapshots) > len(traj.states)
+        assert audit["n_states"] == len(traj.snapshots) == len(states) > \
+            len(traj.states)
 
 
 class TestCsv:
