@@ -22,7 +22,7 @@ from . import __version__
 from .mesh import Annulus, Field, Interval, Mesh, MeshError, Rectangle, \
     build_mesh, load_field
 from .model import ModelError, Nonlinearity, Zero, check_f_conditions, \
-    default_dictionary, estimate_dp, make_nonlinearity
+    default_dictionary, make_nonlinearity, well_levels
 from .limit import ContinuationPlan, LimitError, check_p_sequence, \
     default_p_sequence, run_continuation
 from .solver import SolverConfig, SolverError, Status, detect_tmax, \
@@ -364,12 +364,7 @@ def run_experiment(cfg: RunConfig) -> int:
 def _run_single(cfg: RunConfig):
     nl, mesh = cfg.nl, cfg.mesh
     has_reaction = not isinstance(nl, Zero)
-    d_hat = math.inf
-    if has_reaction:
-        dictionary = default_dictionary(mesh, 8)
-        if cfg.u0.sup() > 0:
-            dictionary.append(cfg.u0)
-        d_hat = estimate_dp(mesh, cfg.solver.p, nl, dictionary)
+    d_hat, = well_levels(mesh, cfg.u0, nl, [cfg.solver.p])
 
     traj = run(mesh, cfg.u0, cfg.solver, nl, d_hat)
     try:

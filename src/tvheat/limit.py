@@ -17,8 +17,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .mesh import Annulus, Field, Mesh
-from .model import Nonlinearity, Zero, default_dictionary, diffusivity, \
-    estimate_dp, grad_p_norm, total_variation
+from .model import Nonlinearity, diffusivity, grad_p_norm, total_variation, \
+    well_levels
 from .solver import SolverConfig, Trajectory, march
 
 
@@ -272,10 +272,8 @@ def run_continuation(plan: ContinuationPlan) -> ContinuationReport:
     records = []
     prev_fluxes = None
     E1_0 = limit_energy(plan.u0, nl)
-    has_reaction = not isinstance(nl, Zero)
-    dictionary = default_dictionary(mesh, plan.dictionary_size)
-    if has_reaction and plan.u0.sup() > 0:
-        dictionary = dictionary + [plan.u0]
+    d_hats = well_levels(mesh, plan.u0, nl, plan.p_sequence,
+                         plan.dictionary_size)
 
     cfgs = [plan.cfg_template.replace(
         p=p, eps=eps, checkpoint_times=tuple(sorted(
@@ -283,8 +281,8 @@ def run_continuation(plan: ContinuationPlan) -> ContinuationReport:
         for p, eps in zip(plan.p_sequence, plan.eps_schedule)]
     trajs = march(mesh, plan.u0, cfgs, nl)
 
-    for p, eps, traj in zip(plan.p_sequence, plan.eps_schedule, trajs):
-        d_hat = estimate_dp(mesh, p, nl, dictionary) if has_reaction else math.inf
+    for p, eps, traj, d_hat in zip(plan.p_sequence, plan.eps_schedule,
+                                   trajs, d_hats):
         states = _checkpoint_states(traj, checkpoints)
         fluxes = [extract_flux(f, p, eps) for _, f in states]
         max_z = max((ff.max_abs() for ff in fluxes), default=0.0)

@@ -351,22 +351,24 @@ def energy(field: Field, p: float, nl: Nonlinearity) -> float:
     return grad_p_norm(field, p) / p - m.integrate(nl.F(field.values))
 
 
-def regularized_energy(field: Field, p, eps,
-                       snap: EnergySnapshot) -> float | np.ndarray:
+def regularized_energy(field: Field, p, eps, snap: EnergySnapshot | list
+                       ) -> float | np.ndarray:
     """E_p,eps(u) = (1/p) int (|grad u|^2 + eps^2)^(p/2) - int F(u), the
     energy that a lagged-diffusivity step dissipates.
 
     Computed as E_p(u) + (1/p)(int (|grad u|^2 + eps^2)^(p/2) -
     int |grad u|^p) from ``snap``, the snapshot of ``field``, so that F is
-    not evaluated a second time. For a stack, p and eps are (k,) arrays and
-    the result is one energy per row, each equal to that row's alone. A
-    snapshot given the ``Terms`` of p and eps holds the same value as
-    ``E_eps``.
+    not evaluated a second time. For a stack, p and eps are (k,) arrays,
+    ``snap`` is the list of its rows' snapshots, and the result is one
+    energy per row, each equal to that row's alone. A snapshot given the
+    ``Terms`` of p and eps holds the same value as ``E_eps``.
     """
     _check_p(p)
     lifted = rowdot(Terms(p, eps).lifted(field.grad_mag),
                     field.mesh.element_volumes)
-    E = snap.E_p + (lifted - snap.grad_p) / p
+    E_p, grad_p = ((snap.E_p, snap.grad_p) if isinstance(snap, EnergySnapshot)
+                   else np.array([(s.E_p, s.grad_p) for s in snap]).T)
+    E = E_p + (lifted - grad_p) / p
     return float(E) if E.ndim == 0 else E
 
 
@@ -473,6 +475,20 @@ def default_dictionary(mesh: Mesh, count: int = 8) -> list[Field]:
             if f.sup() > 0:
                 fields.append(f)
     return fields
+
+
+def well_levels(mesh: Mesh, u0: Field, nl: Nonlinearity, ps,
+                count: int = 8) -> list[float]:
+    """The level estimate d_hat (``estimate_dp``) of a run from ``u0`` at
+    each p in ``ps``, over ``count`` bumps of ``default_dictionary`` and
+    u0 itself when it is nonzero; infinity at every p without a reaction,
+    where the well is the whole space."""
+    if isinstance(nl, Zero):
+        return [math.inf] * len(ps)
+    dictionary = default_dictionary(mesh, count)
+    if u0.sup() > 0:
+        dictionary.append(u0)
+    return [estimate_dp(mesh, p, nl, dictionary) for p in ps]
 
 
 # ---------------------------------------------------------------------------
@@ -591,18 +607,9 @@ class EnergySnapshot:
     grad_p: float   # int |grad u|^p
     E_eps: float    # E_p,eps at the eps of the snapshot's Terms
 
-    def rows(self) -> list[EnergySnapshot]:
-        """The snapshots of a stack's rows, with float fields; [self] for
-        the snapshot of a plain field."""
-        if not isinstance(self.E_p, tuple):
-            return [self]
-        return [EnergySnapshot(*row) for row in zip(
-            self.time, self.E_p, self.I_p, self.tv, self.l2, self.sup,
-            self.dissipation_cum, self.grad_p, self.E_eps)]
 
-
-def snapshot(field: Field, t, p, nl: Nonlinearity,
-             dissipation_cum) -> EnergySnapshot:
+def snapshot(field: Field, t, p, nl: Nonlinearity, dissipation_cum
+             ) -> EnergySnapshot | list[EnergySnapshot]:
     """The diagnostics of ``field`` in one pass: int |grad u|^p, f(u) and
     F(u) are each evaluated once, f(u) is kept with the field
     (``Field.reaction``), and every integral is one quadrature dot
@@ -612,9 +619,8 @@ def snapshot(field: Field, t, p, nl: Nonlinearity,
 
     A stack of k fields is evaluated in the same pass, with ``t``, ``p``
     and ``dissipation_cum`` given per row (k values, p as a (k,) array);
-    every field of the snapshot then holds k values
-    (``EnergySnapshot.rows`` splits it), each row equal to the snapshot of
-    that row alone.
+    the result is then the list of the k rows' snapshots, each equal to the
+    snapshot of that row alone.
 
     ``p`` may also be given as the ``Terms`` of p and an eps, which
     ``march`` computes once per stack; a bare p stands for ``Terms(p)``,
@@ -648,9 +654,9 @@ def snapshot(field: Field, t, p, nl: Nonlinearity,
     nodes[:, 0] = nl.F(u)
     np.multiply(field.reaction(nl), u, out=nodes[:, 1])
     np.multiply(u, u, out=nodes[:, 2])
-    return EnergySnapshot(*zip(*map(
-        _fields, t, terms.p_exp, dissipation_cum, field.sup().tolist(),
-        rowdot(cells, vol).tolist(), rowdot(nodes, qw).tolist())))
+    return [EnergySnapshot(*_fields(*row)) for row in zip(
+        t, terms.p_exp, dissipation_cum, field.sup().tolist(),
+        rowdot(cells, vol).tolist(), rowdot(nodes, qw).tolist())]
 
 
 def _fields(t, p, dissipation_cum, sup, cells, nodes) -> tuple:

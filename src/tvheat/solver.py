@@ -35,7 +35,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse.linalg as spla  # unused; bench/spans.py patches solver.spla
-from scipy.linalg import solveh_banded as lapack_solveh_banded
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dptsv
 
 from .mesh import Field, Mesh, rowdot
@@ -117,10 +116,11 @@ class Status:
 @dataclass
 class Trajectory:
     """Time-indexed record of one run: snapshot ledger, stored states,
-    termination status, the linear-solve counts (factorizations, and
-    preconditioned CG iterations, which stay 0 in 1-D) and the step counts
-    beside the accepted ones: trials the energy gate rejected, and the
-    bisection steps that located an extinction crossing."""
+    termination status, the linear-solve counts (factorizations, which in
+    1-D count the ``ptsv`` calls, and preconditioned CG iterations, which
+    stay 0 in 1-D) and the step counts beside the accepted ones: trials the
+    energy gate rejected, and the bisection steps that located an
+    extinction crossing."""
 
     mesh: Mesh
     cfg: SolverConfig
@@ -144,10 +144,12 @@ PCG_RTOL = 1e-13         # ||r|| <= PCG_RTOL ||b||: 1000x inside the gate
 
 
 class BandedFactor:
-    """One run's banded Cholesky factor, kept across steps as the
-    preconditioner of the next steps' systems, with the run's solve counts.
-    ``run`` owns one; a second run starts from no factor, so its results do
-    not depend on what ran before."""
+    """One member's linear solver, one path per bandwidth, with its solve
+    counts. In 2-D it keeps a banded Cholesky factor across steps as the
+    preconditioner of the next steps' systems; in 1-D it holds no factor
+    and counts each ``ptsv`` call as a factorization. ``march`` gives each
+    member one; a second run starts from no factor, so its results do not
+    depend on what ran before."""
 
     def __init__(self):
         self.chol = None         # upper Cholesky factor in LAPACK band form
@@ -156,11 +158,20 @@ class BandedFactor:
 
     def solve(self, band: np.ndarray, rhs: np.ndarray, x0: np.ndarray,
               offsets: list[int], b: int) -> np.ndarray:
-        """PCG from ``x0`` with the held factor, for the compact band
-        ``band`` with super-diagonals at ``offsets`` (see ``solveh_banded``).
-        A solve that needs more than PCG_REFACTOR_ITERS iterations drops the
-        factor; with no factor held, or when PCG fails, factor the full
-        band of width ``b`` with LAPACK ``pbtrf`` and solve directly."""
+        """Solve the system in compact band storage ``band`` with
+        super-diagonals at ``offsets`` (see ``solveh_banded``). In 1-D
+        (b = 1) LAPACK ``ptsv``, one factorization. Otherwise PCG from
+        ``x0`` with the held factor; a solve that needs more than
+        PCG_REFACTOR_ITERS iterations drops the factor, and with no factor
+        held, or when PCG fails, factor the full band of width ``b`` with
+        LAPACK ``pbtrf`` and solve directly with ``pbtrs``: the steps of
+        ``pbsv``. A matrix that is not positive definite raises
+        LinAlgError."""
+        if b == 1:
+            self.factorizations += 1
+            _, _, x, info = dptsv(band[1], band[0, 1:], rhs)
+            _check_info(info, "ptsv")
+            return x
         if self.chol is not None:
             x, its = self._pcg(band, rhs, x0, offsets)
             self.iterations += its
@@ -217,65 +228,48 @@ def solveh_banded(band: np.ndarray, rhs: np.ndarray, factor, x0: np.ndarray,
     in compact band storage ``band``: row r holds the super-diagonal at
     ``offsets[r]`` and the last row the diagonal, each as in LAPACK upper
     banded storage, and every other diagonal is zero. The one linear solve
-    of a step.
+    of a step, through ``factor``'s ``BandedFactor.solve``: one path per
+    bandwidth.
 
     In 1-D (bandwidth 1, where the compact band is LAPACK's) this is LAPACK
     ``ptsv``, called directly: the routine scipy's ``solveh_banded`` ends
     in, without its argument checks, which cost more than the solve of a
-    few hundred unknowns. Without a ``factor`` it is scipy's
-    ``solveh_banded`` (LAPACK ``pbsv``) on the full band. Otherwise it is
-    conjugate gradients from ``x0``, preconditioned by ``factor``'s held
-    factorization (see ``BandedFactor.solve``). A matrix that is not
-    positive definite raises LinAlgError.
+    few hundred unknowns. Otherwise it is conjugate gradients from ``x0``,
+    preconditioned by ``factor``'s held factorization, or a fresh
+    factorization. A matrix that is not positive definite raises
+    LinAlgError.
 
     A stack of k systems (``band`` of shape (len(offsets) + 1, k, m), as
     ``Mesh.interior_stiffness`` lays it out, ``rhs`` and ``x0`` (k, m),
-    ``factor`` a sequence of k factors or None) is solved in this one call,
-    each member as above with its own factor; a member whose matrix is not
+    ``factor`` a sequence of k factors) is solved in this one call, each
+    member as above with its own factor; a member whose matrix is not
     positive definite, or whose solution is not finite, comes back as a
-    row of NaN instead. In 1-D the stack is one
-    ``ptsv`` call on its block-diagonal matrix, whose zero couplings leave
-    every block's arithmetic as it is alone; only a stack with a failed
-    block is solved again block by block. The function keeps scipy's name
-    because the benchmark's tracer wraps ``solver.solveh_banded`` as the
-    linear-solve layer and counts one call per step.
+    row of NaN instead. In 1-D the stack is one ``ptsv`` call on its
+    block-diagonal matrix, whose zero couplings leave every block's
+    arithmetic as it is alone, and each member counts one factorization;
+    only a stack with a failed block is solved again block by block. The
+    function keeps scipy's name because the benchmark's tracer wraps
+    ``solver.solveh_banded`` as the linear-solve layer and counts one call
+    per step.
     """
     if band.ndim == 2:
-        return _solve(band, rhs, factor, x0, offsets, b)
-    factors = [None] * len(rhs) if factor is None else factor
+        return factor.solve(band, rhs, x0, offsets, b)
     if b == 1:
-        for f in factors:
-            if f is not None:
-                f.factorizations += 1
         _, _, x, info = dptsv(band[1].ravel(), band[0].ravel()[1:],
                               rhs.ravel())
         if info == 0 and np.isfinite(x).all():
+            for f in factor:
+                f.factorizations += 1
             return x.reshape(rhs.shape)
-        factors = [None] * len(rhs)      # counted above
     x = np.empty(rhs.shape)
-    for i, f in enumerate(factors):
+    for i, f in enumerate(factor):
         try:
-            x[i] = _solve(band[:, i], rhs[i], f, x0[i], offsets, b)
+            x[i] = f.solve(band[:, i], rhs[i], x0[i], offsets, b)
         except np.linalg.LinAlgError:
             x[i] = np.nan
         if not np.isfinite(x[i]).all():
             x[i] = np.nan
     return x
-
-
-def _solve(band: np.ndarray, rhs: np.ndarray, factor: BandedFactor | None,
-           x0: np.ndarray, offsets: list[int], b: int) -> np.ndarray:
-    """``solveh_banded`` for one system."""
-    if b == 1:
-        if factor is not None:
-            factor.factorizations += 1
-        _, _, x, info = dptsv(band[1], band[0, 1:], rhs)
-        _check_info(info, "ptsv")
-        return x
-    if factor is None:
-        return lapack_solveh_banded(_full_band(band, offsets, b), rhs,
-                                    overwrite_ab=True, check_finite=False)
-    return factor.solve(band, rhs, x0, offsets, b)
 
 
 def _check_info(info: int, routine: str) -> None:
@@ -298,11 +292,11 @@ def _full_band(band: np.ndarray, offsets: list[int], b: int) -> np.ndarray:
     return ab
 
 
-def _band_product(band: np.ndarray, x: np.ndarray,
-                  offsets: list[int]) -> np.ndarray:
-    """A @ x for the symmetric matrix A in compact band storage ``band``
-    with super-diagonals at ``offsets``."""
-    Ax = band[-1] * x
+def _band_product(band: np.ndarray, x: np.ndarray, offsets: list[int],
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """A @ x (into ``out`` if given) for the symmetric matrix A in compact
+    band storage ``band`` with super-diagonals at ``offsets``."""
+    Ax = np.multiply(band[-1], x, out=out)
     for row, d in zip(band, offsets):
         a = row[d:]                    # A[i, i + d] for i = 0 .. m - d - 1
         Ax[:-d] += a * x[d:]
@@ -317,18 +311,19 @@ def _band_product(band: np.ndarray, x: np.ndarray,
 def step(state: Field, t, cfg, nl: Nonlinearity, dt=None, factor=None,
          terms: Terms | None = None) -> Field:
     """One semi-implicit step of size dt (default cfg.dt0): returns the new
-    field. ``march`` judges the step from the two states' snapshots. With a
-    ``factor`` (one run's), a 2-D system is solved by PCG preconditioned
-    with its held factorization; without one, directly. A failed solve
-    raises StepFailureError. The reaction term is the state's kept f(u)
-    (``Field.reaction``).
+    field. ``march`` judges the step from the two states' snapshots. The
+    system is solved through ``factor``, one run's ``BandedFactor``, whose
+    held factorization preconditions PCG on a 2-D system; without one, the
+    step solves through a fresh ``BandedFactor``, which factors directly. A
+    failed solve raises StepFailureError. The reaction term is the state's
+    kept f(u) (``Field.reaction``).
 
     ``state`` may also be a stack of k fields (see ``Field``), stepped in
     one pass: ``cfg`` is then a sequence of k configs, ``dt`` (required)
-    the k step sizes and ``factor`` a sequence of k factors (or None), one
-    per row, and one ``solveh_banded`` call solves every row. A row whose solve
-    fails comes back NaN; every other row is the step of that row alone,
-    bit for bit.
+    the k step sizes and ``factor`` a sequence of k factors (or None, for k
+    fresh ones), one per row, and one ``solveh_banded`` call solves every
+    row. A row whose solve fails comes back NaN; every other row is the
+    step of that row alone, bit for bit.
 
     ``terms`` are the ``Terms`` of the configs' p and eps, which ``march``
     computes once per stack; without them ``step`` computes them from
@@ -339,6 +334,9 @@ def step(state: Field, t, cfg, nl: Nonlinearity, dt=None, factor=None,
         raise SolverError("state is not Dirichlet-constrained")
     u = state.values
     single = u.ndim == 1
+    if factor is None:
+        factor = (BandedFactor() if single
+                  else [BandedFactor() for _ in range(len(u))])
     if single:
         dt = cfg.dt0 if dt is None else dt
     else:
@@ -396,20 +394,22 @@ def _gate(band: np.ndarray, x: np.ndarray, rhs: np.ndarray,
     that its blocks' zero couplings (0 * nan) cannot reach its
     neighbours."""
     if x.ndim == 1:
-        r, row_abs = _banded_matvec(band, x, offsets)
+        r = _band_product(band, x, offsets)
         r -= rhs
-        return _accurate(r @ r, rhs @ rhs, float(row_abs.max()), x @ x)
+        norm_A = float(_abs_row_sums(band, offsets).max())
+        return _accurate(r @ r, rhs @ rhs, norm_A, x @ x)
     finite = ~np.isnan(x[:, 0])         # a failed member is a row of NaN
     if not finite.all():
         x = np.where(finite[:, None], x, 0.0)
     # each member's r, b and x: the rows of one array, one dot product each
     v = np.empty((3,) + x.shape)
-    r, row_abs = _banded_matvec(band.reshape(len(band), -1), x.reshape(-1),
-                                offsets, out=v[0].reshape(-1))
+    flat = band.reshape(len(band), -1)
+    r = _band_product(flat, x.reshape(-1), offsets, out=v[0].reshape(-1))
     r -= rhs.reshape(-1)
     v[1], v[2] = rhs, x
     rr, bb, xx = rowdot(v, v).tolist()
-    norm_A = row_abs.reshape(x.shape).max(axis=-1).tolist()
+    row_abs = _abs_row_sums(flat, offsets).reshape(x.shape)
+    norm_A = row_abs.max(axis=-1).tolist()
     return [f and _accurate(*norms)
             for f, *norms in zip(finite.tolist(), rr, bb, norm_A, xx)]
 
@@ -420,24 +420,17 @@ def _accurate(rr: float, bb: float, norm_A: float, xx: float) -> bool:
     return math.sqrt(rr) <= 1e-10 * max(scale, 1e-300)
 
 
-def _banded_matvec(band: np.ndarray, x: np.ndarray, offsets: list[int],
-                   out: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """A @ x (into ``out`` if given) and the absolute row sums of the
-    symmetric matrix A held in compact band storage ``band`` with
-    super-diagonals at ``offsets`` (the mesh's, so fixed before the
-    solve). The residual gate's own product, independent of the solve it
-    checks."""
-    Ax = np.multiply(band[-1], x, out=out)
+def _abs_row_sums(band: np.ndarray, offsets: list[int]) -> np.ndarray:
+    """The absolute row sums of the symmetric matrix A held in compact band
+    storage ``band`` with super-diagonals at ``offsets``: ||A||_inf is
+    their maximum."""
     magnitudes = np.abs(band)
     row_abs = magnitudes[-1]
-    for row, a, d in zip(band, magnitudes, offsets):
-        e, a = row[d:], a[d:]          # A[i, i + d] for i = 0 .. m - d - 1
-        Ax[:-d] += e * x[d:]
-        Ax[d:] += e * x[:-d]
+    for a, d in zip(magnitudes, offsets):
+        a = a[d:]                      # |A[i, i + d]| for i = 0 .. m - d - 1
         row_abs[:-d] += a
         row_abs[d:] += a
-    return Ax, row_abs
+    return row_abs
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +480,8 @@ def march(mesh: Mesh, u0: Field, cfgs, nl: Nonlinearity) -> list[Trajectory]:
     zeros = _per_member([0.0] * k)
     snaps = snapshot(start, zeros, stack.terms, nl, zeros)
     running = []
-    for row, (m, snap) in enumerate(zip(members, snaps.rows())):
+    for row, (m, snap) in enumerate(zip(members,
+                                        [snaps] if k == 1 else snaps)):
         m.state, m.row, m.snap = start, (None if k == 1 else row), snap
         m.traj.times.append(0.0)
         m.traj.snapshots.append(snap)
@@ -658,7 +652,8 @@ def _judge(judging: list, mesh: Mesh, nl: Nonlinearity, stack: _Stack) -> list:
     snaps = snapshot(new, _per_member(t_new), terms, nl, _per_member(cum))
     one = len(members) == 1
     again = []
-    for i, ((m, trials), snap) in enumerate(zip(judging, snaps.rows())):
+    for i, ((m, trials), snap) in enumerate(zip(judging,
+                                                [snaps] if one else snaps)):
         if not (math.isfinite(snap.E_p) and math.isfinite(snap.I_p)):
             # the reaction overflowed; the residual gate cannot judge this
             m.stop(Status("blowup", m.t, "energy_overflow"))

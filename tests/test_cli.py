@@ -509,6 +509,18 @@ def test_readme_config_table_names_every_key():
         {s: sorted(keys) for s, keys in _SCHEMA.items()}
 
 
+def test_readme_quick_start_config_parses():
+    # README's quick-start run.ini is a config that parse_config accepts,
+    # so it cannot drift from _SCHEMA
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```ini\n# run\.ini\n(.*?)```", readme.read_text(),
+                      re.S)
+    cfg = parse_config(block.group(1))
+    assert cfg.plan is None and cfg.out_dir == "out"
+    assert (cfg.solver.p, cfg.solver.T_end) == (1.5, 1.0)
+    assert cfg.mesh.n_nodes == 401 and cfg.u0.sup() == 0.01
+
+
 def test_emit_summary_trailing_newline(tmp_path):
     path = tmp_path / "s.json"
     emit_summary({"a": 1}, path)

@@ -251,7 +251,7 @@ class TestEnergies:
         ps, eps = np.array([1.01, 1.5, 2.0, 1.25]), np.array([0.0, 1e-4,
                                                              0.5, 1e-2])
         times, cum = [0.1, 0.2, 0.3, 0.4], [1.0, 2.0, 3.0, 4.0]
-        snaps = snapshot(stack, times, ps, nl, cum).rows()
+        snaps = snapshot(stack, times, ps, nl, cum)
         E_eps = regularized_energy(stack, ps, eps, snapshot(
             stack, [0.0] * 4, ps, nl, [0.0] * 4))
         for i, (s, p, e) in enumerate(zip(snaps, ps.tolist(), eps.tolist())):
@@ -280,8 +280,7 @@ class TestEnergies:
         rng = np.random.default_rng(7)
         stack = Field(m, rng.uniform(-1.0, 1.0, (3, m.n_nodes))).constrained()
         ps, eps = np.array([1.01, 1.5, 2.0]), np.array([1e-4, 0.5, 0.0])
-        rows = snapshot(stack, [0.0] * 3, Terms(ps, eps), nl,
-                        [0.0] * 3).rows()
+        rows = snapshot(stack, [0.0] * 3, Terms(ps, eps), nl, [0.0] * 3)
         for i, (p, e) in enumerate(zip(ps.tolist(), eps.tolist())):
             f = stack.rows(i)
             alone = snapshot(f, 0.0, Terms(p, e), nl, 0.0)

@@ -475,17 +475,16 @@ class TestLinearSolve:
             ab[0] = rng.uniform(-1.0, 1.0, m)
             ab[1] = 2.0 + rng.uniform(0.0, 1.0, m)   # diagonally dominant
             rhs = rng.normal(size=m)
-            for factor in (None, solver.BandedFactor()):
-                x = solver.solveh_banded(ab, rhs, factor, rhs, [1], 1)
-                assert np.array_equal(x, lapack_solveh_banded(ab, rhs))
+            x = solver.solveh_banded(ab, rhs, solver.BandedFactor(), rhs,
+                                     [1], 1)
+            assert np.array_equal(x, lapack_solveh_banded(ab, rhs))
 
     def test_tridiagonal_solve_rejects_indefinite_band(self):
         # [[1, 2, 0], [2, 1, 0.5], [0, 0.5, 1]]: the second minor is -3
         ab = np.array([[0.0, 2.0, 0.5], [1.0, 1.0, 1.0]])
-        for factor in (None, solver.BandedFactor()):
-            with pytest.raises(np.linalg.LinAlgError):
-                solver.solveh_banded(ab, np.ones(3), factor, np.zeros(3), [1],
-                                     1)
+        with pytest.raises(np.linalg.LinAlgError):
+            solver.solveh_banded(ab, np.ones(3), solver.BandedFactor(),
+                                 np.zeros(3), [1], 1)
 
     @pytest.mark.parametrize("held", [False, True], ids=["fresh", "held"])
     def test_indefinite_2d_band_is_step_failure(self, held):
@@ -499,8 +498,55 @@ class TestLinearSolve:
         with pytest.raises(StepFailureError, match="pbtrf"):
             step(u, 0.0, cfg, Zero(), -1e-3, factor=factor)
         assert factor.factorizations == int(held)
-        with pytest.raises(StepFailureError):
+        with pytest.raises(StepFailureError, match="pbtrf"):
             step(u, 0.0, cfg, Zero(), -1e-3)
+
+    @pytest.mark.parametrize("domain, resolution", [
+        (Rectangle(1.0, 1.0), 8), (Rectangle(1.0, 1.0), [16, 8]),
+        (Interval(1.0), 40)], ids=["square", "rect", "interval"])
+    def test_step_without_factor_is_fresh_factor(self, domain, resolution):
+        # without a factor, a plain field or each row of a stack solves
+        # through a fresh BandedFactor, bit for bit, which factors once
+        mesh = build_mesh(domain, resolution)
+        x = mesh.nodes
+        rows = [np.sin(np.pi * x).prod(axis=1),
+                np.maximum(0.0, 1.0 - 2.0 * np.abs(x - 0.5)).prod(axis=1),
+                np.sin(2.0 * np.pi * x).prod(axis=1)]
+        stack = Field(mesh, rows).constrained()
+        cfgs = [SolverConfig(p=1.5), SolverConfig(p=1.25, eps=1e-2),
+                SolverConfig(p=2.0, eps=0.0)]
+        dts = [1e-3, 5e-4, 2e-3]
+        nl = Power(q=3.0)
+        factors = [solver.BandedFactor() for _ in cfgs]
+        fresh = step(stack, [0.0] * 3, cfgs, nl, dts, factor=factors)
+        assert step(stack, [0.0] * 3, cfgs, nl, dts).values.tobytes() == \
+            fresh.values.tobytes()
+        assert [f.factorizations for f in factors] == [1, 1, 1]
+        for i in range(3):
+            factor = solver.BandedFactor()
+            alone = step(stack.rows(i), 0.0, cfgs[i], nl, dts[i],
+                         factor=factor)
+            assert step(stack.rows(i), 0.0, cfgs[i], nl,
+                        dts[i]).values.tobytes() == alone.values.tobytes()
+            assert alone.values.tobytes() == fresh.values[i].tobytes()
+            assert (factor.factorizations, factor.iterations) == (1, 0)
+
+    @pytest.mark.parametrize("resolution", [8, [16, 8], [9, 16], 32])
+    def test_fresh_factor_is_scipy_pbsv(self, resolution):
+        # a fresh factor's pbtrf + pbtrs are the steps of scipy's
+        # solveh_banded (LAPACK pbsv) on the full band, bit for bit
+        mesh = build_mesh(Rectangle(1.0, 1.0), resolution)
+        rng = np.random.default_rng(5)
+        _, b, _, offsets = mesh.interior_band
+        for dt in (1e-4, 1e-2):
+            band = mesh.interior_stiffness(
+                rng.uniform(0.5, 2.0, mesh.n_elements) * mesh.element_volumes)
+            band[-1] += mesh.interior_weights / dt
+            rhs = rng.normal(size=band.shape[1])
+            ref = lapack_solveh_banded(solver._full_band(band, offsets, b),
+                                       rhs)
+            x = solver.BandedFactor().solve(band, rhs, rhs, offsets, b)
+            assert x.tobytes() == ref.tobytes()
 
     def test_1d_flat_extinction_time_unchanged(self):
         # criterion 1's run, pinned to the last bit: the step sequence of
