@@ -22,7 +22,7 @@ from . import __version__
 from .mesh import Annulus, Field, Interval, Mesh, MeshError, Rectangle, \
     build_mesh, load_field
 from .model import ModelError, Nonlinearity, Zero, check_f_conditions, \
-    default_dictionary, make_nonlinearity, well_levels
+    default_dictionary, make_nonlinearity, tent, well_levels
 from .limit import ContinuationPlan, LimitError, check_p_sequence, \
     default_p_sequence, run_continuation
 from .solver import SolverConfig, SolverError, Status, detect_tmax, \
@@ -286,7 +286,7 @@ def flat_profile(mesh: Mesh, amplitude: float = 1.0) -> Field:
 def hat_profile(mesh: Mesh, amplitude: float = 1.0) -> Field:
     lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
     span = hi - lo
-    return _tent(mesh, amplitude, lo + 0.5 * span, span)
+    return tent(mesh, amplitude, lo + 0.5 * span, span)
 
 
 def bump_profile(mesh: Mesh, center: tuple, width: tuple,
@@ -300,17 +300,7 @@ def bump_profile(mesh: Mesh, center: tuple, width: tuple,
     if not np.all(width > 0):
         raise ConfigError(f"key [initial] width: must be > 0, got "
                           f"{tuple(width)}")
-    return _tent(mesh, amplitude, center, width)
-
-
-def _tent(mesh: Mesh, amp: float, center, width) -> Field:
-    prof = np.ones(mesh.n_nodes)
-    for k in range(mesh.dim_coord):
-        # |x - c| / (w/2) overflows to inf for a tiny width: profile 0
-        with np.errstate(over="ignore"):
-            dist = 2.0 * (np.abs(mesh.nodes[:, k] - center[k]) / width[k])
-        prof *= np.maximum(0.0, 1.0 - dist)
-    return Field(mesh, amp * prof).constrained()
+    return tent(mesh, amplitude, center, width)
 
 
 def dictionary_profile(mesh: Mesh, index: int = 0,
@@ -392,7 +382,7 @@ def _run_single(cfg: RunConfig):
     else:
         audits["gradient_bound"] = "skipped"
     if cfg.audits["conditions"]:
-        rep = check_f_conditions(nl, nl.p0)
+        rep = check_f_conditions(nl)
         audits["f_conditions"] = dict(rep.__dict__)
     else:
         audits["f_conditions"] = "skipped"
@@ -423,18 +413,13 @@ def _run_single(cfg: RunConfig):
 def _run_continuation(cfg: RunConfig):
     report = run_continuation(cfg.plan)
     statuses = [r.status for r in report.records]
-    if any(s == "step_failure" for s in statuses):
-        code = 3
-    elif any(s == "blowup" for s in statuses):
-        code = 2
-    else:
-        code = 0
     summary = {
         "mode": "continuation",
         "status": statuses[-1],
         "continuation": report.as_dict(),
     }
-    return summary, code
+    # the gravest member's code: step failure over blow-up over success
+    return summary, max(Status.EXIT_CODES[s] for s in statuses)
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 from .mesh import Annulus, Field, Mesh
 from .model import Nonlinearity, diffusivity, grad_p_norm, total_variation, \
     well_levels
-from .solver import SolverConfig, Trajectory, march
+from .solver import SolverConfig, march
 
 
 class LimitError(ValueError):
@@ -76,17 +76,15 @@ def extract_flux(field: Field, p: float, eps: float = 0.0) -> FluxField:
                              * field.grad)
 
 
-def flux_alignment(fluxfield: FluxField, field: Field,
-                   alignment_floor: float | None = None) -> float:
-    """Ratio int z . grad u / int |grad u| over elements with non-negligible
-    gradient; 1.0 when the denominator vanishes (the condition is vacuous)."""
+def flux_alignment(fluxfield: FluxField, field: Field) -> float:
+    """Ratio int z . grad u / int |grad u| over the elements whose gradient
+    exceeds 1e-6 of the largest; 1.0 when the denominator vanishes (the
+    condition is vacuous)."""
     mesh = field.mesh
     if fluxfield.mesh is not mesh:
         raise LimitError("flux and field live on different meshes")
     g, mag = field.grad, field.grad_mag
-    if alignment_floor is None:
-        alignment_floor = 1e-6 * mag.max(initial=0.0)
-    active = mag > alignment_floor
+    active = mag > 1e-6 * mag.max(initial=0.0)
     denom = float((mesh.element_volumes * mag)[active].sum())
     if denom == 0.0:
         return 1.0
@@ -95,18 +93,21 @@ def flux_alignment(fluxfield: FluxField, field: Field,
     return num / denom
 
 
-def boundary_sign_check(fluxfield: FluxField, field: Field,
-                        tol: float = 1e-8, tol_sign: float = 0.05) -> dict:
-    """Check the boundary condition trace(z) in sign(-u) nodewise.
+BOUNDARY_SIGN_TOL = 0.05   # per node, and in the continuation verdict
 
-    Where |u| <= tol the admissible set is the full interval [-1, 1]; the
+
+def boundary_sign_check(fluxfield: FluxField, field: Field) -> dict:
+    """Check the boundary condition trace(z) in sign(-u) nodewise; it
+    passes where every violation is at most BOUNDARY_SIGN_TOL.
+
+    Where |u| <= 1e-8 the admissible set is the full interval [-1, 1]; the
     violation there is the excess of |trace| over 1. Elsewhere the violation
     is |trace - sign(-u)|.
     """
     mesh = field.mesh
     ub = field.values[mesh.boundary_nodes]
     tr = fluxfield.boundary_trace
-    zero_u = np.abs(ub) <= tol
+    zero_u = np.abs(ub) <= 1e-8
     viol = np.where(zero_u,
                     np.maximum(np.abs(tr) - 1.0, 0.0),
                     np.abs(tr - np.sign(-ub)))
@@ -114,8 +115,8 @@ def boundary_sign_check(fluxfield: FluxField, field: Field,
     return {
         "worst_violation": float(viol[worst]),
         "worst_node": int(mesh.boundary_nodes[worst]),
-        "passes": bool(np.all(viol <= tol_sign)),
-        "tol_sign": tol_sign,
+        "passes": bool(np.all(viol <= BOUNDARY_SIGN_TOL)),
+        "tol_sign": BOUNDARY_SIGN_TOL,
     }
 
 
@@ -133,15 +134,21 @@ def green_residual(fluxfield: FluxField, w: Field) -> float:
     return abs(vol + bulk - bnd)
 
 
+def bv_norm(field: Field) -> float:
+    """The BV norm of the extension by zero: int |grad u| + boundary
+    integral of |u|."""
+    mesh = field.mesh
+    return total_variation(field) + mesh.boundary_integrate(
+        np.abs(field.values[mesh.boundary_nodes]))
+
+
 def radial_sup_bound_check(field: Field) -> dict:
-    """Radial sup bound: |u(r)| <= r^(1-N) ||u|| with the norm
-    ||u|| = int |grad u| + boundary integral of |u| (extension by zero)."""
+    """Radial sup bound: |u(r)| <= r^(1-N) ||u|| with the norm ``bv_norm``."""
     mesh = field.mesh
     dom = mesh.domain
     if not isinstance(dom, Annulus):
         raise LimitError("radial sup bound applies to annulus meshes only")
-    norm = total_variation(field) + mesh.boundary_integrate(
-        np.abs(field.values[mesh.boundary_nodes]))
+    norm = bv_norm(field)
     r = mesh.nodes[:, 0]
     bound = r ** (1 - dom.dim) * norm
     slack = bound - np.abs(field.values)
@@ -201,6 +208,9 @@ class ContinuationPlan:
                    for c in self.checkpoint_times):
             raise LimitError(f"checkpoint_times must lie in (0, T_end], got "
                              f"{tuple(self.checkpoint_times)}")
+        if not self.dictionary_size >= 1:
+            raise LimitError(f"dictionary_size must be at least 1, got "
+                             f"{self.dictionary_size}")
         self.p_sequence = ps
         if self.eps_schedule is None:
             self.eps_schedule = tuple((p - 1.0) ** 2 for p in ps)
@@ -240,18 +250,8 @@ class ContinuationReport:
 
 
 def limit_energy(field: Field, nl: Nonlinearity) -> float:
-    """The p = 1 energy: int |grad u| + boundary |u| - int F(u)."""
-    mesh = field.mesh
-    trace = mesh.boundary_integrate(np.abs(field.values[mesh.boundary_nodes]))
-    return total_variation(field) + trace - mesh.integrate(nl.F(field.values))
-
-
-def _checkpoint_states(traj: Trajectory, checkpoints) -> list:
-    out = []
-    for c in checkpoints:
-        best = min(traj.states, key=lambda tf: abs(tf[0] - c))
-        out.append(best)
-    return out
+    """The p = 1 energy: ``bv_norm`` - int F(u)."""
+    return bv_norm(field) - field.mesh.integrate(nl.F(field.values))
 
 
 def run_continuation(plan: ContinuationPlan) -> ContinuationReport:
@@ -283,7 +283,9 @@ def run_continuation(plan: ContinuationPlan) -> ContinuationReport:
 
     for p, eps, traj, d_hat in zip(plan.p_sequence, plan.eps_schedule,
                                    trajs, d_hats):
-        states = _checkpoint_states(traj, checkpoints)
+        # the stored state nearest each checkpoint
+        states = [min(traj.states, key=lambda tf: abs(tf[0] - c))
+                  for c in checkpoints]
         fluxes = [extract_flux(f, p, eps) for _, f in states]
         max_z = max((ff.max_abs() for ff in fluxes), default=0.0)
         align = min((flux_alignment(ff, f)
@@ -320,11 +322,12 @@ def run_continuation(plan: ContinuationPlan) -> ContinuationReport:
         ))
 
     last = records[-1]
+    tol = {"max_abs_z": 1.0 + 10.0 * (last.p - 1.0),
+           "alignment": 0.95, "boundary_sign": BOUNDARY_SIGN_TOL}
     verdict = {
-        "flux_bounded": last.max_abs_z <= 1.0 + 10.0 * (last.p - 1.0),
-        "flux_aligned": last.alignment_min >= 0.95,
-        "boundary_sign": last.boundary_sign_worst <= 0.05,
-        "tolerances": {"max_abs_z": 1.0 + 10.0 * (last.p - 1.0),
-                       "alignment": 0.95, "boundary_sign": 0.05},
+        "flux_bounded": last.max_abs_z <= tol["max_abs_z"],
+        "flux_aligned": last.alignment_min >= tol["alignment"],
+        "boundary_sign": last.boundary_sign_worst <= tol["boundary_sign"],
+        "tolerances": tol,
     }
     return ContinuationReport(records, verdict)

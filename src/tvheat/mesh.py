@@ -43,10 +43,6 @@ class Interval:
     def measure(self) -> float:
         return self.length
 
-    @property
-    def diameter(self) -> float:
-        return self.length
-
 
 @dataclass(frozen=True)
 class Annulus:
@@ -75,10 +71,6 @@ class Annulus:
         n = self.dim
         return self.sphere_measure * (self.b ** n - self.a ** n) / n
 
-    @property
-    def diameter(self) -> float:
-        return 2.0 * self.b
-
 
 @dataclass(frozen=True)
 class Rectangle:
@@ -96,10 +88,6 @@ class Rectangle:
     @property
     def measure(self) -> float:
         return self.lx * self.ly
-
-    @property
-    def diameter(self) -> float:
-        return math.hypot(self.lx, self.ly)
 
 
 Domain = Interval | Annulus | Rectangle
@@ -140,16 +128,17 @@ class Mesh:
     boundary_weights : ndarray, shape (n_bnd,)
         Discrete (N-1)-dimensional boundary measure per boundary node
         (counting measure in 1D).
-    boundary_elements : ndarray of int
-        The first element incident to each boundary node, for flux traces.
     grad_coeff : ndarray, shape (n_el, dim_coord + 1, dim_coord)
         ``grad_coeff[e, a, k]`` is component k of the gradient of local node
         a's basis function on element e. ``gradient``, ``gradient_adjoint``
         and ``interior_band`` are all built from it.
     interior_mask : ndarray of bool, shape (n_nodes,)
         False on the boundary nodes.
-    h : float
-        Maximum element diameter.
+
+    Every other array is derived from these on first use and kept:
+    ``boundary_elements``, ``interior_band``, ``interior`` and
+    ``interior_weights``, and the operators behind ``gradient`` and
+    ``gradient_adjoint``.
 
     A mesh whose element e joins nodes e and e + 1 and whose boundary is its
     two end nodes (every ``Interval`` and ``Annulus`` mesh) is a chain: there
@@ -171,26 +160,12 @@ class Mesh:
         self.boundary_normals = np.asarray(boundary_normals, dtype=float)
         self.boundary_weights = np.asarray(boundary_weights, dtype=float)
         self.grad_coeff = np.asarray(grad_coeff, dtype=float)
-        n_el, n_loc, dim = self.grad_coeff.shape
-        # first occurrence of each node in the flattened element list
-        _, first = np.unique(self.elements, return_index=True)
-        self.boundary_elements = first[self.boundary_nodes] // n_loc
-        # one stacked operator: row e * dim_coord + k is component k on e
-        self._grad = sp.csr_matrix(
-            (self.grad_coeff.transpose(0, 2, 1).ravel(),
-             np.repeat(self.elements, dim, axis=0).ravel(),
-             np.arange(0, n_el * dim * n_loc + 1, n_loc)),
-            shape=(n_el * dim, self.n_nodes))
-        edges = self.nodes[self.elements]
-        diffs = edges[:, :, None, :] - edges[:, None, :, :]
-        self.h = float(np.sqrt((diffs ** 2).sum(axis=-1)).max())
         self.interior_mask = np.ones(self.n_nodes, dtype=bool)
         self.interior_mask[self.boundary_nodes] = False
         for arr in (self.nodes, self.elements, self.element_volumes,
                     self.quad_weights, self.boundary_nodes,
                     self.boundary_normals, self.boundary_weights,
-                    self.boundary_elements, self.grad_coeff,
-                    self.interior_mask):
+                    self.grad_coeff, self.interior_mask):
             arr.setflags(write=False)
 
     @property
@@ -204,6 +179,30 @@ class Mesh:
     @property
     def dim_coord(self) -> int:
         return self.nodes.shape[1]
+
+    @cached_property
+    def boundary_elements(self) -> np.ndarray:
+        """The first element incident to each boundary node, for flux
+        traces; read-only, built on first use."""
+        # first occurrence of each node in the flattened element list
+        _, first = np.unique(self.elements, return_index=True)
+        elements = first[self.boundary_nodes] // self.elements.shape[1]
+        elements.setflags(write=False)
+        return elements
+
+    @cached_property
+    def _grad(self) -> sp.csr_matrix:
+        """The gradient as one read-only sparse operator: row e * dim_coord
+        + k is component k on element e. Built on first use."""
+        n_el, n_loc, dim = self.grad_coeff.shape
+        grad = sp.csr_matrix(
+            (self.grad_coeff.transpose(0, 2, 1).ravel(),
+             np.repeat(self.elements, dim, axis=0).ravel(),
+             np.arange(0, n_el * dim * n_loc + 1, n_loc)),
+            shape=(n_el * dim, self.n_nodes))
+        for arr in (grad.data, grad.indices, grad.indptr):
+            arr.setflags(write=False)
+        return grad
 
     @cached_property
     def interior_band(self) -> tuple[sp.csc_matrix, int, np.ndarray,
@@ -370,8 +369,9 @@ class Mesh:
                 f"({len(self.boundary_nodes)},)")
         return float(self.boundary_weights @ boundary_samples)
 
-    def validate(self, rtol: float = 1e-12) -> None:
+    def validate(self) -> None:
         """Check constructor invariants; raises MeshError on violation."""
+        rtol = 1e-12   # of the measure, for the two sums
         total = self.quad_weights.sum()
         if abs(total - self.domain.measure) > rtol * abs(self.domain.measure):
             raise MeshError("quadrature weights do not sum to |Omega|")
@@ -559,10 +559,8 @@ class Field:
         return cls(mesh, np.zeros(mesh.n_nodes))
 
     @classmethod
-    def from_function(cls, mesh: Mesh, fn, dirichlet: bool = False) -> "Field":
-        vals = np.array([fn(*xy) for xy in mesh.nodes], dtype=float)
-        f = cls(mesh, vals)
-        return f.constrained() if dirichlet else f
+    def from_function(cls, mesh: Mesh, fn) -> "Field":
+        return cls(mesh, np.array([fn(*xy) for xy in mesh.nodes], dtype=float))
 
     def constrained(self) -> "Field":
         """Copy with zero values on every boundary node."""
@@ -606,21 +604,25 @@ class Field:
 
 
 def load_field(path, mesh: Mesh) -> Field:
-    """Read a field dumped by ``Mesh.dump``; node coordinates must match."""
-    coords, vals = [], []
+    """Read a field dumped by ``Mesh.dump`` with its value column. A line
+    without exactly the node's coordinates, quadrature weight, boundary flag
+    and value, a number that is not finite, or node coordinates that do not
+    match the mesh raise MeshError."""
+    columns = mesh.dim_coord + 3
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            coords.append([float(x) for x in parts[:mesh.dim_coord]])
-            vals.append(float(parts[-1]))
-    coords = np.asarray(coords)
+        rows = [[float(x) for x in parts] for parts in map(str.split, fh)
+                if parts and not parts[0].startswith("#")]
+    if any(len(row) != columns for row in rows):
+        raise MeshError(f"a field file on this mesh has {columns} columns "
+                        f"(coords qw bnd value) on every line")
+    data = np.array(rows).reshape(-1, columns)
+    if not np.isfinite(data).all():
+        raise MeshError("field file holds a number that is not finite")
+    coords = data[:, :mesh.dim_coord]
     if coords.shape != mesh.nodes.shape or not np.allclose(
             coords, mesh.nodes, rtol=1e-12, atol=1e-12):
         raise MeshError("field file does not match mesh node layout")
-    return Field(mesh, vals)
+    return Field(mesh, data[:, -1])
 
 
 # ---------------------------------------------------------------------------

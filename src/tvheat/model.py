@@ -451,27 +451,31 @@ def estimate_dp(mesh: Mesh, p: float, nl: Nonlinearity,
     return best
 
 
+def tent(mesh: Mesh, amplitude: float, center, width) -> Field:
+    """The tensor tent of the given amplitude, ``center`` and full
+    ``width`` per axis, Dirichlet-constrained."""
+    prof = np.ones(mesh.n_nodes)
+    for k in range(mesh.dim_coord):
+        # |x - c| / (w/2) overflows to inf for a tiny width: profile 0
+        with np.errstate(over="ignore"):
+            dist = 2.0 * (np.abs(mesh.nodes[:, k] - center[k]) / width[k])
+        prof *= np.maximum(0.0, 1.0 - dist)
+    return Field(mesh, amplitude * prof).constrained()
+
+
 def default_dictionary(mesh: Mesh, count: int = 8) -> list[Field]:
-    """Bump profiles (tent functions at varying centers and widths) spanning
-    the domain, Dirichlet-constrained."""
+    """Bump profiles (tents at varying centers and widths) spanning the
+    domain, Dirichlet-constrained."""
     fields = []
-    coords = mesh.nodes
-    lo = coords.min(axis=0)
-    hi = coords.max(axis=0)
-    span = hi - lo
+    lo = mesh.nodes.min(axis=0)
+    span = mesh.nodes.max(axis=0) - lo
     n_centers = max(1, (count + 1) // 2)
     centers = [lo + span * (j + 1) / (n_centers + 1) for j in range(n_centers)]
-    widths = [0.5, 0.25]
-    for w in widths:
+    for w in (0.5, 0.25):
         for c in centers:
             if len(fields) >= count:
                 break
-            half = 0.5 * w * span
-            prof = np.ones(mesh.n_nodes)
-            for k in range(coords.shape[1]):
-                prof = prof * np.maximum(
-                    0.0, 1.0 - np.abs(coords[:, k] - c[k]) / half[k])
-            f = Field(mesh, prof).constrained()
+            f = tent(mesh, 1.0, c, w * span)
             if f.sup() > 0:
                 fields.append(f)
     return fields
@@ -552,21 +556,22 @@ class ConditionReport:
     growth_constant: float       # smallest C with |f(t)| <= C (1 + |t|^(q-1))
 
 
-def check_f_conditions(nl: Nonlinearity, p0: float,
-                       sample_grid: np.ndarray | None = None) -> ConditionReport:
-    """Numerical audit of the structural hypotheses on the reaction.
+def check_f_conditions(nl: Nonlinearity) -> ConditionReport:
+    """Numerical audit of the structural hypotheses on the reaction, on a
+    logarithmic grid of |t| from 1e-8 to 10, with the vanishing rate of
+    its own p0.
 
     Violations are reported, not raised: the degenerate Zero reaction fails
     the strict superlinearity inequality by construction.
     """
-    if sample_grid is None:
-        sample_grid = np.logspace(-8, 1, 400)
+    sample_grid = np.logspace(-8, 1, 400)
     t = np.concatenate([-sample_grid[::-1], sample_grid])
     ft, Ft = nl.f(t), nl.F(t)
 
     small = sample_grid[sample_grid <= 10 * sample_grid.min()]
     tsmall = np.concatenate([-small, small])
-    ratio = float(np.max(np.abs(nl.f(tsmall)) / np.abs(tsmall) ** (p0 - 1.0)))
+    ratio = float(np.max(np.abs(nl.f(tsmall))
+                         / np.abs(tsmall) ** (nl.p0 - 1.0)))
 
     theta = nl.theta if math.isfinite(nl.theta) else 1.0
     slack = ft * t - theta * Ft

@@ -30,6 +30,7 @@ overflows, or step underflow), never proven.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -89,13 +90,15 @@ class SolverConfig:
         if not 0 < self.dt_max < math.inf:
             raise SolverError(f"dt_max (default T_end / 64) must be finite "
                               f"and > 0, got {self.dt_max}")
+        if not all(math.isfinite(c) and 0 < c <= self.T_end
+                   for c in self.checkpoint_times):
+            raise SolverError(f"checkpoint_times must be finite and lie in "
+                              f"(0, T_end], got {tuple(self.checkpoint_times)}")
 
     def replace(self, **kw) -> "SolverConfig":
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        d.update(kw)
-        if "T_end" in kw and "dt_max" not in kw:
-            d["dt_max"] = None   # rederive from the new horizon
-        return SolverConfig(**d)
+        if "T_end" in kw:
+            kw.setdefault("dt_max", None)   # rederive from the new horizon
+        return dataclasses.replace(self, **kw)
 
 
 @dataclass
@@ -511,8 +514,8 @@ class _Member:
     def __init__(self, traj: Trajectory):
         cfg = traj.cfg
         self.traj, self.cfg, self.factor = traj, cfg, BandedFactor()
-        self.targets = sorted({float(c) for c in cfg.checkpoint_times
-                               if 0.0 < c <= cfg.T_end} | {cfg.T_end})
+        self.targets = sorted({float(c) for c in cfg.checkpoint_times}
+                              | {cfg.T_end})
         self.next_target = 0
         self.t = 0.0
         self.dt = min(cfg.dt0, cfg.dt_max)
@@ -781,11 +784,11 @@ def l2_audit(traj: Trajectory, slack: float = 1e-8) -> dict:
     }
 
 
-def gradient_bound_audit(traj: Trajectory, theta: float, d_hat: float,
-                         tol: float = 1e-12) -> dict:
+def gradient_bound_audit(traj: Trajectory, theta: float, d_hat: float) -> dict:
     """Audit the gradient ceiling theta p d_hat / (theta - p) and the
     dissipation ceiling d_hat over the accepted states' snapshots, with p
-    from the run's config."""
+    from the run's config; each holds up to an absolute 1e-12."""
+    tol = 1e-12
     p = traj.cfg.p
     if not theta > p:
         raise SolverError(f"gradient bound needs theta > p "

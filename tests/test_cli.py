@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tvheat import Interval, build_mesh, default_p_sequence, load_field
+from tvheat import Interval, build_mesh, cli, default_p_sequence, \
+    load_field
 from tvheat.cli import (_SCHEMA, ConfigError, RunConfig, canonical_json,
                         emit_summary, main, parse_config, run_experiment)
+from tvheat.limit import ContinuationReport, MemberRecord
 
 BASE = """
 [domain]
@@ -123,6 +125,24 @@ class TestParseConfig:
         cfg = parse_config(text)
         interior = cfg.mesh.interior_mask
         assert np.allclose(cfg.u0.values[interior], vals[interior])
+
+    def test_file_without_values_fails_by_name(self, tmp_path, capsys):
+        # a dump without a value column used to load its boundary flags as
+        # u0, and the run ended extinct at t = 0
+        mesh = build_mesh(Interval(1.0), 50)
+        dump = tmp_path / "mesh.txt"
+        mesh.dump(dump)
+        text = BASE.replace("profile = hat\namplitude = 0.01",
+                            f"profile = file\npath = {dump}")
+        with pytest.raises(ConfigError, match=r"\[initial\] path.*columns"):
+            parse_config(text)
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        assert main(["run", str(path), "--output-dir",
+                     str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "[initial] path" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_continuation_block(self):
         text = BASE.replace("[reaction]\nkind = power\nq = 3\n", "") \
@@ -345,13 +365,21 @@ class TestMain:
          "p_sequence"),
         (BASE.replace("q = 3", "q = 1.4").replace("p = 1.5\n", "")
          + "\n[continuation]\nm_end = 2\n", "continuation", "m_end"),
+        (continuation_text("m_end = 2\ndictionary_size = 0"), "continuation",
+         "dictionary_size"),
+        # a zero u0 left the dictionary empty: a ModelError traceback
+        (BASE.replace("amplitude = 0.01", "amplitude = 0")
+         .replace("p = 1.5\n", "")
+         + "\n[continuation]\nm_end = 2\ndictionary_size = -3\n",
+         "continuation", "dictionary_size"),
     ], ids=["interval_a", "hat_center", "flat_width", "file_amplitude",
             "p_sequence_m_start", "continuation_audits",
             "continuation_trajectory_csv", "continuation_store_stride",
             "single_store_stride",
             "length_negative",
             "annulus_a_above_b", "lx_zero", "dim_1",
-            "continuation_p_below_1", "continuation_p_above_theta"])
+            "continuation_p_below_1", "continuation_p_above_theta",
+            "dictionary_size_zero", "dictionary_size_negative_zero_u0"])
     def test_unused_or_rejected_key_fails_by_name(self, tmp_path, capsys,
                                                   text, section, key):
         # each was accepted, silently ignored, or a traceback
@@ -392,6 +420,41 @@ class TestMain:
         assert main(["run", str(path), "--output-dir", str(out)]) == 3
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "step_failure"
+
+    def test_continuation_blowup_exit_code(self, tmp_path):
+        text = BASE.replace("amplitude = 0.01", "amplitude = 100.0") \
+                   .replace("p = 1.5\nt_end = 0.02",
+                            "t_end = 2.0\nu_max = 1e3") \
+            + "\n[continuation]\nm_end = 2\n"
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output-dir", str(out)]) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert [r["status"] for r in summary["continuation"]["records"]] \
+            == ["blowup", "blowup"]
+
+    @pytest.mark.parametrize("statuses, code", [
+        (("completed", "extinct"), 0), (("extinct", "blowup"), 2),
+        (("blowup", "blowup"), 2), (("blowup", "step_failure"), 3),
+        (("step_failure", "completed"), 3)])
+    def test_continuation_exit_code_is_the_gravest(self, tmp_path,
+                                                   monkeypatch, statuses,
+                                                   code):
+        # the members' statuses are set directly: no small run ends one
+        # member in blow-up and another in a failed solve
+        def members_end_in(plan):
+            return ContinuationReport([MemberRecord(
+                p, eps, status, 0.0, 1.0, 0.0, 0.0, 0.0, math.inf, 0.0, 0,
+                0, 0) for p, eps, status in zip(
+                    plan.p_sequence, plan.eps_schedule, statuses)], {})
+        monkeypatch.setattr(cli, "run_continuation", members_end_in)
+        path = tmp_path / "run.ini"
+        path.write_text(continuation_text("m_end = 2"))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output-dir", str(out)]) == code
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == statuses[-1]
 
     def test_end_to_end(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -519,6 +582,23 @@ def test_readme_quick_start_config_parses():
     assert cfg.plan is None and cfg.out_dir == "out"
     assert (cfg.solver.p, cfg.solver.T_end) == (1.5, 1.0)
     assert cfg.mesh.n_nodes == 401 and cfg.u0.sup() == 0.01
+
+
+def test_readme_quick_start_runs(tmp_path, capsys):
+    # README's quick-start run.ini runs end to end, and its first Python
+    # block prints the flat profile's extinction
+    readme = (pathlib.Path(__file__).resolve().parents[1]
+              / "README.md").read_text()
+    ini = re.search(r"```ini\n# run\.ini\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "run.ini"
+    path.write_text(ini)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["mode"], summary["status"]) == ("single", "extinct")
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    exec(block, {})
+    assert re.fullmatch(r"extinct 0\.48\d*\n", capsys.readouterr().out)
 
 
 def test_emit_summary_trailing_newline(tmp_path):

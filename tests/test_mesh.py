@@ -5,15 +5,17 @@ import math
 import numpy as np
 import pytest
 
+import scipy.sparse as sp
+
 from tvheat import (Annulus, Field, Interval, MeshError, Rectangle,
                     build_mesh, load_field, solver)
+from tvheat.limit import flux_from_vectors
 
 
 class TestDomains:
     def test_interval_measure(self):
         d = Interval(2.5)
         assert d.measure == 2.5
-        assert d.diameter == 2.5
 
     def test_interval_rejects_nonpositive_length(self):
         with pytest.raises(MeshError):
@@ -247,6 +249,50 @@ class TestInteriorBand:
         assert "_chain" in vars(mesh)
 
 
+class TestDerivedOnFirstUse:
+    @pytest.mark.parametrize("domain, resolution", [
+        (Interval(1.0), 30), (Annulus(1.0, 2.0, dim=3), 17),
+        (Rectangle(2.0, 1.0), [7, 5])])
+    def test_operators_are_built_on_first_use(self, domain, resolution):
+        # build_mesh builds neither; each is read-only and equals the
+        # construction the mesh once made eagerly, byte for byte
+        mesh = build_mesh(domain, resolution)
+        assert "_grad" not in vars(mesh)
+        assert "boundary_elements" not in vars(mesh)
+        n_el, n_loc, dim = mesh.grad_coeff.shape
+        _, first = np.unique(mesh.elements, return_index=True)
+        eager_elements = first[mesh.boundary_nodes] // n_loc
+        eager_grad = sp.csr_matrix(
+            (mesh.grad_coeff.transpose(0, 2, 1).ravel(),
+             np.repeat(mesh.elements, dim, axis=0).ravel(),
+             np.arange(0, n_el * dim * n_loc + 1, n_loc)),
+            shape=(n_el * dim, mesh.n_nodes))
+        elements = mesh.boundary_elements
+        assert elements is mesh.boundary_elements
+        assert not elements.flags.writeable
+        assert elements.dtype == eager_elements.dtype
+        assert elements.tobytes() == eager_elements.tobytes()
+        grad = mesh._grad
+        assert grad is mesh._grad and grad.shape == eager_grad.shape
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(grad, name), getattr(eager_grad, name)
+            assert not a.flags.writeable
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_flux_trace_builds_them(self):
+        # the rectangle's gradient reads _grad; a flux's trace and
+        # divergence read boundary_elements and _grad on a chain mesh too
+        mesh = build_mesh(Rectangle(1.0, 1.0), 6)
+        mesh.gradient(np.zeros(mesh.n_nodes))
+        assert "_grad" in vars(mesh)
+        assert "boundary_elements" not in vars(mesh)
+        chain = build_mesh(Interval(1.0), 10)
+        chain.gradient(np.zeros(chain.n_nodes))
+        assert "_grad" not in vars(chain)
+        flux_from_vectors(chain, np.ones(chain.n_elements))
+        assert {"_grad", "boundary_elements"} <= set(vars(chain))
+
+
 class TestField:
     def test_constrained_zeroes_boundary(self):
         mesh = build_mesh(Interval(1.0), 20)
@@ -413,3 +459,33 @@ class TestDumpLoad:
         mesh.dump(path, np.zeros(mesh.n_nodes))
         with pytest.raises(MeshError):
             load_field(path, other)
+
+    @pytest.mark.parametrize("domain, resolution", [
+        (Interval(1.0), 15), (Rectangle(1.0, 1.0), 4)])
+    def test_dump_without_values_rejected(self, tmp_path, domain,
+                                          resolution):
+        # its last column is the boundary flag: it used to load as u, a
+        # 1-D dump as [1, 0, ..., 0, 1]
+        mesh = build_mesh(domain, resolution)
+        path = tmp_path / "mesh.txt"
+        mesh.dump(path)
+        with pytest.raises(MeshError, match="columns"):
+            load_field(path, mesh)
+
+    @pytest.mark.parametrize("edit", ["drop", "extra", "nan", "inf"])
+    def test_bad_line_rejected(self, tmp_path, edit):
+        mesh = build_mesh(Interval(1.0), 6)
+        path = tmp_path / "state.txt"
+        mesh.dump(path, np.linspace(0.0, 1.0, mesh.n_nodes))
+        lines = path.read_text().splitlines()
+        parts = lines[5].split()
+        if edit == "drop":
+            parts = parts[:-1]
+        elif edit == "extra":
+            parts.append("0.5")
+        else:
+            parts[-1] = edit
+        lines[5] = " ".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshError):
+            load_field(path, mesh)

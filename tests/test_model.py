@@ -360,6 +360,35 @@ class TestWell:
         d_hat = estimate_dp(mesh, 1.5, Power(q=3.0), dic)
         assert 0.0 < d_hat < math.inf
 
+    @pytest.mark.parametrize("domain, resolution", [
+        (Interval(1.0), 77), (Annulus(1.0, 2.0, dim=3), 51),
+        (Rectangle(1.0, 1.0), [17, 9])])
+    @pytest.mark.parametrize("count", [1, 3, 8, 11])
+    def test_dictionary_is_the_tent_formula(self, domain, resolution, count):
+        # the bumps are model.tent's; the formula they were built with
+        # before, kept here as the reference, gives the same bits
+        mesh = build_mesh(domain, resolution)
+        coords = mesh.nodes
+        lo, hi = coords.min(axis=0), coords.max(axis=0)
+        span = hi - lo
+        n_centers = max(1, (count + 1) // 2)
+        reference = []
+        for w in (0.5, 0.25):
+            for j in range(n_centers):
+                c = lo + span * (j + 1) / (n_centers + 1)
+                half = 0.5 * w * span
+                prof = np.ones(mesh.n_nodes)
+                for k in range(coords.shape[1]):
+                    prof = prof * np.maximum(
+                        0.0, 1.0 - np.abs(coords[:, k] - c[k]) / half[k])
+                f = Field(mesh, prof).constrained()
+                if f.sup() > 0:
+                    reference.append(f.values)
+        dic = default_dictionary(mesh, count)
+        assert len(dic) == min(count, len(reference))
+        for f, ref in zip(dic, reference):
+            assert f.values.tobytes() == ref.tobytes()
+
     def test_zero_state_inside(self, mesh):
         rep = well_status(Field.zeros(mesh), 1.5, Power(q=3.0), 1.0)
         assert rep.status is WellStatus.INSIDE
@@ -397,11 +426,11 @@ class TestWell:
 
 class TestConditions:
     def test_power_satisfies_hypotheses(self):
-        rep = check_f_conditions(Power(q=3.0), 1.5)
+        rep = check_f_conditions(Power(q=3.0))
         assert rep.superlinearity_ok
         assert rep.growth_exponent == pytest.approx(2.0, abs=0.05)
         assert rep.vanishing_ratio < 1e-6
 
     def test_zero_reaction_reported_degenerate(self):
-        rep = check_f_conditions(Zero(), 1.5)
+        rep = check_f_conditions(Zero())
         assert rep.vanishing_ratio == 0.0

@@ -82,6 +82,19 @@ class TestConfig:
         with pytest.raises(SolverError, match="dt_max"):
             SolverConfig(p=1.5, T_end=math.inf)
 
+    @pytest.mark.parametrize("times", [(0.0,), (-1.0,), (math.nan,),
+                                       (0.5, 1.5), (math.inf,)])
+    def test_bad_checkpoint_times_rejected(self, times):
+        # each used to be dropped without a word when the run began
+        with pytest.raises(SolverError, match="checkpoint_times"):
+            SolverConfig(p=1.5, T_end=1.0, checkpoint_times=times)
+        with pytest.raises(SolverError, match="checkpoint_times"):
+            SolverConfig(p=1.5, T_end=1.0).replace(checkpoint_times=times)
+
+    def test_checkpoint_times_in_range_accepted(self):
+        cfg = SolverConfig(p=1.5, T_end=1.0, checkpoint_times=(0.25, 1.0))
+        assert cfg.checkpoint_times == (0.25, 1.0)
+
     def test_replace_rederives_dt_max(self):
         cfg = SolverConfig(p=1.5, T_end=1.0)
         cfg2 = cfg.replace(T_end=2.0)
