@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import json
 import math
 import os
 import sys
@@ -42,7 +43,8 @@ class ConfigError(ValueError):
 
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits,
-    infinities and NaN as strings."""
+    infinities and NaN as strings, and strings as ``json.dumps`` writes them
+    without escaping non-ASCII text."""
     out = []
     _dump(obj, out)
     return "".join(out)
@@ -56,7 +58,7 @@ def _dump(obj, out):
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
@@ -126,7 +128,7 @@ _SCHEMA = {
     "initial": {"profile": str, "amplitude": float, "center": floats,
                 "width": floats, "index": int, "path": str},
     "continuation": {"m_start": int, "m_end": int, "p_sequence": floats,
-                     "checkpoints": floats, "dictionary_size": int},
+                     "checkpoints": floats},
     "output": {"directory": str, "trajectory_csv": str, "summary_json": str,
                "state_dumps": str},
     "audits": {"well": boolean, "l2": boolean, "gradient_bound": boolean,

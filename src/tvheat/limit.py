@@ -191,16 +191,15 @@ def check_p_sequence(p_sequence) -> tuple:
 @dataclass
 class ContinuationPlan:
     """A strictly decreasing sequence of p values in (1, 2] sharing initial
-    data, reaction and solver controls; regularization is coupled to p as
-    eps = (p - 1)^2 unless an explicit schedule is given."""
+    data, reaction and solver controls; each member's p, eps = (p - 1)^2
+    (the derived ``eps_schedule``) and checkpoint times are the plan's."""
 
     u0: Field
     nl: Nonlinearity
     cfg_template: SolverConfig
     p_sequence: tuple = dc_field(default_factory=default_p_sequence)
-    eps_schedule: tuple | None = None
     checkpoint_times: tuple = ()
-    dictionary_size: int = 8
+    eps_schedule: tuple = dc_field(init=False)
 
     def __post_init__(self):
         ps = check_p_sequence(self.p_sequence)
@@ -208,14 +207,8 @@ class ContinuationPlan:
                    for c in self.checkpoint_times):
             raise LimitError(f"checkpoint_times must lie in (0, T_end], got "
                              f"{tuple(self.checkpoint_times)}")
-        if not self.dictionary_size >= 1:
-            raise LimitError(f"dictionary_size must be at least 1, got "
-                             f"{self.dictionary_size}")
         self.p_sequence = ps
-        if self.eps_schedule is None:
-            self.eps_schedule = tuple((p - 1.0) ** 2 for p in ps)
-        elif len(self.eps_schedule) != len(ps):
-            raise LimitError("eps_schedule length does not match p_sequence")
+        self.eps_schedule = tuple((p - 1.0) ** 2 for p in ps)
 
 
 @dataclass
@@ -272,13 +265,11 @@ def run_continuation(plan: ContinuationPlan) -> ContinuationReport:
     records = []
     prev_fluxes = None
     E1_0 = limit_energy(plan.u0, nl)
-    d_hats = well_levels(mesh, plan.u0, nl, plan.p_sequence,
-                         plan.dictionary_size)
+    d_hats = well_levels(mesh, plan.u0, nl, plan.p_sequence)
 
-    cfgs = [plan.cfg_template.replace(
-        p=p, eps=eps, checkpoint_times=tuple(sorted(
-            set(plan.cfg_template.checkpoint_times) | set(checkpoints))))
-        for p, eps in zip(plan.p_sequence, plan.eps_schedule)]
+    cfgs = [plan.cfg_template.replace(p=p, eps=eps,
+                                      checkpoint_times=checkpoints)
+            for p, eps in zip(plan.p_sequence, plan.eps_schedule)]
     trajs = march(mesh, plan.u0, cfgs, nl)
 
     for p, eps, traj, d_hat in zip(plan.p_sequence, plan.eps_schedule,
@@ -297,7 +288,7 @@ def run_continuation(plan: ContinuationPlan) -> ContinuationReport:
         worst_res = -math.inf
         for (t, f) in states:
             # the last snapshot at or before t; the ledger's times increase
-            last = bisect_right(traj.times, t + 1e-14) - 1
+            last = bisect_right(traj.times, t) - 1
             diss = traj.snapshots[last].dissipation_cum if last >= 0 else 0.0
             worst_res = max(worst_res, diss + limit_energy(f, nl) - E1_0)
 

@@ -567,17 +567,16 @@ class Field:
         return Field(self.mesh,
                      np.where(self.mesh.interior_mask, self.values, 0.0))
 
-    def is_dirichlet(self, tol: float = 0.0) -> bool:
-        """Whether every boundary value (of every row of a stack) is at most
-        ``tol`` in magnitude; a NaN makes the largest magnitude NaN, which
-        fails the comparison. The largest magnitude is computed once and
-        kept."""
+    def is_dirichlet(self) -> bool:
+        """Whether every boundary value (of every row of a stack) is 0; a
+        NaN makes the largest magnitude NaN, which fails the comparison.
+        The largest magnitude is computed once and kept."""
         largest = vars(self).get("_boundary_max")
         if largest is None:
             largest = float(np.abs(self.values[..., self.mesh.boundary_nodes])
                             .max())
             vars(self)["_boundary_max"] = largest
-        return bool(largest <= tol)
+        return largest == 0.0
 
     def copy(self) -> "Field":
         """The same values without the cached gradient arrays."""

@@ -252,9 +252,9 @@ def make_nonlinearity(kind: str, **params) -> Nonlinearity:
 # Energy and Nehari functional
 # ---------------------------------------------------------------------------
 
-def _check_p(p):
-    """Raise unless p, or every p of a stack's (k,) array, exceeds 1."""
-    if not (bool((p > 1).all()) if isinstance(p, np.ndarray) else p > 1):
+def _check_p(p: float):
+    """Raise unless p exceeds 1."""
+    if not p > 1:
         raise ModelError(f"p must exceed 1, got {p}")
 
 
@@ -300,7 +300,6 @@ class Terms:
 
     def __init__(self, p, eps=0.0):
         if isinstance(p, np.ndarray):
-            eps = np.broadcast_to(np.asarray(eps, dtype=float), p.shape)
             self.eps_sq = np.array([e ** 2 for e in eps.tolist()])[:, None]
             self.p_exp = p.tolist()
             self.coef_exp = ((p - 2.0) / 2.0).tolist()
@@ -351,25 +350,20 @@ def energy(field: Field, p: float, nl: Nonlinearity) -> float:
     return grad_p_norm(field, p) / p - m.integrate(nl.F(field.values))
 
 
-def regularized_energy(field: Field, p, eps, snap: EnergySnapshot | list
-                       ) -> float | np.ndarray:
+def regularized_energy(field: Field, p: float, eps: float,
+                       snap: EnergySnapshot) -> float:
     """E_p,eps(u) = (1/p) int (|grad u|^2 + eps^2)^(p/2) - int F(u), the
-    energy that a lagged-diffusivity step dissipates.
+    energy that a lagged-diffusivity step dissipates, of a plain field.
 
     Computed as E_p(u) + (1/p)(int (|grad u|^2 + eps^2)^(p/2) -
     int |grad u|^p) from ``snap``, the snapshot of ``field``, so that F is
-    not evaluated a second time. For a stack, p and eps are (k,) arrays,
-    ``snap`` is the list of its rows' snapshots, and the result is one
-    energy per row, each equal to that row's alone. A snapshot given the
-    ``Terms`` of p and eps holds the same value as ``E_eps``.
+    not evaluated a second time. A snapshot given the ``Terms`` of p and
+    eps, alone or as a stack's row, holds the same value as ``E_eps``.
     """
     _check_p(p)
-    lifted = rowdot(Terms(p, eps).lifted(field.grad_mag),
-                    field.mesh.element_volumes)
-    E_p, grad_p = ((snap.E_p, snap.grad_p) if isinstance(snap, EnergySnapshot)
-                   else np.array([(s.E_p, s.grad_p) for s in snap]).T)
-    E = E_p + (lifted - grad_p) / p
-    return float(E) if E.ndim == 0 else E
+    lifted = float(Terms(p, eps).lifted(field.grad_mag)
+                   @ field.mesh.element_volumes)
+    return snap.E_p + (lifted - snap.grad_p) / p
 
 
 def nehari_I(field: Field, p: float, nl: Nonlinearity) -> float:
@@ -380,13 +374,13 @@ def nehari_I(field: Field, p: float, nl: Nonlinearity) -> float:
 
 
 def energy_derivative(field: Field, direction: Field, p: float,
-                      nl: Nonlinearity, eps: float = 0.0) -> float:
+                      nl: Nonlinearity) -> float:
     """Directional derivative of E_p at ``field`` along ``direction``:
     int |grad u|^(p-2) grad u . grad v - int f(u) v."""
     _check_p(p)
     m = field.mesh
     diff = float(m.element_volumes
-                 @ (diffusivity(field.grad_sq, p, eps)
+                 @ (diffusivity(field.grad_sq, p, 0.0)
                     * (field.grad * direction.grad).sum(axis=1)))
     return diff - m.integrate(nl.f(field.values) * direction.values)
 
@@ -401,7 +395,9 @@ def nehari_scale(direction: Field, p: float, nl: Nonlinearity,
 
     ``method`` is "auto" (closed form for pure power reactions, otherwise
     bracketed root-finding) or "root" (always iterate). Raises
-    NehariScaleError when no sign change exists in [1e-8, 1e8].
+    NehariScaleError when no sign change exists in [1e-8, 1e8]: for
+    theta > p, I_p(t phi) / t^p decreases strictly for every library
+    reaction, so the bracket's two ends decide.
     """
     _check_p(p)
     m = direction.mesh
@@ -425,13 +421,7 @@ def nehari_scale(direction: Field, p: float, nl: Nonlinearity,
 
     lo, hi = 1e-8, 1e8
     if g(lo) <= 0 or g(hi) >= 0:
-        # scan a log grid for any sign change before giving up
-        ts = np.logspace(-8, 8, 257)
-        vals = np.array([g(t) for t in ts])
-        idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        if len(idx) == 0:
-            raise NehariScaleError("no sign change of I_p(t phi) in [1e-8, 1e8]")
-        lo, hi = ts[idx[0]], ts[idx[0] + 1]
+        raise NehariScaleError("no sign change of I_p(t phi) in [1e-8, 1e8]")
     return brentq(g, lo, hi, rtol=1e-14, xtol=1e-300, maxiter=200)
 
 
@@ -481,15 +471,14 @@ def default_dictionary(mesh: Mesh, count: int = 8) -> list[Field]:
     return fields
 
 
-def well_levels(mesh: Mesh, u0: Field, nl: Nonlinearity, ps,
-                count: int = 8) -> list[float]:
+def well_levels(mesh: Mesh, u0: Field, nl: Nonlinearity, ps) -> list[float]:
     """The level estimate d_hat (``estimate_dp``) of a run from ``u0`` at
-    each p in ``ps``, over ``count`` bumps of ``default_dictionary`` and
-    u0 itself when it is nonzero; infinity at every p without a reaction,
+    each p in ``ps``, over the 8 bumps of ``default_dictionary`` and u0
+    itself when it is nonzero; infinity at every p without a reaction,
     where the well is the whole space."""
     if isinstance(nl, Zero):
         return [math.inf] * len(ps)
-    dictionary = default_dictionary(mesh, count)
+    dictionary = default_dictionary(mesh)
     if u0.sup() > 0:
         dictionary.append(u0)
     return [estimate_dp(mesh, p, nl, dictionary) for p in ps]
@@ -622,16 +611,15 @@ def snapshot(field: Field, t, p, nl: Nonlinearity, dissipation_cum
     ``total_variation``, ``Field.l2``, ``Field.sup``, ``grad_p_norm``) bit
     for bit.
 
-    A stack of k fields is evaluated in the same pass, with ``t``, ``p``
-    and ``dissipation_cum`` given per row (k values, p as a (k,) array);
-    the result is then the list of the k rows' snapshots, each equal to the
-    snapshot of that row alone.
-
-    ``p`` may also be given as the ``Terms`` of p and an eps, which
-    ``march`` computes once per stack; a bare p stands for ``Terms(p)``,
-    whose eps is 0, and gives the same bits. ``E_eps`` is E_p,eps at that
-    eps, equal to ``regularized_energy``, from the same pass: the energy
-    that the step gate compares."""
+    A stack of k fields is evaluated in the same pass, with ``t`` and
+    ``dissipation_cum`` given per row (k values) and ``p`` as the ``Terms``
+    of the rows' p and eps, which ``march`` computes once per stack; the
+    result is then the list of the k rows' snapshots, each equal to the
+    snapshot of that row alone. A plain field's ``p`` may be a float,
+    which stands for ``Terms(p)``, whose eps is 0, and gives the same
+    bits. ``E_eps`` is E_p,eps at the eps of the ``Terms``, equal to
+    ``regularized_energy``, from the same pass: the energy that the step
+    gate compares."""
     if isinstance(p, Terms):
         terms = p
     else:

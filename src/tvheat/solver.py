@@ -20,12 +20,12 @@ O(dt^2) (without reaction, never positive). Gating on E_p instead would
 leave an O(eps) gap that no dt removes. The snapshots, the CSV and the
 audits keep E_p.
 
-A trial step that ends extinct (sup <= tol_ext) is bisected from the same
-state, EXTINCTION_HALVINGS times, and the shortest step found extinct is
-taken if it passes the same gate; otherwise the original trial is judged.
-The extinction time is thus located to 2^-EXTINCTION_HALVINGS of the step
-that crossed it. Blow-up is detected (threshold crossing, an energy that
-overflows, or step underflow), never proven.
+One trial is judged per step: a step that ends extinct (sup <= tol_ext)
+is bisected from the same state, EXTINCTION_HALVINGS times, and the
+shortest step found extinct, if any, is the trial. The extinction time is
+thus located to 2^-EXTINCTION_HALVINGS of the step that crossed it.
+Blow-up is detected (threshold crossing, an energy that overflows, or step
+underflow), never proven.
 """
 
 from __future__ import annotations
@@ -462,11 +462,12 @@ def march(mesh: Mesh, u0: Field, cfgs, nl: Nonlinearity) -> list[Trajectory]:
     as a plain field, whose 1-D arrays cost less than a (1, n) stack's.
     Each member's step size, gate verdict, extinction bisection and stop
     reason are its own, in Python floats, so each member ends bit for bit
-    as it would alone; a member that stops leaves the stack. Each judged
-    trial state is evaluated once, in a snapshot that also gives its
-    E_p,eps, and keeps its sup norm and f(u), which the next steps from it
-    (retries and extinction probes included) reuse; the bisection of an
-    extinct trial reads only its probes' sup norms. A member's steps share
+    as it would alone; a member that stops leaves the stack. A member's
+    one trial per iteration (its step, or the shortest extinct step that
+    ``_extinction_crossing`` finds) is evaluated once, in a snapshot that
+    also gives its E_p,eps, and keeps its sup norm and f(u), which the
+    next steps from it (retries and extinction probes included) reuse;
+    the bisection reads only its probes' sup norms. A member's steps share
     one ``BandedFactor``. A member stores only its initial state, the
     states at its targets (its checkpoint times and T_end) and its last
     state.
@@ -505,7 +506,7 @@ class _Member:
     control in Python floats. Its current state is row ``row`` of the
     stack ``state``, or ``state`` itself, a plain field, when ``row`` is
     None, and ``snap`` is that state's snapshot; ``h`` is the size of its
-    step in flight, which ends at or before ``target``, its targets'
+    trial in flight, which ends at or before ``target``, its targets'
     entry ``next_target``."""
 
     __slots__ = ("traj", "cfg", "factor", "targets", "next_target", "t",
@@ -521,19 +522,17 @@ class _Member:
         self.dt = min(cfg.dt0, cfg.dt_max)
 
     def aim(self) -> None:
-        """Set the next target, the first one past t, and the size of the
-        next step."""
-        reached = self.t + 1e-14 * self.cfg.T_end
-        while self.targets[self.next_target] <= reached:
+        """Set the next target, the first one past t (a step that ends
+        near a target ends on it), and the size of the next step."""
+        while self.targets[self.next_target] <= self.t:
             self.next_target += 1
         self.target = self.targets[self.next_target]
         self.h = min(self.dt, self.target - self.t)
 
-    def accept(self, state: Field, row: int | None, h: float,
-               snap: EnergySnapshot, residual: float, tol: float) -> None:
-        """Take the trial step of size ``h`` to row ``row`` of ``state``,
-        evaluated in ``snap``; stop at blow-up, extinction or T_end, else
-        set the next dt."""
+    def accept(self, state: Field, row: int | None, snap: EnergySnapshot,
+               residual: float, tol: float) -> None:
+        """Take the trial, row ``row`` of ``state``, evaluated in ``snap``;
+        stop at blow-up, extinction or T_end, else set the next dt."""
         traj, cfg = self.traj, self.cfg
         self.state, self.row, self.snap = state, row, snap
         self.t = snap.time
@@ -548,12 +547,12 @@ class _Member:
         elif self.t >= cfg.T_end:
             self.stop(Status("completed", cfg.T_end, "t_end"))
         elif abs(residual) < 0.2 * tol:
-            self.dt = min(h * 1.4, cfg.dt_max)
+            self.dt = min(self.h * 1.4, cfg.dt_max)
         else:
-            self.dt = h
+            self.dt = self.h
 
     def reject(self) -> None:
-        """Halve the size of the step in flight; step underflow is treated
+        """Halve the size of the trial in flight; step underflow is treated
         as a blow-up detection."""
         self.traj.rejected_steps += 1
         self.dt = self.h / 2.0
@@ -596,7 +595,8 @@ class _Stack:
 
 def _advance(stack: _Stack, mesh: Mesh, nl: Nonlinearity) -> list[_Member]:
     """One iteration of ``march``: step the running members of ``stack``
-    once, judge their trials, and return the members still running."""
+    once, judge one trial per member, all in one snapshot, and return the
+    members still running."""
     running = stack.members
     for m in running:
         m.aim()
@@ -609,54 +609,45 @@ def _advance(stack: _Stack, mesh: Mesh, nl: Nonlinearity) -> list[_Member]:
     except StepFailureError:            # only a plain field's solve raises
         new = None
     sups = [math.nan] if new is None else _listed(new.sup())
-    judging = []   # (member, its trials: [(field, row, size)]) to judge
+    members, trials = [], []   # each member's trial (field, row), of size m.h
     for i, (m, sup) in enumerate(zip(running, sups)):
-        trials = [(new, None if one else i, m.h)]
+        trial = (new, None if one else i)
         failed = sup != sup             # NaN: the member's solve failed
         if not failed and sup <= m.cfg.tol_ext:
-            # judge the shortest extinct step first; the original trial
-            # only if that one fails the gate
             try:
-                trials = _extinction_crossing(
-                    state if one else state.rows(i), m, nl) + trials
+                probe = _extinction_crossing(
+                    state if one else state.rows(i), m, nl)
                 m.traj.extinction_probes += EXTINCTION_HALVINGS
+                if probe is not None:
+                    trial = (probe, None)
             except StepFailureError:
                 failed = True
         if failed:
             m.stop(Status("step_failure", m.t, "linear_solve"))
         else:
-            judging.append((m, trials))
-    while judging:
-        judging = _judge(judging, mesh, nl, stack)
-    return [m for m in running if m.traj.status is None]
-
-
-def _judge(judging: list, mesh: Mesh, nl: Nonlinearity, stack: _Stack) -> list:
-    """Judge each member's first trial, all in one snapshot: accept it,
-    reject the step or stop the member. Returns the members left with a
-    trial to judge next, with their remaining trials."""
-    members = [m for m, _ in judging]
-    hs = [trials[0][2] for _, trials in judging]
+            members.append(m)
+            trials.append(trial)
+    if not members:
+        return []
+    # judge the trials: accept each, reject it or stop its member
     old = _gather([(m.state, m.row) for m in members])
-    new = _gather([trials[0][:2] for _, trials in judging])
+    new = _gather(trials)
     step_sq = new.values - old.values
     step_sq *= step_sq
     quad = _listed(rowdot(step_sq, mesh.quad_weights))
     t_new, cum, diss = [], [], []
-    for m, h, q in zip(members, hs, quad):
-        t = m.t + h
+    for m, q in zip(members, quad):
+        t = m.t + m.h
         if abs(t - m.target) <= 1e-12 * max(1.0, m.target):
             t = m.target
         t_new.append(t)
-        diss.append(q / h)
+        diss.append(q / m.h)
         cum.append(m.snap.dissipation_cum + diss[-1])
-    terms = (stack.terms if len(members) == len(stack.members)
+    terms = (stack.terms if len(members) == len(running)
              else _terms(_per_member([m.cfg for m in members])))
     snaps = snapshot(new, _per_member(t_new), terms, nl, _per_member(cum))
     one = len(members) == 1
-    again = []
-    for i, ((m, trials), snap) in enumerate(zip(judging,
-                                                [snaps] if one else snaps)):
+    for i, (m, snap) in enumerate(zip(members, [snaps] if one else snaps)):
         if not (math.isfinite(snap.E_p) and math.isfinite(snap.I_p)):
             # the reaction overflowed; the residual gate cannot judge this
             m.stop(Status("blowup", m.t, "energy_overflow"))
@@ -664,12 +655,10 @@ def _judge(judging: list, mesh: Mesh, nl: Nonlinearity, stack: _Stack) -> list:
         residual = diss[i] + snap.E_eps - m.snap.E_eps
         tol = m.cfg.energy_residual_tol * (1.0 + abs(snap.E_p))
         if not abs(residual) > tol:
-            m.accept(new, None if one else i, hs[i], snap, residual, tol)
-        elif len(trials) > 1:
-            again.append((m, trials[1:]))
+            m.accept(new, None if one else i, snap, residual, tol)
         else:
             m.reject()
-    return again
+    return [m for m in members if m.traj.status is None]
 
 
 def _per_member(values: list):
@@ -703,22 +692,22 @@ def _gather(refs: list) -> Field:
 
 
 def _extinction_crossing(state: Field, m: _Member,
-                         nl: Nonlinearity) -> list[tuple]:
+                         nl: Nonlinearity) -> Field | None:
     """Bisect (0, h] for the shortest step of member ``m`` from ``state``,
     its current state as a plain field, that ends extinct, given that the
-    step of size h = m.h does. Returns [(field, None, size)] for the
-    shortest extinct step shorter than h, or [] if there is none. The step
-    of size ``size - h / 2 ** EXTINCTION_HALVINGS`` (``h`` minus that, for
-    []) is not extinct: it was tried, or it is 0. A probe whose solve fails
+    step of size h = m.h does; set m.h to its size and return its field,
+    or None if it is h. The step shorter by h / 2 ** EXTINCTION_HALVINGS
+    is not extinct: it was tried, or it is 0. A probe whose solve fails
     raises StepFailureError."""
-    lo, hi, found = 0.0, m.h, []
+    lo, hi, found = 0.0, m.h, None
     for _ in range(EXTINCTION_HALVINGS):
         mid = 0.5 * (lo + hi)
         new = step(state, m.t, m.cfg, nl, mid, factor=m.factor)
         if new.sup() <= m.cfg.tol_ext:
-            hi, found = mid, [(new, None, mid)]
+            hi, found = mid, new
         else:
             lo = mid
+    m.h = hi
     return found
 
 
@@ -759,9 +748,10 @@ def well_invariance_audit(traj: Trajectory, d_hat: float) -> dict:
     }
 
 
-def l2_audit(traj: Trajectory, slack: float = 1e-8) -> dict:
-    """L2 monotonicity and the discrete identity
+def l2_audit(traj: Trajectory) -> dict:
+    """L2 monotonicity, up to an absolute 1e-8, and the discrete identity
     (1/2) d/dt ||u||_2^2 = -I_p(u) along the snapshot ledger."""
+    slack = 1e-8
     snaps = traj.snapshots
     l2s = np.array([s.l2 for s in snaps])
     Is = np.array([s.I_p for s in snaps])

@@ -123,7 +123,7 @@ def test_criterion_04_well_invariance(confined_run):
 
 def test_criterion_05_l2_monotonicity(confined_run):
     traj = confined_run[0]
-    audit = l2_audit(traj, slack=1e-8)
+    audit = l2_audit(traj)
     ok = audit["monotone"] and audit["bounded_by_initial"]
     report(5, "L2 monotonicity", ok,
            f"max increase {audit['max_increase']:.2e}")

@@ -59,6 +59,14 @@ class TestCanonicalJson:
         assert canonical_json(np.float64(2.0)) == "2"
         assert canonical_json(np.int64(3)) == "3"
 
+    def test_strings_round_trip(self):
+        # control characters are escaped (a raw tab or newline is not
+        # valid JSON); quotes, backslashes and other text as before
+        for text in ("a\tb", "s\n.json", 'q"\\', "\x00\x1f\x7f", "µ∂"):
+            out = canonical_json({text: text})
+            assert json.loads(out) == {text: text}
+        assert canonical_json('a"b\\c µ') == '"a\\"b\\\\c µ"'
+
 
 class TestParseConfig:
     def test_valid(self):
@@ -198,6 +206,19 @@ class TestRunExperiment:
         first = (tmp_path / "summary.json").read_bytes()
         run_experiment(cfg)
         assert (tmp_path / "summary.json").read_bytes() == first
+
+    def test_summary_echoes_tab_and_continuation_line(self, tmp_path):
+        # a value with a tab, and one continued on a second line (which
+        # configparser joins with a newline), are echoed as valid JSON
+        text = BASE + "\n[output]\ndirectory = out\tdir\n" \
+            "summary_json = s\n  .json\n"
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output-dir", str(out)]) == 0
+        summary = json.loads((out / "s\n.json").read_text())
+        assert summary["config"]["output"] == {"directory": "out\tdir",
+                                               "summary_json": "s\n.json"}
 
     def test_last_state_dumped_under_its_step_count(self, tmp_path):
         # the extinct state ends 302 accepted steps, one CSV row each after
@@ -365,9 +386,10 @@ class TestMain:
          "p_sequence"),
         (BASE.replace("q = 3", "q = 1.4").replace("p = 1.5\n", "")
          + "\n[continuation]\nm_end = 2\n", "continuation", "m_end"),
+        # dictionary_size is no key: with any value, and with a zero u0
+        # (whose dictionary was once empty), it is an unknown key
         (continuation_text("m_end = 2\ndictionary_size = 0"), "continuation",
          "dictionary_size"),
-        # a zero u0 left the dictionary empty: a ModelError traceback
         (BASE.replace("amplitude = 0.01", "amplitude = 0")
          .replace("p = 1.5\n", "")
          + "\n[continuation]\nm_end = 2\ndictionary_size = -3\n",
@@ -493,8 +515,7 @@ _BASES = [
     {"domain": {"kind": "interval", "resolution": "4"},
      "solver": {"t_end": "0.1"},
      "initial": {"profile": "file", "path": "{path}"},
-     "continuation": {"m_start": "1", "m_end": "3", "checkpoints": "0.05",
-                      "dictionary_size": "4"}},
+     "continuation": {"m_start": "1", "m_end": "3", "checkpoints": "0.05"}},
     {"domain": {"kind": "interval", "resolution": "4"},
      "continuation": {"p_sequence": "1.5, 1.25"}},
 ]

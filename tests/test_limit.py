@@ -139,9 +139,6 @@ class TestContinuation:
         with pytest.raises(LimitError):
             ContinuationPlan(hat(mesh), Zero(), cfg, p_sequence=(1.5, 1.0))
         with pytest.raises(LimitError):
-            ContinuationPlan(hat(mesh), Zero(), cfg, p_sequence=(1.5, 1.25),
-                             eps_schedule=(1e-2,))
-        with pytest.raises(LimitError):
             ContinuationPlan(hat(mesh), Zero(), cfg, p_sequence=())
         # a NaN or a p above 2 used to pass, and fail only when run
         for ps in ((1.5, math.nan), (1e200,), (3.0, 1.5)):

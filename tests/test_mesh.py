@@ -1,7 +1,5 @@
 """Mesh construction, quadrature and gradient operators."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -388,17 +386,14 @@ class TestField:
         f = Field(mesh, np.ones(mesh.n_nodes)).constrained()
         assert f.is_dirichlet()
         last = mesh.boundary_nodes[-1]
-        for value in (1e-9, -1e-9):
+        # any nonzero boundary value, however small, and NaN
+        for value in (1e-300, -1e-300, 1e-9, np.nan):
             g = Field(mesh, np.where(np.arange(mesh.n_nodes) == last, value,
                                      f.values))
             assert not g.is_dirichlet()
-            assert g.is_dirichlet(tol=1e-9)
-            assert not g.is_dirichlet(tol=5e-10)
-        # a NaN boundary value is not Dirichlet under any tolerance
-        g = Field(mesh, np.where(np.arange(mesh.n_nodes) == last, np.nan,
-                                 f.values))
-        assert not g.is_dirichlet()
-        assert not g.is_dirichlet(tol=math.inf)
+        # a stack is Dirichlet when every row is
+        assert Field(mesh, [f.values, f.values]).is_dirichlet()
+        assert not Field(mesh, [f.values, g.values]).is_dirichlet()
 
     def test_gradient_rejects_wrong_size(self):
         mesh = build_mesh(Interval(1.0), 10)

@@ -251,17 +251,15 @@ class TestEnergies:
         ps, eps = np.array([1.01, 1.5, 2.0, 1.25]), np.array([0.0, 1e-4,
                                                              0.5, 1e-2])
         times, cum = [0.1, 0.2, 0.3, 0.4], [1.0, 2.0, 3.0, 4.0]
-        snaps = snapshot(stack, times, ps, nl, cum)
-        E_eps = regularized_energy(stack, ps, eps, snapshot(
-            stack, [0.0] * 4, ps, nl, [0.0] * 4))
+        snaps = snapshot(stack, times, Terms(ps, eps), nl, cum)
         for i, (s, p, e) in enumerate(zip(snaps, ps.tolist(), eps.tolist())):
             f = Field(m, stack.values[i])
-            alone = snapshot(f, times[i], p, nl, cum[i])
+            alone = snapshot(f, times[i], Terms(p, e), nl, cum[i])
             assert s == alone
             assert (s.E_p, s.I_p, s.tv, s.l2, s.sup, s.grad_p) == (
                 energy(f, p, nl), nehari_I(f, p, nl), total_variation(f),
                 f.l2(), f.sup(), grad_p_norm(f, p))
-            assert E_eps[i] == regularized_energy(f, p, e, alone)
+            assert s.E_eps == regularized_energy(f, p, e, alone)
             assert np.array_equal(
                 diffusivity(stack.grad_sq, ps, eps)[i],
                 diffusivity(f.grad_sq, p, e))

@@ -299,6 +299,23 @@ class TestRun:
             ("step_failure", "linear_solve")
         assert traj.status.time == 0.0
 
+    def test_u0_already_extinct_takes_no_step(self, mesh, monkeypatch):
+        # sup u0 <= tol_ext: the run ends extinct at t = 0 on its initial
+        # snapshot and state, without a step
+        def no_step(*args, **kwargs):
+            raise AssertionError("step called")
+
+        monkeypatch.setattr(solver, "step", no_step)
+        cfg = SolverConfig(p=1.5, tol_ext=1e-8)
+        for amp in (0.0, 1e-8):
+            traj = run(mesh, hat(mesh, amp), cfg, Power(q=3.0))
+            assert (traj.status.kind, traj.status.reason, traj.status.time) \
+                == ("extinct", "tol_ext", 0.0)
+            assert traj.times == [0.0] and len(traj.snapshots) == 1
+            assert [t for t, _ in traj.states] == [0.0]
+            assert (traj.rejected_steps, traj.extinction_probes,
+                    traj.factorizations) == (0, 0, 0)
+
     def test_one_gradient_per_step(self, mesh, monkeypatch):
         # each state's gradient is kept and each state is evaluated once, in
         # its snapshot, so a step computes only its trial state's gradient
@@ -417,6 +434,24 @@ class TestLinearSolve:
         assert its > solver.PCG_REFACTOR_ITERS
         step(state, t, cfg, nl, 1e-4, factor=factor)
         assert (factor.factorizations, factor.iterations) == (2, its)
+
+    def test_pcg_miss_factors_directly(self, rect_run, rect_states,
+                                       monkeypatch):
+        # a factor from dt = 1e-8 needs more than 2 iterations at dt =
+        # 1e-4: with PCG_MAX_ITERS = 2 the solve misses its stopping test,
+        # factors its own matrix and solves directly, as a fresh factor does
+        traj, cfg, nl = rect_run
+        t, state = rect_states[-2]
+        factor = solver.BandedFactor()
+        step(state, t, cfg, nl, 1e-8, factor=factor)
+        monkeypatch.setattr(solver, "PCG_MAX_ITERS", 2)
+        new = step(state, t, cfg, nl, 1e-4, factor=factor)
+        assert (factor.factorizations, factor.iterations) == (2, 2)
+        fresh = solver.BandedFactor()
+        direct = step(state, t, cfg, nl, 1e-4, factor=fresh)
+        assert fresh.factorizations == 1
+        assert new.values.tobytes() == direct.values.tobytes()
+        assert factor.chol.tobytes() == fresh.chol.tobytes()
 
     def test_one_solve_per_step_in_2d(self, monkeypatch):
         calls = {"solve": 0, "step": 0}
@@ -627,6 +662,33 @@ class TestLockstep:
             [("step_failure", "linear_solve"), ("completed", "t_end"),
              ("completed", "t_end")]
 
+    def test_failed_probe_leaves_while_others_complete(self, monkeypatch):
+        # an extinction probe (a step without the stack's Terms) whose
+        # solve fails ends that member at its last accepted time; the
+        # others run on as they do alone
+        mesh = build_mesh(Interval(1.0), 50)
+        cfgs = [SolverConfig(p=1.05, T_end=0.05),
+                SolverConfig(p=1.5, T_end=0.05, checkpoint_times=(0.025,))]
+        alone = [run(mesh, hat(mesh, 0.1), cfg, Zero()) for cfg in cfgs]
+        step_ = solver.step
+
+        def failing_probe(*args, **kwargs):
+            if "terms" not in kwargs:
+                raise StepFailureError("probe")
+            return step_(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "step", failing_probe)
+        failed, other = march(mesh, hat(mesh, 0.1), cfgs, Zero())
+        assert alone[0].status.kind == "extinct"
+        assert (failed.status.kind, failed.status.reason) == \
+            ("step_failure", "linear_solve")
+        assert failed.status.time == failed.times[-1]
+        assert failed.times == alone[0].times[:-1]
+        assert failed.extinction_probes == 0
+        assert other.status == alone[1].status
+        assert other.times == alone[1].times
+        assert other.snapshots == alone[1].snapshots
+
     def test_energy_overflow_leaves_while_others_complete(self):
         # the reaction overflows in the first long trial; members with
         # short horizons complete first
@@ -786,6 +848,53 @@ class TestExtinctionCrossing:
         assert step_(u, t, cfg, nl, h).sup() <= cfg.tol_ext
         assert step_(u, t, cfg, nl, h - delta).sup() > cfg.tol_ext
         assert u.sup() > cfg.tol_ext
+
+    def test_probe_that_fails_the_gate_is_rejected(self, mesh, monkeypatch):
+        # the shortest extinct probe is the member's one trial: when the
+        # gate rejects it (its E_eps raised by 1 here), that counts one
+        # rejected step, and the next step from the same state is half the
+        # probe's size
+        trials, rejects = [], []   # (t, dt, probe?, sup) of each step
+        bumped = []                # the time of the one raised snapshot
+        step_, snapshot_ = solver.step, solver.snapshot
+        reject_ = solver._Member.reject
+        cfg = SolverConfig(p=1.5, eps=1e-4, T_end=2.0)
+
+        def recorded(state, t, cfg, nl, dt=None, **kwargs):
+            new = step_(state, t, cfg, nl, dt, **kwargs)
+            trials.append((t, dt, "terms" not in kwargs, new.sup()))
+            return new
+
+        def failed_once(*args):
+            snap = snapshot_(*args)
+            if not bumped and snap.sup <= cfg.tol_ext:
+                snap.E_eps += 1.0
+                bumped.append(snap.time)
+            return snap
+
+        def recorded_reject(m):
+            rejects.append((m.t, m.h))
+            reject_(m)
+
+        monkeypatch.setattr(solver, "step", recorded)
+        monkeypatch.setattr(solver, "snapshot", failed_once)
+        monkeypatch.setattr(solver._Member, "reject", recorded_reject)
+        u0 = Field(mesh, np.ones(mesh.n_nodes)).constrained()
+        traj = run(mesh, u0, cfg, Zero())
+        assert traj.status.kind == "extinct"
+        assert traj.rejected_steps == len(rejects)
+        # the first step that ended extinct, its probes and the next step
+        halvings = solver.EXTINCTION_HALVINGS
+        i = next(i for i, trial in enumerate(trials) if trial[2])
+        t, crossed, _, _ = trials[i - 1]
+        probes = trials[i:i + halvings]
+        assert all(pt == t and probe for pt, _, probe, _ in probes)
+        h = min(dt for _, dt, _, sup in probes if sup <= cfg.tol_ext)
+        assert h < crossed and bumped == [t + h]
+        assert (t, h) in rejects
+        assert trials[i + halvings][:3] == (t, h / 2.0, False)
+        assert t not in traj.times[-1:] and traj.times[-1] > t
+
 
 @pytest.fixture(scope="module")
 def confined():
