@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solveh_banded as lapack_solveh_banded
 
-from tvheat import (Field, Interval, Power, Rectangle, SolverConfig,
+from tvheat import (Annulus, Field, Interval, Power, Rectangle, SolverConfig,
                     WellStatus, Zero,
                     build_mesh, default_dictionary, energy, estimate_dp,
                     march, nehari_scale, run, step, detect_tmax,
@@ -605,6 +605,23 @@ class TestLinearSolve:
                    Zero())
         assert traj.status.kind == "extinct"
         assert traj.status.time == 0.4800778155096372
+
+    def test_1d_reaction_run_unchanged(self):
+        # radial_exp's run at resolution 100, pinned to the last bit: the
+        # reaction's f and F in every snapshot and step, the gate's
+        # rejections and the extinction bisection
+        mesh = build_mesh(Annulus(1.0, 2.0, dim=3), 100)
+        u0 = model.tent(mesh, 1.0, [1.5], [1.0])
+        traj = run(mesh, u0, SolverConfig(p=1.5, T_end=1.0),
+                   ExpPower(3.0, 1.0, p0=1.9))
+        assert (traj.status.kind, traj.status.reason) == ("extinct", "tol_ext")
+        assert traj.status.time == 0.32380447636944315
+        assert len(traj.times) - 1 == 2480
+        assert (traj.rejected_steps, traj.extinction_probes) == (10, 8)
+        assert (traj.factorizations, traj.pcg_iterations) == (2498, 0)
+        digest = hashlib.sha256(traj.states[-1][1].values.tobytes())
+        assert digest.hexdigest() == ("fba7ea92087b593fb8a5031a5899d327"
+                                      "bc5a80a3f0a9ef8b705b8ac4d116bc97")
 
     def test_2d_run_unchanged(self, rect_run):
         # the 2-D companion: the stale-factor PCG run, pinned to the last bit
