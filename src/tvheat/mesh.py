@@ -134,6 +134,9 @@ class Mesh:
         and ``interior_band`` are all built from it.
     interior_mask : ndarray of bool, shape (n_nodes,)
         False on the boundary nodes.
+    n_nodes, n_elements, dim_coord : int
+        The lengths of ``nodes`` and ``elements`` and the coordinate
+        dimension, read once, at construction.
 
     Every other array is derived from these on first use and kept:
     ``boundary_elements``, ``interior_band``, ``interior`` and
@@ -160,6 +163,8 @@ class Mesh:
         self.boundary_normals = np.asarray(boundary_normals, dtype=float)
         self.boundary_weights = np.asarray(boundary_weights, dtype=float)
         self.grad_coeff = np.asarray(grad_coeff, dtype=float)
+        self.n_nodes, self.dim_coord = self.nodes.shape
+        self.n_elements = len(self.elements)
         self.interior_mask = np.ones(self.n_nodes, dtype=bool)
         self.interior_mask[self.boundary_nodes] = False
         for arr in (self.nodes, self.elements, self.element_volumes,
@@ -167,18 +172,6 @@ class Mesh:
                     self.boundary_normals, self.boundary_weights,
                     self.grad_coeff, self.interior_mask):
             arr.setflags(write=False)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.shape[0]
-
-    @property
-    def n_elements(self) -> int:
-        return self.elements.shape[0]
-
-    @property
-    def dim_coord(self) -> int:
-        return self.nodes.shape[1]
 
     @cached_property
     def boundary_elements(self) -> np.ndarray:
@@ -310,16 +303,17 @@ class Mesh:
         if values.ndim not in (1, 2) or values.shape[-1] != self.n_nodes:
             raise MeshError(
                 f"field has {values.shape} values, mesh has {self.n_nodes} nodes")
-        if self._chain is not None:
-            left, right = self._chain[:2]
-            g = left * values[..., :-1]
-            g += right * values[..., 1:]
+        chain = self._chain
+        if chain is not None:
+            g = chain[0] * values[..., :-1]
+            g += chain[1] * values[..., 1:]
             return g[..., None]
         # a stack's rows are the columns of one sparse product
         return np.ascontiguousarray((self._grad @ values.T).T).reshape(
             values.shape[:-1] + (self.n_elements, self.dim_coord))
 
-    def interior_stiffness(self, w: np.ndarray) -> np.ndarray:
+    def interior_stiffness(self, w: np.ndarray,
+                           out: np.ndarray | None = None) -> np.ndarray:
         """The stiffness among the interior nodes for element weights ``w``
         (n_el,) in the compact band storage described in ``interior_band``,
         shape (len(offsets) + 1, m). For a stack of weights (k, n_el) it is
@@ -327,10 +321,16 @@ class Mesh:
         next, so that each band row flattens to that of one block-diagonal
         matrix whose blocks couple only through exact zeros (the first d
         entries of the row of offset d). Each member gets the band of its
-        weights alone, bit for bit."""
-        if self._chain is not None:
-            upper, diag_left, diag_right = self._chain[2:]
-            band = np.empty((2,) + w.shape[:-1] + (self.n_nodes - 2,))
+        weights alone, bit for bit.
+
+        A chain mesh writes the band into ``out`` when it is given; the
+        sparse product of any other mesh makes its own array, which is
+        returned instead."""
+        chain = self._chain
+        if chain is not None:
+            _, _, upper, diag_left, diag_right = chain
+            band = out if out is not None else np.empty(
+                (2,) + w.shape[:-1] + (w.shape[-1] - 1,))
             band[0, ..., 0] = 0.0
             np.multiply(upper, w[..., 1:-1], out=band[0, ..., 1:])
             np.multiply(diag_left, w[..., :-1], out=band[1])
@@ -415,11 +415,12 @@ def _domain_header(domain: Domain) -> str:
 
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The dot product over the last axis of ``a`` and ``b``, one per row of
-    a stack: for vectors it is ``a @ b`` bit for bit, and each row of a
-    stack gets the same bits as that row alone. (A matrix-vector ``@``
-    does not: BLAS gemv sums in another order than the dot product.)"""
+    a stack: for vectors it is ``a.dot(b)``, which is ``a @ b`` bit for
+    bit (one BLAS ddot) at a lower fixed cost, and each row of a stack
+    gets the same bits as that row alone. (A matrix-vector ``@`` does
+    not: BLAS gemv sums in another order than the dot product.)"""
     if a.ndim == b.ndim == 1:
-        return a @ b
+        return a.dot(b)
     # contiguous rows: BLAS sums a strided vector in another order
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
@@ -451,6 +452,10 @@ class Field:
     mesh: Mesh
     values: np.ndarray = dc_field(repr=False)
 
+    # the kept values' defaults, until the field's dictionary holds its own:
+    # a read is then one attribute lookup
+    _sup = _boundary_max = _reaction = None
+
     def __post_init__(self):
         # C order: a stack's rows are then contiguous, and BLAS sums a
         # strided row in another order than a contiguous one
@@ -466,29 +471,37 @@ class Field:
     def grad(self) -> np.ndarray:
         """Piecewise-constant gradient per element, shape (n_el, dim_coord)
         ((k, n_el, dim_coord) for a stack)."""
-        g = self.mesh.gradient(self.values)
-        g.setflags(write=False)
-        return g
+        return self._gradients()["grad"]
 
     @cached_property
     def grad_sq(self) -> np.ndarray:
         """Element-wise |grad u|^2, shape (n_el,) ((k, n_el) for a stack):
         the squares of the components summed in component order, which is
         ``(grad ** 2).sum(axis=-1)`` bit for bit."""
-        g = self.grad
-        sq = g[..., 0] * g[..., 0]
-        for k in range(1, g.shape[-1]):
-            sq += g[..., k] * g[..., k]
-        sq.setflags(write=False)
-        return sq
+        return self._gradients()["grad_sq"]
 
     @cached_property
     def grad_mag(self) -> np.ndarray:
         """Element-wise gradient magnitude |grad u|, shape (n_el,) ((k, n_el)
         for a stack)."""
-        mag = np.sqrt(self.grad_sq)
+        return self._gradients()["grad_mag"]
+
+    def _gradients(self) -> dict:
+        """Compute ``grad``, ``grad_sq`` and ``grad_mag`` together and keep
+        all three, read-only, in the field's dictionary, where the next
+        reads of the other two find them without a descriptor call;
+        returns that dictionary."""
+        g = self.mesh.gradient(self.values)
+        sq = g[..., 0] * g[..., 0]
+        for k in range(1, g.shape[-1]):
+            sq += g[..., k] * g[..., k]
+        mag = np.sqrt(sq)
+        g.setflags(write=False)
+        sq.setflags(write=False)
         mag.setflags(write=False)
-        return mag
+        kept = vars(self)
+        kept.update(grad=g, grad_sq=sq, grad_mag=mag)
+        return kept
 
     def rows(self, index) -> "Field":
         """The rows of this stack that ``index`` selects, copied, keeping
@@ -547,7 +560,7 @@ class Field:
     def reaction(self, nl) -> np.ndarray:
         """f(u) of the reaction ``nl`` (a ``model.Nonlinearity``), read-only:
         evaluated once and kept, for the last reaction asked for."""
-        kept = vars(self).get("_reaction")
+        kept = self._reaction
         if kept is None or kept[0] is not nl:
             f = np.asarray(nl.f(self.values), dtype=float)
             f.setflags(write=False)
@@ -571,7 +584,7 @@ class Field:
         """Whether every boundary value (of every row of a stack) is 0; a
         NaN makes the largest magnitude NaN, which fails the comparison.
         The largest magnitude is computed once and kept."""
-        largest = vars(self).get("_boundary_max")
+        largest = self._boundary_max
         if largest is None:
             largest = float(np.abs(self.values[..., self.mesh.boundary_nodes])
                             .max())
@@ -585,9 +598,9 @@ class Field:
     def sup(self) -> float | np.ndarray:
         """max |u|; a read-only (k,) array for a stack. Computed once and
         kept."""
-        sup = vars(self).get("_sup")
+        sup = self._sup
         if sup is None:
-            sup = np.abs(self.values).max(axis=-1)
+            sup = np.maximum.reduce(np.abs(self.values), axis=-1)
             if sup.ndim == 0:
                 sup = float(sup)
             else:

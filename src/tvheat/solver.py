@@ -173,7 +173,8 @@ class BandedFactor:
         if b == 1:
             self.factorizations += 1
             _, _, x, info = dptsv(band[1], band[0, 1:], rhs)
-            _check_info(info, "ptsv")
+            if info:
+                _check_info(info, "ptsv")
             return x
         if self.chol is not None:
             x, its = self._pcg(band, rhs, x0, offsets)
@@ -311,8 +312,32 @@ def _band_product(band: np.ndarray, x: np.ndarray, offsets: list[int],
 # One step
 # ---------------------------------------------------------------------------
 
+class _Workspace:
+    """The arrays one ``step`` fills in place, for a plain field on
+    ``mesh`` (``k`` None) or a stack of k fields: the element weights
+    ``w``, the band (a chain mesh's; see ``Mesh.interior_stiffness``), the
+    right-hand side, a scratch row, and the residual gate's residual and
+    band magnitudes. ``march`` builds one for each member and one for each
+    stack of more than one, when the stack forms, so that a step
+    allocates only the arrays it returns and the band of a sparse
+    product."""
+
+    __slots__ = ("w", "band", "rhs", "scratch", "r", "mags")
+
+    def __init__(self, mesh: Mesh, k: int | None = None):
+        rows = () if k is None else (k,)
+        _, _, interior, offsets = mesh.interior_band
+        m = len(interior)
+        self.w = np.empty(rows + (mesh.n_elements,))
+        self.band = np.empty((len(offsets) + 1,) + rows + (m,))
+        self.mags = np.empty(self.band.shape)
+        self.rhs, self.scratch, self.r = (np.empty(rows + (m,))
+                                          for _ in range(3))
+
+
 def step(state: Field, t, cfg, nl: Nonlinearity, dt=None, factor=None,
-         terms: Terms | None = None) -> Field:
+         terms: Terms | None = None, work: _Workspace | None = None
+         ) -> Field:
     """One semi-implicit step of size dt (default cfg.dt0): returns the new
     field. ``march`` judges the step from the two states' snapshots. The
     system is solved through ``factor``, one run's ``BandedFactor``, whose
@@ -330,30 +355,36 @@ def step(state: Field, t, cfg, nl: Nonlinearity, dt=None, factor=None,
 
     ``terms`` are the ``Terms`` of the configs' p and eps, which ``march``
     computes once per stack; without them ``step`` computes them from
-    ``cfg``, with the same result.
+    ``cfg``, with the same result. ``work`` is a ``_Workspace`` of the
+    state's shape, which ``march`` builds once per member and per stack:
+    the coefficient, band, right-hand side and gate are written into its
+    arrays, each with one numpy call; without one ``step`` builds its own.
     """
     mesh = state.mesh
     if not state.is_dirichlet():
         raise SolverError("state is not Dirichlet-constrained")
     u = state.values
     single = u.ndim == 1
-    if factor is None:
-        factor = (BandedFactor() if single
-                  else [BandedFactor() for _ in range(len(u))])
     if single:
         dt = cfg.dt0 if dt is None else dt
+        if factor is None:
+            factor = BandedFactor()
     else:
         dt = np.asarray(dt, dtype=float)[:, None]
+        if factor is None:
+            factor = [BandedFactor() for _ in range(len(u))]
     if terms is None:
         terms = _terms(cfg)
-    w = terms.coefficient(state.grad_sq)
+    if work is None:
+        work = _Workspace(mesh, None if single else len(u))
+    w = terms.coefficient(state.grad_sq, work.w)
     w *= mesh.element_volumes
     _, b, _, offsets = mesh.interior_band
     interior, qw = mesh.interior, mesh.interior_weights
-    band = mesh.interior_stiffness(w)
-    band[-1] += qw / dt
+    band = mesh.interior_stiffness(w, work.band)
+    band[-1] += np.divide(qw, dt, out=work.scratch)
     u_in = u[..., interior]
-    rhs = u_in / dt
+    rhs = np.divide(u_in, dt, out=work.rhs)
     rhs += state.reaction(nl)[..., interior]
     rhs *= qw
     try:
@@ -364,13 +395,12 @@ def step(state: Field, t, cfg, nl: Nonlinearity, dt=None, factor=None,
     new = np.zeros(u.shape)
     new[..., interior] = x
     if single:
-        if not np.isfinite(x).all():
-            raise StepFailureError(f"non-finite solution at t={t}")
-        if not _gate(band, x, rhs, offsets):
-            raise StepFailureError(
-                f"banded solve residual above tolerance at t={t}")
+        if not _gate(band, x, rhs, offsets, work):
+            failure = ("banded solve residual above tolerance"
+                       if np.isfinite(x).all() else "non-finite solution")
+            raise StepFailureError(f"{failure} at t={t}")
         return Field._adopt(mesh, new, dirichlet=True)
-    passed = _gate(band, x, rhs, offsets)
+    passed = _gate(band, x, rhs, offsets, work)
     if all(passed):
         return Field._adopt(mesh, new, dirichlet=True)
     new[[not ok for ok in passed]] = np.nan
@@ -386,21 +416,27 @@ def _terms(cfg) -> Terms:
 
 
 def _gate(band: np.ndarray, x: np.ndarray, rhs: np.ndarray,
-          offsets: list[int]) -> bool | list[bool]:
+          offsets: list[int], work: _Workspace) -> bool | list[bool]:
     """The backward-stable residual gate ||Ax - b|| <= 1e-10 (||b|| +
     ||A||_inf ||x||), each norm the square root of ``v @ v``, in Python
-    floats, for the finite solution ``x`` of the system in compact band
-    storage ``band``. For a stack, whose band rows flatten to one
+    floats, for the solution ``x`` of the system in compact band storage
+    ``band``, with the residual and the band magnitudes written into
+    ``work``. A plain field's ``x`` that is not finite fails, before any
+    arithmetic on it. For a stack, whose band rows flatten to one
     block-diagonal matrix, one verdict per member, each as it is alone,
     False for a member whose solve failed (a row of NaN, as
     ``solveh_banded`` returns it); such a member is read as zero here, so
     that its blocks' zero couplings (0 * nan) cannot reach its
     neighbours."""
     if x.ndim == 1:
-        r = _band_product(band, x, offsets)
+        xx = x.dot(x)           # finite unless some entry is (or x is huge)
+        if not (math.isfinite(xx) or np.isfinite(x).all()):
+            return False
+        r = _band_product(band, x, offsets, out=work.r)
         r -= rhs
-        norm_A = float(_abs_row_sums(band, offsets).max())
-        return _accurate(r @ r, rhs @ rhs, norm_A, x @ x)
+        norm_A = float(np.maximum.reduce(
+            _abs_row_sums(band, offsets, out=work.mags)))
+        return _accurate(r.dot(r), rhs.dot(rhs), norm_A, xx)
     finite = ~np.isnan(x[:, 0])         # a failed member is a row of NaN
     if not finite.all():
         x = np.where(finite[:, None], x, 0.0)
@@ -411,7 +447,8 @@ def _gate(band: np.ndarray, x: np.ndarray, rhs: np.ndarray,
     r -= rhs.reshape(-1)
     v[1], v[2] = rhs, x
     rr, bb, xx = rowdot(v, v).tolist()
-    row_abs = _abs_row_sums(flat, offsets).reshape(x.shape)
+    row_abs = _abs_row_sums(flat, offsets, out=work.mags.reshape(len(band), -1)
+                            ).reshape(x.shape)
     norm_A = row_abs.max(axis=-1).tolist()
     return [f and _accurate(*norms)
             for f, *norms in zip(finite.tolist(), rr, bb, norm_A, xx)]
@@ -423,11 +460,13 @@ def _accurate(rr: float, bb: float, norm_A: float, xx: float) -> bool:
     return math.sqrt(rr) <= 1e-10 * max(scale, 1e-300)
 
 
-def _abs_row_sums(band: np.ndarray, offsets: list[int]) -> np.ndarray:
+def _abs_row_sums(band: np.ndarray, offsets: list[int],
+                  out: np.ndarray | None = None) -> np.ndarray:
     """The absolute row sums of the symmetric matrix A held in compact band
     storage ``band`` with super-diagonals at ``offsets``: ||A||_inf is
-    their maximum."""
-    magnitudes = np.abs(band)
+    their maximum. The magnitudes of ``band`` are written into ``out``
+    (shaped as ``band``) if given, and the sums into its last row."""
+    magnitudes = np.abs(band, out=out)
     row_abs = magnitudes[-1]
     for a, d in zip(magnitudes, offsets):
         a = a[d:]                      # |A[i, i + d]| for i = 0 .. m - d - 1
@@ -457,20 +496,22 @@ def march(mesh: Mesh, u0: Field, cfgs, nl: Nonlinearity) -> list[Trajectory]:
 
     Each iteration advances every running member at once: one ``step``
     call and one ``snapshot`` call serve the stack of their states (see
-    ``Field``), with the stack's constants (``_Stack``) built once, when it
-    forms, and again only when a member leaves it. A stack of one marches
-    as a plain field, whose 1-D arrays cost less than a (1, n) stack's.
-    Each member's step size, gate verdict, extinction bisection and stop
-    reason are its own, in Python floats, so each member ends bit for bit
-    as it would alone; a member that stops leaves the stack. A member's
-    one trial per iteration (its step, or the shortest extinct step that
-    ``_extinction_crossing`` finds) is evaluated once, in a snapshot that
-    also gives its E_p,eps, and keeps its sup norm and f(u), which the
-    next steps from it (retries and extinction probes included) reuse;
-    the bisection reads only its probes' sup norms. A member's steps share
-    one ``BandedFactor``. A member stores only its initial state, the
-    states at its targets (its checkpoint times and T_end) and its last
-    state.
+    ``Field``), with the stack's constants (``_Stack``: configs, factors,
+    ``Terms`` and ``_Workspace``) built once, when it forms, and again
+    only when a member leaves it. A stack of one marches as a plain field,
+    whose 1-D arrays cost less than a (1, n) stack's, and its iteration
+    passes the member's own floats, state and workspace without per-member
+    lists. Each member's step size, gate verdict, extinction bisection and
+    stop reason are its own, in Python floats, so each member ends bit for
+    bit as it would alone; a member that stops leaves the stack. A
+    member's one trial per iteration (its step, or the shortest extinct
+    step that ``_extinction_crossing`` finds) is evaluated once, in a
+    snapshot that also gives its E_p,eps, and keeps its sup norm and f(u),
+    which the next steps from it (retries and extinction probes included)
+    reuse; the bisection reads only its probes' sup norms. A member's
+    steps share one ``BandedFactor``. A member stores only its initial
+    state, the states at its targets (its checkpoint times and T_end) and
+    its last state.
     """
     if u0.mesh is not mesh:
         raise SolverError("initial field lives on a different mesh")
@@ -480,7 +521,7 @@ def march(mesh: Mesh, u0: Field, cfgs, nl: Nonlinearity) -> list[Trajectory]:
     k = len(members)
     start = Field(mesh, u0.values if k == 1
                   else np.broadcast_to(u0.values, (k, mesh.n_nodes)))
-    stack = _Stack(members)
+    stack = _Stack(members, mesh)
     zeros = _per_member([0.0] * k)
     snaps = snapshot(start, zeros, stack.terms, nl, zeros)
     running = []
@@ -496,29 +537,34 @@ def march(mesh: Mesh, u0: Field, cfgs, nl: Nonlinearity) -> list[Trajectory]:
             running.append(m)
     while running:
         if len(running) != len(stack.members):
-            stack = _Stack(running)
+            stack = _Stack(running, mesh)
         running = _advance(stack, mesh, nl)
     return [m.traj for m in members]
 
 
 class _Member:
-    """One member of a ``march``: its trajectory and factor, and its step
-    control in Python floats. Its current state is row ``row`` of the
-    stack ``state``, or ``state`` itself, a plain field, when ``row`` is
-    None, and ``snap`` is that state's snapshot; ``h`` is the size of its
-    trial in flight, which ends at or before ``target``, its targets'
-    entry ``next_target``."""
+    """One member of a ``march``: its trajectory, factor and plain-field
+    ``_Workspace`` (its steps when it marches alone, and its extinction
+    probes), and its step control in Python floats. Its current state is
+    row ``row`` of the stack ``state``, or ``state`` itself, a plain
+    field, when ``row`` is None, and ``snap`` is that state's snapshot;
+    ``h`` is the size of its trial in flight, which ends at or before
+    ``target``, its targets' entry ``next_target``, at ``t_trial`` once
+    the trial is closed, with dissipation ``diss`` and cumulative
+    dissipation ``cum``."""
 
-    __slots__ = ("traj", "cfg", "factor", "targets", "next_target", "t",
-                 "dt", "h", "target", "snap", "state", "row")
+    __slots__ = ("traj", "cfg", "factor", "work", "targets", "next_target",
+                 "t", "dt", "h", "target", "t_trial", "diss", "cum", "snap",
+                 "state", "row")
 
     def __init__(self, traj: Trajectory):
         cfg = traj.cfg
         self.traj, self.cfg, self.factor = traj, cfg, BandedFactor()
+        self.work = _Workspace(traj.mesh)
         self.targets = sorted({float(c) for c in cfg.checkpoint_times}
                               | {cfg.T_end})
         self.next_target = 0
-        self.t = 0.0
+        self.t, self.row = 0.0, None
         self.dt = min(cfg.dt0, cfg.dt_max)
 
     def aim(self) -> None:
@@ -528,6 +574,58 @@ class _Member:
             self.next_target += 1
         self.target = self.targets[self.next_target]
         self.h = min(self.dt, self.target - self.t)
+
+    def trial(self, new: Field | None, sup: float, state: Field,
+              row: int | None, nl: Nonlinearity) -> tuple | None:
+        """Choose the member's one trial of this iteration, of size h:
+        the step from ``state`` to ``new`` (row ``row`` of stacks, or plain
+        fields for None), whose sup norm is ``sup`` (NaN, with ``new``
+        None or a row of NaN, where its solve failed), or the shortest
+        extinct step that ``_extinction_crossing`` finds, which sets h.
+        Returns it as (field, row), or None after stopping the member when
+        its solve, or a probe's, failed."""
+        if sup <= self.cfg.tol_ext:
+            try:
+                probe = _extinction_crossing(
+                    state if row is None else state.rows(row), self, nl)
+            except StepFailureError:
+                sup = math.nan
+            else:
+                self.traj.extinction_probes += EXTINCTION_HALVINGS
+                if probe is not None:
+                    return probe, None
+        if sup != sup:                  # NaN: the member's solve failed
+            self.stop(Status("step_failure", self.t, "linear_solve"))
+            return None
+        return new, row
+
+    def close(self, quad: float) -> None:
+        """Set the trial's end time ``t_trial``, on the target when it ends
+        within 1e-12 max(1, target) of it, its dissipation ``diss`` from
+        its squared step's quadrature ``quad`` and the cumulative
+        dissipation ``cum`` at its end."""
+        t = self.t + self.h
+        if abs(t - self.target) <= 1e-12 * max(1.0, self.target):
+            t = self.target
+        self.t_trial, self.diss = t, quad / self.h
+        self.cum = self.snap.dissipation_cum + self.diss
+
+    def judge(self, state: Field, row: int | None,
+              snap: EnergySnapshot) -> bool:
+        """Accept the closed trial, row ``row`` of ``state``, evaluated in
+        ``snap``, reject it, or stop at an energy that overflowed; returns
+        whether the member still runs."""
+        if not (math.isfinite(snap.E_p) and math.isfinite(snap.I_p)):
+            # the reaction overflowed; the residual gate cannot judge this
+            self.stop(Status("blowup", self.t, "energy_overflow"))
+            return False
+        residual = self.diss + snap.E_eps - self.snap.E_eps
+        tol = self.cfg.energy_residual_tol * (1.0 + abs(snap.E_p))
+        if not abs(residual) > tol:
+            self.accept(state, row, snap, residual, tol)
+        else:
+            self.reject()
+        return self.traj.status is None
 
     def accept(self, state: Field, row: int | None, snap: EnergySnapshot,
                residual: float, tol: float) -> None:
@@ -579,86 +677,90 @@ class _Member:
 
 class _Stack:
     """The members that one ``march`` iteration steps together, with what
-    ``step`` and ``snapshot`` take for them: their configs, their factors
-    and the ``Terms`` of their p and eps (for a stack of one, a plain
-    field's). Built when the stack forms, and again when a member leaves
-    it."""
+    ``step`` and ``snapshot`` take for them: their configs, their factors,
+    the ``Terms`` of their p and eps and a ``_Workspace``. For a stack of
+    one (``one``) these are the member's own config, factor and workspace
+    and a plain field's ``Terms``, and its state becomes a plain field.
+    Built when the stack forms, and again when a member leaves it."""
 
-    __slots__ = ("members", "cfgs", "factors", "terms")
+    __slots__ = ("members", "one", "cfgs", "factors", "terms", "work")
 
-    def __init__(self, members: list[_Member]):
+    def __init__(self, members: list[_Member], mesh: Mesh):
         self.members = members
-        self.cfgs = _per_member([m.cfg for m in members])
-        self.factors = _per_member([m.factor for m in members])
+        self.one = len(members) == 1
+        if self.one:
+            m, = members
+            if m.row is not None:       # the member left a larger stack
+                m.state, m.row = m.state.rows(m.row), None
+            self.cfgs, self.factors, self.work = m.cfg, m.factor, m.work
+        else:
+            self.cfgs = [m.cfg for m in members]
+            self.factors = [m.factor for m in members]
+            self.work = _Workspace(mesh, len(members))
         self.terms = _terms(self.cfgs)
 
 
 def _advance(stack: _Stack, mesh: Mesh, nl: Nonlinearity) -> list[_Member]:
     """One iteration of ``march``: step the running members of ``stack``
     once, judge one trial per member, all in one snapshot, and return the
-    members still running."""
+    members still running. A stack of one steps and evaluates its
+    member's plain field with the member's own floats, with no
+    per-member list; a larger stack gathers its members' rows and values
+    into one field and lists. Each member chooses, closes and judges its
+    trial itself (``_Member.trial``, ``close`` and ``judge``)."""
     running = stack.members
     for m in running:
         m.aim()
+    qw = mesh.quad_weights
+    if stack.one:
+        state = m.state
+        try:
+            new = step(state, m.t, stack.cfgs, nl, m.h, factor=stack.factors,
+                       terms=stack.terms, work=stack.work)
+        except StepFailureError:
+            new = None
+        trial = m.trial(new, math.nan if new is None else new.sup(), state,
+                        None, nl)
+        if trial is None:
+            return []
+        new = trial[0]
+        step_sq = new.values - state.values
+        step_sq *= step_sq
+        m.close(float(step_sq.dot(qw)))
+        snap = snapshot(new, m.t_trial, stack.terms, nl, m.cum)
+        return running if m.judge(new, None, snap) else []
     state = _gather([(m.state, m.row) for m in running])
-    one = len(running) == 1
-    try:
-        new = step(state, _per_member([m.t for m in running]), stack.cfgs,
-                   nl, _per_member([m.h for m in running]),
-                   factor=stack.factors, terms=stack.terms)
-    except StepFailureError:            # only a plain field's solve raises
-        new = None
-    sups = [math.nan] if new is None else _listed(new.sup())
-    members, trials = [], []   # each member's trial (field, row), of size m.h
-    for i, (m, sup) in enumerate(zip(running, sups)):
-        trial = (new, None if one else i)
-        failed = sup != sup             # NaN: the member's solve failed
-        if not failed and sup <= m.cfg.tol_ext:
-            try:
-                probe = _extinction_crossing(
-                    state if one else state.rows(i), m, nl)
-                m.traj.extinction_probes += EXTINCTION_HALVINGS
-                if probe is not None:
-                    trial = (probe, None)
-            except StepFailureError:
-                failed = True
-        if failed:
-            m.stop(Status("step_failure", m.t, "linear_solve"))
-        else:
+    new = step(state, [m.t for m in running], stack.cfgs, nl,
+               [m.h for m in running], factor=stack.factors,
+               terms=stack.terms, work=stack.work)
+    members, trials = [], []
+    for i, (m, sup) in enumerate(zip(running, new.sup().tolist())):
+        trial = m.trial(new, sup, state, i, nl)
+        if trial is not None:
             members.append(m)
             trials.append(trial)
     if not members:
         return []
-    # judge the trials: accept each, reject it or stop its member
     old = _gather([(m.state, m.row) for m in members])
     new = _gather(trials)
     step_sq = new.values - old.values
     step_sq *= step_sq
-    quad = _listed(rowdot(step_sq, mesh.quad_weights))
-    t_new, cum, diss = [], [], []
-    for m, q in zip(members, quad):
-        t = m.t + m.h
-        if abs(t - m.target) <= 1e-12 * max(1.0, m.target):
-            t = m.target
-        t_new.append(t)
-        diss.append(q / m.h)
-        cum.append(m.snap.dissipation_cum + diss[-1])
+    for m, q in zip(members, _listed(rowdot(step_sq, qw))):
+        m.close(q)
     terms = (stack.terms if len(members) == len(running)
              else _terms(_per_member([m.cfg for m in members])))
-    snaps = snapshot(new, _per_member(t_new), terms, nl, _per_member(cum))
+    snaps = snapshot(new, _per_member([m.t_trial for m in members]), terms,
+                     nl, _per_member([m.cum for m in members]))
     one = len(members) == 1
-    for i, (m, snap) in enumerate(zip(members, [snaps] if one else snaps)):
-        if not (math.isfinite(snap.E_p) and math.isfinite(snap.I_p)):
-            # the reaction overflowed; the residual gate cannot judge this
-            m.stop(Status("blowup", m.t, "energy_overflow"))
-            continue
-        residual = diss[i] + snap.E_eps - m.snap.E_eps
-        tol = m.cfg.energy_residual_tol * (1.0 + abs(snap.E_p))
-        if not abs(residual) > tol:
-            m.accept(new, None if one else i, snap, residual, tol)
-        else:
-            m.reject()
-    return [m for m in members if m.traj.status is None]
+    return [m for i, (m, snap) in enumerate(zip(members,
+                                                [snaps] if one else snaps))
+            if m.judge(new, None if one else i, snap)]
+
+
+def _listed(result) -> list:
+    """A per-member result as a list of floats: a stack's array, or the
+    float of a plain field."""
+    return result.tolist() if isinstance(result, np.ndarray) else [float(result)]
 
 
 def _per_member(values: list):
@@ -666,12 +768,6 @@ def _per_member(values: list):
     stack of their members: the value itself for a stack of one, which
     marches as a plain field, else the list."""
     return values[0] if len(values) == 1 else values
-
-
-def _listed(result) -> list:
-    """A per-member result as a list of floats: a stack's array, or the
-    float of a plain field."""
-    return result.tolist() if isinstance(result, np.ndarray) else [float(result)]
 
 
 def _gather(refs: list) -> Field:
@@ -702,7 +798,7 @@ def _extinction_crossing(state: Field, m: _Member,
     lo, hi, found = 0.0, m.h, None
     for _ in range(EXTINCTION_HALVINGS):
         mid = 0.5 * (lo + hi)
-        new = step(state, m.t, m.cfg, nl, mid, factor=m.factor)
+        new = step(state, m.t, m.cfg, nl, mid, factor=m.factor, work=m.work)
         if new.sup() <= m.cfg.tol_ext:
             hi, found = mid, new
         else:

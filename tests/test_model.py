@@ -288,6 +288,21 @@ class TestEnergies:
             assert bare == snapshot(f, 0.0, Terms(p), nl, 0.0)
             assert bare.E_eps == regularized_energy(f, p, 0.0, bare)
 
+    @pytest.mark.parametrize("p", [1.0, 0.5, math.nan])
+    def test_p_at_most_one_fails_by_name(self, mesh, p):
+        # every function of p that the well machinery calls rejects
+        # p <= 1 (and NaN, which fails the comparison) with a float p
+        nl, u = Power(q=3.0), hat(mesh)
+        calls = {"energy": lambda: energy(u, p, nl),
+                 "nehari_I": lambda: nehari_I(u, p, nl),
+                 "nehari_scale": lambda: nehari_scale(u, p, nl),
+                 "estimate_dp": lambda: estimate_dp(mesh, p, nl, [u]),
+                 "well_status": lambda: well_status(u, p, nl, 1.0),
+                 "snapshot": lambda: snapshot(u, 0.0, p, nl, 0.0)}
+        for name, call in calls.items():
+            with pytest.raises(ModelError, match="p must exceed 1"):
+                call()
+
     def test_energy_zero_reaction(self, mesh):
         f = hat(mesh)
         assert energy(f, 2.0, Zero()) == pytest.approx(2.0, rel=1e-12)

@@ -1,7 +1,9 @@
 """Time stepping, adaptivity, termination detection and audits."""
 
+import collections
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +20,11 @@ from tvheat.mesh import Mesh
 from tvheat.model import EnergySnapshot, ExpPower, grad_p_norm, \
     regularized_energy
 from tvheat.solver import SolverError, Status, StepFailureError, Trajectory
+
+
+# Python-level calls per step call of criterion 1's plain run: step,
+# snapshot and the march's bookkeeping each pay their helpers once
+PLAIN_CALLS_PER_STEP = 35
 
 
 @pytest.fixture
@@ -622,6 +629,34 @@ class TestLinearSolve:
         digest = hashlib.sha256(traj.states[-1][1].values.tobytes())
         assert digest.hexdigest() == ("fba7ea92087b593fb8a5031a5899d327"
                                       "bc5a80a3f0a9ef8b705b8ac4d116bc97")
+
+    def test_1d_run_python_calls_per_step(self):
+        # criterion 1's run makes at most PLAIN_CALLS_PER_STEP Python-level
+        # calls per step call, counted under sys.setprofile: a helper layer
+        # added to the plain march fails here, by name
+        mesh = build_mesh(Interval(1.0), 400)
+        u0 = Field(mesh, np.ones(mesh.n_nodes)).constrained()
+        cfg = SolverConfig(p=1.01, eps=1e-4, T_end=1.0)
+        run(mesh, u0, cfg.replace(T_end=cfg.dt0), Zero())   # mesh caches
+        calls = collections.Counter()
+
+        def count(frame, event, arg):
+            if event == "call":
+                code = frame.f_code
+                calls[f"{code.co_filename.rsplit('/', 1)[-1]}:"
+                      f"{code.co_name}"] += 1
+
+        sys.setprofile(count)
+        try:
+            traj = run(mesh, u0, cfg, Zero())
+        finally:
+            sys.setprofile(None)
+        steps = calls["solver.py:step"]
+        assert steps == (len(traj.times) - 1 + traj.rejected_steps
+                         + traj.extinction_probes) == 1735
+        per_step = {name: round(n / steps, 2)
+                    for name, n in calls.most_common()}
+        assert sum(calls.values()) <= PLAIN_CALLS_PER_STEP * steps, per_step
 
     def test_2d_run_unchanged(self, rect_run):
         # the 2-D companion: the stale-factor PCG run, pinned to the last bit
