@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
-from bisect import bisect_left
 import json
 import math
 import os
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np

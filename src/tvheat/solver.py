@@ -315,22 +315,23 @@ def _band_product(band: np.ndarray, x: np.ndarray, offsets: list[int],
 class _Workspace:
     """The arrays one ``step`` fills in place, for a plain field on
     ``mesh`` (``k`` None) or a stack of k fields: the element weights
-    ``w``, the band (a chain mesh's; see ``Mesh.interior_stiffness``), the
-    right-hand side, a scratch row, and the residual gate's residual and
-    band magnitudes. ``march`` builds one for each member and one for each
-    stack of more than one, when the stack forms, so that a step
-    allocates only the arrays it returns and the band of a sparse
-    product."""
+    ``w``, the band, the right-hand side, a scratch row and the residual
+    gate's residual. ``march`` builds one for each member and one for
+    each stack of more than one, when the stack forms, so that a step
+    allocates only the arrays it returns. Only a band of bandwidth 1 has
+    a buffer here: it is assembled from slices (``Mesh.interior_stiffness``),
+    and a wider band comes from a sparse product, which makes its own
+    array (``band`` None)."""
 
-    __slots__ = ("w", "band", "rhs", "scratch", "r", "mags")
+    __slots__ = ("w", "band", "rhs", "scratch", "r")
 
     def __init__(self, mesh: Mesh, k: int | None = None):
         rows = () if k is None else (k,)
-        _, _, interior, offsets = mesh.interior_band
+        _, b, interior, offsets = mesh.interior_band
         m = len(interior)
         self.w = np.empty(rows + (mesh.n_elements,))
-        self.band = np.empty((len(offsets) + 1,) + rows + (m,))
-        self.mags = np.empty(self.band.shape)
+        self.band = (np.empty((len(offsets) + 1,) + rows + (m,)) if b == 1
+                     else None)
         self.rhs, self.scratch, self.r = (np.empty(rows + (m,))
                                           for _ in range(3))
 
@@ -357,8 +358,9 @@ def step(state: Field, t, cfg, nl: Nonlinearity, dt=None, factor=None,
     computes once per stack; without them ``step`` computes them from
     ``cfg``, with the same result. ``work`` is a ``_Workspace`` of the
     state's shape, which ``march`` builds once per member and per stack:
-    the coefficient, band, right-hand side and gate are written into its
-    arrays, each with one numpy call; without one ``step`` builds its own.
+    the coefficient, a 1-D band, the right-hand side and the gate's
+    residual are written into its arrays with ``out=``; without one
+    ``step`` builds its own.
     """
     mesh = state.mesh
     if not state.is_dirichlet():
@@ -420,9 +422,10 @@ def _gate(band: np.ndarray, x: np.ndarray, rhs: np.ndarray,
     """The backward-stable residual gate ||Ax - b|| <= 1e-10 (||b|| +
     ||A||_inf ||x||), each norm the square root of ``v @ v``, in Python
     floats, for the solution ``x`` of the system in compact band storage
-    ``band``, with the residual and the band magnitudes written into
-    ``work``. A plain field's ``x`` that is not finite fails, before any
-    arithmetic on it. For a stack, whose band rows flatten to one
+    ``band``, with the residual written into ``work`` and the band's
+    magnitudes over the band itself, which the step no longer reads. A
+    plain field's ``x`` that is not finite fails, before any arithmetic
+    on it. For a stack, whose band rows flatten to one
     block-diagonal matrix, one verdict per member, each as it is alone,
     False for a member whose solve failed (a row of NaN, as
     ``solveh_banded`` returns it); such a member is read as zero here, so
@@ -435,7 +438,7 @@ def _gate(band: np.ndarray, x: np.ndarray, rhs: np.ndarray,
         r = _band_product(band, x, offsets, out=work.r)
         r -= rhs
         norm_A = float(np.maximum.reduce(
-            _abs_row_sums(band, offsets, out=work.mags)))
+            _abs_row_sums(band, offsets, out=band)))
         return _accurate(r.dot(r), rhs.dot(rhs), norm_A, xx)
     finite = ~np.isnan(x[:, 0])         # a failed member is a row of NaN
     if not finite.all():
@@ -447,8 +450,7 @@ def _gate(band: np.ndarray, x: np.ndarray, rhs: np.ndarray,
     r -= rhs.reshape(-1)
     v[1], v[2] = rhs, x
     rr, bb, xx = rowdot(v, v).tolist()
-    row_abs = _abs_row_sums(flat, offsets, out=work.mags.reshape(len(band), -1)
-                            ).reshape(x.shape)
+    row_abs = _abs_row_sums(flat, offsets, out=flat).reshape(x.shape)
     norm_A = row_abs.max(axis=-1).tolist()
     return [f and _accurate(*norms)
             for f, *norms in zip(finite.tolist(), rr, bb, norm_A, xx)]
@@ -465,7 +467,8 @@ def _abs_row_sums(band: np.ndarray, offsets: list[int],
     """The absolute row sums of the symmetric matrix A held in compact band
     storage ``band`` with super-diagonals at ``offsets``: ||A||_inf is
     their maximum. The magnitudes of ``band`` are written into ``out``
-    (shaped as ``band``) if given, and the sums into its last row."""
+    (shaped as ``band``, or ``band`` itself) if given, and the sums into
+    its last row."""
     magnitudes = np.abs(band, out=out)
     row_abs = magnitudes[-1]
     for a, d in zip(magnitudes, offsets):
