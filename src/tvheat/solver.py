@@ -313,17 +313,13 @@ def _band_product(band: np.ndarray, x: np.ndarray, offsets: list[int],
 # ---------------------------------------------------------------------------
 
 class _Workspace:
-    """The arrays one ``step`` fills in place, for a plain field on
-    ``mesh`` (``k`` None) or a stack of k fields: the element weights
-    ``w``, the band, the right-hand side, a scratch row and the residual
-    gate's residual. ``march`` builds one for each member and one for
-    each stack of more than one, when the stack forms, so that a step
-    allocates only the arrays it returns. Only a band of bandwidth 1 has
-    a buffer here: it is assembled from slices (``Mesh.interior_stiffness``),
-    and a wider band comes from a sparse product, which makes its own
-    array (``band`` None)."""
+    """The arrays a ``step`` of a plain field on ``mesh`` (``k`` None) or
+    of a stack of k fills in place: the element weights ``w``, the band,
+    the right-hand side and a row ``r`` (the mass term, then the gate's
+    residual). Only a band of bandwidth 1 has a buffer: a wider one comes
+    from a sparse product, which makes its own (``Mesh.interior_stiffness``)."""
 
-    __slots__ = ("w", "band", "rhs", "scratch", "r")
+    __slots__ = ("w", "band", "rhs", "r")
 
     def __init__(self, mesh: Mesh, k: int | None = None):
         rows = () if k is None else (k,)
@@ -332,8 +328,7 @@ class _Workspace:
         self.w = np.empty(rows + (mesh.n_elements,))
         self.band = (np.empty((len(offsets) + 1,) + rows + (m,)) if b == 1
                      else None)
-        self.rhs, self.scratch, self.r = (np.empty(rows + (m,))
-                                          for _ in range(3))
+        self.rhs, self.r = np.empty(rows + (m,)), np.empty(rows + (m,))
 
 
 def step(state: Field, t, cfg, nl: Nonlinearity, dt=None, factor=None,
@@ -356,11 +351,9 @@ def step(state: Field, t, cfg, nl: Nonlinearity, dt=None, factor=None,
 
     ``terms`` are the ``Terms`` of the configs' p and eps, which ``march``
     computes once per stack; without them ``step`` computes them from
-    ``cfg``, with the same result. ``work`` is a ``_Workspace`` of the
-    state's shape, which ``march`` builds once per member and per stack:
-    the coefficient, a 1-D band, the right-hand side and the gate's
-    residual are written into its arrays with ``out=``; without one
-    ``step`` builds its own.
+    ``cfg``, with the same result. ``work`` is the ``_Workspace`` that
+    the step fills (``march`` builds one per member and per stack);
+    without one ``step`` builds its own.
     """
     mesh = state.mesh
     if not state.is_dirichlet():
@@ -384,7 +377,7 @@ def step(state: Field, t, cfg, nl: Nonlinearity, dt=None, factor=None,
     _, b, _, offsets = mesh.interior_band
     interior, qw = mesh.interior, mesh.interior_weights
     band = mesh.interior_stiffness(w, work.band)
-    band[-1] += np.divide(qw, dt, out=work.scratch)
+    band[-1] += np.divide(qw, dt, out=work.r)
     u_in = u[..., interior]
     rhs = np.divide(u_in, dt, out=work.rhs)
     rhs += state.reaction(nl)[..., interior]
@@ -422,10 +415,9 @@ def _gate(band: np.ndarray, x: np.ndarray, rhs: np.ndarray,
     """The backward-stable residual gate ||Ax - b|| <= 1e-10 (||b|| +
     ||A||_inf ||x||), each norm the square root of ``v @ v``, in Python
     floats, for the solution ``x`` of the system in compact band storage
-    ``band``, with the residual written into ``work`` and the band's
-    magnitudes over the band itself, which the step no longer reads. A
-    plain field's ``x`` that is not finite fails, before any arithmetic
-    on it. For a stack, whose band rows flatten to one
+    ``band``, which it overwrites with its magnitudes. A plain field's
+    ``x`` that is not finite fails, before any arithmetic on it, and its
+    residual is written into ``work.r``. For a stack, whose band rows flatten to one
     block-diagonal matrix, one verdict per member, each as it is alone,
     False for a member whose solve failed (a row of NaN, as
     ``solveh_banded`` returns it); such a member is read as zero here, so
@@ -499,22 +491,21 @@ def march(mesh: Mesh, u0: Field, cfgs, nl: Nonlinearity) -> list[Trajectory]:
 
     Each iteration advances every running member at once: one ``step``
     call and one ``snapshot`` call serve the stack of their states (see
-    ``Field``), with the stack's constants (``_Stack``: configs, factors,
-    ``Terms`` and ``_Workspace``) built once, when it forms, and again
-    only when a member leaves it. A stack of one marches as a plain field,
-    whose 1-D arrays cost less than a (1, n) stack's, and its iteration
-    passes the member's own floats, state and workspace without per-member
-    lists. Each member's step size, gate verdict, extinction bisection and
-    stop reason are its own, in Python floats, so each member ends bit for
-    bit as it would alone; a member that stops leaves the stack. A
-    member's one trial per iteration (its step, or the shortest extinct
-    step that ``_extinction_crossing`` finds) is evaluated once, in a
-    snapshot that also gives its E_p,eps, and keeps its sup norm and f(u),
-    which the next steps from it (retries and extinction probes included)
-    reuse; the bisection reads only its probes' sup norms. A member's
-    steps share one ``BandedFactor``. A member stores only its initial
-    state, the states at its targets (its checkpoint times and T_end) and
-    its last state.
+    ``Field``), with the stack's constants (``_Stack``, with its
+    ``_Workspace``) built once, when it forms, and again only when a
+    member leaves it. A stack of one marches as a plain field, whose 1-D
+    arrays cost less than a (1, n) stack's, with no per-member list.
+    Each member's step size, gate verdict, extinction bisection and stop
+    reason are its own, in Python floats, so each member ends bit for bit
+    as it would alone; a member that stops leaves the stack. A member's
+    one trial per iteration (its step, or the shortest extinct step that
+    ``_extinction_crossing`` finds) is evaluated once, in a snapshot that
+    also gives its E_p,eps, and keeps its sup norm and f(u), which the
+    next steps from it (retries and extinction probes included) reuse;
+    the bisection reads only its probes' sup norms. A member's steps share
+    one ``BandedFactor``. A member stores only its initial state, the
+    states at its targets (its checkpoint times and T_end) and its last
+    state.
     """
     if u0.mesh is not mesh:
         raise SolverError("initial field lives on a different mesh")
@@ -547,14 +538,13 @@ def march(mesh: Mesh, u0: Field, cfgs, nl: Nonlinearity) -> list[Trajectory]:
 
 class _Member:
     """One member of a ``march``: its trajectory, factor and plain-field
-    ``_Workspace`` (its steps when it marches alone, and its extinction
-    probes), and its step control in Python floats. Its current state is
-    row ``row`` of the stack ``state``, or ``state`` itself, a plain
-    field, when ``row`` is None, and ``snap`` is that state's snapshot;
-    ``h`` is the size of its trial in flight, which ends at or before
-    ``target``, its targets' entry ``next_target``, at ``t_trial`` once
-    the trial is closed, with dissipation ``diss`` and cumulative
-    dissipation ``cum``."""
+    ``_Workspace`` (for its steps alone and its probes), and its step
+    control in Python floats. Its current state is row ``row`` of the
+    stack ``state``, or ``state`` itself, a plain field, when ``row`` is
+    None, and ``snap`` is that state's snapshot; ``h`` is the size of its
+    trial in flight, which ends at or before ``target``, its targets'
+    entry ``next_target``, at ``t_trial`` with dissipation ``diss`` and
+    cumulative dissipation ``cum`` (``close``)."""
 
     __slots__ = ("traj", "cfg", "factor", "work", "targets", "next_target",
                  "t", "dt", "h", "target", "t_trial", "diss", "cum", "snap",
@@ -580,13 +570,11 @@ class _Member:
 
     def trial(self, new: Field | None, sup: float, state: Field,
               row: int | None, nl: Nonlinearity) -> tuple | None:
-        """Choose the member's one trial of this iteration, of size h:
-        the step from ``state`` to ``new`` (row ``row`` of stacks, or plain
-        fields for None), whose sup norm is ``sup`` (NaN, with ``new``
-        None or a row of NaN, where its solve failed), or the shortest
-        extinct step that ``_extinction_crossing`` finds, which sets h.
-        Returns it as (field, row), or None after stopping the member when
-        its solve, or a probe's, failed."""
+        """The member's one trial, as (field, row): the step from
+        ``state`` to ``new`` (row ``row`` of stacks, or plain fields for
+        None) of sup norm ``sup``, or the shortest extinct step that
+        ``_extinction_crossing`` finds. None, after stopping the member,
+        when its solve (``sup`` NaN) or a probe's failed."""
         if sup <= self.cfg.tol_ext:
             try:
                 probe = _extinction_crossing(
@@ -603,10 +591,9 @@ class _Member:
         return new, row
 
     def close(self, quad: float) -> None:
-        """Set the trial's end time ``t_trial``, on the target when it ends
-        within 1e-12 max(1, target) of it, its dissipation ``diss`` from
-        its squared step's quadrature ``quad`` and the cumulative
-        dissipation ``cum`` at its end."""
+        """Set the trial's end ``t_trial`` (the target when within 1e-12
+        max(1, target) of it), and its ``diss`` and ``cum`` from the
+        quadrature ``quad`` of its squared step."""
         t = self.t + self.h
         if abs(t - self.target) <= 1e-12 * max(1.0, self.target):
             t = self.target
@@ -615,9 +602,9 @@ class _Member:
 
     def judge(self, state: Field, row: int | None,
               snap: EnergySnapshot) -> bool:
-        """Accept the closed trial, row ``row`` of ``state``, evaluated in
-        ``snap``, reject it, or stop at an energy that overflowed; returns
-        whether the member still runs."""
+        """Accept or reject the closed trial, row ``row`` of ``state``,
+        evaluated in ``snap``, or stop at an energy that overflowed;
+        returns whether the member still runs."""
         if not (math.isfinite(snap.E_p) and math.isfinite(snap.I_p)):
             # the reaction overflowed; the residual gate cannot judge this
             self.stop(Status("blowup", self.t, "energy_overflow"))
@@ -680,11 +667,10 @@ class _Member:
 
 class _Stack:
     """The members that one ``march`` iteration steps together, with what
-    ``step`` and ``snapshot`` take for them: their configs, their factors,
-    the ``Terms`` of their p and eps and a ``_Workspace``. For a stack of
-    one (``one``) these are the member's own config, factor and workspace
-    and a plain field's ``Terms``, and its state becomes a plain field.
-    Built when the stack forms, and again when a member leaves it."""
+    ``step`` and ``snapshot`` take for them: their configs, factors,
+    ``Terms`` and a ``_Workspace``; for a stack of one (``one``), the
+    member's own, and its state becomes a plain field. Built when the
+    stack forms, and again when a member leaves it."""
 
     __slots__ = ("members", "one", "cfgs", "factors", "terms", "work")
 
@@ -706,11 +692,8 @@ class _Stack:
 def _advance(stack: _Stack, mesh: Mesh, nl: Nonlinearity) -> list[_Member]:
     """One iteration of ``march``: step the running members of ``stack``
     once, judge one trial per member, all in one snapshot, and return the
-    members still running. A stack of one steps and evaluates its
-    member's plain field with the member's own floats, with no
-    per-member list; a larger stack gathers its members' rows and values
-    into one field and lists. Each member chooses, closes and judges its
-    trial itself (``_Member.trial``, ``close`` and ``judge``)."""
+    members still running. A stack of one passes its member's plain field
+    and floats as they are; a larger stack gathers rows and lists."""
     running = stack.members
     for m in running:
         m.aim()
