@@ -699,6 +699,7 @@ def _advance(stack: _Stack, mesh: Mesh, nl: Nonlinearity) -> list[_Member]:
         m.aim()
     qw = mesh.quad_weights
     if stack.one:
+        m, = running
         state = m.state
         try:
             new = step(state, m.t, stack.cfgs, nl, m.h, factor=stack.factors,
