@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -125,8 +124,7 @@ _SCHEMA = {
                  "p0": float},
     "solver": {"p": float, "eps": float, "dt0": float, "dt_min": float,
                "t_end": float, "u_max": float, "tol_ext": float,
-               "energy_residual_tol": float, "dt_max": float,
-               "checkpoints": floats},
+               "energy_residual_tol": float, "dt_max": float},
     "initial": {"profile": str, "amplitude": float, "center": floats,
                 "width": floats, "index": int, "path": str},
     "continuation": {"m_start": int, "m_end": int, "p_sequence": floats,
@@ -141,7 +139,7 @@ _DOMAINS = {"interval": Interval, "annulus": Annulus, "rectangle": Rectangle}
 _FIELDS = {"t_end": "T_end", "u_max": "U_max",
            "checkpoints": "checkpoint_times", "directory": "out_dir"}
 # keys only a single run reads: continuation mode rejects them
-_SINGLE_ONLY = {"solver": ("p", "eps", "checkpoints"),
+_SINGLE_ONLY = {"solver": ("p", "eps"),
                 "output": ("trajectory_csv", "state_dumps"),
                 "audits": tuple(_SCHEMA["audits"])}
 
@@ -228,7 +226,7 @@ def parse_config(text: str) -> RunConfig:
     if cont is not None:
         for section, keys in _SINGLE_ONLY.items():
             for key in keys:
-                if _FIELDS.get(key, key) in sections.get(section, {}):
+                if key in sections.get(section, {}):
                     raise ConfigError(f"key [{section}] {key}: unused in "
                                       "continuation mode")
         cont = dict(cont)
@@ -365,14 +363,10 @@ def _run_single(cfg: RunConfig):
         write_trajectory_csv(
             traj, os.path.join(cfg.out_dir, cfg.trajectory_csv))
         if cfg.state_dumps == "checkpoints":
-            # each stored state at a checkpoint time, and the last state,
-            # under its accepted-step count
-            marks = set(cfg.solver.checkpoint_times)
-            dumps = [(t, u) for t, u in traj.states[:-1] if t in marks]
-            for t, u in dumps + traj.states[-1:]:
-                i = bisect_left(traj.times, t)
-                mesh.dump(os.path.join(cfg.out_dir, f"state_{i:05d}.txt"),
-                          u.values)
+            # the run's last state, under its accepted-step count
+            i = len(traj.times) - 1
+            mesh.dump(os.path.join(cfg.out_dir, f"state_{i:05d}.txt"),
+                      traj.states[-1][1].values)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return {"status": "io_error"}, 4

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tvheat import Interval, build_mesh, cli, default_p_sequence, \
-    load_field, run
+    load_field
 from tvheat.cli import (_SCHEMA, ConfigError, RunConfig, canonical_json,
                         emit_summary, main, parse_config, run_experiment)
 from tvheat.limit import ContinuationReport, MemberRecord
@@ -238,29 +238,6 @@ class TestRunExperiment:
         last = load_field(tmp_path / dumps[0], cfg.mesh)
         assert last.sup() == summary["final"]["sup"]
 
-    def test_checkpoint_states_dumped_under_their_step_counts(self,
-                                                              tmp_path):
-        # [solver] checkpoints: the state at each checkpoint time and the
-        # last state are dumped, each under its accepted-step count, with
-        # the values the run stored
-        text = BASE.replace("t_end = 0.02",
-                            "t_end = 0.02\ncheckpoints = 0.005, 0.01") \
-            + "\n[output]\nstate_dumps = checkpoints\n"
-        cfg = parse_config(text)
-        assert cfg.solver.checkpoint_times == (0.005, 0.01)
-        cfg.out_dir = str(tmp_path)
-        assert run_experiment(cfg) == 0
-        rows = (tmp_path / "trajectory.csv").read_text().splitlines()[2:]
-        times = [float(row.split(",")[0]) for row in rows]
-        stored = run(cfg.mesh, cfg.u0, cfg.solver, cfg.nl).states
-        assert [t for t, _ in stored] == [0.0, 0.005, 0.01, 0.02]
-        dumps = sorted(p.name for p in tmp_path.glob("state_*.txt"))
-        assert dumps == [f"state_{times.index(t):05d}.txt"
-                         for t, _ in stored[1:]]
-        for name, (_, u) in zip(dumps, stored[1:]):
-            dumped = load_field(tmp_path / name, cfg.mesh)
-            assert dumped.values.tobytes() == u.values.tobytes()
-
     @pytest.mark.parametrize("where", ["out_dir", "summary_json",
                                        "trajectory_csv"])
     def test_io_failure_exit_code(self, tmp_path, capsys, where):
@@ -411,9 +388,6 @@ class TestMain:
         (continuation_text("m_end = 2\n[output]\ntrajectory_csv = t.csv"),
          "output", "trajectory_csv"),
         (continuation_text("m_end = 2").replace("[solver]\n",
-                                                "[solver]\ncheckpoints = 0.01\n"),
-         "solver", "checkpoints"),
-        (continuation_text("m_end = 2").replace("[solver]\n",
                                                 "[solver]\nstore_stride = 2\n"),
          "solver", "store_stride"),
         (BASE.replace("[solver]\n", "[solver]\nstore_stride = 2\n"), "solver",
@@ -440,8 +414,7 @@ class TestMain:
          "continuation", "dictionary_size"),
     ], ids=["interval_a", "hat_center", "flat_width", "file_amplitude",
             "p_sequence_m_start", "continuation_audits",
-            "continuation_trajectory_csv", "continuation_solver_checkpoints",
-            "continuation_store_stride",
+            "continuation_trajectory_csv", "continuation_store_stride",
             "single_store_stride",
             "length_negative",
             "annulus_a_above_b", "lx_zero", "dim_1",
@@ -542,8 +515,7 @@ _BASES = [
      "reaction": {"kind": "sum_powers", "q": "3", "s": "4", "p0": "1.6"},
      "solver": {"p": "1.5", "eps": "1e-4", "dt0": "1e-3", "dt_min": "1e-14",
                 "t_end": "0.02", "u_max": "1e6", "tol_ext": "1e-8",
-                "energy_residual_tol": "1e-5", "dt_max": "1e-3",
-                "checkpoints": "0.01"},
+                "energy_residual_tol": "1e-5", "dt_max": "1e-3"},
      "initial": {"profile": "bump", "amplitude": "0.5", "center": "0.5",
                  "width": "0.5"},
      "output": {"directory": "out", "trajectory_csv": "t.csv",
