@@ -719,6 +719,17 @@ class TestLockstep:
             [("step_failure", "linear_solve"), ("completed", "t_end"),
              ("completed", "t_end")]
 
+    def test_lone_trial_is_judged_as_alone(self):
+        # the first member's first solve fails, so the second member's
+        # trial is the lone survivor of the first iteration; it is judged
+        # there, and marches on alone from the next iteration
+        mesh = build_mesh(Interval(1.0), 50)
+        u0 = Field(mesh, np.ones(mesh.n_nodes)).constrained()
+        cfgs = [SolverConfig(p=1.5, eps=0.0),
+                SolverConfig(p=1.5, T_end=0.02)]
+        assert self.assert_each_as_alone(mesh, u0, cfgs, Zero()) == \
+            [("step_failure", "linear_solve"), ("completed", "t_end")]
+
     def test_failed_probe_leaves_while_others_complete(self, monkeypatch):
         # an extinction probe (a step without the stack's Terms) whose
         # solve fails ends that member at its last accepted time; the
