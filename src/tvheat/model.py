@@ -269,15 +269,13 @@ def _power(x: np.ndarray, e, out: np.ndarray | None = None) -> np.ndarray:
     ``np.power`` when given and e is not in ``_SHORTCUTS``. For a stack's
     (k, n) x and a list of k exponents (``Terms``), each row is raised to
     its own scalar exponent, which gives it the bits of the row's own
-    ``**``: written into its row of ``out`` (a new array if None) by
+    ``**``: written into its row of ``out`` (which the caller gives) by
     ``np.power``, or by ``**`` for an exponent in ``_SHORTCUTS`` (one
     exponent array for all rows would call pow where ``**`` squares)."""
     if not isinstance(e, list):
         if out is None or e in _SHORTCUTS:
             return x ** e
         return np.power(x, e, out=out)
-    if out is None:
-        out = np.empty(x.shape)
     for i, ei in enumerate(e):
         if ei in _SHORTCUTS:
             out[i] = x[i] ** ei
@@ -324,7 +322,7 @@ class Terms:
                ) -> np.ndarray:
         """(|g|^2 + eps^2)^(p/2) per element, from the gradient magnitudes
         ``mag`` (``Field.grad_mag``; ``grad_sq`` would move its last
-        bits)."""
+        bits), into ``out`` if given, as a stack's ``Terms`` need."""
         return _power(mag ** 2 + self.eps_sq, self.lift_exp, out)
 
 

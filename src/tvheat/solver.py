@@ -489,23 +489,23 @@ def march(mesh: Mesh, u0: Field, cfgs, nl: Nonlinearity) -> list[Trajectory]:
     """Integrate one member per config in ``cfgs`` from ``u0`` in lockstep,
     each to its T_end or earlier termination; returns their trajectories.
 
-    Each iteration advances every running member at once: one ``step``
-    call and one ``snapshot`` call serve the stack of their states (see
+    Each iteration advances every running member at once: one ``step`` call
+    and one ``snapshot`` call serve the stack of their states (see
     ``Field``), with the stack's constants (``_Stack``, with its
-    ``_Workspace``) built once, when it forms, and again only when a
-    member leaves it. A stack of one marches as a plain field, whose 1-D
-    arrays cost less than a (1, n) stack's, with no per-member list.
-    Each member's step size, gate verdict, extinction bisection and stop
-    reason are its own, in Python floats, so each member ends bit for bit
-    as it would alone; a member that stops leaves the stack. A member's
-    one trial per iteration (its step, or the shortest extinct step that
-    ``_extinction_crossing`` finds) is evaluated once, in a snapshot that
-    also gives its E_p,eps, and keeps its sup norm and f(u), which the
-    next steps from it (retries and extinction probes included) reuse;
-    the bisection reads only its probes' sup norms. A member's steps share
-    one ``BandedFactor``. A member stores only its initial state, the
-    states at its targets (its checkpoint times and T_end) and its last
-    state.
+    ``_Workspace``) built once, when it forms, and again only when a member
+    leaves it. Only ``_Stack`` makes a lone member a plain field, whose 1-D
+    arrays cost less than a (1, n) stack's: a trial that alone survives a
+    larger stack's iteration is judged as a stack of one. Each member's step
+    size, gate verdict, extinction bisection and stop reason are its own, in
+    Python floats, so each member ends bit for bit as it would alone; a
+    member that stops leaves the stack. A member's one trial per iteration
+    (its step, or the shortest extinct step that ``_extinction_crossing``
+    finds) is evaluated once, in a snapshot that also gives its E_p,eps, and
+    keeps its sup norm and f(u), which the next steps from it (retries and
+    extinction probes included) reuse; the bisection reads only its probes'
+    sup norms. A member's steps share one ``BandedFactor``. A member stores
+    only its initial state, the states at its targets (its checkpoint times
+    and T_end) and its last state.
     """
     if u0.mesh is not mesh:
         raise SolverError("initial field lives on a different mesh")
@@ -516,7 +516,7 @@ def march(mesh: Mesh, u0: Field, cfgs, nl: Nonlinearity) -> list[Trajectory]:
     start = Field(mesh, u0.values if k == 1
                   else np.broadcast_to(u0.values, (k, mesh.n_nodes)))
     stack = _Stack(members, mesh)
-    zeros = _per_member([0.0] * k)
+    zeros = 0.0 if k == 1 else [0.0] * k
     snaps = snapshot(start, zeros, stack.terms, nl, zeros)
     running = []
     for row, (m, snap) in enumerate(zip(members,
@@ -669,8 +669,8 @@ class _Stack:
     """The members that one ``march`` iteration steps together, with what
     ``step`` and ``snapshot`` take for them: their configs, factors,
     ``Terms`` and a ``_Workspace``; for a stack of one (``one``), the
-    member's own, and its state becomes a plain field. Built when the
-    stack forms, and again when a member leaves it."""
+    member's own, and its state becomes a plain field, here only. Built
+    when the stack forms, and again when a member leaves it."""
 
     __slots__ = ("members", "one", "cfgs", "factors", "terms", "work")
 
@@ -693,7 +693,8 @@ def _advance(stack: _Stack, mesh: Mesh, nl: Nonlinearity) -> list[_Member]:
     """One iteration of ``march``: step the running members of ``stack``
     once, judge one trial per member, all in one snapshot, and return the
     members still running. A stack of one passes its member's plain field
-    and floats as they are; a larger stack gathers rows and lists."""
+    and floats as they are; a larger stack gathers rows and lists, and
+    judges its surviving trials as a stack, of one row if one survives."""
     running = stack.members
     for m in running:
         m.aim()
@@ -732,44 +733,24 @@ def _advance(stack: _Stack, mesh: Mesh, nl: Nonlinearity) -> list[_Member]:
     new = _gather(trials)
     step_sq = new.values - old.values
     step_sq *= step_sq
-    for m, q in zip(members, _listed(rowdot(step_sq, qw))):
+    for m, q in zip(members, rowdot(step_sq, qw).tolist()):
         m.close(q)
     terms = (stack.terms if len(members) == len(running)
-             else _terms(_per_member([m.cfg for m in members])))
-    snaps = snapshot(new, _per_member([m.t_trial for m in members]), terms,
-                     nl, _per_member([m.cum for m in members]))
-    one = len(members) == 1
-    return [m for i, (m, snap) in enumerate(zip(members,
-                                                [snaps] if one else snaps))
-            if m.judge(new, None if one else i, snap)]
-
-
-def _listed(result) -> list:
-    """A per-member result as a list of floats: a stack's array, or the
-    float of a plain field."""
-    return result.tolist() if isinstance(result, np.ndarray) else [float(result)]
-
-
-def _per_member(values: list):
-    """Per-member values as ``step`` and ``snapshot`` take them for the
-    stack of their members: the value itself for a stack of one, which
-    marches as a plain field, else the list."""
-    return values[0] if len(values) == 1 else values
+             else _terms([m.cfg for m in members]))
+    snaps = snapshot(new, [m.t_trial for m in members], terms, nl,
+                     [m.cum for m in members])
+    return [m for i, (m, snap) in enumerate(zip(members, snaps))
+            if m.judge(new, i, snap)]
 
 
 def _gather(refs: list) -> Field:
     """The states ``refs`` = [(field, row), ...] name (row ``row`` of a
-    stack, or a plain field for row None) as one stack in order, or as a
-    plain field for a single ref; no copy when they are a whole stack."""
-    if len(refs) == 1:
-        field, row = refs[0]
-        return field if row is None else field.rows(row)
+    stack, or a plain field for row None) as one stack in order, a stack
+    of one for a single ref; no copy when they are a whole stack."""
     first = refs[0][0]
     if len(refs) == len(first.values) and all(
             f is first and r == i for i, (f, r) in enumerate(refs)):
         return first
-    if all(f is first for f, _ in refs):
-        return first.rows([r for _, r in refs])
     return Field.stack([f.rows(None if r is None else slice(r, r + 1))
                         for f, r in refs])
 

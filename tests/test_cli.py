@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -66,6 +69,10 @@ class TestCanonicalJson:
             out = canonical_json({text: text})
             assert json.loads(out) == {text: text}
         assert canonical_json('a"b\\c µ') == '"a\\"b\\\\c µ"'
+
+    def test_unsupported_type_fails_by_name(self):
+        with pytest.raises(ConfigError, match="cannot serialize set"):
+            canonical_json({"a": {1, 2}})
 
 
 class TestParseConfig:
@@ -188,6 +195,18 @@ class TestRunExperiment:
         assert lines[0] == "# format_version=1"
         assert len(lines) > 3
 
+    def test_switched_off_audits_are_skipped(self, tmp_path):
+        text = BASE + "\n[audits]\nwell = false\nl2 = false\n" \
+            "gradient_bound = false\nconditions = false\n"
+        cfg = parse_config(text)
+        cfg.out_dir = str(tmp_path)
+        assert run_experiment(cfg) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["audits"] == {"well_invariance": "skipped",
+                                     "l2": "skipped",
+                                     "gradient_bound": "skipped",
+                                     "f_conditions": "skipped"}
+
     def test_blowup_exit_code(self, tmp_path):
         text = BASE.replace("amplitude = 0.01", "amplitude = 30.0") \
                    .replace("t_end = 0.02", "t_end = 2.0\nu_max = 1e4")
@@ -276,6 +295,43 @@ class TestMain:
     def test_missing_config_file(self, capsys):
         assert main(["run", "/nonexistent/run.ini"]) == 1
         assert "cannot read" in capsys.readouterr().err
+
+    def test_config_not_utf8_fails_by_name(self, tmp_path, capsys):
+        # one Latin-1 byte in a comment: exit 1, one stderr line, no
+        # traceback
+        path = tmp_path / "run.ini"
+        path.write_bytes(BASE.encode() + b"# caf\xe9\n")
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read config:")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_utf8_config_runs_in_the_c_locale(self, tmp_path):
+        # the config is read, and the summary that echoes it written, as
+        # UTF-8 whatever the locale's encoding
+        path = tmp_path / "run.ini"
+        path.write_bytes((BASE + "\n[output]\ndirectory = résumé\n")
+                         .encode("utf-8"))
+        out = tmp_path / "out"
+        src = pathlib.Path(cli.__file__).parents[1]
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONCOERCECLOCALE": "0", "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from tvheat.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "run", str(path),
+             "--output-dir", str(out)], env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr.decode()
+        summary = json.loads((out / "summary.json").read_bytes())
+        assert summary["config"]["output"] == {"directory": "résumé"}
+
+    def test_malformed_config_fails_by_name(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        # a key given twice in one section ([initial] amplitude)
+        path.write_text(BASE + "amplitude = 0.02\n")
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: malformed config")
+        assert "Traceback" not in err
 
     def test_config_error_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"

@@ -75,6 +75,14 @@ class TestFlux:
         scale = (1.0 + np.abs(z).max()) * (1.0 + w.sup())
         assert green_residual(flux_from_vectors(m, z), w) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("audit", [flux_alignment, green_residual])
+    def test_field_on_another_mesh_fails_by_name(self, mesh, audit):
+        # an equal mesh built apart is another mesh
+        ff = extract_flux(hat(mesh), 1.5)
+        other = build_mesh(Interval(1.0), 100)
+        with pytest.raises(LimitError, match="different meshes"):
+            audit(ff, hat(other))
+
     def test_alignment_unit_slope(self, mesh):
         # z . grad u = |grad u|^p, so the ratio is int|g|^p / int|g| = 2^(p-1)
         f = hat(mesh)

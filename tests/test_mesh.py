@@ -5,7 +5,7 @@ import pytest
 
 import scipy.sparse as sp
 
-from tvheat import (Annulus, Field, Interval, MeshError, Rectangle,
+from tvheat import (Annulus, Field, Interval, Mesh, MeshError, Rectangle,
                     build_mesh, load_field, solver)
 from tvheat.limit import flux_from_vectors
 
@@ -89,8 +89,37 @@ class TestIntervalMesh:
         assert np.allclose(mesh.boundary_normals, [[-1.0], [1.0]])
         assert mesh.boundary_integrate(np.ones(2)) == pytest.approx(2.0)
 
+    def test_boundary_integrate_takes_boundary_samples_only(self):
+        mesh = build_mesh(Interval(1.0), 10)
+        with pytest.raises(MeshError, match="boundary samples"):
+            mesh.boundary_integrate(np.ones(mesh.n_nodes))
+
     def test_validate(self):
         build_mesh(Interval(1.0), 50).validate()
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("quad_weights", lambda w: 2.0 * w, "do not sum"),
+        # the sum is kept, and one weight becomes 0
+        ("quad_weights", lambda w: np.r_[w[0], w[1] + w[2], 0.0, w[3:]],
+         "non-positive"),
+        ("boundary_normals", lambda n: 2.0 * n, "unit length"),
+        ("element_volumes", lambda v: 2.0 * v, "do not partition"),
+        ("elements", lambda e: np.repeat(e[:, :1], 2, axis=1),
+         "repeated node"),
+    ], ids=["weight_sum", "weight_sign", "normal", "volumes", "element"])
+    def test_validate_names_each_violation(self, name, edit, message):
+        mesh = build_mesh(Interval(1.0), 10)
+        arrays = {a: getattr(mesh, a) for a in (
+            "nodes", "elements", "element_volumes", "quad_weights",
+            "boundary_nodes", "boundary_normals", "boundary_weights",
+            "grad_coeff")}
+        arrays[name] = edit(arrays[name])
+        with pytest.raises(MeshError, match=message):
+            Mesh(mesh.domain, **arrays).validate()
+
+    def test_unknown_domain_rejected(self):
+        with pytest.raises(MeshError, match="unknown domain"):
+            build_mesh("disk", 10)
 
     def test_resolution_too_small(self):
         with pytest.raises(MeshError):

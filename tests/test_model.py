@@ -347,6 +347,12 @@ class TestNehariScale:
         with pytest.raises(NehariScaleError):
             nehari_scale(Field.zeros(mesh), 1.5, Power(q=3.0))
 
+    @pytest.mark.parametrize("p", [2.0, 2.5], ids=["equal", "above"])
+    def test_theta_at_most_p_has_no_scale(self, mesh, p):
+        # Power(q=2) has theta = 2
+        with pytest.raises(NehariScaleError, match="theta > p"):
+            nehari_scale(hat(mesh), p, Power(q=2.0))
+
     def test_sum_powers_root(self, mesh):
         nl = SumPowers(q=4.0, s=2.5)
         t = nehari_scale(hat(mesh), 1.5, nl)
@@ -372,6 +378,10 @@ class TestWell:
         assert all(f.is_dirichlet() for f in dic)
         d_hat = estimate_dp(mesh, 1.5, Power(q=3.0), dic)
         assert 0.0 < d_hat < math.inf
+
+    def test_empty_dictionary_fails_by_name(self, mesh):
+        with pytest.raises(ModelError, match="empty dictionary"):
+            estimate_dp(mesh, 1.5, Power(q=3.0), [])
 
     @pytest.mark.parametrize("domain, resolution", [
         (Interval(1.0), 77), (Annulus(1.0, 2.0, dim=3), 51),

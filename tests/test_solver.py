@@ -325,6 +325,18 @@ class TestRun:
             assert (traj.rejected_steps, traj.extinction_probes,
                     traj.factorizations) == (0, 0, 0)
 
+    @pytest.mark.parametrize("initial, message", [
+        (lambda mesh: hat(build_mesh(Interval(1.0), 100)), "different mesh"),
+        (lambda mesh: Field(mesh, np.ones(mesh.n_nodes)), "not Dirichlet"),
+    ], ids=["other_mesh", "not_dirichlet"])
+    def test_bad_initial_field_fails_by_name(self, mesh, initial, message):
+        with pytest.raises(SolverError, match=message):
+            march(mesh, initial(mesh), [SolverConfig(p=1.5)], Zero())
+
+    def test_unfinished_trajectory_has_no_tmax(self, mesh):
+        with pytest.raises(SolverError, match="not finished"):
+            detect_tmax(Trajectory(mesh, SolverConfig(p=1.5)))
+
     def test_one_gradient_per_step(self, mesh, monkeypatch):
         # each state's gradient is kept and each state is evaluated once, in
         # its snapshot, so a step computes only its trial state's gradient
