@@ -331,9 +331,11 @@ _PROFILES = {"flat": flat_profile, "hat": hat_profile, "bump": bump_profile,
 def run_experiment(cfg: RunConfig) -> int:
     """Run the experiment described by ``cfg``; writes artifacts and returns
     the exit code. Audit violations are recorded, never fatal."""
+    # a path the file-system encoding cannot encode (a non-ASCII name
+    # under the C locale) raises UnicodeEncodeError, not OSError
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 4
 
@@ -347,7 +349,7 @@ def run_experiment(cfg: RunConfig) -> int:
     summary["config"] = cfg.echo
     try:
         emit_summary(summary, os.path.join(cfg.out_dir, cfg.summary_json))
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 4
     return code
@@ -367,7 +369,7 @@ def _run_single(cfg: RunConfig):
             i = len(traj.times) - 1
             mesh.dump(os.path.join(cfg.out_dir, f"state_{i:05d}.txt"),
                       traj.states[-1][1].values)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return {"status": "io_error"}, 4
 

@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 FORMAT_VERSION = 1
 
@@ -139,8 +140,8 @@ class Mesh:
         dimension, read once, at construction.
 
     Every other array is derived from these on first use and kept:
-    ``boundary_elements``, ``interior_band``, ``interior`` and
-    ``interior_weights``, and the operators behind ``gradient`` and
+    ``boundary_elements``, ``interior_band``, ``red_black``, ``interior``
+    and ``interior_weights``, and the operators behind ``gradient`` and
     ``gradient_adjoint``.
 
     A mesh whose element e joins nodes e and e + 1 and whose boundary is its
@@ -244,6 +245,59 @@ class Mesh:
             (coef[keep], (row[d[keep]] * m + j[keep], elem[keep])),
             shape=(len(diagonals) * m, n_el))
         return S, b, interior, diagonals[:-1].tolist()
+
+    @cached_property
+    def red_black(self) -> RedBlack:
+        """The red-black split of the interior nodes (see ``RedBlack``):
+        every stored coupling of ``interior_band`` joins a red node to a
+        black one. The colour is the parity of a node's distance, in
+        couplings, from the first node of its connected component, which
+        is red. Built on first use; a stored coupling that joins two nodes
+        of one colour (an odd cycle of couplings, such as a triangle whose
+        three edges all couple) raises MeshError."""
+        scatter, _, interior, offsets = self.interior_band
+        m = len(interior)
+        # the stored couplings (i, j), i < j: the scatter's band positions
+        # p = r m + j above the diagonal row that some element writes
+        p = np.unique(scatter.indices)
+        p = p[p < len(offsets) * m]
+        r, j = np.divmod(p, m)
+        i = j - np.asarray(offsets, dtype=np.int64)[r]
+        graph = sp.csr_matrix((np.ones(len(p)), (i, j)), shape=(m, m))
+        _, labels = csgraph.connected_components(graph, directed=False)
+        roots = np.unique(labels, return_index=True)[1]
+        depth = csgraph.dijkstra(graph, directed=False, indices=roots,
+                                 unweighted=True, min_only=True)
+        is_red = depth % 2 == 0
+        if np.any(is_red[i] == is_red[j]):
+            raise MeshError("a stored coupling joins two interior nodes of "
+                            "one colour: the mesh has no red-black split")
+        red, black = np.flatnonzero(is_red), np.flatnonzero(~is_red)
+        rank = np.empty(m, dtype=np.int64)
+        rank[red], rank[black] = np.arange(len(red)), np.arange(len(black))
+        # B = A[red][:, black] in CSR order: by red row, then black column
+        row = rank[np.where(is_red[i], i, j)]
+        col = rank[np.where(is_red[i], j, i)]
+        order = np.lexsort((col, row))
+        row, col, coupling = row[order], col[order], p[order]
+        indptr = np.zeros(len(red) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=len(red)), out=indptr[1:])
+        # each pair k1 <= k2 of one red row's entries adds to S[c1, c2],
+        # c1 = col[k1] <= c2 = col[k2]
+        first, degree = indptr[:-1], np.diff(indptr)
+        pairs = [(a, c) for a in range(int(degree.max(initial=0)))
+                 for c in range(a, int(degree.max(initial=0)))]
+        none = [np.zeros(0, dtype=np.int64)]
+        k1 = np.concatenate(none + [first[degree > c] + a for a, c in pairs])
+        k2 = np.concatenate(none + [first[degree > c] + c for a, c in pairs])
+        c1, c2 = col[k1], col[k2]
+        bandwidth = int((c2 - c1).max(initial=0))
+        split = RedBlack(red, black, indptr, col, coupling, bandwidth,
+                         (bandwidth + c1 - c2 + (bandwidth + 1) * c2,
+                          row[k1], k1, k2))
+        for arr in (red, black, indptr, col, coupling) + split.fill:
+            arr.setflags(write=False)
+        return split
 
     @cached_property
     def _chain(self) -> tuple[np.ndarray, ...] | None:
@@ -403,6 +457,37 @@ class Mesh:
                 if values is not None:
                     line += f" {values[i]:.17g}"
                 fh.write(line + "\n")
+
+
+@dataclass(frozen=True)
+class RedBlack:
+    """A red-black (checkerboard) split of a mesh's interior nodes, for a
+    stiffness whose every coupling joins a red node to a black one (the
+    5-point stencil of a right-triangle ``Rectangle``). In red-black order
+    the interior matrix A is [[D_r, B], [B^T, D_b]] with D_r and D_b
+    diagonal, so the red unknowns eliminate exactly, and the black ones
+    solve the Schur complement S = D_b - B^T D_r^-1 B, which has half the
+    unknowns and about the bandwidth of A (Saad, Iterative Methods for
+    Sparse Linear Systems, 2003).
+
+    ``red`` and ``black`` are the interior positions (in ``interior_band``'s
+    order) of each colour, in increasing order. B's pattern is CSR:
+    ``indptr`` over the red rows and ``indices`` the black columns, and
+    ``coupling`` holds, per entry, its position in the flattened compact
+    band, ``band.take(coupling)`` being B's entries. ``bandwidth`` is S's,
+    in black order, and ``fill`` = (pos, row, left, right) lists the
+    products that make S's off-diagonal part: ``-B[row, c1] B[row, c2] /
+    D_r[row]`` (``left``, ``right`` being the two entries' CSR positions)
+    adds to position ``pos`` of S's LAPACK upper band storage, (bandwidth
+    + 1) rows in Fortran order, flattened. Every array is read-only."""
+
+    red: np.ndarray
+    black: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    coupling: np.ndarray
+    bandwidth: int
+    fill: tuple
 
 
 def _domain_header(domain: Domain) -> str:

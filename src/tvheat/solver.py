@@ -35,10 +35,11 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla  # unused; bench/spans.py patches solver.spla
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dptsv
 
-from .mesh import Field, Mesh, rowdot
+from .mesh import Field, Mesh, RedBlack, rowdot
 from .model import EnergySnapshot, Nonlinearity, Terms, WellStatus, \
     classify_well, snapshot
 
@@ -148,47 +149,81 @@ PCG_RTOL = 1e-13         # ||r|| <= PCG_RTOL ||b||: 1000x inside the gate
 
 class BandedFactor:
     """One member's linear solver, one path per bandwidth, with its solve
-    counts. In 2-D it keeps a banded Cholesky factor across steps as the
-    preconditioner of the next steps' systems; in 1-D it holds no factor
-    and counts each ``ptsv`` call as a factorization. ``march`` gives each
-    member one; a second run starts from no factor, so its results do not
-    depend on what ran before."""
+    counts. In 2-D it eliminates the red unknowns of the mesh's red-black
+    split exactly and keeps a banded Cholesky factor of the black Schur
+    complement across steps, as the preconditioner of the next steps'
+    complements; in 1-D it holds no factor and counts each ``ptsv`` call
+    as a factorization. ``march`` gives each member one; a second run
+    starts from no factor, so its results do not depend on what ran
+    before."""
 
     def __init__(self):
         self.chol = None         # upper Cholesky factor in LAPACK band form
         self.factorizations = 0
         self.iterations = 0
+        self._couplings = None   # (split, B, B^T), B's entries the last band's
 
     def solve(self, band: np.ndarray, rhs: np.ndarray, x0: np.ndarray,
-              offsets: list[int], b: int) -> np.ndarray:
-        """Solve the system in compact band storage ``band`` with
-        super-diagonals at ``offsets`` (see ``solveh_banded``). In 1-D
-        (b = 1) LAPACK ``ptsv``, one factorization. Otherwise PCG from
-        ``x0`` with the held factor; a solve that needs more than
-        PCG_REFACTOR_ITERS iterations drops the factor, and with no factor
-        held, or when PCG fails, factor the full band of width ``b`` with
-        LAPACK ``pbtrf`` and solve directly with ``pbtrs``: the steps of
-        ``pbsv``. A matrix that is not positive definite raises
-        LinAlgError."""
+              split: RedBlack | None, b: int) -> np.ndarray:
+        """Solve the system in compact band storage ``band`` (see
+        ``solveh_banded``). In 1-D (b = 1) LAPACK ``ptsv``, one
+        factorization. Otherwise, in the red-black order of ``split``
+        (``Mesh.red_black``), A = [[D_r, B], [B^T, D_b]]: the black
+        unknowns solve S x_b = b_b - B^T D_r^-1 b_r, S = D_b - B^T D_r^-1 B,
+        and then x_r = D_r^-1 (b_r - B x_b). S is solved by PCG from
+        ``x0``'s black part with the held factor; a solve that needs more
+        than PCG_REFACTOR_ITERS iterations drops the factor, and with no
+        factor held, or when PCG fails, S's band is built and factored with
+        LAPACK ``pbtrf`` and solved directly with ``pbtrs``. A matrix that
+        is not positive definite raises LinAlgError: a red diagonal that
+        is not positive, before any solve, or ``pbtrf`` on S."""
         if b == 1:
             self.factorizations += 1
             _, _, x, info = dptsv(band[1], band[0, 1:], rhs)
             if info:
                 _check_info(info, "ptsv")
             return x
+        red, black = split.red, split.black
+        held = self._couplings
+        if held is None or held[0] is not split:
+            B = sp.csr_matrix((np.empty(len(split.coupling)), split.indices,
+                               split.indptr), shape=(len(red), len(black)))
+            held = self._couplings = (split, B, B.T)
+        _, B, Bt = held
+        band.take(split.coupling, out=B.data)
+        diag = band[-1]
+        # LAPACK pstrf's default rank tolerance: a pivot at or below it is
+        # zero to working precision (a NaN fails every comparison)
+        floor = len(diag) * np.finfo(float).eps * max(diag.max(), 0.0)
+        d_r = diag[red]
+        if not d_r.min() > floor:      # the red pivots are A's diagonal
+            _not_definite(int(np.argmin(d_r > floor)), len(diag))
+        inv_r = 1.0 / d_r
+        schur = (B, Bt, inv_r, diag[black])
+        rhs_r = rhs[red]
+        rhs_b = rhs[black] - Bt @ (inv_r * rhs_r)
+        x_b = None
         if self.chol is not None:
-            x, its = self._pcg(band, rhs, x0, offsets)
+            x_b, its = self._pcg(schur, rhs_b, x0[black],
+                                 PCG_RTOL * np.linalg.norm(rhs))
             self.iterations += its
-            if x is not None:
-                if its > PCG_REFACTOR_ITERS:
-                    self.chol = None   # the next step factors its own matrix
-                return x
-        self.chol = None               # at most one factor is held
-        chol, info = dpbtrf(_full_band(band, offsets, b), overwrite_ab=1)
-        _check_info(info, "pbtrf")
-        self.chol = chol
-        self.factorizations += 1
-        return self._back_solve(rhs)
+            if its > PCG_REFACTOR_ITERS:
+                self.chol = None       # the next step factors its own S
+        if x_b is None:
+            self.chol = None           # at most one factor is held
+            chol, info = dpbtrf(_schur_band(schur, split), overwrite_ab=1)
+            pivots = chol[-1] * chol[-1]
+            if info or not pivots.min(initial=math.inf) > floor:
+                _not_definite(len(red) + (info - 1 if info else
+                                          int(np.argmin(pivots > floor))),
+                              len(diag))
+            self.chol = chol
+            self.factorizations += 1
+            x_b = self._back_solve(rhs_b)
+        x = np.empty(rhs.shape)
+        x[black] = x_b
+        x[red] = inv_r * (rhs_r - B @ x_b)
+        return x
 
     def _back_solve(self, r: np.ndarray) -> np.ndarray:
         """The held factor's solve, LAPACK ``pbtrs``."""
@@ -196,15 +231,15 @@ class BandedFactor:
         _check_info(info, "pbtrs")
         return x
 
-    def _pcg(self, band: np.ndarray, rhs: np.ndarray, x: np.ndarray,
-             offsets: list[int]) -> tuple[np.ndarray | None, int]:
-        """Conjugate gradients on the banded system from ``x``,
-        preconditioned by the held factor (Saad, Iterative Methods for
-        Sparse Linear Systems, 2003, Alg. 9.1). Returns (x, iterations),
-        with x None when the stopping test is not met within PCG_MAX_ITERS
-        or the iteration breaks down."""
-        tol = PCG_RTOL * np.linalg.norm(rhs)
-        r = rhs - _band_product(band, x, offsets)
+    def _pcg(self, schur: tuple, rhs: np.ndarray, x: np.ndarray,
+             tol: float) -> tuple[np.ndarray | None, int]:
+        """Conjugate gradients on the Schur complement ``schur`` (see
+        ``_schur_product``) from ``x``, preconditioned by the held factor
+        (Saad, Iterative Methods for Sparse Linear Systems, 2003, Alg.
+        9.1), until ||rhs - S x|| <= ``tol``. Returns (x, iterations), with
+        x None when the stopping test is not met within PCG_MAX_ITERS or
+        the iteration breaks down."""
+        r = rhs - _schur_product(schur, x)
         z = self._back_solve(r)
         d = z
         rz = r @ z
@@ -212,13 +247,13 @@ class BandedFactor:
         while not np.linalg.norm(r) <= tol:
             if k == PCG_MAX_ITERS:
                 return None, k
-            Ad = _band_product(band, d, offsets)
-            dAd = d @ Ad
-            if not dAd > 0.0:            # breakdown, or a non-finite system
+            Sd = _schur_product(schur, d)
+            dSd = d @ Sd
+            if not dSd > 0.0:            # breakdown, or a non-finite system
                 return None, k
-            alpha = rz / dAd
+            alpha = rz / dSd
             x = x + alpha * d
-            r = r - alpha * Ad
+            r = r - alpha * Sd
             z = self._back_solve(r)
             rz, rz_old = r @ z, rz
             d = z + (rz / rz_old) * d
@@ -227,23 +262,25 @@ class BandedFactor:
 
 
 def solveh_banded(band: np.ndarray, rhs: np.ndarray, factor, x0: np.ndarray,
-                  offsets: list[int], b: int) -> np.ndarray:
+                  split: RedBlack | None, b: int) -> np.ndarray:
     """Solve the symmetric positive definite system of bandwidth ``b`` held
-    in compact band storage ``band``: row r holds the super-diagonal at
-    ``offsets[r]`` and the last row the diagonal, each as in LAPACK upper
-    banded storage, and every other diagonal is zero. The one linear solve
-    of a step, through ``factor``'s ``BandedFactor.solve``: one path per
-    bandwidth.
+    in the compact band storage of ``Mesh.interior_band``, ``band``: a row
+    per stored super-diagonal and the last row the diagonal, each as in
+    LAPACK upper banded storage, and every other diagonal zero. The one
+    linear solve of a step, through ``factor``'s ``BandedFactor.solve``:
+    one path per bandwidth.
 
     In 1-D (bandwidth 1, where the compact band is LAPACK's) this is LAPACK
     ``ptsv``, called directly: the routine scipy's ``solveh_banded`` ends
     in, without its argument checks, which cost more than the solve of a
-    few hundred unknowns. Otherwise it is conjugate gradients from ``x0``,
-    preconditioned by ``factor``'s held factorization, or a fresh
+    few hundred unknowns; ``split`` is not read. Otherwise the red unknowns
+    of ``split``, the mesh's ``red_black``, are eliminated exactly, and
+    the black ones are solved by conjugate gradients from ``x0``,
+    preconditioned by ``factor``'s held factorization, or by a fresh
     factorization. A matrix that is not positive definite raises
     LinAlgError.
 
-    A stack of k systems (``band`` of shape (len(offsets) + 1, k, m), as
+    A stack of k systems (``band`` of shape (rows, k, m), as
     ``Mesh.interior_stiffness`` lays it out, ``rhs`` and ``x0`` (k, m),
     ``factor`` a sequence of k factors) is solved in this one call, each
     member as above with its own factor; a member whose matrix is not
@@ -257,7 +294,7 @@ def solveh_banded(band: np.ndarray, rhs: np.ndarray, factor, x0: np.ndarray,
     per step.
     """
     if band.ndim == 2:
-        return factor.solve(band, rhs, x0, offsets, b)
+        return factor.solve(band, rhs, x0, split, b)
     if b == 1:
         _, _, x, info = dptsv(band[1].ravel(), band[0].ravel()[1:],
                               rhs.ravel())
@@ -268,12 +305,21 @@ def solveh_banded(band: np.ndarray, rhs: np.ndarray, factor, x0: np.ndarray,
     x = np.empty(rhs.shape)
     for i, f in enumerate(factor):
         try:
-            x[i] = f.solve(band[:, i], rhs[i], x0[i], offsets, b)
+            x[i] = f.solve(band[:, i], rhs[i], x0[i], split, b)
         except np.linalg.LinAlgError:
             x[i] = np.nan
         if not np.isfinite(x[i]).all():
             x[i] = np.nan
     return x
+
+
+def _not_definite(pivot: int, m: int) -> None:
+    """Raise LinAlgError for pivot ``pivot`` (from 0) of the Cholesky
+    factorization, in red-black order, of a matrix of order m whose
+    pivot is not above m eps max(diag)."""
+    raise np.linalg.LinAlgError(
+        f"red-black pbtrf: pivot {pivot + 1} of {m} is not above m eps "
+        f"max(diag): not positive definite to working precision")
 
 
 def _check_info(info: int, routine: str) -> None:
@@ -286,13 +332,32 @@ def _check_info(info: int, routine: str) -> None:
         raise ValueError(f"{routine}: illegal value in argument {-info}")
 
 
-def _full_band(band: np.ndarray, offsets: list[int], b: int) -> np.ndarray:
-    """The LAPACK upper banded storage, b + 1 rows, of the compact band
-    ``band``, in Fortran order so that LAPACK reads it without a copy."""
-    ab = np.zeros((b + 1, band.shape[1]), order="F")
-    for row, d in zip(band, offsets):
-        ab[b - d, d:] = row[d:]
-    ab[b] = band[-1]
+def _schur_product(schur: tuple, x: np.ndarray) -> np.ndarray:
+    """S x = D_b x - B^T (D_r^-1 (B x)) for ``schur`` = (B, B^T, D_r^-1,
+    D_b), B and B^T sparse, the two diagonals as vectors."""
+    B, Bt, inv_r, d_b = schur
+    y = B @ x
+    y *= inv_r
+    Sx = d_b * x
+    Sx -= Bt @ y
+    return Sx
+
+
+def _schur_band(schur: tuple, split: RedBlack) -> np.ndarray:
+    """The LAPACK upper banded storage of the Schur complement S of
+    ``schur`` (see ``_schur_product``), bandwidth ``split.bandwidth``, in
+    Fortran order so that LAPACK reads it without a copy: each product of
+    ``split.fill`` summed into its position, then D_b on the diagonal."""
+    B, _, inv_r, d_b = schur
+    pos, row, left, right = split.fill
+    rows = split.bandwidth + 1
+    w = B.data[left] * B.data[right]
+    w *= inv_r[row]
+    np.negative(w, out=w)
+    # float even without products (numpy counts an empty input as int)
+    ab = np.bincount(pos, w, minlength=rows * len(d_b)).astype(
+        float, copy=False).reshape((rows, len(d_b)), order="F")
+    ab[-1] += d_b
     return ab
 
 
@@ -384,7 +449,8 @@ def step(state: Field, t, cfg, nl: Nonlinearity, dt=None, factor=None,
     rhs *= qw
     try:
         # non-finite entries fail the factorization or the checks below
-        x = solveh_banded(band, rhs, factor, u_in, offsets, b)
+        x = solveh_banded(band, rhs, factor, u_in,
+                          None if b == 1 else mesh.red_black, b)
     except np.linalg.LinAlgError as exc:
         raise StepFailureError(f"banded solve failed: {exc}") from None
     new = np.zeros(u.shape)

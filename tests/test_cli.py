@@ -324,6 +324,30 @@ class TestMain:
         summary = json.loads((out / "summary.json").read_bytes())
         assert summary["config"]["output"] == {"directory": "résumé"}
 
+    @pytest.mark.parametrize("key", ["directory", "summary_json",
+                                     "trajectory_csv"])
+    def test_unencodable_output_path_is_io_error(self, tmp_path, key):
+        # under the C locale a non-ASCII output path cannot be encoded:
+        # each of the three [output] path keys ends in exit 4, by name
+        name = {"directory": "résumé", "summary_json": "résumé.json",
+                "trajectory_csv": "résumé.csv"}[key]
+        path = tmp_path / "run.ini"
+        path.write_bytes((BASE + f"\n[output]\n{key} = {name}\n")
+                         .encode("utf-8"))
+        args = ["run", str(path)]
+        if key != "directory":
+            args += ["--output-dir", str(tmp_path / "out")]
+        src = pathlib.Path(cli.__file__).parents[1]
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONCOERCECLOCALE": "0", "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from tvheat.cli import main; "
+             "sys.exit(main(sys.argv[1:]))"] + args,
+            env=env, capture_output=True, cwd=tmp_path)
+        err = done.stderr.decode()
+        assert done.returncode == 4, err
+        assert err.startswith("I/O error:") and "Traceback" not in err
+
     def test_malformed_config_fails_by_name(self, tmp_path, capsys):
         path = tmp_path / "run.ini"
         # a key given twice in one section ([initial] amplitude)

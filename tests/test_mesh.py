@@ -5,8 +5,9 @@ import pytest
 
 import scipy.sparse as sp
 
-from tvheat import (Annulus, Field, Interval, Mesh, MeshError, Rectangle,
-                    build_mesh, load_field, solver)
+from tvheat import (Annulus, Field, Interval, Mesh, MeshError, Power,
+                    Rectangle, SolverConfig, Zero, build_mesh,
+                    default_dictionary, estimate_dp, load_field, step)
 from tvheat.limit import flux_from_vectors
 
 
@@ -227,14 +228,18 @@ class TestInteriorBand:
         K = sum(D.T @ (w[:, None] * D) for D in np.moveaxis(grads, 1, 0))
         K = K[np.ix_(interior, interior)]
         m = len(interior)
-        ab = solver._full_band((S @ w).reshape(len(offsets) + 1, m),
-                               offsets, b)
-        # the mesh's offsets are exactly the diagonals that hold a nonzero
-        assert offsets == [b - r for r in np.flatnonzero(ab[:b].any(axis=1))]
-        A = np.zeros((m, m))
-        for d in range(b + 1):
+        band = (S @ w).reshape(len(offsets) + 1, m)
+        # the mesh's offsets are exactly the diagonals that hold a nonzero,
+        # in decreasing order, and the first d entries of offset d's row
+        # are zero
+        assert offsets == sorted(offsets, reverse=True)
+        assert max(offsets) <= b
+        for row, d in zip(band, offsets):
+            assert row[d:].any() and not row[:d].any()
+        A = np.diag(band[-1])
+        for row, d in zip(band, offsets):
             i = np.arange(m - d)
-            A[i, i + d] = A[i + d, i] = ab[b - d, d:]
+            A[i, i + d] = A[i + d, i] = row[d:]
         assert np.abs(A - K).max() <= 1e-13 * np.abs(K).max()
         # the diagonals that the compact band leaves out are exactly zero
         for d in set(range(1, b + 1)) - set(offsets):
@@ -244,6 +249,79 @@ class TestInteriorBand:
         mesh = build_mesh(Rectangle(1.0, 1.0), [9, 9])
         assert "interior_band" not in vars(mesh)
         assert mesh.interior_band is mesh.interior_band
+
+    @pytest.mark.parametrize("domain, resolution", [
+        (Rectangle(1.0, 1.0), [9, 9]), (Rectangle(2.0, 1.0), [16, 8]),
+        (Rectangle(1.0, 2.0), [8, 16]), (Rectangle(1.0, 1.0), [6, 2])],
+        ids=["rect9x9", "rect16x8", "rect8x16", "rect6x2"])
+    def test_red_black_split_colours_every_coupling(self, domain,
+                                                    resolution):
+        # the colours partition the interior and every stored coupling
+        # joins a red node to a black one, so that A's red and black
+        # blocks are diagonal; B's CSR entries are the couplings read from
+        # the band at the split's positions
+        mesh = build_mesh(domain, resolution)
+        scatter, _, interior, offsets = mesh.interior_band
+        split = mesh.red_black
+        m = len(interior)
+        red, black = split.red, split.black
+        assert np.array_equal(np.sort(np.concatenate([red, black])),
+                              np.arange(m))
+        assert np.all(np.diff(red) > 0) and np.all(np.diff(black) > 0)
+        is_red = np.zeros(m, dtype=bool)
+        is_red[red] = True
+        stored = np.zeros((len(offsets) + 1) * m, dtype=bool)
+        stored[scatter.indices] = True
+        stored = stored.reshape(len(offsets) + 1, m)
+        assert stored[:-1].any()
+        for row, d in zip(stored, offsets):
+            j = np.flatnonzero(row)          # the couplings (j - d, j)
+            assert np.all(is_red[j - d] != is_red[j])
+        w = np.random.default_rng(7).uniform(0.1, 10.0, mesh.n_elements)
+        band = mesh.interior_stiffness(w)
+        A = np.diag(band[-1])
+        for row, d in zip(band, offsets):
+            i = np.arange(m - d)
+            A[i, i + d] = A[i + d, i] = row[d:]
+        for part in (red, black):
+            block = A[np.ix_(part, part)]
+            assert np.array_equal(block, np.diag(np.diagonal(block)))
+        B = sp.csr_matrix((band.take(split.coupling), split.indices,
+                           split.indptr), shape=(len(red), len(black)))
+        assert np.array_equal(B.toarray(), A[np.ix_(red, black)])
+        for arr in (red, black, split.indptr, split.indices,
+                    split.coupling) + split.fill:
+            assert not arr.flags.writeable
+
+    def test_red_black_split_is_built_on_first_use(self):
+        # neither build_mesh nor estimate_dp builds the split, nor does a
+        # 1-D step; a 2-D step builds it once
+        mesh = build_mesh(Rectangle(1.0, 1.0), [9, 9])
+        estimate_dp(mesh, 1.5, Power(3.0), default_dictionary(mesh, 8))
+        assert "red_black" not in vars(mesh)
+        u = Field(mesh, np.sin(np.pi * mesh.nodes).prod(axis=1))
+        step(u.constrained(), 0.0, SolverConfig(p=1.5), Zero(), 1e-3)
+        assert "red_black" in vars(mesh)
+        assert mesh.red_black is mesh.red_black
+        chain = build_mesh(Interval(1.0), 30)
+        u = Field(chain, np.sin(np.pi * chain.nodes[:, 0]))
+        step(u.constrained(), 0.0, SolverConfig(p=1.5), Zero(), 1e-3)
+        assert "red_black" not in vars(chain)
+
+    def test_same_colour_coupling_fails_by_name(self):
+        # a sheared square's triangles have no right angle, so their third
+        # couplings (the hypotenuses) are stored too: each triangle is an
+        # odd cycle, and no red-black split exists
+        mesh = build_mesh(Rectangle(1.0, 1.0), 6)
+        J = np.array([[1.0, 0.3], [0.0, 1.0]])       # x' = J x, det 1
+        sheared = Mesh(mesh.domain, mesh.nodes @ J.T, mesh.elements,
+                       mesh.element_volumes, mesh.quad_weights,
+                       mesh.boundary_nodes, mesh.boundary_normals,
+                       mesh.boundary_weights,
+                       mesh.grad_coeff @ np.linalg.inv(J))
+        assert len(sheared.interior_band[3]) == 3
+        with pytest.raises(MeshError, match="one colour"):
+            sheared.red_black
 
     @pytest.mark.parametrize("domain, resolution", [
         (Interval(1.0), 30), (Annulus(1.0, 2.0, dim=3), 30),

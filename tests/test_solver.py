@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import solveh_banded as lapack_solveh_banded
 
 from tvheat import (Annulus, Field, Interval, Power, Rectangle, SolverConfig,
@@ -392,6 +393,33 @@ class TestRun:
                     assert f.values.base is None
 
 
+def random_band(mesh, rng, dt):
+    """The compact band of K(w) + diag(qw / dt) for random positive element
+    weights w."""
+    band = mesh.interior_stiffness(
+        rng.uniform(0.5, 2.0, mesh.n_elements) * mesh.element_volumes)
+    band[-1] += mesh.interior_weights / dt
+    return band
+
+
+def dense(band, offsets):
+    """The symmetric matrix held in the compact band ``band``."""
+    A = np.diag(band[-1])
+    for row, d in zip(band, offsets):
+        i = np.arange(len(row) - d)
+        A[i, i + d] = A[i + d, i] = row[d:]
+    return A
+
+
+def schur_of(band, split):
+    """(B, B^T, 1 / D_r, D_b) of ``band`` in the red-black order of
+    ``split``, as ``BandedFactor.solve`` passes them on."""
+    B = sp.csr_matrix((band.take(split.coupling), split.indices,
+                       split.indptr), shape=(len(split.red), len(split.black)))
+    diag = band[-1]
+    return B, B.T, 1.0 / diag[split.red], diag[split.black]
+
+
 @pytest.fixture(scope="module")
 def rect_kept():
     # rect2d at 16^2: Power(3), p = 1.5, a tensor hat of amplitude 1
@@ -602,20 +630,94 @@ class TestLinearSolve:
 
     @pytest.mark.parametrize("resolution", [8, [16, 8], [9, 16], 32])
     def test_fresh_factor_is_scipy_pbsv(self, resolution):
-        # a fresh factor's pbtrf + pbtrs are the steps of scipy's
-        # solveh_banded (LAPACK pbsv) on the full band, bit for bit
+        # a fresh factor's red-black solve agrees with scipy's solveh_banded
+        # (LAPACK pbsv) on the full band to 1e-12 in the max norm, and
+        # passes step's residual gate
         mesh = build_mesh(Rectangle(1.0, 1.0), resolution)
         rng = np.random.default_rng(5)
         _, b, _, offsets = mesh.interior_band
         for dt in (1e-4, 1e-2):
-            band = mesh.interior_stiffness(
-                rng.uniform(0.5, 2.0, mesh.n_elements) * mesh.element_volumes)
-            band[-1] += mesh.interior_weights / dt
+            band = random_band(mesh, rng, dt)
             rhs = rng.normal(size=band.shape[1])
-            ref = lapack_solveh_banded(solver._full_band(band, offsets, b),
-                                       rhs)
-            x = solver.BandedFactor().solve(band, rhs, rhs, offsets, b)
-            assert x.tobytes() == ref.tobytes()
+            A = dense(band, offsets)
+            ab = np.array([np.concatenate([np.zeros(d), np.diagonal(A, d)])
+                           for d in range(b, -1, -1)])
+            ref = lapack_solveh_banded(ab, rhs)
+            x = solver.BandedFactor().solve(band, rhs, rhs, mesh.red_black, b)
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert solver._gate(band, x, rhs, offsets,
+                                solver._Workspace(mesh))
+
+    @pytest.mark.parametrize("resolution", [8, [16, 8], [9, 16], 32])
+    def test_schur_band_is_the_dense_complement(self, resolution):
+        # S's LAPACK band, built from the compact band through the split's
+        # index arrays, is A_bb - A_br diag(1 / a_r) A_rb
+        mesh = build_mesh(Rectangle(1.0, 1.0), resolution)
+        _, _, _, offsets = mesh.interior_band
+        split = mesh.red_black
+        red, black = split.red, split.black
+        band = random_band(mesh, np.random.default_rng(3), 1e-3)
+        A = dense(band, offsets)
+        a_r = np.diagonal(A)[red]
+        S = A[np.ix_(black, black)] - A[np.ix_(black, red)] @ (
+            A[np.ix_(red, black)] / a_r[:, None])
+        ab = solver._schur_band(schur_of(band, split), split)
+        assert ab.flags.f_contiguous
+        bs = split.bandwidth
+        assert ab.shape == (bs + 1, len(black))
+        assert np.all(np.triu(S, bs + 1) == 0.0)
+        expanded = np.zeros_like(S)
+        for d in range(bs + 1):
+            i = np.arange(len(black) - d)
+            expanded[i, i + d] = expanded[i + d, i] = ab[bs - d, d:]
+        assert np.abs(expanded - S).max() <= 1e-13 * np.abs(S).max()
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0])
+    @pytest.mark.parametrize("held", [False, True], ids=["fresh", "held"])
+    def test_red_pivot_not_positive_fails_by_name(self, held, value):
+        # a red diagonal <= 0 makes A indefinite, while S = D_b - B^T
+        # D_r^-1 B stays positive definite for a negative one: the red
+        # pivots are checked before any solve, whether or not a factor is
+        # held, and the failure names the pivot
+        mesh = build_mesh(Rectangle(1.0, 1.0), 8)
+        _, b, _, offsets = mesh.interior_band
+        split = mesh.red_black
+        rng = np.random.default_rng(9)
+        band = random_band(mesh, rng, 1e-3)
+        rhs = rng.normal(size=band.shape[1])
+        factor = solver.BandedFactor()
+        if held:
+            factor.solve(band.copy(), rhs, rhs, split, b)
+        band[-1, split.red[3]] = value
+        if value < 0.0:
+            A = dense(band, offsets)
+            assert np.linalg.eigvalsh(A).min() < 0.0
+            B = A[np.ix_(split.red, split.black)]
+            S = A[np.ix_(split.black, split.black)] - B.T @ (
+                B / np.diagonal(A)[split.red][:, None])
+            assert np.linalg.eigvalsh(S).min() > 0.0
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="red-black pbtrf: pivot 4 of 49 "):
+            factor.solve(band, rhs, rhs, split, b)
+        assert factor.factorizations == int(held)
+
+    def test_one_interior_node_is_all_red(self):
+        # a 2 x 2 square has one interior node and no coupling: it is red,
+        # S is empty, and the elimination alone solves the step, in PCG
+        # too
+        mesh = build_mesh(Rectangle(1.0, 1.0), 2)
+        assert (len(mesh.red_black.red), len(mesh.red_black.black)) == (1, 0)
+        u = Field(mesh, np.sin(np.pi * mesh.nodes).prod(axis=1)).constrained()
+        cfg, factor = SolverConfig(p=1.5), solver.BandedFactor()
+        band = mesh.interior_stiffness(
+            model.diffusivity(u.grad_sq, 1.5, cfg.eps) * mesh.element_volumes)
+        qw = mesh.interior_weights
+        exact = qw * u.values[mesh.interior] / 1e-3 / (band[-1] + qw / 1e-3)
+        for _ in range(2):
+            new = step(u, 0.0, cfg, Zero(), 1e-3, factor=factor)
+            assert new.values[mesh.interior] == pytest.approx(exact,
+                                                              rel=1e-15)
+        assert (factor.factorizations, factor.iterations) == (1, 0)
 
     def test_1d_flat_extinction_time_unchanged(self):
         # criterion 1's run, pinned to the last bit: the step sequence of
@@ -679,10 +781,11 @@ class TestLinearSolve:
         # the 2-D companion: the stale-factor PCG run, pinned to the last bit
         traj, _, _ = rect_run
         digest = hashlib.sha256(traj.states[-1][1].values.tobytes())
-        assert digest.hexdigest() == ("87e2dc5f927e09f0f60772decfac7e7f"
-                                      "048793ce43965fd28bc2bd4704f7c053")
+        assert digest.hexdigest() == ("5bac88a2b806aab4a3bdbe51bdb533ac"
+                                      "eecf2cadf9b341ab6edb5a064014461c")
         assert len(traj.times) - 1 == 281
-        assert (traj.factorizations, traj.pcg_iterations) == (7, 1221)
+        assert traj.status.kind == "completed"
+        assert (traj.factorizations, traj.pcg_iterations) == (3, 1379)
 
 
 class TestLockstep:
