@@ -16,7 +16,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 FORMAT_VERSION = 1
 
@@ -256,19 +255,30 @@ class Mesh:
         of one colour (an odd cycle of couplings, such as a triangle whose
         three edges all couple) raises MeshError."""
         scatter, _, interior, offsets = self.interior_band
-        m = len(interior)
-        # the stored couplings (i, j), i < j: the scatter's band positions
-        # p = r m + j above the diagonal row that some element writes
-        p = np.unique(scatter.indices)
-        p = p[p < len(offsets) * m]
-        r, j = np.divmod(p, m)
+        m, rows = len(interior), len(offsets)
+        # stored[r, j]: some element writes the coupling (j - offsets[r], j)
+        stored = np.zeros((rows + 1) * m, dtype=bool)
+        stored[scatter.indices] = True
+        stored = stored[:rows * m].reshape(rows, m)
+        # breadth first, one distance per pass, along the band's rows
+        is_red, seen = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+        while not seen.all():
+            front = np.zeros(m, dtype=bool)
+            front[np.argmin(seen)] = True
+            red = True
+            while front.any():
+                seen |= front
+                if red:
+                    is_red |= front
+                reached = np.zeros(m, dtype=bool)
+                for row, d in zip(stored, offsets):
+                    reached[d:] |= front[:-d] & row[d:]
+                    reached[:-d] |= front[d:] & row[d:]
+                front = reached & ~seen
+                red = not red
+        r, j = np.nonzero(stored)
+        p = r * m + j
         i = j - np.asarray(offsets, dtype=np.int64)[r]
-        graph = sp.csr_matrix((np.ones(len(p)), (i, j)), shape=(m, m))
-        _, labels = csgraph.connected_components(graph, directed=False)
-        roots = np.unique(labels, return_index=True)[1]
-        depth = csgraph.dijkstra(graph, directed=False, indices=roots,
-                                 unweighted=True, min_only=True)
-        is_red = depth % 2 == 0
         if np.any(is_red[i] == is_red[j]):
             raise MeshError("a stored coupling joins two interior nodes of "
                             "one colour: the mesh has no red-black split")
@@ -293,8 +303,7 @@ class Mesh:
         c1, c2 = col[k1], col[k2]
         bandwidth = int((c2 - c1).max(initial=0))
         split = RedBlack(red, black, indptr, col, coupling, bandwidth,
-                         (bandwidth + c1 - c2 + (bandwidth + 1) * c2,
-                          row[k1], k1, k2))
+                         (bandwidth + c1 - c2 + (bandwidth + 1) * c2, k1, k2))
         for arr in (red, black, indptr, col, coupling) + split.fill:
             arr.setflags(write=False)
         return split
@@ -475,11 +484,12 @@ class RedBlack:
     ``indptr`` over the red rows and ``indices`` the black columns, and
     ``coupling`` holds, per entry, its position in the flattened compact
     band, ``band.take(coupling)`` being B's entries. ``bandwidth`` is S's,
-    in black order, and ``fill`` = (pos, row, left, right) lists the
-    products that make S's off-diagonal part: ``-B[row, c1] B[row, c2] /
-    D_r[row]`` (``left``, ``right`` being the two entries' CSR positions)
-    adds to position ``pos`` of S's LAPACK upper band storage, (bandwidth
-    + 1) rows in Fortran order, flattened. Every array is read-only."""
+    in black order, and ``fill`` = (pos, left, right) lists the products
+    that make S's off-diagonal part: for each pair of entries B[k, c1] and
+    B[k, c2] of one red row k, c1 <= c2, at CSR positions ``left`` and
+    ``right``, ``-B[k, c1] B[k, c2] / D_r[k]`` adds to position ``pos``
+    of S's LAPACK upper band storage, (bandwidth + 1) rows in Fortran
+    order, flattened. Every array is read-only."""
 
     red: np.ndarray
     black: np.ndarray

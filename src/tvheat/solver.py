@@ -349,10 +349,10 @@ def _schur_band(schur: tuple, split: RedBlack) -> np.ndarray:
     Fortran order so that LAPACK reads it without a copy: each product of
     ``split.fill`` summed into its position, then D_b on the diagonal."""
     B, _, inv_r, d_b = schur
-    pos, row, left, right = split.fill
+    pos, left, right = split.fill
     rows = split.bandwidth + 1
-    w = B.data[left] * B.data[right]
-    w *= inv_r[row]
+    scaled = B.data * np.repeat(inv_r, np.diff(split.indptr))   # D_r^-1 B
+    w = B.data[left] * scaled[right]
     np.negative(w, out=w)
     # float even without products (numpy counts an empty input as int)
     ab = np.bincount(pos, w, minlength=rows * len(d_b)).astype(
