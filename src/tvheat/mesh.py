@@ -271,9 +271,9 @@ class Mesh:
                 if red:
                     is_red |= front
                 reached = np.zeros(m, dtype=bool)
-                for row, d in zip(stored, offsets):
-                    reached[d:] |= front[:-d] & row[d:]
-                    reached[:-d] |= front[d:] & row[d:]
+                for couples, d in zip(stored, offsets):
+                    reached[d:] |= front[:-d] & couples[d:]
+                    reached[:-d] |= front[d:] & couples[d:]
                 front = reached & ~seen
                 red = not red
         r, j = np.nonzero(stored)
@@ -295,8 +295,8 @@ class Mesh:
         # each pair k1 <= k2 of one red row's entries adds to S[c1, c2],
         # c1 = col[k1] <= c2 = col[k2]
         first, degree = indptr[:-1], np.diff(indptr)
-        pairs = [(a, c) for a in range(int(degree.max(initial=0)))
-                 for c in range(a, int(degree.max(initial=0)))]
+        most = int(degree.max(initial=0))
+        pairs = [(a, c) for a in range(most) for c in range(a, most)]
         none = [np.zeros(0, dtype=np.int64)]
         k1 = np.concatenate(none + [first[degree > c] + a for a, c in pairs])
         k2 = np.concatenate(none + [first[degree > c] + c for a, c in pairs])
@@ -485,7 +485,7 @@ class RedBlack:
     ``coupling`` holds, per entry, its position in the flattened compact
     band, ``band.take(coupling)`` being B's entries. ``bandwidth`` is S's,
     in black order, and ``fill`` = (pos, left, right) lists the products
-    that make S's off-diagonal part: for each pair of entries B[k, c1] and
+    that make -B^T D_r^-1 B: for each pair of entries B[k, c1] and
     B[k, c2] of one red row k, c1 <= c2, at CSR positions ``left`` and
     ``right``, ``-B[k, c1] B[k, c2] / D_r[k]`` adds to position ``pos``
     of S's LAPACK upper band storage, (bandwidth + 1) rows in Fortran

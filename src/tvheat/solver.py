@@ -3,9 +3,10 @@
 Each step freezes the diffusion coefficient (|grad u|^2 + eps^2)^((p-2)/2) at
 the current state (lagged diffusivity), solves the resulting symmetric
 positive-definite system on the interior nodes by banded Cholesky, and treats
-the reaction explicitly. Within one run, a 2-D system is solved by
-conjugate gradients preconditioned with the banded Cholesky factor of an
-earlier step's matrix, which changes little from step to step.
+the reaction explicitly. A 2-D system eliminates the red nodes of the mesh's
+red-black split exactly, and within one run its black Schur complement is
+solved by conjugate gradients preconditioned with the banded Cholesky factor
+of an earlier step's complement, which changes little from step to step.
 
 A lagged step is a gradient-flow step of the regularized energy
 E_p,eps(u) = (1/p) int (|grad u|^2 + eps^2)^(p/2) - int F(u), so the step
@@ -175,8 +176,10 @@ class BandedFactor:
         than PCG_REFACTOR_ITERS iterations drops the factor, and with no
         factor held, or when PCG fails, S's band is built and factored with
         LAPACK ``pbtrf`` and solved directly with ``pbtrs``. A matrix that
-        is not positive definite raises LinAlgError: a red diagonal that
-        is not positive, before any solve, or ``pbtrf`` on S."""
+        is not positive definite to working precision raises LinAlgError:
+        one whose red-black Cholesky factorization has a pivot at or below
+        m eps max(diag), a red diagonal (checked at every solve) or the
+        square of a diagonal entry of S's factor."""
         if b == 1:
             self.factorizations += 1
             _, _, x, info = dptsv(band[1], band[0, 1:], rhs)
@@ -197,7 +200,7 @@ class BandedFactor:
         floor = len(diag) * np.finfo(float).eps * max(diag.max(), 0.0)
         d_r = diag[red]
         if not d_r.min() > floor:      # the red pivots are A's diagonal
-            _not_definite(int(np.argmin(d_r > floor)), len(diag))
+            raise _not_definite(int(np.argmin(d_r > floor)), len(diag))
         inv_r = 1.0 / d_r
         schur = (B, Bt, inv_r, diag[black])
         rhs_r = rhs[red]
@@ -214,9 +217,9 @@ class BandedFactor:
             chol, info = dpbtrf(_schur_band(schur, split), overwrite_ab=1)
             pivots = chol[-1] * chol[-1]
             if info or not pivots.min(initial=math.inf) > floor:
-                _not_definite(len(red) + (info - 1 if info else
-                                          int(np.argmin(pivots > floor))),
-                              len(diag))
+                raise _not_definite(
+                    len(red) + (info - 1 if info else
+                                int(np.argmin(pivots > floor))), len(diag))
             self.chol = chol
             self.factorizations += 1
             x_b = self._back_solve(rhs_b)
@@ -313,11 +316,11 @@ def solveh_banded(band: np.ndarray, rhs: np.ndarray, factor, x0: np.ndarray,
     return x
 
 
-def _not_definite(pivot: int, m: int) -> None:
-    """Raise LinAlgError for pivot ``pivot`` (from 0) of the Cholesky
-    factorization, in red-black order, of a matrix of order m whose
-    pivot is not above m eps max(diag)."""
-    raise np.linalg.LinAlgError(
+def _not_definite(pivot: int, m: int) -> np.linalg.LinAlgError:
+    """The LinAlgError for pivot ``pivot`` (from 0) of the Cholesky
+    factorization, in red-black order, of a matrix of order m, a pivot
+    not above m eps max(diag)."""
+    return np.linalg.LinAlgError(
         f"red-black pbtrf: pivot {pivot + 1} of {m} is not above m eps "
         f"max(diag): not positive definite to working precision")
 

@@ -208,6 +208,15 @@ class TestRectangleMesh:
             assert node in mesh.elements[e] and node not in mesh.elements[:e]
 
 
+def dense(band, offsets):
+    """The symmetric matrix held in the compact band ``band``."""
+    A = np.diag(band[-1])
+    for row, d in zip(band, offsets):
+        i = np.arange(len(row) - d)
+        A[i, i + d] = A[i + d, i] = row[d:]
+    return A
+
+
 class TestInteriorBand:
     @pytest.mark.parametrize("domain, resolution, bandwidth", [
         (Interval(1.0), 30, 1),
@@ -236,10 +245,7 @@ class TestInteriorBand:
         assert max(offsets) <= b
         for row, d in zip(band, offsets):
             assert row[d:].any() and not row[:d].any()
-        A = np.diag(band[-1])
-        for row, d in zip(band, offsets):
-            i = np.arange(m - d)
-            A[i, i + d] = A[i + d, i] = row[d:]
+        A = dense(band, offsets)
         assert np.abs(A - K).max() <= 1e-13 * np.abs(K).max()
         # the diagonals that the compact band leaves out are exactly zero
         for d in set(range(1, b + 1)) - set(offsets):
@@ -279,10 +285,7 @@ class TestInteriorBand:
             assert np.all(is_red[j - d] != is_red[j])
         w = np.random.default_rng(7).uniform(0.1, 10.0, mesh.n_elements)
         band = mesh.interior_stiffness(w)
-        A = np.diag(band[-1])
-        for row, d in zip(band, offsets):
-            i = np.arange(m - d)
-            A[i, i + d] = A[i + d, i] = row[d:]
+        A = dense(band, offsets)
         for part in (red, black):
             block = A[np.ix_(part, part)]
             assert np.array_equal(block, np.diag(np.diagonal(block)))
