@@ -292,21 +292,14 @@ class Mesh:
         row, col, coupling = row[order], col[order], p[order]
         indptr = np.zeros(len(red) + 1, dtype=np.int64)
         np.cumsum(np.bincount(row, minlength=len(red)), out=indptr[1:])
-        # each pair k1 <= k2 of one red row's entries adds to S[c1, c2],
-        # c1 = col[k1] <= c2 = col[k2]
-        first, degree = indptr[:-1], np.diff(indptr)
-        most = int(degree.max(initial=0))
-        pairs = [(a, c) for a in range(most) for c in range(a, most)]
-        none = [np.zeros(0, dtype=np.int64)]
-        k1 = np.concatenate(none + [first[degree > c] + a for a, c in pairs])
-        k2 = np.concatenate(none + [first[degree > c] + c for a, c in pairs])
-        c1, c2 = col[k1], col[k2]
-        bandwidth = int((c2 - c1).max(initial=0))
-        split = RedBlack(red, black, indptr, col, coupling, bandwidth,
-                         (bandwidth + c1 - c2 + (bandwidth + 1) * c2, k1, k2))
-        for arr in (red, black, indptr, col, coupling) + split.fill:
+        # S couples the black columns of one red row: its bandwidth is the
+        # widest such row
+        full = np.diff(indptr) > 0
+        bandwidth = int((col[indptr[1:][full] - 1]
+                         - col[indptr[:-1][full]]).max(initial=0))
+        for arr in (red, black, indptr, col, coupling):
             arr.setflags(write=False)
-        return split
+        return RedBlack(red, black, indptr, col, coupling, bandwidth)
 
     @cached_property
     def _chain(self) -> tuple[np.ndarray, ...] | None:
@@ -484,12 +477,7 @@ class RedBlack:
     ``indptr`` over the red rows and ``indices`` the black columns, and
     ``coupling`` holds, per entry, its position in the flattened compact
     band, ``band.take(coupling)`` being B's entries. ``bandwidth`` is S's,
-    in black order, and ``fill`` = (pos, left, right) lists the products
-    that make -B^T D_r^-1 B: for each pair of entries B[k, c1] and
-    B[k, c2] of one red row k, c1 <= c2, at CSR positions ``left`` and
-    ``right``, ``-B[k, c1] B[k, c2] / D_r[k]`` adds to position ``pos``
-    of S's LAPACK upper band storage, (bandwidth + 1) rows in Fortran
-    order, flattened. Every array is read-only."""
+    in black order. Every array is read-only."""
 
     red: np.ndarray
     black: np.ndarray
@@ -497,7 +485,6 @@ class RedBlack:
     indices: np.ndarray
     coupling: np.ndarray
     bandwidth: int
-    fill: tuple
 
 
 def _domain_header(domain: Domain) -> str:

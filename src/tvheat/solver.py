@@ -162,7 +162,9 @@ class BandedFactor:
         self.chol = None         # upper Cholesky factor in LAPACK band form
         self.factorizations = 0
         self.iterations = 0
-        self._couplings = None   # (split, B, B^T), B's entries the last band's
+        # (split, B, B^T, S's fill) of the split last solved; B's entries
+        # are the last band's
+        self._couplings = None
 
     def solve(self, band: np.ndarray, rhs: np.ndarray, x0: np.ndarray,
               split: RedBlack | None, b: int) -> np.ndarray:
@@ -191,8 +193,8 @@ class BandedFactor:
         if held is None or held[0] is not split:
             B = sp.csr_matrix((np.empty(len(split.coupling)), split.indices,
                                split.indptr), shape=(len(red), len(black)))
-            held = self._couplings = (split, B, B.T)
-        _, B, Bt = held
+            held = self._couplings = (split, B, B.T, _schur_fill(split))
+        _, B, Bt, fill = held
         band.take(split.coupling, out=B.data)
         diag = band[-1]
         # LAPACK pstrf's default rank tolerance: a pivot at or below it is
@@ -214,7 +216,8 @@ class BandedFactor:
                 self.chol = None       # the next step factors its own S
         if x_b is None:
             self.chol = None           # at most one factor is held
-            chol, info = dpbtrf(_schur_band(schur, split), overwrite_ab=1)
+            chol, info = dpbtrf(_schur_band(schur, split, fill),
+                                overwrite_ab=1)
             pivots = chol[-1] * chol[-1]
             if info or not pivots.min(initial=math.inf) > floor:
                 raise _not_definite(
@@ -346,13 +349,32 @@ def _schur_product(schur: tuple, x: np.ndarray) -> np.ndarray:
     return Sx
 
 
-def _schur_band(schur: tuple, split: RedBlack) -> np.ndarray:
+def _schur_fill(split: RedBlack) -> tuple[np.ndarray, ...]:
+    """(pos, left, right), the products that make -B^T D_r^-1 B in S's
+    LAPACK upper band storage for the CSR pattern of ``split``'s B: for
+    each pair of entries B[k, c1] and B[k, c2] of one red row k, c1 <= c2,
+    at CSR positions ``left`` and ``right``, ``-B[k, c1] B[k, c2] /
+    D_r[k]`` adds to position ``pos`` of the (bandwidth + 1)-row band,
+    flattened in Fortran order."""
+    indptr, col, bs = split.indptr, split.indices, split.bandwidth
+    first, degree = indptr[:-1], np.diff(indptr)
+    most = int(degree.max(initial=0))
+    pairs = [(a, c) for a in range(most) for c in range(a, most)]
+    none = [np.zeros(0, dtype=np.int64)]
+    left = np.concatenate(none + [first[degree > c] + a for a, c in pairs])
+    right = np.concatenate(none + [first[degree > c] + c for a, c in pairs])
+    c1, c2 = col[left], col[right]
+    return bs + c1 - c2 + (bs + 1) * c2, left, right
+
+
+def _schur_band(schur: tuple, split: RedBlack, fill: tuple) -> np.ndarray:
     """The LAPACK upper banded storage of the Schur complement S of
     ``schur`` (see ``_schur_product``), bandwidth ``split.bandwidth``, in
     Fortran order so that LAPACK reads it without a copy: each product of
-    ``split.fill`` summed into its position, then D_b on the diagonal."""
+    ``fill`` (``_schur_fill(split)``) summed into its position, then D_b
+    on the diagonal."""
     B, _, inv_r, d_b = schur
-    pos, left, right = split.fill
+    pos, left, right = fill
     rows = split.bandwidth + 1
     scaled = B.data * np.repeat(inv_r, np.diff(split.indptr))   # D_r^-1 B
     w = B.data[left] * scaled[right]

@@ -293,7 +293,7 @@ class TestInteriorBand:
                            split.indptr), shape=(len(red), len(black)))
         assert np.array_equal(B.toarray(), A[np.ix_(red, black)])
         for arr in (red, black, split.indptr, split.indices,
-                    split.coupling) + split.fill:
+                    split.coupling):
             assert not arr.flags.writeable
 
     def test_red_black_split_is_built_on_first_use(self):

@@ -661,7 +661,8 @@ class TestLinearSolve:
         a_r = np.diagonal(A)[red]
         S = A[np.ix_(black, black)] - A[np.ix_(black, red)] @ (
             A[np.ix_(red, black)] / a_r[:, None])
-        ab = solver._schur_band(schur_of(band, split), split)
+        ab = solver._schur_band(schur_of(band, split), split,
+                                solver._schur_fill(split))
         assert ab.flags.f_contiguous
         bs = split.bandwidth
         assert ab.shape == (bs + 1, len(black))
