@@ -265,17 +265,17 @@ class Mesh:
         while not seen.all():
             front = np.zeros(m, dtype=bool)
             front[np.argmin(seen)] = True
-            red = True
+            even = True                # the front's distance is even
             while front.any():
                 seen |= front
-                if red:
+                if even:
                     is_red |= front
                 reached = np.zeros(m, dtype=bool)
                 for couples, d in zip(stored, offsets):
                     reached[d:] |= front[:-d] & couples[d:]
                     reached[:-d] |= front[d:] & couples[d:]
                 front = reached & ~seen
-                red = not red
+                even = not even
         r, j = np.nonzero(stored)
         p = r * m + j
         i = j - np.asarray(offsets, dtype=np.int64)[r]
