@@ -348,6 +348,22 @@ class TestMain:
         assert done.returncode == 4, err
         assert err.startswith("I/O error:") and "Traceback" not in err
 
+    def test_import_loads_neither_optimize_nor_special(self):
+        # the two cost every process about 18 MB of resident memory; the
+        # Nehari scale needs no scipy.optimize, and ExpPower.F imports
+        # scipy.special only where its series does not reach
+        src = pathlib.Path(cli.__file__).parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", "import json, sys, tvheat.cli; print("
+             "json.dumps(sorted(sys.modules)))"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+            text=True)
+        assert done.returncode == 0, done.stderr
+        loaded = json.loads(done.stdout)
+        assert "tvheat.cli" in loaded and "scipy.linalg" in loaded
+        for name in ("scipy.optimize", "scipy.special"):
+            assert name not in loaded
+
     def test_malformed_config_fails_by_name(self, tmp_path, capsys):
         path = tmp_path / "run.ini"
         # a key given twice in one section ([initial] amplitude)

@@ -5,7 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import hyp1f1
 
 from tvheat import (Annulus, Field, Interval, ModelError, NehariScaleError,
@@ -144,9 +146,17 @@ class TestNonlinearities:
         ulps = np.abs(nl.F(u) - ref) / np.spacing(ref)
         assert ulps.max() <= 8.0
 
-    def test_exp_power_primitive_edge_values(self):
+    def test_exp_power_primitive_edge_values(self, monkeypatch):
         nl = ExpPower(3.0, 1.0)
         u = self._exp_power_sample(nl)
+        # z past Z0, nan and +-inf take the branch that imports hyp1f1
+        # when it runs; the import finds this counting wrapper
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return hyp1f1(*args)
+        monkeypatch.setattr(scipy.special, "hyp1f1", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             F, F_neg = nl.F(u), nl.F(-u)
@@ -155,6 +165,7 @@ class TestNonlinearities:
         np.testing.assert_array_equal(F, F_neg)
         assert math.isnan(nan) and np.isnan(F[-3])
         assert np.all(F[np.isfinite(u) & (u != 0)] > 0)
+        assert len(calls) == 3   # u, -u and nan
 
     def test_make_nonlinearity(self):
         assert isinstance(make_nonlinearity("zero"), Zero)
@@ -353,6 +364,41 @@ class TestNehariScale:
         with pytest.raises(NehariScaleError, match="theta > p"):
             nehari_scale(hat(mesh), p, Power(q=2.0))
 
+    def test_unknown_method_fails_by_name(self, mesh):
+        # a misspelt method must not quietly run the root finder
+        with pytest.raises(ModelError, match="'closed'.*'auto', 'root'"):
+            nehari_scale(hat(mesh), 1.5, Power(q=3.0), method="closed")
+
+    @pytest.mark.parametrize("nl, method", [
+        (Power(3.0), "root"), (SumPowers(4.0, 2.5), "auto"),
+        (ExpPower(3.0, 1.0, p0=1.9), "auto")],
+        ids=["power", "sum_powers", "exp_power"])
+    def test_root_matches_brentq(self, nl, method, monkeypatch):
+        # brentq at rtol 1e-14 is the reference; each scale locates t to
+        # relative 1e-14, so the two agree within 2e-14. The bisection
+        # evaluates the reaction 54 times per direction; brentq takes about
+        # 65 on ExpPower, 16 to 20 on the other two
+        mesh = build_mesh(Annulus(1.0, 2.0, dim=3), 800)
+        p = 1.5
+        calls = []
+        f = nl.f
+
+        def counted(u):
+            calls.append(u)
+            return f(u)
+        monkeypatch.setattr(nl, "f", counted)
+        for phi in default_dictionary(mesh, 8):
+            calls.clear()
+            t = nehari_scale(phi, p, nl, method=method)
+            assert len(calls) <= 60
+            A, v = grad_p_norm(phi, p), phi.values
+
+            def g(s):
+                with np.errstate(over="ignore"):
+                    return A - mesh.integrate(f(s * v) * v) / s ** (p - 1.0)
+            ref = brentq(g, 1e-8, 1e8, rtol=1e-14, xtol=1e-300, maxiter=200)
+            assert t == pytest.approx(ref, rel=2e-14, abs=0.0)
+
     def test_sum_powers_root(self, mesh):
         nl = SumPowers(q=4.0, s=2.5)
         t = nehari_scale(hat(mesh), 1.5, nl)
@@ -368,7 +414,18 @@ class TestNehariScale:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             d_hat = estimate_dp(mesh, 1.5, nl, default_dictionary(mesh, 8))
-        assert d_hat == 131.4552688774503
+        # d_hat is a minimum of E_p(t phi), and E_p is stationary along the
+        # ray at the Nehari scale, so t's relative error of 1e-14 moves it
+        # by about 1e-28. What remains is rounding: E_p = G - Phi, with
+        # G = (1/p) int |grad t phi|^p and Phi = int F(t phi) each a
+        # quadrature of at most 801 positive terms, each within 8 ulp (F's
+        # bound), which their evaluation and sum move by at most about 810
+        # unit roundoffs, 9e-14, of itself. On the Nehari set
+        # theta Phi <= int f(t phi) t phi = p G, so with theta = 3 and
+        # p = 1.5, G <= 2 E_p and Phi <= E_p: one evaluation errs by at
+        # most 3 * 9e-14 of E_p, and two (another root finder, or other
+        # SIMD kernels) differ by at most 5.4e-13 of it
+        assert d_hat == pytest.approx(131.4552688774503, rel=1e-12, abs=0.0)
 
 
 class TestWell:
