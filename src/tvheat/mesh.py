@@ -525,10 +525,10 @@ class Field:
     Immutable: ``values`` is read-only and owned by the field, so the
     element-wise gradient, its squared magnitude and its magnitude are
     computed at most once and kept in ``grad``, ``grad_sq`` and
-    ``grad_mag``, and so are the sup norm and the reaction f(u)
-    (``sup``, ``reaction``). A field built from a caller's array copies
-    it; ``step`` and ``Field.stack`` hand over arrays they made for the
-    field instead (``Field._adopt``).
+    ``grad_mag``, and so are the sup norm, the reaction f(u) and the
+    lagged coefficient (``sup``, ``reaction``, ``coefficient``). A field
+    built from a caller's array copies it; ``step`` and ``Field.stack``
+    hand over arrays they made for the field instead (``Field._adopt``).
     """
 
     mesh: Mesh
@@ -536,7 +536,7 @@ class Field:
 
     # the kept values' defaults, until the field's dictionary holds its own:
     # a read is then one attribute lookup
-    _sup = _boundary_max = _reaction = None
+    _sup = _boundary_max = _reaction = _coefficient = None
 
     def __post_init__(self):
         # C order: a stack's rows are then contiguous, and BLAS sums a
@@ -587,9 +587,10 @@ class Field:
 
     def rows(self, index) -> "Field":
         """The rows of this stack that ``index`` selects, copied, keeping
-        the gradient arrays and the reaction already computed for them: a
-        plain field for a row number, a stack for a slice or a sequence of
-        row numbers (and, for a plain field, a stack of one for None)."""
+        the gradient arrays, the reaction and the coefficient already
+        computed for them: a plain field for a row number, a stack for a
+        slice or a sequence of row numbers (and, for a plain field, a
+        stack of one for None)."""
         sub = Field(self.mesh, self.values[index])
         kept = vars(self)
         for name in _GRADIENTS:
@@ -602,13 +603,24 @@ class Field:
             f = f[index]
             f.setflags(write=False)
             vars(sub)["_reaction"] = (nl, f)
+        if "_coefficient" in kept:
+            key, c = kept["_coefficient"]
+            c = c[index]
+            c.setflags(write=False)
+            if index is None:
+                key = (key,)
+            elif isinstance(index, slice) or np.ndim(index) == 0:
+                key = key[index]
+            else:
+                key = tuple(key[i] for i in index)
+            vars(sub)["_coefficient"] = (key, c)
         return sub
 
     @classmethod
     def stack(cls, fields) -> "Field":
         """One stack of the rows of the stacks ``fields``, in order, keeping
-        the gradient arrays, and the reaction, that all of them have
-        computed."""
+        the gradient arrays, the reaction and the coefficient that all of
+        them have computed."""
         out = cls._adopt(fields[0].mesh,
                         np.concatenate([f.values for f in fields]))
         for name in _GRADIENTS:
@@ -621,6 +633,11 @@ class Field:
             f = np.concatenate([r[1] for r in kept])
             f.setflags(write=False)
             vars(out)["_reaction"] = (kept[0][0], f)
+        kept = [vars(f).get("_coefficient") for f in fields]
+        if all(k is not None for k in kept):
+            c = np.concatenate([k[1] for k in kept])
+            c.setflags(write=False)
+            vars(out)["_coefficient"] = (sum((k[0] for k in kept), ()), c)
         return out
 
     @classmethod
@@ -648,6 +665,26 @@ class Field:
             f.setflags(write=False)
             kept = vars(self)["_reaction"] = (nl, f)
         return kept[1]
+
+    def coefficient(self, terms, out: np.ndarray | None = None
+                    ) -> np.ndarray:
+        """The lagged coefficient ``terms.coefficient`` of ``grad_sq``, for
+        the constants ``terms`` (a ``model.Terms``): the one kept for
+        constants of the same ``key``, read-only, when there is one, since
+        equal keys give every row the same bits. Otherwise it is
+        evaluated, into ``out`` when given, and kept, for the last key
+        asked for, only without ``out``: a snapshot keeps its state's
+        coefficient, and a step from a state that no snapshot evaluated
+        with its constants writes it into its workspace. ``rows`` and
+        ``stack`` keep it with each row's key."""
+        kept = self._coefficient
+        if kept is not None and kept[0] == terms.key:
+            return kept[1]
+        c = terms.coefficient(self.grad_sq, out)
+        if out is None:
+            c.setflags(write=False)
+            vars(self)["_coefficient"] = (terms.key, c)
+        return c
 
     @classmethod
     def zeros(cls, mesh: Mesh) -> "Field":

@@ -266,18 +266,12 @@ def _check_p(p: float):
 _SHORTCUTS = (2.0, 0.5, -1.0)
 
 
-def _power(x: np.ndarray, e, out: np.ndarray | None = None) -> np.ndarray:
-    """x ** e. For a float e, the one ``**``, written into ``out`` by
-    ``np.power`` when given and e is not in ``_SHORTCUTS``. For a stack's
-    (k, n) x and a list of k exponents (``Terms``), each row is raised to
-    its own scalar exponent, which gives it the bits of the row's own
-    ``**``: written into its row of ``out`` (which the caller gives) by
+def _power(x: np.ndarray, e: list, out: np.ndarray) -> np.ndarray:
+    """x ** e for a stack's (k, n) x and a list of k exponents (``Terms``):
+    each row is raised to its own scalar exponent, which gives it the bits
+    of the row's own ``**``, written into its row of ``out`` by
     ``np.power``, or by ``**`` for an exponent in ``_SHORTCUTS`` (one
     exponent array for all rows would call pow where ``**`` squares)."""
-    if not isinstance(e, list):
-        if out is None or e in _SHORTCUTS:
-            return x ** e
-        return np.power(x, e, out=out)
     for i, ei in enumerate(e):
         if ei in _SHORTCUTS:
             out[i] = x[i] ** ei
@@ -289,43 +283,57 @@ def _power(x: np.ndarray, e, out: np.ndarray | None = None) -> np.ndarray:
 class Terms:
     """The constants of the regularized p-terms, computed once for a plain
     field or a stack and shared by every evaluation: p, eps^2 and the
-    exponents p, (p - 2)/2 (the coefficient's) and p/2 (the lifted energy
-    density's).
+    exponents p and (p - 2)/2 (the coefficient's). They define the
+    lagged coefficient and, through it, the lifted energy density.
 
     For a plain field each is a float. For a stack of k fields, given p
     and eps as (k,) arrays, ``eps_sq`` is the (k, 1) column of each row's
     own Python square and each exponent a list of k floats, which
     ``_power`` raises each row to. Every row then gets the bits it gets
-    alone.
+    alone. ``key`` is the pair (coefficient exponent, eps^2) that decides
+    a row's coefficient, and for a stack the tuple of its rows' pairs:
+    constants of equal keys give a field the same coefficient, which is
+    how ``Field.coefficient`` finds the one it keeps.
     """
 
-    __slots__ = ("eps_sq", "p_exp", "coef_exp", "lift_exp")
+    __slots__ = ("eps_sq", "p_exp", "coef_exp", "key")
 
     def __init__(self, p, eps=0.0):
         if isinstance(p, np.ndarray):
-            self.eps_sq = np.array([e ** 2 for e in eps.tolist()])[:, None]
+            eps_sq = [e ** 2 for e in eps.tolist()]
+            self.eps_sq = np.array(eps_sq)[:, None]
             self.p_exp = p.tolist()
             self.coef_exp = ((p - 2.0) / 2.0).tolist()
-            self.lift_exp = (p / 2.0).tolist()
+            self.key = tuple(zip(self.coef_exp, eps_sq))
         else:
             self.p_exp = p
             self.eps_sq = eps ** 2
             self.coef_exp = (p - 2.0) / 2.0
-            self.lift_exp = p / 2.0
+            self.key = (self.coef_exp, self.eps_sq)
 
     def coefficient(self, grad_sq: np.ndarray,
                     out: np.ndarray | None = None) -> np.ndarray:
         """``diffusivity`` with these constants, as a new array, or in
-        ``out`` (shaped as ``grad_sq``) where ``_power`` writes there."""
+        ``out`` (shaped as ``grad_sq``) where ``np.power`` writes there:
+        a plain field's one ``**``, a stack's rows each by ``_power``."""
         s = np.add(grad_sq, self.eps_sq, out=out)
-        return _power(np.maximum(s, 1e-300, out=s), self.coef_exp, s)
+        np.maximum(s, 1e-300, out=s)
+        e = self.coef_exp
+        if isinstance(e, list):
+            return _power(s, e, s)
+        return s ** e if e in _SHORTCUTS else np.power(s, e, out=s)
 
-    def lifted(self, mag: np.ndarray, out: np.ndarray | None = None
-               ) -> np.ndarray:
-        """(|g|^2 + eps^2)^(p/2) per element, from the gradient magnitudes
-        ``mag`` (``Field.grad_mag``; ``grad_sq`` would move its last
-        bits), into ``out`` if given, as a stack's ``Terms`` need."""
-        return _power(mag ** 2 + self.eps_sq, self.lift_exp, out)
+    def density(self, grad_sq: np.ndarray, coef: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """The lifted energy density (|g|^2 + eps^2)^(p/2) per element, as
+        s c: s = |g|^2 + eps^2 from ``grad_sq``, not capped, so that it is
+        exactly 0 where g and eps are, times ``coef``, the coefficient of
+        the same ``grad_sq`` (``coefficient``). No second power: s c is
+        within 2.5 * 2^-52 of s^(p/2), relatively. Into ``out`` if given,
+        as a stack's ``Terms`` need."""
+        s = np.add(grad_sq, self.eps_sq, out=out)
+        s *= coef
+        return s
 
 
 def diffusivity(grad_sq: np.ndarray, p, eps) -> np.ndarray:
@@ -362,11 +370,13 @@ def regularized_energy(field: Field, p: float, eps: float,
 
     Computed as E_p(u) + (1/p)(int (|grad u|^2 + eps^2)^(p/2) -
     int |grad u|^p) from ``snap``, the snapshot of ``field``, so that F is
-    not evaluated a second time. A snapshot given the ``Terms`` of p and
-    eps, alone or as a stack's row, holds the same value as ``E_eps``.
+    not evaluated a second time, with the lifted density of
+    ``Terms.density``. A snapshot given the ``Terms`` of p and eps, alone
+    or as a stack's row, holds the same value as ``E_eps``.
     """
     _check_p(p)
-    lifted = float(Terms(p, eps).lifted(field.grad_mag)
+    terms, g = Terms(p, eps), field.grad_sq
+    lifted = float(terms.density(g, terms.coefficient(g))
                    @ field.mesh.element_volumes)
     return snap.E_p + (lifted - snap.grad_p) / p
 
@@ -400,10 +410,14 @@ def nehari_scale(direction: Field, p: float, nl: Nonlinearity,
 
     ``method`` is "auto" (closed form for pure power reactions, otherwise
     the root finder) or "root" (always the root finder); any other value
-    raises ModelError. The root finder bisects [1e-8, 1e8] in log t: each
-    step halves log(hi / lo) and keeps the half where I_p(t phi) / t^p
-    changes sign, until t is located to relative 1e-14. That takes 52
-    steps and 54 evaluations of the reaction, whatever the direction.
+    raises ModelError. The root finder narrows the bracket [1e-8, 1e8] in
+    log t, keeping the part where I_p(t phi) / t^p changes sign, until t
+    is located to relative 1e-14, and returns the geometric mean of the
+    last bracket. Each step evaluates the reaction at a bracketed secant
+    point in log t, kept close enough to the midpoint that the loop ends
+    within the 52 halvings that bisection takes (the ITP method of
+    Oliveira and Takahashi, ACM TOMS 47, 2020): at most 54 evaluations of
+    the reaction per direction, and about 17 on the library's reactions.
     Raises NehariScaleError when no sign change exists in the bracket: for
     theta > p, I_p(t phi) / t^p decreases strictly for every library
     reaction, so the bracket's two ends decide, and a bracket that holds
@@ -426,24 +440,55 @@ def nehari_scale(direction: Field, p: float, nl: Nonlinearity,
         B = m.integrate(np.abs(phi) ** nl.q)
         return (A / B) ** (1.0 / (nl.q - p))
 
-    def g(t):
-        # I_p(t phi) / t^p, a strictly decreasing crossing by (f1)-(f2); an
-        # overflow gives -inf, the exact limit the bracket relies on
+    def crossing(t):
+        # (g, y) at t: g = I_p(t phi) / t^p = A - R, strictly decreasing by
+        # (f1)-(f2), whose sign keeps the bracket (an overflow gives R =
+        # inf, the exact limit the bracket relies on), and y = log(R / A),
+        # which rises through 0 with it, nearly linearly in log t (exactly
+        # for Power), and is -inf where R / A is not positive
         with np.errstate(over="ignore"):
-            return A - m.integrate(nl.f(t * phi) * phi) / t ** (p - 1.0)
+            R = m.integrate(nl.f(t * phi) * phi) / t ** (p - 1.0)
+        ratio = R / A
+        return A - R, math.log(ratio) if ratio > 0 else -math.inf
 
     lo, hi = 1e-8, 1e8
-    if g(lo) <= 0 or g(hi) >= 0:
+    (g_lo, y_lo), (g_hi, y_hi) = crossing(lo), crossing(hi)
+    if g_lo <= 0 or g_hi >= 0:
         raise NehariScaleError("no sign change of I_p(t phi) in [1e-8, 1e8]")
-    # log(hi / lo) falls from log 1e16 below 1e-14 in 52 halvings. The
-    # geometric mean is within an ulp or two of its exact value and lies
-    # strictly inside while hi / lo exceeds 1 + 1e-14, so the loop ends
+    # Halving brings log(hi / lo) from log 1e16 = 36.8 below 9e-15, inside
+    # the 1e-14 below, in 52 steps. ``cap``, halved at every step from
+    # 9e-15 * 2^52 = 40.5, is the widest bracket that the steps left can
+    # still halve that far, and a point within (cap - width) / 2 of the
+    # midpoint in log t leaves a width of at most cap / 2 (ITP's bound):
+    # so the loop ends within 52 steps. The point is the secant point of
+    # y (regula falsi), moved toward the midpoint by 0.02 width^2, which
+    # closes the bracket from both ends, and kept within half that bound
+    # of the midpoint, so that a point on the far side of the crossing
+    # leaves some slack; with the whole bound, or with Illinois' halving
+    # of a kept end's y, some directions took 54 evaluations. On the
+    # 8-bump dictionaries of three meshes, with seven reactions and p =
+    # 1.5, 1.2 and 1.05, this takes 17 on average and at most 36. The
+    # midpoint, the geometric mean, is taken instead where an end's y is
+    # infinite or the point is not strictly inside; it is within an ulp
+    # or two of its exact value and lies strictly inside while hi / lo
+    # exceeds 1 + 1e-14, so the loop ends
+    cap = 9e-15 * 2.0 ** 52
     while hi - lo > 1e-14 * lo:
+        width = math.log(hi / lo)
         mid = math.sqrt(lo * hi)
-        if g(mid) > 0:
-            lo = mid
+        if -math.inf < y_lo < y_hi < math.inf:
+            x = width * (y_lo / (y_lo - y_hi) - 0.5)   # from mid, in log t
+            x = math.copysign(max(abs(x) - 0.02 * width * width, 0.0), x)
+            r = max(0.25 * (cap - width), 0.0)
+            t = mid * math.exp(min(max(x, -r), r))
+            if lo < t < hi:
+                mid = t
+        cap *= 0.5
+        g_mid, y_mid = crossing(mid)
+        if g_mid > 0:
+            lo, y_lo = mid, y_mid
         else:
-            hi = mid
+            hi, y_hi = mid, y_mid
     return math.sqrt(lo * hi)
 
 
@@ -626,12 +671,13 @@ class EnergySnapshot:
 
 def snapshot(field: Field, t, p, nl: Nonlinearity, dissipation_cum
              ) -> EnergySnapshot | list[EnergySnapshot]:
-    """The diagnostics of ``field`` in one pass: int |grad u|^p, f(u) and
-    F(u) are each evaluated once, f(u) is kept with the field
-    (``Field.reaction``), and every integral is one quadrature dot
-    product. Every field equals its definition (``energy``, ``nehari_I``,
-    ``total_variation``, ``Field.l2``, ``Field.sup``, ``grad_p_norm``) bit
-    for bit.
+    """The diagnostics of ``field`` in one pass: int |grad u|^p, f(u),
+    F(u) and the lagged coefficient are each evaluated once, f(u) and the
+    coefficient are kept with the field (``Field.reaction``,
+    ``Field.coefficient``) for the steps from it, and every integral is
+    one quadrature dot product. Every field equals its definition
+    (``energy``, ``nehari_I``, ``total_variation``, ``Field.l2``,
+    ``Field.sup``, ``grad_p_norm``) bit for bit.
 
     A stack of k fields is evaluated in the same pass, with ``t`` and
     ``dissipation_cum`` given per row (k values) and ``p`` as the ``Terms``
@@ -641,20 +687,22 @@ def snapshot(field: Field, t, p, nl: Nonlinearity, dissipation_cum
     which stands for ``Terms(p)``, whose eps is 0, and gives the same
     bits. ``E_eps`` is E_p,eps at the eps of the ``Terms``, equal to
     ``regularized_energy``, from the same pass: the energy that the step
-    gate compares."""
+    gate compares, whose lifted density (``Terms.density``) is the
+    coefficient times |grad u|^2 + eps^2."""
     if isinstance(p, Terms):
         terms = p
     else:
         _check_p(p)
         terms = Terms(p)
     m = field.mesh
-    u, mag = field.values, field.grad_mag
+    u, mag, g = field.values, field.grad_mag, field.grad_sq
     vol, qw = m.element_volumes, m.quad_weights
+    coef = field.coefficient(terms)
     if u.ndim == 1:
         # ndarray.dot: the bits of ``@`` (one BLAS ddot) at a lower fixed
         # cost
         cells = [float((mag ** terms.p_exp).dot(vol)), float(mag.dot(vol)),
-                 float(terms.lifted(mag).dot(vol))]
+                 float(terms.density(g, coef).dot(vol))]
         nodes = [float(nl.F(u).dot(qw)), float((field.reaction(nl) * u).dot(qw)),
                  float((u * u).dot(qw))]
         return EnergySnapshot(*_fields(t, terms.p_exp, dissipation_cum,
@@ -666,7 +714,7 @@ def snapshot(field: Field, t, p, nl: Nonlinearity, dissipation_cum
     cells = np.empty((k, 3, m.n_elements))
     _power(mag, terms.p_exp, cells[:, 0])
     cells[:, 1] = mag
-    terms.lifted(mag, cells[:, 2])
+    terms.density(g, coef, cells[:, 2])
     nodes = np.empty((k, 3, m.n_nodes))
     nodes[:, 0] = nl.F(u)
     np.multiply(field.reaction(nl), u, out=nodes[:, 1])

@@ -240,29 +240,37 @@ class BandedFactor:
     def _pcg(self, schur: tuple, rhs: np.ndarray, x: np.ndarray,
              tol: float) -> tuple[np.ndarray | None, int]:
         """Conjugate gradients on the Schur complement ``schur`` (see
-        ``_schur_product``) from ``x``, preconditioned by the held factor
+        ``_schur_product``) from ``x``, which it updates in place,
+        preconditioned by the held factor
         (Saad, Iterative Methods for Sparse Linear Systems, 2003, Alg.
         9.1), until ||rhs - S x|| <= ``tol``. Returns (x, iterations), with
         x None when the stopping test is not met within PCG_MAX_ITERS or
-        the iteration breaks down."""
+        the iteration breaks down. The residual is tested before it is
+        preconditioned, so k iterations make k back-solves: a solve that
+        meets the test makes none for the residual it stops at."""
         r = rhs - _schur_product(schur, x)
-        z = self._back_solve(r)
-        d = z
-        rz = r @ z
+        rz = None
         k = 0
-        while not np.linalg.norm(r) <= tol:
+        # ||r|| as np.linalg.norm takes it, the root of r . r; x, r and d
+        # are updated in place, each entry as x + alpha d, r - alpha S d
+        # and z + beta d would be
+        while not math.sqrt(r.dot(r)) <= tol:
             if k == PCG_MAX_ITERS:
                 return None, k
+            z = self._back_solve(r)
+            rz, rz_old = r.dot(z), rz
+            if rz_old is None:
+                d = z
+            else:
+                d *= rz / rz_old
+                d += z
             Sd = _schur_product(schur, d)
-            dSd = d @ Sd
+            dSd = d.dot(Sd)
             if not dSd > 0.0:            # breakdown, or a non-finite system
                 return None, k
             alpha = rz / dSd
-            x = x + alpha * d
-            r = r - alpha * Sd
-            z = self._back_solve(r)
-            rz, rz_old = r @ z, rz
-            d = z + (rz / rz_old) * d
+            x += alpha * d
+            r -= alpha * Sd
             k += 1
         return x, k
 
@@ -430,7 +438,9 @@ def step(state: Field, t, cfg, nl: Nonlinearity, dt=None, factor=None,
     held factorization preconditions PCG on a 2-D system; without one, the
     step solves through a fresh ``BandedFactor``, which factors directly. A
     failed solve raises StepFailureError. The reaction term is the state's
-    kept f(u) (``Field.reaction``).
+    kept f(u) (``Field.reaction``), and the lagged coefficient is the one
+    kept with the state for ``terms`` (``Field.coefficient``), which the
+    state's snapshot evaluated, or else evaluated here.
 
     ``state`` may also be a stack of k fields (see ``Field``), stepped in
     one pass: ``cfg`` is then a sequence of k configs, ``dt`` (required)
@@ -462,8 +472,8 @@ def step(state: Field, t, cfg, nl: Nonlinearity, dt=None, factor=None,
         terms = _terms(cfg)
     if work is None:
         work = _Workspace(mesh, None if single else len(u))
-    w = terms.coefficient(state.grad_sq, work.w)
-    w *= mesh.element_volumes
+    w = np.multiply(state.coefficient(terms, work.w), mesh.element_volumes,
+                    out=work.w)
     _, b, _, offsets = mesh.interior_band
     interior, qw = mesh.interior, mesh.interior_weights
     band = mesh.interior_stiffness(w, work.band)

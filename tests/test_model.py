@@ -299,6 +299,47 @@ class TestEnergies:
             assert bare == snapshot(f, 0.0, Terms(p), nl, 0.0)
             assert bare.E_eps == regularized_energy(f, p, 0.0, bare)
 
+    @pytest.mark.parametrize("p", [1.01, 1.5, 2.0])
+    @pytest.mark.parametrize("eps", [0.0, 1e-4, 0.5])
+    def test_lifted_density_is_s_times_the_coefficient(self, p, eps):
+        # the lifted density is s c, with s = |grad u|^2 + eps^2 and c =
+        # s^((p-2)/2), the coefficient, instead of its own pow s^(p/2).
+        # numpy's float64 pow is within 1 ulp of the exact power, so c and
+        # the reference s^(p/2) each err by at most 2^-52 of their values,
+        # and the product adds a rounding of at most 2^-53: s c is within
+        # (2^-52 + 2^-53 + 2^-52) s^(p/2), times 1 + 2^-50 for the
+        # second-order terms. Where the gradient and eps vanish, s = 0 is
+        # not capped, and s c is exactly 0
+        m = build_mesh(Interval(1.0), 400)
+        rng = np.random.default_rng(13)
+        values = rng.uniform(-1.0, 1.0, (3, m.n_nodes)) * np.logspace(
+            -6.0, 0.0, 3)[:, None]
+        values[:, :40] = 0.0            # a plateau: grad u = 0 there
+        stack = Field(m, values).constrained()
+        k = len(values)
+        terms = Terms(np.full(k, p), np.full(k, eps))
+        g = stack.grad_sq
+        density = terms.density(g, terms.coefficient(g))
+        s = g + eps ** 2
+        ref = s ** (p / 2.0)
+        assert np.all(np.abs(density - ref)
+                      <= 2.5 * 2.0 ** -52 * ref * (1.0 + 2.0 ** -50))
+        flat = g == 0.0
+        assert flat.sum() >= 3 * 38
+        if eps == 0.0:
+            assert np.all(density[flat] == 0.0)
+        # each row is what it is alone, and what regularized_energy and
+        # the snapshot integrate
+        for i in range(k):
+            alone = Terms(p, eps)
+            row = alone.density(g[i], alone.coefficient(g[i]))
+            assert row.tobytes() == density[i].tobytes()
+            f = stack.rows(i)
+            lifted = float(row @ m.element_volumes)
+            snap = snapshot(f, 0.0, alone, Zero(), 0.0)
+            assert regularized_energy(f, p, eps, snap) == \
+                snap.E_p + (lifted - snap.grad_p) / p
+
     @pytest.mark.parametrize("p", [1.0, 0.5, math.nan])
     def test_p_at_most_one_fails_by_name(self, mesh, p):
         # every function of p that the well machinery calls rejects
@@ -398,6 +439,33 @@ class TestNehariScale:
                     return A - mesh.integrate(f(s * v) * v) / s ** (p - 1.0)
             ref = brentq(g, 1e-8, 1e8, rtol=1e-14, xtol=1e-300, maxiter=200)
             assert t == pytest.approx(ref, rel=2e-14, abs=0.0)
+
+    @pytest.mark.parametrize("nl, method, most", [
+        (Power(3.0), "root", 20), (SumPowers(4.0, 2.5), "auto", 20),
+        (ExpPower(3.0, 1.0, p0=1.9), "auto", 54),
+        (SumPowers(1.6, 9.0), "auto", 54), (ExpPower(2.0, 50.0), "auto", 54)],
+        ids=["power", "sum_powers", "exp_power", "steep_sum", "steep_exp"])
+    def test_root_finder_evaluations(self, nl, method, most, monkeypatch):
+        # the root finder keeps within the 52 halvings that bisection
+        # takes, so no direction costs more than 54 evaluations of the
+        # reaction; its secant points take 20 or fewer on Power and
+        # SumPowers(4, 2.5), as brentq's 16 to 20 did
+        mesh = build_mesh(Annulus(1.0, 2.0, dim=3), 800)
+        calls = [0]
+        f = nl.f
+
+        def counted(u):
+            calls[0] += 1
+            return f(u)
+        monkeypatch.setattr(nl, "f", counted)
+        for p in (1.5, 1.2, 1.05):
+            for phi in default_dictionary(mesh, 8):
+                calls[0] = 0
+                t = nehari_scale(phi, p, nl, method=method)
+                assert calls[0] <= (most if p == 1.5 else 54)
+                scaled = Field(mesh, t * phi.values)
+                assert abs(nehari_I(scaled, p, nl)) <= 1e-9 * (
+                    1.0 + grad_p_norm(scaled, p))
 
     def test_sum_powers_root(self, mesh):
         nl = SumPowers(q=4.0, s=2.5)

@@ -366,6 +366,51 @@ class TestRun:
         assert calls["gradient"] == calls["step"] + 1
         assert calls["snapshot"] == calls["step"] + 1
 
+    def test_coefficient_once_per_state(self, monkeypatch):
+        # a snapshot evaluates its state's lagged coefficient and keeps it
+        # with the state (Field.coefficient), and Field.rows and
+        # Field.stack keep it with each row. Every step from an evaluated
+        # state then reads it: the next step, a retry after a rejection,
+        # the extinction probes, and a step from the state's row in a
+        # regathered or smaller stack. So the rows evaluated are the
+        # snapshots' rows, u0's, each accepted state's and each rejected
+        # trial's, with none for the probes or a stack change
+        rows = [0]
+        coefficient = model.Terms.coefficient
+
+        def counted(self, grad_sq, out=None):
+            rows[0] += 1 if grad_sq.ndim == 1 else len(grad_sq)
+            return coefficient(self, grad_sq, out)
+
+        monkeypatch.setattr(model.Terms, "coefficient", counted)
+
+        def snapshot_rows(trajs):
+            return sum(len(t.snapshots) + t.rejected_steps for t in trajs)
+
+        # criterion 1's run
+        mesh = build_mesh(Interval(1.0), 400)
+        u0 = Field(mesh, np.ones(mesh.n_nodes)).constrained()
+        traj = run(mesh, u0, SolverConfig(p=1.01, eps=1e-4, T_end=1.0),
+                   Zero())
+        assert traj.rejected_steps > 0 and traj.extinction_probes > 0
+        assert rows[0] == snapshot_rows([traj])
+        # two members: one bisects its extinction crossing from its row
+        # of the stack and leaves, the other goes on alone; both reject
+        # trials, and their verdicts differ in some iterations
+        mesh = build_mesh(Interval(1.0), 50)
+        cfgs = [SolverConfig(p=1.05, T_end=0.05),
+                SolverConfig(p=1.5, T_end=0.05, checkpoint_times=(0.025,))]
+        rows[0] = 0
+        trajs = march(mesh, hat(mesh, 0.1), cfgs, Zero())
+        assert [t.status.kind for t in trajs] == ["extinct", "completed"]
+        assert trajs[0].extinction_probes > 0
+        assert all(t.rejected_steps > 0 for t in trajs)
+        assert rows[0] == snapshot_rows(trajs)
+        # a state that no snapshot evaluated is evaluated by its step
+        rows[0] = 0
+        step(hat(mesh).constrained(), 0.0, cfgs[1], Zero(), 1e-3)
+        assert rows[0] == 1
+
     def test_checkpoint_times_are_hit(self, mesh):
         cfg = SolverConfig(p=2.0, eps=0.0, T_end=0.02,
                            checkpoint_times=(0.007, 0.013))
@@ -523,6 +568,35 @@ class TestLinearSolve:
         assert calls["step"] >= len(traj.times) - 1 > 0
         assert calls["solve"] == calls["step"]
         assert traj.pcg_iterations > 0
+
+    def test_pcg_back_solves_one_per_iteration(self, monkeypatch):
+        # PCG tests each residual before it preconditions it, so a solve
+        # of k iterations makes k back-solves (LAPACK pbtrs), none for the
+        # residual it stops at, and a direct solve makes one: a run in
+        # which every PCG call converges makes as many as its iterations
+        # and factorizations together
+        calls = {"pbtrs": 0, "pcg": 0}
+        dpbtrs, pcg = solver.dpbtrs, solver.BandedFactor._pcg
+
+        def counted_pbtrs(*args, **kwargs):
+            calls["pbtrs"] += 1
+            return dpbtrs(*args, **kwargs)
+
+        def converged_pcg(self, *args):
+            x, k = pcg(self, *args)
+            assert x is not None
+            calls["pcg"] += 1
+            return x, k
+
+        monkeypatch.setattr(solver, "dpbtrs", counted_pbtrs)
+        monkeypatch.setattr(solver.BandedFactor, "_pcg", converged_pcg)
+        mesh = build_mesh(Rectangle(1.0, 1.0), 8)
+        x = mesh.nodes
+        u0 = Field(mesh, np.sin(np.pi * x).prod(axis=1)).constrained()
+        traj = run(mesh, u0, SolverConfig(p=1.5, T_end=0.01), Power(q=3.0))
+        assert traj.status.kind == "completed"
+        assert calls["pcg"] > 0 and traj.factorizations > 0
+        assert calls["pbtrs"] == traj.pcg_iterations + traj.factorizations
 
     def test_runs_are_bit_identical(self, rect_run):
         # the factor belongs to one run: a second run starts afresh
