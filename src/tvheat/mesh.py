@@ -13,9 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+# scipy.sparse is imported where a sparse operator is built, not here: a
+# chain mesh never needs one, and the import adds about 20 MB to the
+# resident set of a process
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 FORMAT_VERSION = 1
 
@@ -139,14 +145,16 @@ class Mesh:
         dimension, read once, at construction.
 
     Every other array is derived from these on first use and kept:
-    ``boundary_elements``, ``interior_band``, ``red_black``, ``interior``
-    and ``interior_weights``, and the operators behind ``gradient`` and
-    ``gradient_adjoint``.
+    ``boundary_elements``, ``interior_band``, ``band_layout``,
+    ``red_black``, ``interior`` and ``interior_weights``, and the operators
+    behind ``gradient`` and ``gradient_adjoint``.
 
     A mesh whose element e joins nodes e and e + 1 and whose boundary is its
     two end nodes (every ``Interval`` and ``Annulus`` mesh) is a chain: there
-    ``gradient`` and ``interior_stiffness`` read slices of the gradient table
-    instead of multiplying by a sparse matrix, with the same result.
+    ``gradient``, ``gradient_adjoint`` and ``interior_stiffness`` read slices
+    of the gradient table instead of multiplying by a sparse matrix, with
+    the same result, and ``band_layout`` reads the band's shape from them,
+    so that a chain's run never imports scipy.sparse.
 
     The mesh is immutable after construction; concurrent shared reads are safe.
     """
@@ -187,6 +195,7 @@ class Mesh:
     def _grad(self) -> sp.csr_matrix:
         """The gradient as one read-only sparse operator: row e * dim_coord
         + k is component k on element e. Built on first use."""
+        import scipy.sparse as sp
         n_el, n_loc, dim = self.grad_coeff.shape
         grad = sp.csr_matrix(
             (self.grad_coeff.transpose(0, 2, 1).ravel(),
@@ -212,6 +221,7 @@ class Mesh:
         banded storage (A[i, i + d] in column i + d); every other diagonal
         within ``b`` is zero. Built on first use, from the gradient table.
         """
+        import scipy.sparse as sp
         interior = np.flatnonzero(self.interior_mask)
         m = len(interior)
         pos = np.full(self.n_nodes, -1)
@@ -244,6 +254,19 @@ class Mesh:
             (coef[keep], (row[d[keep]] * m + j[keep], elem[keep])),
             shape=(len(diagonals) * m, n_el))
         return S, b, interior, diagonals[:-1].tolist()
+
+    @cached_property
+    def band_layout(self) -> tuple[int, list[int]]:
+        """``(b, offsets)``, the bandwidth and super-diagonal offsets of
+        ``interior_band``; a chain mesh reads them from its slice
+        coefficients without building the scatter: bandwidth 1 with two
+        interior nodes or more, and offset 1 if a coupling is nonzero."""
+        chain = self._chain
+        if chain is None:
+            _, b, _, offsets = self.interior_band
+            return b, offsets
+        upper = chain[2]
+        return min(len(upper), 1), [1] if upper.any() else []
 
     @cached_property
     def red_black(self) -> RedBlack:
@@ -403,7 +426,17 @@ class Mesh:
     def gradient_adjoint(self, z: np.ndarray) -> np.ndarray:
         """The nodal vector G with G . w = sum_e v_e z_e . grad(w)_e for
         every nodal w, for an element-wise vector field z (n_el, dim_coord)
-        and the element volumes v."""
+        and the element volumes v. A chain mesh adds each element's two
+        terms to its two nodes by slices: a node sums at most two terms,
+        so G is the sparse transpose product's bit for bit."""
+        chain = self._chain
+        if chain is not None:
+            left, right = chain[:2]
+            vz = self.element_volumes * z[:, 0]
+            G = np.zeros(self.n_nodes)
+            G[1:] += right * vz
+            G[:-1] += left * vz
+            return G
         return self._grad.T @ (self.element_volumes[:, None] * z).ravel()
 
     def integrate(self, samples: np.ndarray) -> float:

@@ -32,17 +32,59 @@ underflow), never proven.
 from __future__ import annotations
 
 import dataclasses
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla  # unused; bench/spans.py patches solver.spla
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dptsv
+import scipy
 
 from .mesh import Field, Mesh, RedBlack, rowdot
 from .model import EnergySnapshot, Nonlinearity, Terms, WellStatus, \
     classify_well, snapshot
+
+
+def _load_flapack():
+    """scipy's LAPACK extension ``scipy.linalg._flapack``, whose routines
+    ``scipy.linalg.lapack`` re-exports as the same objects, loaded from its
+    file without running ``scipy/linalg/__init__.py``: the package would
+    import scipy's shared array-API layer with it, about 25 MB of resident
+    memory more per process. The module already imported is reused, and
+    one loaded here is registered in ``sys.modules``, so that a later
+    ``import scipy.linalg`` finds it. A scipy without the extension raises
+    ImportError naming where it was looked for."""
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        where = os.path.join(scipy.__path__[0], "linalg")
+        spec = importlib.machinery.PathFinder.find_spec(name, [where])
+        if spec is None:
+            raise ImportError(f"no LAPACK extension {name} in {where}",
+                              name=name, path=where)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dpbtrf, dpbtrs, dptsv = _flapack.dpbtrf, _flapack.dpbtrs, _flapack.dptsv
+
+
+def __getattr__(name: str):
+    """``spla``, ``scipy.sparse.linalg``, imported on first access and then
+    kept in the module's globals: no solve calls it, and ``bench/spans.py``
+    wraps ``spla.spsolve`` through this name. Only an access imports it:
+    it adds about 8 MB to the resident set of a process that has
+    scipy.sparse, and about 27 MB to one that has not."""
+    if name == "spla":
+        import scipy.sparse.linalg as spla
+        globals()["spla"] = spla
+        return spla
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SolverError(RuntimeError):
@@ -191,6 +233,7 @@ class BandedFactor:
         red, black = split.red, split.black
         held = self._couplings
         if held is None or held[0] is not split:
+            import scipy.sparse as sp
             B = sp.csr_matrix((np.empty(len(split.coupling)), split.indices,
                                split.indptr), shape=(len(red), len(black)))
             held = self._couplings = (split, B, B.T, _schur_fill(split))
@@ -421,8 +464,8 @@ class _Workspace:
 
     def __init__(self, mesh: Mesh, k: int | None = None):
         rows = () if k is None else (k,)
-        _, b, interior, offsets = mesh.interior_band
-        m = len(interior)
+        b, offsets = mesh.band_layout
+        m = len(mesh.interior_weights)
         self.w = np.empty(rows + (mesh.n_elements,))
         self.band = (np.empty((len(offsets) + 1,) + rows + (m,)) if b == 1
                      else None)
@@ -474,7 +517,7 @@ def step(state: Field, t, cfg, nl: Nonlinearity, dt=None, factor=None,
         work = _Workspace(mesh, None if single else len(u))
     w = np.multiply(state.coefficient(terms, work.w), mesh.element_volumes,
                     out=work.w)
-    _, b, _, offsets = mesh.interior_band
+    b, offsets = mesh.band_layout
     interior, qw = mesh.interior, mesh.interior_weights
     band = mesh.interior_stiffness(w, work.band)
     band[-1] += np.divide(qw, dt, out=work.r)

@@ -348,21 +348,66 @@ class TestMain:
         assert done.returncode == 4, err
         assert err.startswith("I/O error:") and "Traceback" not in err
 
-    def test_import_loads_neither_optimize_nor_special(self):
-        # the two cost every process about 18 MB of resident memory; the
-        # Nehari scale needs no scipy.optimize, and ExpPower.F imports
-        # scipy.special only where its series does not reach
+    @staticmethod
+    def scipy_modules(code: str) -> list:
+        """The scipy modules loaded, in a fresh process, once ``code`` has
+        run after ``import tvheat.cli``, and the ones the import alone
+        loaded: [after, at_import]."""
         src = pathlib.Path(cli.__file__).parents[1]
+        script = ("import json, sys, tvheat.cli\n"
+                  "def scipy(): return sorted(m for m in sys.modules "
+                  "if m.split('.')[0] == 'scipy')\n"
+                  "at_import = scipy()\n" + code +
+                  "\nprint(json.dumps([scipy(), at_import]))")
         done = subprocess.run(
-            [sys.executable, "-c", "import json, sys, tvheat.cli; print("
-             "json.dumps(sorted(sys.modules)))"],
+            [sys.executable, "-c", script],
             env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
             text=True)
         assert done.returncode == 0, done.stderr
-        loaded = json.loads(done.stdout)
-        assert "tvheat.cli" in loaded and "scipy.linalg" in loaded
-        for name in ("scipy.optimize", "scipy.special"):
+        return json.loads(done.stdout)
+
+    # scipy's shared array-API layer (scipy._lib._util) comes with any of
+    # these packages and costs a process about 20 MB of resident memory
+    HEAVY = ("scipy.linalg", "scipy.sparse", "scipy.special",
+             "scipy.optimize", "scipy._lib._util")
+
+    def test_import_loads_neither_optimize_nor_special(self):
+        # the CLI loads LAPACK's extension, by its file, and no scipy
+        # package beside it: the Nehari scale needs no scipy.optimize,
+        # ExpPower.F imports scipy.special only where its series does not
+        # reach, and only a mesh that is not a chain imports scipy.sparse
+        loaded, _ = self.scipy_modules("")
+        assert "scipy.linalg._flapack" in loaded
+        for name in self.HEAVY:
             assert name not in loaded
+
+    def test_1d_runs_load_no_scipy_package(self):
+        # a criterion 1 run and a two-member continuation, with its flux
+        # audits, load no scipy module that the import did not
+        loaded, at_import = self.scipy_modules(
+            "import numpy as np\n"
+            "from tvheat import ContinuationPlan, Field, Interval, "
+            "SolverConfig, Zero, build_mesh, run, run_continuation\n"
+            "mesh = build_mesh(Interval(1.0), 40)\n"
+            "u0 = Field(mesh, np.ones(mesh.n_nodes)).constrained()\n"
+            "assert run(mesh, u0, SolverConfig(p=1.01), Zero())"
+            ".status.kind == 'extinct'\n"
+            "plan = ContinuationPlan(u0, Zero(), SolverConfig(p=1.5, "
+            "T_end=0.05), p_sequence=(1.5, 1.25), checkpoint_times=(0.04,))\n"
+            "assert len(run_continuation(plan).records) == 2")
+        assert loaded == at_import
+        for name in self.HEAVY:
+            assert name not in loaded
+
+    def test_rectangle_step_loads_scipy_sparse(self):
+        loaded, at_import = self.scipy_modules(
+            "import numpy as np\n"
+            "from tvheat import Field, Rectangle, SolverConfig, Zero, "
+            "build_mesh, step\n"
+            "mesh = build_mesh(Rectangle(1.0, 1.0), 6)\n"
+            "u0 = Field(mesh, np.ones(mesh.n_nodes)).constrained()\n"
+            "step(u0, 0.0, SolverConfig(p=1.5), Zero())")
+        assert "scipy.sparse" in loaded and "scipy.sparse" not in at_import
 
     def test_malformed_config_fails_by_name(self, tmp_path, capsys):
         path = tmp_path / "run.ini"

@@ -350,6 +350,36 @@ class TestInteriorBand:
                               interior)
         assert isinstance(mesh.interior, slice) == chain
 
+    @pytest.mark.parametrize("domain, resolution", [
+        (Interval(1.0), 400), (Annulus(1.0, 2.0, dim=3), 800),
+        (Interval(1.0), 2)],
+        ids=["interval", "annulus3d", "interval2"])
+    def test_chain_adjoint_is_the_sparse_transpose(self, domain, resolution):
+        # the chain's slices give the divergence of the sparse transpose
+        # product bit for bit
+        mesh = build_mesh(domain, resolution)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            z = rng.normal(size=(mesh.n_elements, 1))
+            ref = mesh._grad.T @ (mesh.element_volumes[:, None] * z).ravel()
+            G = mesh.gradient_adjoint(z)
+            assert G.shape == ref.shape and G.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("domain, resolution", [
+        (Interval(1.0), 30), (Annulus(1.0, 2.0, dim=3), 17),
+        (Interval(1.0), 2), (Interval(1.0), 3),
+        (Rectangle(1.0, 1.0), [9, 9]), (Rectangle(1.0, 1.0), [6, 2])],
+        ids=["interval", "annulus3d", "interval2", "interval3", "rect9x9",
+             "rect6x2"])
+    def test_band_layout_is_the_scatters(self, domain, resolution):
+        # a chain reads the bandwidth and offsets without the scatter, and
+        # they are the scatter's, down to one interior node
+        mesh = build_mesh(domain, resolution)
+        b, offsets = mesh.band_layout
+        assert ("interior_band" in vars(mesh)) == (mesh._chain is None)
+        _, b_ref, _, offsets_ref = mesh.interior_band
+        assert b == b_ref and offsets == offsets_ref
+
     def test_chain_is_built_on_first_use(self):
         mesh = build_mesh(Interval(1.0), 30)
         assert "_chain" not in vars(mesh)
@@ -388,17 +418,21 @@ class TestDerivedOnFirstUse:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_flux_trace_builds_them(self):
-        # the rectangle's gradient reads _grad; a flux's trace and
-        # divergence read boundary_elements and _grad on a chain mesh too
+        # the rectangle's gradient reads _grad; a flux's trace reads
+        # boundary_elements, and on a chain mesh its divergence reads the
+        # chain's slices, not _grad
         mesh = build_mesh(Rectangle(1.0, 1.0), 6)
         mesh.gradient(np.zeros(mesh.n_nodes))
         assert "_grad" in vars(mesh)
         assert "boundary_elements" not in vars(mesh)
+        flux_from_vectors(mesh, np.ones((mesh.n_elements, 2)))
+        assert "boundary_elements" in vars(mesh)
         chain = build_mesh(Interval(1.0), 10)
         chain.gradient(np.zeros(chain.n_nodes))
         assert "_grad" not in vars(chain)
         flux_from_vectors(chain, np.ones(chain.n_elements))
-        assert {"_grad", "boundary_elements"} <= set(vars(chain))
+        assert "boundary_elements" in vars(chain)
+        assert "_grad" not in vars(chain)
 
 
 class TestField:

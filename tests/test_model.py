@@ -410,15 +410,17 @@ class TestNehariScale:
         with pytest.raises(ModelError, match="'closed'.*'auto', 'root'"):
             nehari_scale(hat(mesh), 1.5, Power(q=3.0), method="closed")
 
-    @pytest.mark.parametrize("nl, method", [
-        (Power(3.0), "root"), (SumPowers(4.0, 2.5), "auto"),
-        (ExpPower(3.0, 1.0, p0=1.9), "auto")],
+    @pytest.mark.parametrize("nl, method, most", [
+        (Power(3.0), "root", 20), (SumPowers(4.0, 2.5), "auto", 18),
+        (ExpPower(3.0, 1.0, p0=1.9), "auto", 24)],
         ids=["power", "sum_powers", "exp_power"])
-    def test_root_matches_brentq(self, nl, method, monkeypatch):
+    def test_root_matches_brentq(self, nl, method, most, monkeypatch):
         # brentq at rtol 1e-14 is the reference; each scale locates t to
-        # relative 1e-14, so the two agree within 2e-14. The bisection
-        # evaluates the reaction 54 times per direction; brentq takes about
-        # 65 on ExpPower, 16 to 20 on the other two
+        # relative 1e-14, so the two agree within 2e-14. The root finder
+        # evaluates the reaction 15 to 17 times per direction on Power, 14
+        # to 15 on SumPowers and 18 to 21 on ExpPower (``most`` allows 3
+        # more); brentq takes about 65 on ExpPower, 16 to 20 on the other
+        # two
         mesh = build_mesh(Annulus(1.0, 2.0, dim=3), 800)
         p = 1.5
         calls = []
@@ -431,7 +433,7 @@ class TestNehariScale:
         for phi in default_dictionary(mesh, 8):
             calls.clear()
             t = nehari_scale(phi, p, nl, method=method)
-            assert len(calls) <= 60
+            assert len(calls) <= most
             A, v = grad_p_norm(phi, p), phi.values
 
             def g(s):

@@ -4,10 +4,14 @@ import collections
 import hashlib
 import math
 import os
+import pathlib
+import re
+import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 from scipy.linalg import solveh_banded as lapack_solveh_banded
 
@@ -649,6 +653,37 @@ class TestLinearSolve:
             x = solver.solveh_banded(ab, rhs, solver.BandedFactor(), rhs,
                                      [1], 1)
             assert np.array_equal(x, lapack_solveh_banded(ab, rhs))
+
+    def test_lapack_routines_are_scipys(self):
+        # the extension loaded by its file is the one scipy.linalg.lapack
+        # re-exports, also when the package is imported after it
+        src = pathlib.Path(solver.__file__).parents[1]
+        script = (
+            "import sys\n"
+            "from tvheat import solver\n"
+            "module = sys.modules['scipy.linalg._flapack']\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "import scipy.linalg.lapack as lapack\n"
+            "from scipy.linalg import _flapack\n"
+            "assert _flapack is module\n"
+            "for name in ('dptsv', 'dpbtrf', 'dpbtrs'):\n"
+            "    assert getattr(solver, name) is getattr(lapack, name)\n")
+        done = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        # a module already imported is reused
+        assert solver._load_flapack() is sys.modules["scipy.linalg._flapack"]
+
+    def test_missing_lapack_extension_fails_by_path(self, monkeypatch,
+                                                    tmp_path):
+        # no fallback to scipy.linalg.lapack: a scipy without the extension
+        # is named, with the directory searched
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        with pytest.raises(ImportError, match="_flapack in " + re.escape(
+                os.path.join(str(tmp_path), "linalg"))):
+            solver._load_flapack()
 
     def test_tridiagonal_solve_rejects_indefinite_band(self):
         # [[1, 2, 0], [2, 1, 0.5], [0, 0.5, 1]]: the second minor is -3
