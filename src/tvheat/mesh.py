@@ -153,8 +153,8 @@ class Mesh:
     two end nodes (every ``Interval`` and ``Annulus`` mesh) is a chain: there
     ``gradient``, ``gradient_adjoint`` and ``interior_stiffness`` read slices
     of the gradient table instead of multiplying by a sparse matrix, with
-    the same result, and ``band_layout`` reads the band's shape from them,
-    so that a chain's run never imports scipy.sparse.
+    the same result, and its band is tridiagonal (``band_layout`` [1]) down
+    to one interior node, so that a chain's run never imports scipy.sparse.
 
     The mesh is immutable after construction; concurrent shared reads are safe.
     """
@@ -207,19 +207,18 @@ class Mesh:
         return grad
 
     @cached_property
-    def interior_band(self) -> tuple[sp.csc_matrix, int, np.ndarray,
-                                     list[int]]:
+    def interior_band(self) -> tuple[sp.csc_matrix, list[int]]:
         """Fixed pattern of the interior stiffness D^T diag(w) D.
 
-        Returns ``(S, b, interior, offsets)``: a sparse scatter ``S``, the
-        bandwidth ``b``, the ``m`` interior node indices, in node order, and
-        the offsets d > 0 of the super-diagonals that hold a nonzero for
-        positive element weights ``w``, in decreasing order. For such ``w``,
-        ``(S @ w).reshape(len(offsets) + 1, m)`` is the stiffness among the
-        interior nodes in compact band storage: row r holds super-diagonal
-        ``offsets[r]`` and the last row the diagonal, each as in LAPACK upper
-        banded storage (A[i, i + d] in column i + d); every other diagonal
-        within ``b`` is zero. Built on first use, from the gradient table.
+        Returns ``(S, offsets)``: a sparse scatter ``S`` and the offsets
+        d > 0 of the super-diagonals that hold a nonzero for positive
+        element weights ``w``, in decreasing order. For such ``w``,
+        ``(S @ w).reshape(len(offsets) + 1, m)``, for the m nodes of
+        ``interior``, is the stiffness among the interior nodes in compact
+        band storage: row r holds super-diagonal ``offsets[r]`` and the
+        last row the diagonal, each as in LAPACK upper banded storage
+        (A[i, i + d] in column i + d); every other diagonal is zero. Built
+        on first use, from the gradient table.
         """
         import scipy.sparse as sp
         interior = np.flatnonzero(self.interior_mask)
@@ -243,30 +242,27 @@ class Mesh:
         coef, elem = np.concatenate(coef), np.concatenate(elem)
         j = np.concatenate(jj)
         d = j - np.concatenate(ii)
-        b = int(d.max(initial=0))
         # a coefficient that is exactly zero (a right angle's coupling) adds
         # nothing for any w: only the diagonals holding a nonzero are stored
         diagonals = np.union1d(d[coef != 0], [0])[::-1]
-        row = np.full(b + 1, -1)
+        row = np.full(d.max(initial=0) + 1, -1)
         row[diagonals] = np.arange(len(diagonals))
         keep = row[d] >= 0
         S = sp.csc_matrix(
             (coef[keep], (row[d[keep]] * m + j[keep], elem[keep])),
             shape=(len(diagonals) * m, n_el))
-        return S, b, interior, diagonals[:-1].tolist()
+        return S, diagonals[:-1].tolist()
 
     @cached_property
-    def band_layout(self) -> tuple[int, list[int]]:
-        """``(b, offsets)``, the bandwidth and super-diagonal offsets of
-        ``interior_band``; a chain mesh reads them from its slice
-        coefficients without building the scatter: bandwidth 1 with two
-        interior nodes or more, and offset 1 if a coupling is nonzero."""
-        chain = self._chain
-        if chain is None:
-            _, b, _, offsets = self.interior_band
-            return b, offsets
-        upper = chain[2]
-        return min(len(upper), 1), [1] if upper.any() else []
+    def band_layout(self) -> list[int]:
+        """The super-diagonal offsets of the band that
+        ``interior_stiffness`` writes, in decreasing order: those of
+        ``interior_band``, except that a chain's band, read without
+        building the scatter, always holds the first super-diagonal, also
+        with one interior node, where it is that row's unused zero."""
+        if self._chain is None:
+            return self.interior_band[1]
+        return [1]
 
     @cached_property
     def red_black(self) -> RedBlack:
@@ -277,8 +273,8 @@ class Mesh:
         is red. Built on first use; a stored coupling that joins two nodes
         of one colour (an odd cycle of couplings, such as a triangle whose
         three edges all couple) raises MeshError."""
-        scatter, _, interior, offsets = self.interior_band
-        m, rows = len(interior), len(offsets)
+        scatter, offsets = self.interior_band
+        m, rows = len(self.interior_weights), len(offsets)
         # stored[r, j]: some element writes the coupling (j - offsets[r], j)
         stored = np.zeros((rows + 1) * m, dtype=bool)
         stored[scatter.indices] = True
@@ -395,12 +391,12 @@ class Mesh:
                            out: np.ndarray | None = None) -> np.ndarray:
         """The stiffness among the interior nodes for element weights ``w``
         (n_el,) in the compact band storage described in ``interior_band``,
-        shape (len(offsets) + 1, m). For a stack of weights (k, n_el) it is
-        (len(offsets) + 1, k, m): band row r of every member, then the
-        next, so that each band row flattens to that of one block-diagonal
-        matrix whose blocks couple only through exact zeros (the first d
-        entries of the row of offset d). Each member gets the band of its
-        weights alone, bit for bit.
+        with the ``band_layout`` offsets: shape (len(offsets) + 1, m). For
+        a stack of weights (k, n_el) it is (len(offsets) + 1, k, m): band
+        row r of every member, then the next, so that each band row
+        flattens to that of one block-diagonal matrix whose blocks couple
+        only through exact zeros (the first d entries of the row of offset
+        d). Each member gets the band of its weights alone, bit for bit.
 
         A chain mesh writes the band into ``out`` when it is given; the
         sparse product of any other mesh makes its own array, which is
@@ -415,8 +411,8 @@ class Mesh:
             np.multiply(diag_left, w[..., :-1], out=band[1])
             band[1] += diag_right * w[..., 1:]
             return band
-        S, _, interior, offsets = self.interior_band
-        rows, m = len(offsets) + 1, len(interior)
+        S, offsets = self.interior_band
+        rows, m = len(offsets) + 1, len(self.interior_weights)
         if w.ndim == 1:
             return (S @ w).reshape(rows, m)
         # a stack's members are the columns of one sparse product

@@ -404,18 +404,16 @@ def energy_derivative(field: Field, direction: Field, p: float,
 # Nehari scaling and well depth
 # ---------------------------------------------------------------------------
 
-def nehari_scale(direction: Field, p: float, nl: Nonlinearity,
-                 method: str = "auto") -> float:
+def nehari_scale(direction: Field, p: float, nl: Nonlinearity) -> float:
     """Positive scale t with I_p(t * direction) = 0.
 
-    ``method`` is "auto" (closed form for pure power reactions, otherwise
-    the root finder) or "root" (always the root finder); any other value
-    raises ModelError. The root finder narrows the bracket [1e-8, 1e8] in
-    log t, keeping the part where I_p(t phi) / t^p changes sign, until t
-    is located to relative 1e-14, and returns the geometric mean of the
-    last bracket. Each step evaluates the reaction at a bracketed secant
-    point in log t, kept close enough to the midpoint that the loop ends
-    within the 52 halvings that bisection takes (the ITP method of
+    A ``Power`` reaction (the class itself, not a subclass) has t in closed
+    form. For any other reaction the root finder narrows the bracket [1e-8,
+    1e8] in log t, keeping the part where I_p(t phi) / t^p changes sign,
+    until t is located to relative 1e-14, and returns the geometric mean of
+    the last bracket. Each step evaluates the reaction at a bracketed
+    secant point in log t, kept close enough to the midpoint that the loop
+    ends within the 52 halvings that bisection takes (the ITP method of
     Oliveira and Takahashi, ACM TOMS 47, 2020): at most 54 evaluations of
     the reaction per direction, and about 17 on the library's reactions.
     Raises NehariScaleError when no sign change exists in the bracket: for
@@ -423,9 +421,6 @@ def nehari_scale(direction: Field, p: float, nl: Nonlinearity,
     reaction, so the bracket's two ends decide, and a bracket that holds
     the crossing keeps holding it.
     """
-    if method not in ("auto", "root"):
-        raise ModelError(f"unknown Nehari scale method {method!r}; "
-                         f"known: 'auto', 'root'")
     _check_p(p)
     m = direction.mesh
     A = grad_p_norm(direction, p)
@@ -436,7 +431,7 @@ def nehari_scale(direction: Field, p: float, nl: Nonlinearity,
             f"superlinear crossing needs theta > p (theta={nl.theta}, p={p})")
 
     phi = direction.values
-    if method == "auto" and type(nl) is Power:
+    if type(nl) is Power:
         B = m.integrate(np.abs(phi) ** nl.q)
         return (A / B) ** (1.0 / (nl.q - p))
 

@@ -3,10 +3,11 @@
 Each step freezes the diffusion coefficient (|grad u|^2 + eps^2)^((p-2)/2) at
 the current state (lagged diffusivity), solves the resulting symmetric
 positive-definite system on the interior nodes by banded Cholesky, and treats
-the reaction explicitly. A 2-D system eliminates the red nodes of the mesh's
-red-black split exactly, and within one run its black Schur complement is
-solved by conjugate gradients preconditioned with the banded Cholesky factor
-of an earlier step's complement, which changes little from step to step.
+the reaction explicitly. A system that is not tridiagonal eliminates the red
+nodes of the mesh's red-black split exactly, and within one run its black
+Schur complement is solved by conjugate gradients preconditioned with the
+banded Cholesky factor of an earlier step's complement, which changes little
+from step to step.
 
 A lagged step is a gradient-flow step of the regularized energy
 E_p,eps(u) = (1/p) int (|grad u|^2 + eps^2)^(p/2) - int F(u), so the step
@@ -163,11 +164,11 @@ class Status:
 @dataclass
 class Trajectory:
     """Time-indexed record of one run: snapshot ledger, stored states,
-    termination status, the linear-solve counts (factorizations, which in
-    1-D count the ``ptsv`` calls, and preconditioned CG iterations, which
-    stay 0 in 1-D) and the step counts beside the accepted ones: trials the
-    energy gate rejected, and the bisection steps that located an
-    extinction crossing."""
+    termination status, the linear-solve counts (factorizations, which on
+    a tridiagonal band count the ``ptsv`` calls, and preconditioned CG
+    iterations, which stay 0 there) and the step counts beside the
+    accepted ones: trials the energy gate rejected, and the bisection
+    steps that located an extinction crossing."""
 
     mesh: Mesh
     cfg: SolverConfig
@@ -191,29 +192,32 @@ PCG_RTOL = 1e-13         # ||r|| <= PCG_RTOL ||b||: 1000x inside the gate
 
 
 class BandedFactor:
-    """One member's linear solver, one path per bandwidth, with its solve
-    counts. In 2-D it eliminates the red unknowns of the mesh's red-black
-    split exactly and keeps a banded Cholesky factor of the black Schur
-    complement across steps, as the preconditioner of the next steps'
-    complements; in 1-D it holds no factor and counts each ``ptsv`` call
-    as a factorization. ``march`` gives each member one; a second run
-    starts from no factor, so its results do not depend on what ran
-    before."""
+    """One member's linear solver on ``mesh``, with its solve counts. Its
+    path is fixed for the mesh: a tridiagonal band (``band_layout`` [1]:
+    every chain, and a rectangle one interior row or column wide) goes to
+    LAPACK ``ptsv``, each call counted as a factorization; any other band
+    eliminates the red unknowns of the mesh's red-black split exactly and
+    keeps a banded Cholesky factor of the black Schur complement across
+    steps, as the preconditioner of the next steps' complements. ``march``
+    gives each member one; a second run starts from no factor, so its
+    results do not depend on what ran before."""
 
-    def __init__(self):
+    def __init__(self, mesh: Mesh):
+        self.mesh = mesh
+        self.tridiagonal = mesh.band_layout == [1]
         self.chol = None         # upper Cholesky factor in LAPACK band form
         self.factorizations = 0
         self.iterations = 0
-        # (split, B, B^T, S's fill) of the split last solved; B's entries
-        # are the last band's
-        self._couplings = None
+        # the split's B (with the last band's entries), B^T and S's fill,
+        # built on the first red-black solve
+        self._B = self._Bt = self._fill = None
 
-    def solve(self, band: np.ndarray, rhs: np.ndarray, x0: np.ndarray,
-              split: RedBlack | None, b: int) -> np.ndarray:
+    def solve(self, band: np.ndarray, rhs: np.ndarray,
+              x0: np.ndarray) -> np.ndarray:
         """Solve the system in compact band storage ``band`` (see
-        ``solveh_banded``). In 1-D (b = 1) LAPACK ``ptsv``, one
-        factorization. Otherwise, in the red-black order of ``split``
-        (``Mesh.red_black``), A = [[D_r, B], [B^T, D_b]]: the black
+        ``solveh_banded``). A tridiagonal band: LAPACK ``ptsv``, one
+        factorization. Otherwise, in the red-black order of the mesh's
+        split (``Mesh.red_black``), A = [[D_r, B], [B^T, D_b]]: the black
         unknowns solve S x_b = b_b - B^T D_r^-1 b_r, S = D_b - B^T D_r^-1 B,
         and then x_r = D_r^-1 (b_r - B x_b). S is solved by PCG from
         ``x0``'s black part with the held factor; a solve that needs more
@@ -224,20 +228,22 @@ class BandedFactor:
         one whose red-black Cholesky factorization has a pivot at or below
         m eps max(diag), a red diagonal (checked at every solve) or the
         square of a diagonal entry of S's factor."""
-        if b == 1:
+        if self.tridiagonal:
             self.factorizations += 1
-            _, _, x, info = dptsv(band[1], band[0, 1:], rhs)
+            # f2py rejects an empty off-diagonal; at order 1 LAPACK reads none
+            _, _, x, info = dptsv(band[1], band[0, 1:] if len(rhs) > 1
+                                  else band[0], rhs)
             if info:
                 _check_info(info, "ptsv")
             return x
+        split = self.mesh.red_black
         red, black = split.red, split.black
-        held = self._couplings
-        if held is None or held[0] is not split:
+        if self._B is None:
             import scipy.sparse as sp
             B = sp.csr_matrix((np.empty(len(split.coupling)), split.indices,
                                split.indptr), shape=(len(red), len(black)))
-            held = self._couplings = (split, B, B.T, _schur_fill(split))
-        _, B, Bt, fill = held
+            self._B, self._Bt, self._fill = B, B.T, _schur_fill(split)
+        B, Bt = self._B, self._Bt
         band.take(split.coupling, out=B.data)
         diag = band[-1]
         # LAPACK pstrf's default rank tolerance: a pivot at or below it is
@@ -259,7 +265,7 @@ class BandedFactor:
                 self.chol = None       # the next step factors its own S
         if x_b is None:
             self.chol = None           # at most one factor is held
-            chol, info = dpbtrf(_schur_band(schur, split, fill),
+            chol, info = dpbtrf(_schur_band(schur, split, self._fill),
                                 overwrite_ab=1)
             pivots = chol[-1] * chol[-1]
             if info or not pivots.min(initial=math.inf) > floor:
@@ -318,20 +324,18 @@ class BandedFactor:
         return x, k
 
 
-def solveh_banded(band: np.ndarray, rhs: np.ndarray, factor, x0: np.ndarray,
-                  split: RedBlack | None, b: int) -> np.ndarray:
-    """Solve the symmetric positive definite system of bandwidth ``b`` held
-    in the compact band storage of ``Mesh.interior_band``, ``band``: a row
-    per stored super-diagonal and the last row the diagonal, each as in
-    LAPACK upper banded storage, and every other diagonal zero. The one
-    linear solve of a step, through ``factor``'s ``BandedFactor.solve``:
-    one path per bandwidth.
+def solveh_banded(band: np.ndarray, rhs: np.ndarray, factor,
+                  x0: np.ndarray) -> np.ndarray:
+    """Solve the symmetric positive definite system held in the compact
+    band storage of ``Mesh.interior_stiffness``, ``band``: a row per
+    super-diagonal of ``Mesh.band_layout`` and the last row the diagonal,
+    each as in LAPACK upper banded storage. The one linear solve of a
+    step, through ``factor``'s ``BandedFactor.solve``, on its mesh's path.
 
-    In 1-D (bandwidth 1, where the compact band is LAPACK's) this is LAPACK
-    ``ptsv``, called directly: the routine scipy's ``solveh_banded`` ends
-    in, without its argument checks, which cost more than the solve of a
-    few hundred unknowns; ``split`` is not read. Otherwise the red unknowns
-    of ``split``, the mesh's ``red_black``, are eliminated exactly, and
+    A tridiagonal band is solved by LAPACK ``ptsv``, called directly: the
+    routine scipy's ``solveh_banded`` ends in, without its argument checks,
+    which cost more than the solve of a few hundred unknowns. Otherwise the
+    red unknowns of the mesh's red-black split are eliminated exactly, and
     the black ones are solved by conjugate gradients from ``x0``,
     preconditioned by ``factor``'s held factorization, or by a fresh
     factorization. A matrix that is not positive definite raises
@@ -342,17 +346,18 @@ def solveh_banded(band: np.ndarray, rhs: np.ndarray, factor, x0: np.ndarray,
     ``factor`` a sequence of k factors) is solved in this one call, each
     member as above with its own factor; a member whose matrix is not
     positive definite, or whose solution is not finite, comes back as a
-    row of NaN instead. In 1-D the stack is one ``ptsv`` call on its
+    row of NaN instead. A tridiagonal stack is one ``ptsv`` call on its
     block-diagonal matrix, whose zero couplings leave every block's
     arithmetic as it is alone, and each member counts one factorization;
-    only a stack with a failed block is solved again block by block. The
-    function keeps scipy's name because the benchmark's tracer wraps
-    ``solver.solveh_banded`` as the linear-solve layer and counts one call
-    per step.
+    a stack with a failed block, or of blocks of one unknown (which ptsv
+    scales by 1 / pivot alone, but divides inside a larger matrix), is
+    solved block by block. The function keeps scipy's name because the
+    benchmark's tracer wraps ``solver.solveh_banded`` as the linear-solve
+    layer and counts one call per step.
     """
     if band.ndim == 2:
-        return factor.solve(band, rhs, x0, split, b)
-    if b == 1:
+        return factor.solve(band, rhs, x0)
+    if factor[0].tridiagonal and rhs.shape[1] > 1:
         _, _, x, info = dptsv(band[1].ravel(), band[0].ravel()[1:],
                               rhs.ravel())
         if info == 0 and np.isfinite(x).all():
@@ -362,7 +367,7 @@ def solveh_banded(band: np.ndarray, rhs: np.ndarray, factor, x0: np.ndarray,
     x = np.empty(rhs.shape)
     for i, f in enumerate(factor):
         try:
-            x[i] = f.solve(band[:, i], rhs[i], x0[i], split, b)
+            x[i] = f.solve(band[:, i], rhs[i], x0[i])
         except np.linalg.LinAlgError:
             x[i] = np.nan
         if not np.isfinite(x[i]).all():
@@ -457,18 +462,18 @@ class _Workspace:
     """The arrays a ``step`` of a plain field on ``mesh`` (``k`` None) or
     of a stack of k fills in place: the element weights ``w``, the band,
     the right-hand side and a row ``r`` (the mass term, then the gate's
-    residual). Only a band of bandwidth 1 has a buffer: a wider one comes
-    from a sparse product, which makes its own (``Mesh.interior_stiffness``)."""
+    residual). Only a chain mesh's band has a buffer, which the mesh writes
+    in place: any other mesh's comes from a sparse product, which makes its
+    own (``Mesh.interior_stiffness``)."""
 
     __slots__ = ("w", "band", "rhs", "r")
 
     def __init__(self, mesh: Mesh, k: int | None = None):
         rows = () if k is None else (k,)
-        b, offsets = mesh.band_layout
         m = len(mesh.interior_weights)
         self.w = np.empty(rows + (mesh.n_elements,))
-        self.band = (np.empty((len(offsets) + 1,) + rows + (m,)) if b == 1
-                     else None)
+        self.band = (np.empty((len(mesh.band_layout) + 1,) + rows + (m,))
+                     if mesh._chain is not None else None)
         self.rhs, self.r = np.empty(rows + (m,)), np.empty(rows + (m,))
 
 
@@ -478,12 +483,12 @@ def step(state: Field, t, cfg, nl: Nonlinearity, dt=None, factor=None,
     """One semi-implicit step of size dt (default cfg.dt0): returns the new
     field. ``march`` judges the step from the two states' snapshots. The
     system is solved through ``factor``, one run's ``BandedFactor``, whose
-    held factorization preconditions PCG on a 2-D system; without one, the
-    step solves through a fresh ``BandedFactor``, which factors directly. A
-    failed solve raises StepFailureError. The reaction term is the state's
-    kept f(u) (``Field.reaction``), and the lagged coefficient is the one
-    kept with the state for ``terms`` (``Field.coefficient``), which the
-    state's snapshot evaluated, or else evaluated here.
+    held factorization preconditions PCG off a tridiagonal band; without
+    one, the step solves through a fresh ``BandedFactor``, which factors
+    directly. A failed solve raises StepFailureError. The reaction term is
+    the state's kept f(u) (``Field.reaction``), and the lagged coefficient
+    is the one kept with the state for ``terms`` (``Field.coefficient``),
+    which the state's snapshot evaluated, or else evaluated here.
 
     ``state`` may also be a stack of k fields (see ``Field``), stepped in
     one pass: ``cfg`` is then a sequence of k configs, ``dt`` (required)
@@ -506,18 +511,18 @@ def step(state: Field, t, cfg, nl: Nonlinearity, dt=None, factor=None,
     if single:
         dt = cfg.dt0 if dt is None else dt
         if factor is None:
-            factor = BandedFactor()
+            factor = BandedFactor(mesh)
     else:
         dt = np.asarray(dt, dtype=float)[:, None]
         if factor is None:
-            factor = [BandedFactor() for _ in range(len(u))]
+            factor = [BandedFactor(mesh) for _ in range(len(u))]
     if terms is None:
         terms = _terms(cfg)
     if work is None:
         work = _Workspace(mesh, None if single else len(u))
     w = np.multiply(state.coefficient(terms, work.w), mesh.element_volumes,
                     out=work.w)
-    b, offsets = mesh.band_layout
+    offsets = mesh.band_layout
     interior, qw = mesh.interior, mesh.interior_weights
     band = mesh.interior_stiffness(w, work.band)
     band[-1] += np.divide(qw, dt, out=work.r)
@@ -527,8 +532,7 @@ def step(state: Field, t, cfg, nl: Nonlinearity, dt=None, factor=None,
     rhs *= qw
     try:
         # non-finite entries fail the factorization or the checks below
-        x = solveh_banded(band, rhs, factor, u_in,
-                          None if b == 1 else mesh.red_black, b)
+        x = solveh_banded(band, rhs, factor, u_in)
     except np.linalg.LinAlgError as exc:
         raise StepFailureError(f"banded solve failed: {exc}") from None
     new = np.zeros(u.shape)
@@ -696,7 +700,7 @@ class _Member:
 
     def __init__(self, traj: Trajectory):
         cfg = traj.cfg
-        self.traj, self.cfg, self.factor = traj, cfg, BandedFactor()
+        self.traj, self.cfg, self.factor = traj, cfg, BandedFactor(traj.mesh)
         self.work = _Workspace(traj.mesh)
         self.targets = sorted({float(c) for c in cfg.checkpoint_times}
                               | {cfg.T_end})

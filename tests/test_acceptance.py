@@ -36,6 +36,11 @@ def hat(mesh, amp=1.0):
     return Field(mesh, amp * np.maximum(0.0, 1.0 - np.abs(x - mid) / half))
 
 
+class RootPower(Power):
+    """``Power`` under another class: ``nehari_scale`` takes the closed form
+    only for ``Power`` itself, so this reaction reaches the root finder."""
+
+
 # ---------------------------------------------------------------------------
 # Shared runs
 # ---------------------------------------------------------------------------
@@ -182,11 +187,10 @@ def test_criterion_09_nehari_closed_form():
         phi = Field(mesh, rng.normal(size=mesh.n_nodes)).constrained()
         p = rng.uniform(1.05, 1.9)
         q = p + rng.uniform(0.2, 2.0)
-        nl = Power(q=q)
         A = grad_p_norm(phi, p)
         B = mesh.integrate(np.abs(phi.values) ** q)
         closed = (A / B) ** (1.0 / (q - p))
-        iterated = nehari_scale(phi, p, nl, method="root")
+        iterated = nehari_scale(phi, p, RootPower(q=q))
         worst = max(worst, abs(iterated - closed) / closed)
     ok = worst <= 1e-8
     report(9, "Nehari scaling closed form", ok, f"worst rel err {worst:.2e}")

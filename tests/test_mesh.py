@@ -218,19 +218,19 @@ def dense(band, offsets):
 
 
 class TestInteriorBand:
-    @pytest.mark.parametrize("domain, resolution, bandwidth", [
-        (Interval(1.0), 30, 1),
-        (Annulus(1.0, 2.0, dim=3), 30, 1),
-        (Rectangle(1.0, 1.0), [9, 9], 9),
-        (Rectangle(2.0, 1.0), [16, 8], 8),
-        (Rectangle(1.0, 2.0), [8, 16], 16),
+    @pytest.mark.parametrize("domain, resolution, stored", [
+        (Interval(1.0), 30, [1]),
+        (Annulus(1.0, 2.0, dim=3), 30, [1]),
+        (Rectangle(1.0, 1.0), [9, 9], [8, 1]),
+        (Rectangle(2.0, 1.0), [16, 8], [7, 1]),
+        (Rectangle(1.0, 2.0), [8, 16], [15, 1]),
     ], ids=["interval", "annulus3d", "rect9x9", "rect16x8", "rect8x16"])
     def test_band_is_the_interior_stiffness(self, domain, resolution,
-                                            bandwidth):
+                                            stored):
         mesh = build_mesh(domain, resolution)
-        S, b, interior, offsets = mesh.interior_band
-        assert b == bandwidth
-        assert np.array_equal(interior, np.flatnonzero(mesh.interior_mask))
+        S, offsets = mesh.interior_band
+        assert offsets == stored
+        interior = np.flatnonzero(mesh.interior_mask)
         w = np.random.default_rng(7).uniform(0.1, 10.0, mesh.n_elements)
         grads = np.stack([mesh.gradient(e) for e in np.eye(mesh.n_nodes)],
                          axis=-1)
@@ -241,14 +241,12 @@ class TestInteriorBand:
         # the mesh's offsets are exactly the diagonals that hold a nonzero,
         # in decreasing order, and the first d entries of offset d's row
         # are zero
-        assert offsets == sorted(offsets, reverse=True)
-        assert max(offsets) <= b
         for row, d in zip(band, offsets):
             assert row[d:].any() and not row[:d].any()
         A = dense(band, offsets)
         assert np.abs(A - K).max() <= 1e-13 * np.abs(K).max()
         # the diagonals that the compact band leaves out are exactly zero
-        for d in set(range(1, b + 1)) - set(offsets):
+        for d in set(range(1, m)) - set(offsets):
             assert np.all(np.diagonal(K, d) == 0.0)
 
     def test_pattern_is_built_on_first_use(self):
@@ -267,9 +265,9 @@ class TestInteriorBand:
         # blocks are diagonal; B's CSR entries are the couplings read from
         # the band at the split's positions
         mesh = build_mesh(domain, resolution)
-        scatter, _, interior, offsets = mesh.interior_band
+        scatter, offsets = mesh.interior_band
         split = mesh.red_black
-        m = len(interior)
+        m = len(mesh.interior_weights)
         red, black = split.red, split.black
         assert np.array_equal(np.sort(np.concatenate([red, black])),
                               np.arange(m))
@@ -322,7 +320,7 @@ class TestInteriorBand:
                        mesh.boundary_nodes, mesh.boundary_normals,
                        mesh.boundary_weights,
                        mesh.grad_coeff @ np.linalg.inv(J))
-        assert len(sheared.interior_band[3]) == 3
+        assert len(sheared.interior_band[1]) == 3
         with pytest.raises(MeshError, match="one colour"):
             sheared.red_black
 
@@ -334,7 +332,8 @@ class TestInteriorBand:
         # a chain's band from slices of the gradient table is the scatter's
         # band bit for bit; a stack's members are each their own band
         mesh = build_mesh(domain, resolution)
-        S, _, interior, offsets = mesh.interior_band
+        S, offsets = mesh.interior_band
+        interior = np.flatnonzero(mesh.interior_mask)
         chain = isinstance(domain, (Interval, Annulus))
         assert (mesh._chain is not None) == chain
         w = np.random.default_rng(7).uniform(0.1, 10.0, (3, mesh.n_elements))
@@ -372,13 +371,21 @@ class TestInteriorBand:
         ids=["interval", "annulus3d", "interval2", "interval3", "rect9x9",
              "rect6x2"])
     def test_band_layout_is_the_scatters(self, domain, resolution):
-        # a chain reads the bandwidth and offsets without the scatter, and
-        # they are the scatter's, down to one interior node
+        # a chain reads the offsets without the scatter, and they are the
+        # scatter's down to two interior nodes; with one, the chain's band
+        # keeps the first super-diagonal, its unused zero, which the
+        # scatter leaves out
         mesh = build_mesh(domain, resolution)
-        b, offsets = mesh.band_layout
+        offsets = mesh.band_layout
         assert ("interior_band" in vars(mesh)) == (mesh._chain is None)
-        _, b_ref, _, offsets_ref = mesh.interior_band
-        assert b == b_ref and offsets == offsets_ref
+        _, offsets_ref = mesh.interior_band
+        if mesh.interior_weights.size == 1:
+            assert (offsets, offsets_ref) == ([1], [])
+        else:
+            assert offsets == offsets_ref
+        w = np.ones((2, mesh.n_elements))
+        assert mesh.interior_stiffness(w[0]).shape[0] == len(offsets) + 1
+        assert mesh.interior_stiffness(w).shape[0] == len(offsets) + 1
 
     def test_chain_is_built_on_first_use(self):
         mesh = build_mesh(Interval(1.0), 30)

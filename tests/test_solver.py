@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import json
 import math
 import os
 import pathlib
@@ -142,10 +143,14 @@ class TestStep:
         # dissipated amount of energy
         assert residual <= 1e-8
 
-    def test_p2_dense_oracle_2d(self):
+    @pytest.mark.parametrize("resolution", [[6, 5], [6, 2], [2, 6]],
+                             ids=["6x5", "6x2", "2x6"])
+    def test_p2_dense_oracle_2d(self, resolution):
         # the 2-D analogue of criterion 13: a dense backward-Euler heat step
-        # with lumped mass, Dirichlet rows replaced by the identity
-        mesh = build_mesh(Rectangle(1.0, 1.0), [6, 5])
+        # with lumped mass, Dirichlet rows replaced by the identity. A
+        # rectangle one interior row or column wide has a tridiagonal band,
+        # solved by ptsv without a red-black split
+        mesh = build_mesh(Rectangle(1.0, 1.0), resolution)
         rng = np.random.default_rng(13)
         u0 = Field(mesh, rng.normal(size=mesh.n_nodes)).constrained()
         nl = Power(q=3.0)
@@ -163,6 +168,7 @@ class TestStep:
             b[i] = 0.0
         ref = np.linalg.solve(A, b)
         assert np.abs(stepped.values - ref).max() <= 1e-12
+        assert ("red_black" in vars(mesh)) == (min(resolution) > 2)
 
     @pytest.mark.parametrize("domain, resolution",
                              [(Interval(1.0), 40), (Rectangle(1.0, 1.0), 8)],
@@ -204,11 +210,11 @@ class TestStep:
         monkeypatch.setattr(solver, "solveh_banded", perturbed)
         stack = Field(mesh, np.broadcast_to(u0.values, (3, mesh.n_nodes)))
         new = step(stack, [0.0] * 3, cfgs, Zero(), [1e-3] * 3,
-                   factor=[solver.BandedFactor() for _ in cfgs])
+                   factor=[solver.BandedFactor(mesh) for _ in cfgs])
         assert np.isnan(new.values[1]).all()
         for i in (0, 2):
             ref = step(u0, 0.0, cfgs[i], Zero(), 1e-3,
-                       factor=solver.BandedFactor())
+                       factor=solver.BandedFactor(mesh))
             assert new.values[i].tobytes() == ref.values.tobytes()
         together = march(mesh, u0, cfgs, Zero())
         assert (together[1].status.kind, together[1].status.reason) == \
@@ -499,7 +505,7 @@ class TestLinearSolve:
         t_old, old = rect_states[-2 - lag]
         t, state = rect_states[-2]
         dt = traj.times[-1] - t
-        factor = solver.BandedFactor()
+        factor = solver.BandedFactor(traj.mesh)
         step(old, t_old, cfg, nl, dt, factor=factor)   # factors old's matrix
         pcg = step(state, t, cfg, nl, dt, factor=factor)
         assert factor.factorizations == 1 and factor.iterations > 0
@@ -513,7 +519,7 @@ class TestLinearSolve:
         # through PCG or the refactor fallback, step's residual gate passes
         traj, cfg, nl = rect_run
         t, state = rect_states[-2]
-        factor = solver.BandedFactor()
+        factor = solver.BandedFactor(traj.mesh)
         step(state, t, cfg, nl, dt_factor, factor=factor)
         new = step(state, t, cfg, nl, dt, factor=factor)
         direct = step(state, t, cfg, nl, dt)
@@ -525,7 +531,7 @@ class TestLinearSolve:
         # dt = 1e-4; the next step factors its own matrix and solves directly
         traj, cfg, nl = rect_run
         t, state = rect_states[-2]
-        factor = solver.BandedFactor()
+        factor = solver.BandedFactor(traj.mesh)
         step(state, t, cfg, nl, 1e-8, factor=factor)
         step(state, t, cfg, nl, 1e-4, factor=factor)
         its = factor.iterations
@@ -540,12 +546,12 @@ class TestLinearSolve:
         # factors its own matrix and solves directly, as a fresh factor does
         traj, cfg, nl = rect_run
         t, state = rect_states[-2]
-        factor = solver.BandedFactor()
+        factor = solver.BandedFactor(traj.mesh)
         step(state, t, cfg, nl, 1e-8, factor=factor)
         monkeypatch.setattr(solver, "PCG_MAX_ITERS", 2)
         new = step(state, t, cfg, nl, 1e-4, factor=factor)
         assert (factor.factorizations, factor.iterations) == (2, 2)
-        fresh = solver.BandedFactor()
+        fresh = solver.BandedFactor(traj.mesh)
         direct = step(state, t, cfg, nl, 1e-4, factor=fresh)
         assert fresh.factorizations == 1
         assert new.values.tobytes() == direct.values.tobytes()
@@ -636,7 +642,7 @@ class TestLinearSolve:
         mesh = build_mesh(Interval(1.0), 400)
         cfg = SolverConfig(p=1.01, eps=1e-4)
         new = step(hat(mesh), 0.0, cfg, Zero(), 1e-3,
-                   factor=solver.BandedFactor())
+                   factor=solver.BandedFactor(mesh))
         (ab, rhs, x), = solved
         assert ab.shape[0] == 2
         assert np.array_equal(x, lapack_solveh_banded(ab, rhs))
@@ -646,12 +652,12 @@ class TestLinearSolve:
         # the direct ptsv call gives scipy's solveh_banded bit for bit
         rng = np.random.default_rng(11)
         for m in (2, 17, 400):
+            mesh = build_mesh(Interval(1.0), m + 1)   # m interior nodes
             ab = np.empty((2, m))
             ab[0] = rng.uniform(-1.0, 1.0, m)
             ab[1] = 2.0 + rng.uniform(0.0, 1.0, m)   # diagonally dominant
             rhs = rng.normal(size=m)
-            x = solver.solveh_banded(ab, rhs, solver.BandedFactor(), rhs,
-                                     [1], 1)
+            x = solver.solveh_banded(ab, rhs, solver.BandedFactor(mesh), rhs)
             assert np.array_equal(x, lapack_solveh_banded(ab, rhs))
 
     def test_lapack_routines_are_scipys(self):
@@ -688,9 +694,10 @@ class TestLinearSolve:
     def test_tridiagonal_solve_rejects_indefinite_band(self):
         # [[1, 2, 0], [2, 1, 0.5], [0, 0.5, 1]]: the second minor is -3
         ab = np.array([[0.0, 2.0, 0.5], [1.0, 1.0, 1.0]])
+        mesh = build_mesh(Interval(1.0), 4)        # three interior nodes
         with pytest.raises(np.linalg.LinAlgError):
-            solver.solveh_banded(ab, np.ones(3), solver.BandedFactor(),
-                                 np.zeros(3), [1], 1)
+            solver.solveh_banded(ab, np.ones(3), solver.BandedFactor(mesh),
+                                 np.zeros(3))
 
     @pytest.mark.parametrize("held", [False, True], ids=["fresh", "held"])
     def test_indefinite_2d_band_is_step_failure(self, held):
@@ -698,7 +705,7 @@ class TestLinearSolve:
         # LAPACK pbtrf reports it, whether or not a factor is held
         mesh = build_mesh(Rectangle(1.0, 1.0), 8)
         u = Field(mesh, np.sin(np.pi * mesh.nodes).prod(axis=1)).constrained()
-        cfg, factor = SolverConfig(p=1.5), solver.BandedFactor()
+        cfg, factor = SolverConfig(p=1.5), solver.BandedFactor(mesh)
         if held:
             step(u, 0.0, cfg, Zero(), 1e-3, factor=factor)
         with pytest.raises(StepFailureError, match="pbtrf"):
@@ -723,13 +730,13 @@ class TestLinearSolve:
                 SolverConfig(p=2.0, eps=0.0)]
         dts = [1e-3, 5e-4, 2e-3]
         nl = Power(q=3.0)
-        factors = [solver.BandedFactor() for _ in cfgs]
+        factors = [solver.BandedFactor(mesh) for _ in cfgs]
         fresh = step(stack, [0.0] * 3, cfgs, nl, dts, factor=factors)
         assert step(stack, [0.0] * 3, cfgs, nl, dts).values.tobytes() == \
             fresh.values.tobytes()
         assert [f.factorizations for f in factors] == [1, 1, 1]
         for i in range(3):
-            factor = solver.BandedFactor()
+            factor = solver.BandedFactor(mesh)
             alone = step(stack.rows(i), 0.0, cfgs[i], nl, dts[i],
                          factor=factor)
             assert step(stack.rows(i), 0.0, cfgs[i], nl,
@@ -744,15 +751,15 @@ class TestLinearSolve:
         # passes step's residual gate
         mesh = build_mesh(Rectangle(1.0, 1.0), resolution)
         rng = np.random.default_rng(5)
-        _, b, _, offsets = mesh.interior_band
+        offsets = mesh.band_layout
         for dt in (1e-4, 1e-2):
             band = random_band(mesh, rng, dt)
             rhs = rng.normal(size=band.shape[1])
             A = dense(band, offsets)
             ab = np.array([np.concatenate([np.zeros(d), np.diagonal(A, d)])
-                           for d in range(b, -1, -1)])
+                           for d in range(offsets[0], -1, -1)])
             ref = lapack_solveh_banded(ab, rhs)
-            x = solver.BandedFactor().solve(band, rhs, rhs, mesh.red_black, b)
+            x = solver.BandedFactor(mesh).solve(band, rhs, rhs)
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
             assert solver._gate(band, x, rhs, offsets,
                                 solver._Workspace(mesh))
@@ -762,7 +769,7 @@ class TestLinearSolve:
         # S's LAPACK band, built from the compact band through the split's
         # index arrays, is A_bb - A_br diag(1 / a_r) A_rb
         mesh = build_mesh(Rectangle(1.0, 1.0), resolution)
-        _, _, _, offsets = mesh.interior_band
+        offsets = mesh.band_layout
         split = mesh.red_black
         red, black = split.red, split.black
         band = random_band(mesh, np.random.default_rng(3), 1e-3)
@@ -790,14 +797,14 @@ class TestLinearSolve:
         # pivots are checked before any solve, whether or not a factor is
         # held, and the failure names the pivot
         mesh = build_mesh(Rectangle(1.0, 1.0), 8)
-        _, b, _, offsets = mesh.interior_band
+        offsets = mesh.band_layout
         split = mesh.red_black
         rng = np.random.default_rng(9)
         band = random_band(mesh, rng, 1e-3)
         rhs = rng.normal(size=band.shape[1])
-        factor = solver.BandedFactor()
+        factor = solver.BandedFactor(mesh)
         if held:
-            factor.solve(band.copy(), rhs, rhs, split, b)
+            factor.solve(band.copy(), rhs, rhs)
         band[-1, split.red[3]] = value
         if value < 0.0:
             A = dense(band, offsets)
@@ -808,7 +815,7 @@ class TestLinearSolve:
             assert np.linalg.eigvalsh(S).min() > 0.0
         with pytest.raises(np.linalg.LinAlgError,
                            match="red-black pbtrf: pivot 4 of 49 "):
-            factor.solve(band, rhs, rhs, split, b)
+            factor.solve(band, rhs, rhs)
         assert factor.factorizations == int(held)
 
     def test_one_interior_node_is_all_red(self):
@@ -818,7 +825,7 @@ class TestLinearSolve:
         mesh = build_mesh(Rectangle(1.0, 1.0), 2)
         assert (len(mesh.red_black.red), len(mesh.red_black.black)) == (1, 0)
         u = Field(mesh, np.sin(np.pi * mesh.nodes).prod(axis=1)).constrained()
-        cfg, factor = SolverConfig(p=1.5), solver.BandedFactor()
+        cfg, factor = SolverConfig(p=1.5), solver.BandedFactor(mesh)
         band = mesh.interior_stiffness(
             model.diffusivity(u.grad_sq, 1.5, cfg.eps) * mesh.element_volumes)
         qw = mesh.interior_weights
@@ -828,6 +835,45 @@ class TestLinearSolve:
             assert new.values[mesh.interior] == pytest.approx(exact,
                                                               rel=1e-15)
         assert (factor.factorizations, factor.iterations) == (1, 0)
+
+    def test_one_interior_node_chain_is_ptsv(self):
+        # a chain with one interior node has a tridiagonal band too: a
+        # plain field and each row of a stack solve by ptsv, one
+        # factorization each, in a process that never imports
+        # scipy.sparse. ptsv scales a 1 x 1 system by the reciprocal of its
+        # pivot, as the red elimination that solved it before did: the
+        # values are pinned to those bits. (Inside a larger block-diagonal
+        # matrix ptsv divides instead, which changes the second row's last
+        # bit.)
+        src = pathlib.Path(solver.__file__).parents[1]
+        script = (
+            "import json, sys\n"
+            "from tvheat import Field, Interval, Power, SolverConfig, "
+            "build_mesh, solver, step\n"
+            "mesh = build_mesh(Interval(1.0), 2)\n"
+            "cfgs = [SolverConfig(p=1.5), SolverConfig(p=1.2, eps=1e-2), "
+            "SolverConfig(p=2.0, eps=0.0)]\n"
+            "dts = [1e-3, 2e-3, 5e-4]\n"
+            "u = Field(mesh, [[0.0, a, 0.0] for a in (0.7, -0.3, 1.3)])\n"
+            "factors = [solver.BandedFactor(mesh) for _ in cfgs]\n"
+            "new = step(u, [0.0] * 3, cfgs, Power(3.0), dts, "
+            "factor=factors)\n"
+            "alone = [step(u.rows(i), 0.0, cfgs[i], Power(3.0), dts[i])"
+            ".values[1] for i in range(3)]\n"
+            "print(json.dumps([new.values[:, 1].tolist(), alone, "
+            "[f.factorizations for f in factors], "
+            "'scipy.sparse' in sys.modules]))\n")
+        done = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        stacked, alone, factorizations, sparse = json.loads(done.stdout)
+        pinned = [float.fromhex(x) for x in (
+            "0x1.643e03a033cc2p-1", "-0x1.2c28844ab29d3p-2",
+            "0x1.4bb0871e79a7fp+0")]
+        assert stacked == alone == pinned
+        assert factorizations == [1, 1, 1]
+        assert not sparse
 
     def test_1d_flat_extinction_time_unchanged(self):
         # criterion 1's run, pinned to the last bit: the step sequence of
@@ -1021,14 +1067,14 @@ class TestLockstep:
         cfgs = [SolverConfig(p=1.5), SolverConfig(p=1.5, eps=0.0),
                 SolverConfig(p=1.25, eps=1e-2)]
         dts = [1e-3, 1e-3, 5e-4]
-        factors = [solver.BandedFactor() for _ in cfgs]
+        factors = [solver.BandedFactor(mesh) for _ in cfgs]
         new = step(stack, [0.0] * 3, cfgs, Zero(), dts, factor=factors)
         assert np.isnan(new.values[1]).all()
         with pytest.raises(StepFailureError):
             step(stack.rows(1), 0.0, cfgs[1], Zero(), dts[1])
         for i in (0, 2):
             alone = step(stack.rows(i), 0.0, cfgs[i], Zero(), dts[i],
-                         factor=solver.BandedFactor())
+                         factor=solver.BandedFactor(mesh))
             assert new.values[i].tobytes() == alone.values.tobytes()
 
 
