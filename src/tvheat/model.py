@@ -140,25 +140,33 @@ class ExpPower(Nonlinearity):
     (exp(alpha u^2) - 1) / (2 alpha). Both return +-inf without a warning
     where they overflow.
 
-    F is evaluated node by node. Where z <= ``Z0`` it is
-    |u|^q / q * (1 + r), with r = sum_(k>=1) d_k z^k, d_k = a / ((a + k) k!)
-    and a = q/2: Kummer's series of 1F1 (DLMF 13.2.2 with b = a + 1),
-    summed in ascending k and added to |u|^q / q last. That is within 4 ulp
-    of expm1 for q = 2 and within 8 ulp of ``scipy.special.hyp1f1``, whose
-    own error is of the same size. The sum stops at the first k where
-    d_k z_max^(k-1), for the array's largest z, is below 2^-55 d_1. Every
-    term is positive and falls with k, so each later term is below a
-    quarter of an ulp of every node's partial sum and cannot change it:
-    each value is the one its node gets alone, in a stack, a slice or a
-    scalar, and a decayed state needs only a few terms. Above ``Z0``, and
-    at nan and +-inf, F uses ``hyp1f1`` at min(z, 1e3): that is already
-    inf past about 716, and for huge arguments it takes seconds or does
-    not return.
+    F is evaluated node by node, by Kummer's series of 1F1 with a = q/2
+    (DLMF 13.2.2 with b = a + 1): 1F1 = sum_(k>=0) a / (a + k) z^k / k!.
+    Every term is positive, the terms fall with k once k > z, and each sum
+    runs in ascending k and stops when the term just added is below 2^-55
+    of a partial sum. Each later term of that node is then below a quarter
+    of an ulp of its partial sum and cannot change it: each value is the
+    one its node gets alone, in a stack, a slice or a scalar.
+
+    - Where z <= ``Z0``, F is |u|^q / q * (1 + r), with
+      r = sum_(k>=1) d_k z^k and d_k = a / ((a + k) k!) fixed per
+      instance, added to |u|^q / q last. That is within 4 ulp of expm1 for
+      q = 2. The sum stops at the first k where d_k z_max^(k-1), for the
+      array's largest z, is below 2^-55 d_1, so a decayed state needs only
+      a few terms.
+    - Where Z0 < z < ``z_inf``, F is |u|^q / q * 1F1, with the running
+      term t_k = t_(k-1) z / k weighted by a / (a + k). The sum stops at
+      the first k past the largest z of these nodes where that node's
+      term is below 2^-55 of its partial sum; at such k a smaller z has a
+      smaller term-to-sum ratio. Its terms start at 2^-64, which changes
+      no bit, so that z^k / k! (inf from about z = 714) stays finite as
+      long as the sum does.
+    - From ``z_inf`` on, and at +-inf, 1F1 is inf and so is F; at nan F is
+      nan. Neither is summed.
     """
 
-    # the series' range. On 801 nodes with z up to 1 the series takes 17
-    # terms and F costs about 0.8 of F through hyp1f1; near z = 2 the two
-    # cost the same
+    # where the d_k sum gives way to the running term's: on 801 nodes with
+    # z up to 1 the d_k sum takes 17 terms
     Z0 = 1.0
 
     def __init__(self, q: float, alpha: float, p0: float = 1.5):
@@ -184,6 +192,23 @@ class ExpPower(Nonlinearity):
             self._d.append(d)
             z0_k *= self.Z0
 
+    @functools.cached_property
+    def z_inf(self) -> float:
+        """The smallest z at which 1F1(q/2; q/2 + 1; z), as ``F`` sums it,
+        is inf: about 716. Found once per instance, the first time a node
+        lies between _Z_FINITE and _Z_OVER, by multisection over the floats
+        between the two: every rounded operation of the sum is monotone,
+        so the sum never falls as z rises."""
+        lo, hi = np.array([_Z_FINITE, _Z_OVER]).view(np.int64).tolist()
+        with np.errstate(over="ignore"):
+            while hi - lo > 1:
+                bits = sorted({lo + (hi - lo) * j // 64
+                               for j in range(1, 64)} - {lo})
+                z = np.array(bits, dtype=np.int64).view(float)
+                finite = int(np.isfinite(self._kummer(z)).sum())
+                lo, hi = ([lo] + bits)[finite], (bits + [hi])[finite]
+        return float(np.array(hi, dtype=np.int64).view(float))
+
     @_nodewise
     def f(self, u):
         with np.errstate(over="ignore"):
@@ -200,15 +225,18 @@ class ExpPower(Nonlinearity):
                 F *= lead
                 F += lead
                 return F
-            # nan, +-inf or z above Z0 somewhere: hyp1f1 for those nodes.
-            # Imported here, not at the top: loading scipy.special adds
-            # about 4 MB to the resident set of a process, and a run whose
-            # reaction stays in the series' range never needs it
-            from scipy.special import hyp1f1
-            a = 0.5 * self.q
+            # nan, +-inf or z above Z0 somewhere
             small = z <= self.Z0
+            zb = z[~small]
+            # nan stays nan, and from z_inf on 1F1 is inf. z_inf lies in
+            # [_Z_FINITE, _Z_OVER), so only a node there needs it
             s = np.ones(z.shape)
-            s[~small] = hyp1f1(a, a + 1.0, np.minimum(z[~small], 1e3))
+            s[~small] = np.where(np.isnan(zb), zb, np.inf)
+            near = (zb >= _Z_FINITE) & (zb < _Z_OVER)
+            end = self.z_inf if near.any() else _Z_FINITE
+            summed = ~small & (z < end)
+            if summed.any():
+                s[summed] = self._kummer(z[summed])
             F = lead * s
             if small.any():
                 zs = z[small]
@@ -231,10 +259,39 @@ class ExpPower(Nonlinearity):
             r += np.multiply(zk, d, out=t)
         return r
 
+    def _kummer(self, z: np.ndarray) -> np.ndarray:
+        """1F1(q/2; q/2 + 1; z) for a 1-D array of z in (Z0, _Z_OVER],
+        node by node, as a new array: inf where it overflows, under the
+        caller's ``np.errstate``."""
+        a = 0.5 * self.q
+        i = int(z.argmax())
+        z_max = float(z[i])
+        t = np.full(z.shape, _SCALE)
+        s = t.copy()
+        term = np.empty(z.shape)
+        for k in itertools.count(1):
+            t *= z
+            t /= k
+            s += np.multiply(t, a / (a + k), out=term)
+            if k > z_max and term[i] < _EIGHTH_ULP * s[i]:
+                s *= 1.0 / _SCALE
+                return s
+
 
 # an eighth of an ulp of 1: a term below this fraction of a positive sum is
 # below a quarter of an ulp of it, so adding it leaves the sum as it is
 _EIGHTH_ULP = 2.0 ** -55
+
+# the first term of ExpPower's sum past Z0. A power of two scales every
+# term and sum without rounding, and 2^-64 keeps the terms and their sum
+# finite up to _Z_OVER
+_SCALE = 2.0 ** -64
+
+# 1F1(a; a + 1; z) <= e^z < e^709 < 2^1023 for every a: no node below
+# _Z_FINITE overflows. 1F1(a; a + 1; z) >= min(a, 1) (e^z - 1) / z and a
+# > 1/2, so every node from _Z_OVER on does
+_Z_FINITE = 709.0
+_Z_OVER = 723.0
 
 
 _KINDS = {"zero": Zero, "power": Power, "sum_powers": SumPowers,

@@ -374,8 +374,8 @@ class TestMain:
     def test_import_loads_neither_optimize_nor_special(self):
         # the CLI loads LAPACK's extension, by its file, and no scipy
         # package beside it: the Nehari scale needs no scipy.optimize,
-        # ExpPower.F imports scipy.special only where its series does not
-        # reach, and only a mesh that is not a chain imports scipy.sparse
+        # ExpPower.F sums its own series, and only a mesh that is not a
+        # chain imports scipy.sparse
         loaded, _ = self.scipy_modules("")
         assert "scipy.linalg._flapack" in loaded
         for name in self.HEAVY:
@@ -395,6 +395,33 @@ class TestMain:
             "plan = ContinuationPlan(u0, Zero(), SolverConfig(p=1.5, "
             "T_end=0.05), p_sequence=(1.5, 1.25), checkpoint_times=(0.04,))\n"
             "assert len(run_continuation(plan).records) == 2")
+        assert loaded == at_import
+        for name in self.HEAVY:
+            assert name not in loaded
+
+    def test_exp_power_levels_load_no_scipy_special(self):
+        # radial_exp's reaction on its annulus: the well level and the
+        # condition audit evaluate F past ExpPower.Z0, where its own series
+        # replaced scipy.special, and load no scipy module the import did
+        # not
+        loaded, at_import = self.scipy_modules(
+            "import numpy as np\n"
+            "from tvheat import Annulus, build_mesh, check_f_conditions, "
+            "default_dictionary, estimate_dp\n"
+            "from tvheat.model import ExpPower\n"
+            "z_max = []\n"
+            "F = ExpPower.F\n"
+            "def traced(self, u):\n"
+            "    z = self.alpha * np.asarray(u, dtype=float) ** 2\n"
+            "    z_max.append(float(z.max(initial=0.0)))\n"
+            "    return F(self, u)\n"
+            "ExpPower.F = traced\n"
+            "nl = ExpPower(3, 1, p0=1.9)\n"
+            "mesh = build_mesh(Annulus(1.0, 2.0, dim=3), 100)\n"
+            "assert np.isfinite(estimate_dp(mesh, 1.5, nl, "
+            "default_dictionary(mesh)))\n"
+            "check_f_conditions(nl)\n"
+            "assert max(z_max) > ExpPower.Z0, z_max")
         assert loaded == at_import
         for name in self.HEAVY:
             assert name not in loaded

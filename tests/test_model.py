@@ -1,11 +1,12 @@
 """Reactions, energies, Nehari scaling and well classification."""
 
+import decimal
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-import scipy.special
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import hyp1f1
@@ -76,8 +77,7 @@ class TestNonlinearities:
         assert nl.F(u) == pytest.approx(exact, rel=1e-12)
 
     def test_exp_power_overflows_to_inf(self):
-        # 1F1 is evaluated at min(alpha u^2, 1e3); it used to hang at
-        # alpha u^2 = inf and take seconds at 1e12
+        # alpha u^2 from z_inf on, up to 1e12 and inf, is inf without a sum
         nl = ExpPower(q=3.0, alpha=1.0)
         for u in (1e6, 1e10, math.inf, -math.inf):
             assert nl.F(u) == math.inf
@@ -86,11 +86,12 @@ class TestNonlinearities:
     @staticmethod
     def _exp_power_sample(nl, n_random=0):
         # u with z = alpha u^2 at 0, deep in the series' range, on both
-        # sides of Z0 and far past it, with +-u, nan and +-inf; then
-        # n_random values of z spread over (0, Z0]
+        # sides of Z0, past it up to just below z_inf, with +-u, nan and
+        # +-inf; then n_random values of z spread over (0, Z0]
         z0 = nl.Z0
         z = np.array([0.0, 1e-12, 1e-4, 0.07, np.nextafter(z0, 0.0), z0,
-                      np.nextafter(z0, 2.0), 1.2 * z0, 30.0])
+                      np.nextafter(z0, 2.0), 1.2 * z0, 30.0, 100.0, 700.0,
+                      np.nextafter(nl.z_inf, 0.0)])
         u = np.sqrt(z / nl.alpha)
         rng = np.random.default_rng(3)
         z_random = z0 * np.concatenate([rng.uniform(0, 1, n_random // 2),
@@ -98,6 +99,112 @@ class TestNonlinearities:
                                                           - n_random // 2)])
         return np.concatenate([u, -u[::-1], [np.nan, np.inf, -np.inf],
                                np.sqrt(z_random / nl.alpha)])
+
+    @staticmethod
+    def _u_around_z_inf(nl):
+        # adjacent floats u_below < u_at, with alpha u^2 (as F forms it)
+        # below z_inf at u_below and from z_inf on at u_at
+        u = np.array([math.sqrt(nl.z_inf / nl.alpha)])
+        while nl.alpha * u ** 2 >= nl.z_inf:
+            u = np.nextafter(u, 0.0)
+        while nl.alpha * u ** 2 < nl.z_inf:
+            u_below, u = u, np.nextafter(u, math.inf)
+        return float(u_below[0]), float(u[0])
+
+    @classmethod
+    def _past_z0(cls, nl):
+        # u with alpha u^2 (as F forms it) spread over (Z0, z_inf), packed
+        # into [700, z_inf), with the largest u below z_inf last; and that
+        # alpha u^2
+        z = np.concatenate([np.geomspace(np.nextafter(nl.Z0, 2.0), 700.0,
+                                         40, endpoint=False),
+                            np.linspace(700.0, nl.z_inf, 20,
+                                        endpoint=False)])
+        u = np.append(np.sqrt(z / nl.alpha), cls._u_around_z_inf(nl)[0])
+        z = nl.alpha * u ** 2
+        keep = (z > nl.Z0) & (z < nl.z_inf)
+        return u[keep], z[keep]
+
+    @staticmethod
+    def _kummer_terms(a, z):
+        # at most this many terms change the sum past Z0 at z: the first
+        # k > z whose term a / (a + k) z^k / k! is below 2^-55 of the
+        # term at floor(z), which the partial sum exceeds; and one more
+        def log_term(k):
+            return (math.log(a / (a + k)) + k * math.log(z)
+                    - math.lgamma(k + 1))
+        m = math.floor(z)
+        k = m + 1
+        while log_term(k) >= log_term(m) - 55 * math.log(2):
+            k += 1
+        return k + 1
+
+    # The relative error of F past Z0, against |u|^q / q * 1F1(a; a + 1; z)
+    # at the z that F forms, with K terms (at most _kummer_terms) and
+    # u = 2^-53, is to first order at most
+    #   (2K + 3) u  in each term: t_k takes 2k roundings, a / (a + k) two
+    #               and the weighted term one;
+    # + K u         in the ascending sum of K + 1 positive terms;
+    # + 2 u         for the terms left out: each falls by z / k < 8/9 from
+    #               one below 2^-55 of the sum, as k - z > z / 8 at z < 723;
+    # + 10 u        for |u|^q / q, with pow allowed 4 ulp under any SIMD
+    #               dispatch, and the last product:
+    # (3K + 15) u. The scaling by 2^-64 and back is exact.
+    @classmethod
+    def _check_past_z0(cls, nl, kummer):
+        # F against |u|^q / q * kummer(z), where kummer(z) gives
+        # 1F1(q/2; q/2 + 1; z) to 40 digits as a string, across
+        # (Z0, z_inf). Where the exact F is within the error bound of
+        # overflowing, F may be inf; and 1F1 is that close to overflowing
+        # at z_inf and just below it
+        a = 0.5 * nl.q
+        u, z = cls._past_z0(nl)
+        F = nl.F(u)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            D = decimal.Decimal
+            top = D(sys.float_info.max)
+            for ui, zi, Fi in zip(u, z, F):
+                bound = D((3 * cls._kummer_terms(a, zi) + 15) * 2.0 ** -53)
+                ref = abs(D(ui)) ** D(nl.q) / D(nl.q) * D(kummer(zi))
+                if Fi == math.inf:
+                    assert ref >= top * (1 - bound), zi
+                else:
+                    assert abs(D(Fi) - ref) <= bound * ref, zi
+            bound = D((3 * cls._kummer_terms(a, nl.z_inf) + 15) * 2.0 ** -53)
+            assert D(kummer(np.nextafter(nl.z_inf, 0.0))) <= top * (1 + bound)
+            assert D(kummer(nl.z_inf)) >= top * (1 - bound)
+        return F
+
+    @pytest.mark.parametrize("q", [2.5, 3.0, 5.0])
+    @pytest.mark.parametrize("alpha", [1.0, 0.7, 4096.0])
+    def test_exp_power_primitive_matches_mpmath(self, q, alpha):
+        # at alpha <= 1, |u|^q / q > 1 past z = 700 and F overflows
+        # before 1F1 does; at alpha = 4096 it is below 1 and F stays finite
+        # up to z_inf
+        mpmath = pytest.importorskip("mpmath")
+        a = 0.5 * q
+
+        def kummer(z):
+            with mpmath.workdps(40):
+                return str(mpmath.hyp1f1(a, a + 1, mpmath.mpf(z)))
+        F = self._check_past_z0(ExpPower(q, alpha), kummer)
+        assert np.isfinite(F[-1]) == (alpha == 4096.0)
+
+    @pytest.mark.parametrize("q", [2.0, 4.0])
+    @pytest.mark.parametrize("alpha", [1.0, 4096.0])
+    def test_exp_power_primitive_closed_forms(self, q, alpha):
+        # 1F1(1; 2; z) = (e^z - 1) / z, so F = (e^z - 1) / (2 alpha) for
+        # q = 2; and 1F1(2; 3; z) = 2 (e^z (z - 1) + 1) / z^2 for q = 4.
+        # Evaluated in the caller's 40-digit decimal context
+        def kummer(z):
+            z = decimal.Decimal(z)
+            e = z.exp()
+            if q == 2.0:
+                return str((e - 1) / z)
+            return str(2 * (e * (z - 1) + 1) / z ** 2)
+        F = self._check_past_z0(ExpPower(q, alpha), kummer)
+        assert np.isfinite(F[-1]) == (alpha == 4096.0)
 
     @pytest.mark.parametrize("q, alpha", [(2.0, 1.0), (3.0, 1.0),
                                           (2.5, 0.7), (4.0, 3.0)])
@@ -151,26 +258,29 @@ class TestNonlinearities:
         ulps = np.abs(nl.F(u) - ref) / np.spacing(ref)
         assert ulps.max() <= 8.0
 
-    def test_exp_power_primitive_edge_values(self, monkeypatch):
-        nl = ExpPower(3.0, 1.0)
+    def test_exp_power_primitive_edge_values(self):
+        # at alpha = 4096, |u|^q / q < 1 up to z_inf, so F is finite just
+        # below it and inf from it on: 1F1 overflows there, not F's product
+        nl = ExpPower(3.0, 4096.0)
         u = self._exp_power_sample(nl)
-        # z past Z0, nan and +-inf take the branch that imports hyp1f1
-        # when it runs; the import finds this counting wrapper
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return hyp1f1(*args)
-        monkeypatch.setattr(scipy.special, "hyp1f1", counted)
+        u_below, u_at = self._u_around_z_inf(nl)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             F, F_neg = nl.F(u), nl.F(-u)
             zero, nan = nl.F(0.0), nl.F(math.nan)
+            below, at = nl.F(u_below), nl.F(u_at)
+            past = nl.F([u_at, -u_at, 1.0, 1e6, math.inf, -math.inf])
         assert zero == 0.0 and nl.F(np.zeros(3)).tolist() == [0.0] * 3
         np.testing.assert_array_equal(F, F_neg)
         assert math.isnan(nan) and np.isnan(F[-3])
+        assert math.isfinite(below) and at == math.inf
+        assert np.all(past == math.inf)
+        # z_inf is the first float at which the sum itself overflows
+        with np.errstate(over="ignore"):
+            kummer = nl._kummer(np.array([np.nextafter(nl.z_inf, 0.0),
+                                          nl.z_inf]))
+        assert math.isfinite(kummer[0]) and kummer[1] == math.inf
         assert np.all(F[np.isfinite(u) & (u != 0)] > 0)
-        assert len(calls) == 3   # u, -u and nan
 
     def test_make_nonlinearity(self):
         assert isinstance(make_nonlinearity("zero"), Zero)
