@@ -10,24 +10,118 @@ piecewise-affine nodal basis. Quadrature is mass-lumped nodal (trapezoidal in
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import TYPE_CHECKING
+from types import ModuleType
 
 import numpy as np
-
-# scipy.sparse is imported where a sparse operator is built, not here: a
-# chain mesh never needs one, and the import adds about 20 MB to the
-# resident set of a process
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+import scipy
 
 FORMAT_VERSION = 1
 
 
 class MeshError(ValueError):
     """Invalid domain parameters or mismatched mesh data."""
+
+
+# ---------------------------------------------------------------------------
+# Sparse operators
+# ---------------------------------------------------------------------------
+
+def _load_extension(name: str) -> ModuleType:
+    """scipy's compiled extension module ``name``, such as
+    ``scipy.linalg._flapack`` (the LAPACK routines that
+    ``scipy.linalg.lapack`` re-exports as the same objects) or
+    ``scipy.sparse._sparsetools`` (the sparse kernels behind
+    scipy.sparse's products), loaded from its file without running its
+    package's ``__init__.py``: either package would import scipy's shared
+    array-API layer with it, about 20 MB of resident memory more per
+    process. The module already imported is reused, and one loaded here is
+    registered in ``sys.modules``, so that a later import of its package
+    finds it. A scipy without the extension raises ImportError naming the
+    directory searched."""
+    module = sys.modules.get(name)
+    if module is None:
+        where = os.path.join(scipy.__path__[0], *name.split(".")[1:-1])
+        spec = importlib.machinery.PathFinder.find_spec(name, [where])
+        if spec is None:
+            raise ImportError(f"no extension {name} in {where}",
+                              name=name, path=where)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+@dataclass(frozen=True, eq=False)
+class CSR:
+    """A sparse matrix A of ``shape`` (M, N) in compressed sparse row form:
+    row i holds ``data[indptr[i]:indptr[i + 1]]`` in the columns
+    ``indices[indptr[i]:indptr[i + 1]]``. Its arrays become read-only, the
+    index arrays of scipy.sparse's index type: 32-bit integers where the
+    shape and the entry count fit in them, as in a ``csr_matrix`` built
+    from the same arrays.
+
+    Both products call scipy's compiled kernels directly, from
+    ``scipy.sparse._sparsetools``, which the first holder loads by its file
+    (``_load_extension``): the package itself is never imported. Read by
+    column, the same arrays are A^T in compressed sparse column form, so
+    ``transpose_product`` needs no copy. Each product sums every output
+    entry in the order of a scipy.sparse ``csr_matrix``'s ``A @ x`` or
+    ``A.T @ x``, which call the same kernels, so the results are theirs
+    bit for bit."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+    kernels: ModuleType = dc_field(init=False, repr=False)
+
+    def __post_init__(self):
+        index = (np.int32 if max(self.shape + (len(self.data),))
+                 <= np.iinfo(np.int32).max else np.int64)
+        for name in ("indices", "indptr"):
+            object.__setattr__(self, name,
+                               getattr(self, name).astype(index, copy=False))
+        for arr in (self.data, self.indices, self.indptr):
+            arr.setflags(write=False)
+        object.__setattr__(self, "kernels",
+                           _load_extension("scipy.sparse._sparsetools"))
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """A x for a vector x (N,), or A X for k columns X (N, k): each
+        entry summed along its row of A, in storage order."""
+        M, N = self.shape
+        return self._apply(x, M, N, self.kernels.csr_matvec,
+                           self.kernels.csr_matvecs)
+
+    def transpose_product(self, x: np.ndarray) -> np.ndarray:
+        """A^T x for a vector x (M,), or A^T X for k columns X (M, k): each
+        entry sums one term per row of A that holds it, in row order."""
+        M, N = self.shape
+        return self._apply(x, N, M, self.kernels.csc_matvec,
+                           self.kernels.csc_matvecs)
+
+    def _apply(self, x, rows, cols, matvec, matvecs) -> np.ndarray:
+        """The kernel's product with x of an operator of ``rows`` x
+        ``cols``, into zeros; the kernels do not check the shapes."""
+        if x.ndim not in (1, 2) or x.shape[0] != cols:
+            raise MeshError(f"operand of shape {x.shape} for an operator "
+                            f"of {rows} x {cols}")
+        if x.ndim == 1:
+            y = np.zeros(rows)
+            matvec(rows, cols, self.indptr, self.indices, self.data, x, y)
+            return y
+        k = x.shape[1]
+        y = np.zeros((rows, k))
+        matvecs(rows, cols, k, self.indptr, self.indices, self.data,
+                x.ravel(), y.ravel())
+        return y
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +240,17 @@ class Mesh:
 
     Every other array is derived from these on first use and kept:
     ``boundary_elements``, ``interior_band``, ``band_layout``,
-    ``red_black``, ``interior`` and ``interior_weights``, and the operators
-    behind ``gradient`` and ``gradient_adjoint``.
+    ``red_black``, ``interior`` and ``interior_weights``, and the ``CSR``
+    operator behind ``gradient`` and ``gradient_adjoint``.
 
     A mesh whose element e joins nodes e and e + 1 and whose boundary is its
     two end nodes (every ``Interval`` and ``Annulus`` mesh) is a chain: there
     ``gradient``, ``gradient_adjoint`` and ``interior_stiffness`` read slices
     of the gradient table instead of multiplying by a sparse matrix, with
     the same result, and its band is tridiagonal (``band_layout`` [1]) down
-    to one interior node, so that a chain's run never imports scipy.sparse.
+    to one interior node, so that a chain's run builds no ``CSR`` and never
+    loads scipy's sparse kernels. Any other mesh multiplies by ``CSR``
+    operators, through those kernels alone: no mesh imports scipy.sparse.
 
     The mesh is immutable after construction; concurrent shared reads are safe.
     """
@@ -192,35 +288,31 @@ class Mesh:
         return elements
 
     @cached_property
-    def _grad(self) -> sp.csr_matrix:
+    def _grad(self) -> CSR:
         """The gradient as one read-only sparse operator: row e * dim_coord
         + k is component k on element e. Built on first use."""
-        import scipy.sparse as sp
         n_el, n_loc, dim = self.grad_coeff.shape
-        grad = sp.csr_matrix(
-            (self.grad_coeff.transpose(0, 2, 1).ravel(),
-             np.repeat(self.elements, dim, axis=0).ravel(),
-             np.arange(0, n_el * dim * n_loc + 1, n_loc)),
-            shape=(n_el * dim, self.n_nodes))
-        for arr in (grad.data, grad.indices, grad.indptr):
-            arr.setflags(write=False)
-        return grad
+        return CSR(self.grad_coeff.transpose(0, 2, 1).ravel(),
+                   np.repeat(self.elements, dim, axis=0).ravel(),
+                   np.arange(0, n_el * dim * n_loc + 1, n_loc),
+                   (n_el * dim, self.n_nodes))
 
     @cached_property
-    def interior_band(self) -> tuple[sp.csc_matrix, list[int]]:
+    def interior_band(self) -> tuple[CSR, list[int]]:
         """Fixed pattern of the interior stiffness D^T diag(w) D.
 
         Returns ``(S, offsets)``: a sparse scatter ``S`` and the offsets
         d > 0 of the super-diagonals that hold a nonzero for positive
-        element weights ``w``, in decreasing order. For such ``w``,
-        ``(S @ w).reshape(len(offsets) + 1, m)``, for the m nodes of
-        ``interior``, is the stiffness among the interior nodes in compact
-        band storage: row r holds super-diagonal ``offsets[r]`` and the
-        last row the diagonal, each as in LAPACK upper banded storage
-        (A[i, i + d] in column i + d); every other diagonal is zero. Built
-        on first use, from the gradient table.
+        element weights ``w``, in decreasing order. Row e of S holds what
+        a unit weight on element e adds to each entry of the band, sorted
+        by position. For such ``w``, ``S.transpose_product(w).reshape(
+        len(offsets) + 1, m)``, for the m nodes of ``interior``, is the
+        stiffness among the interior nodes in compact band storage: row r
+        holds super-diagonal ``offsets[r]`` and the last row the diagonal,
+        each as in LAPACK upper banded storage (A[i, i + d] in column
+        i + d); every other diagonal is zero. Built on first use, from the
+        gradient table.
         """
-        import scipy.sparse as sp
         interior = np.flatnonzero(self.interior_mask)
         m = len(interior)
         pos = np.full(self.n_nodes, -1)
@@ -248,9 +340,13 @@ class Mesh:
         row = np.full(d.max(initial=0) + 1, -1)
         row[diagonals] = np.arange(len(diagonals))
         keep = row[d] >= 0
-        S = sp.csc_matrix(
-            (coef[keep], (row[d[keep]] * m + j[keep], elem[keep])),
-            shape=(len(diagonals) * m, n_el))
+        elem, at, coef = elem[keep], row[d[keep]] * m + j[keep], coef[keep]
+        # an element adds at most one term to a band entry, and the
+        # transpose product sums the terms of an entry in element order
+        order = np.lexsort((at, elem))
+        indptr = np.zeros(n_el + 1, dtype=np.int64)
+        np.cumsum(np.bincount(elem, minlength=n_el), out=indptr[1:])
+        S = CSR(coef[order], at[order], indptr, (n_el, len(diagonals) * m))
         return S, diagonals[:-1].tolist()
 
     @cached_property
@@ -384,7 +480,7 @@ class Mesh:
             g += chain[1] * values[..., 1:]
             return g[..., None]
         # a stack's rows are the columns of one sparse product
-        return np.ascontiguousarray((self._grad @ values.T).T).reshape(
+        return np.ascontiguousarray(self._grad.product(values.T).T).reshape(
             values.shape[:-1] + (self.n_elements, self.dim_coord))
 
     def interior_stiffness(self, w: np.ndarray,
@@ -399,7 +495,7 @@ class Mesh:
         d). Each member gets the band of its weights alone, bit for bit.
 
         A chain mesh writes the band into ``out`` when it is given; the
-        sparse product of any other mesh makes its own array, which is
+        scatter product of any other mesh makes its own array, which is
         returned instead."""
         chain = self._chain
         if chain is not None:
@@ -414,17 +510,17 @@ class Mesh:
         S, offsets = self.interior_band
         rows, m = len(offsets) + 1, len(self.interior_weights)
         if w.ndim == 1:
-            return (S @ w).reshape(rows, m)
+            return S.transpose_product(w).reshape(rows, m)
         # a stack's members are the columns of one sparse product
-        return np.ascontiguousarray(
-            (S @ w.T).reshape(rows, m, -1).transpose(0, 2, 1))
+        return np.ascontiguousarray(S.transpose_product(w.T)
+                                    .reshape(rows, m, -1).transpose(0, 2, 1))
 
     def gradient_adjoint(self, z: np.ndarray) -> np.ndarray:
         """The nodal vector G with G . w = sum_e v_e z_e . grad(w)_e for
         every nodal w, for an element-wise vector field z (n_el, dim_coord)
         and the element volumes v. A chain mesh adds each element's two
         terms to its two nodes by slices: a node sums at most two terms,
-        so G is the sparse transpose product's bit for bit."""
+        so G is the gradient's transpose product's bit for bit."""
         chain = self._chain
         if chain is not None:
             left, right = chain[:2]
@@ -433,7 +529,8 @@ class Mesh:
             G[1:] += right * vz
             G[:-1] += left * vz
             return G
-        return self._grad.T @ (self.element_volumes[:, None] * z).ravel()
+        return self._grad.transpose_product(
+            (self.element_volumes[:, None] * z).ravel())
 
     def integrate(self, samples: np.ndarray) -> float:
         """Quadrature of nodal samples over the domain. Element samples are

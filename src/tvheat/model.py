@@ -682,10 +682,14 @@ def check_f_conditions(nl: Nonlinearity) -> ConditionReport:
                          / np.abs(tsmall) ** (nl.p0 - 1.0)))
 
     theta = nl.theta if math.isfinite(nl.theta) else 1.0
-    slack = ft * t - theta * Ft
+    # the slack is judged where f t and F are finite: where either
+    # overflows, inf - inf would read as a failure that is not there
+    ftt = ft * t
+    finite = np.isfinite(ftt) & np.isfinite(Ft)
+    ftt, slack = ftt[finite], ftt[finite] - theta * Ft[finite]
     min_slack = float(slack.min())
     # strict positivity of theta F is part of the hypothesis
-    ok = bool(min_slack >= -1e-12 * np.max(np.abs(ft * t) + 1e-300)
+    ok = bool(min_slack >= -1e-12 * np.max(np.abs(ftt) + 1e-300)
               and np.all(Ft[np.abs(t) > 0] > 0))
 
     big = sample_grid[sample_grid >= 1.0]

@@ -33,54 +33,26 @@ underflow), never proven.
 from __future__ import annotations
 
 import dataclasses
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy
 
-from .mesh import Field, Mesh, RedBlack, rowdot
+from .mesh import CSR, Field, Mesh, RedBlack, _load_extension, rowdot
 from .model import EnergySnapshot, Nonlinearity, Terms, WellStatus, \
     classify_well, snapshot
 
-
-def _load_flapack():
-    """scipy's LAPACK extension ``scipy.linalg._flapack``, whose routines
-    ``scipy.linalg.lapack`` re-exports as the same objects, loaded from its
-    file without running ``scipy/linalg/__init__.py``: the package would
-    import scipy's shared array-API layer with it, about 25 MB of resident
-    memory more per process. The module already imported is reused, and
-    one loaded here is registered in ``sys.modules``, so that a later
-    ``import scipy.linalg`` finds it. A scipy without the extension raises
-    ImportError naming where it was looked for."""
-    name = "scipy.linalg._flapack"
-    module = sys.modules.get(name)
-    if module is None:
-        where = os.path.join(scipy.__path__[0], "linalg")
-        spec = importlib.machinery.PathFinder.find_spec(name, [where])
-        if spec is None:
-            raise ImportError(f"no LAPACK extension {name} in {where}",
-                              name=name, path=where)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    return module
-
-
-_flapack = _load_flapack()
+_flapack = _load_extension("scipy.linalg._flapack")
 dpbtrf, dpbtrs, dptsv = _flapack.dpbtrf, _flapack.dpbtrs, _flapack.dptsv
 
 
 def __getattr__(name: str):
     """``spla``, ``scipy.sparse.linalg``, imported on first access and then
     kept in the module's globals: no solve calls it, and ``bench/spans.py``
-    wraps ``spla.spsolve`` through this name. Only an access imports it:
-    it adds about 8 MB to the resident set of a process that has
-    scipy.sparse, and about 27 MB to one that has not."""
+    wraps ``spla.spsolve`` through this name. Only an access imports it,
+    and the scipy.sparse package with it, which no run imports: after a
+    step at 64^2 it raised the resident peak from 41 to 64 MB (scipy
+    1.17)."""
     if name == "spla":
         import scipy.sparse.linalg as spla
         globals()["spla"] = spla
@@ -198,9 +170,13 @@ class BandedFactor:
     LAPACK ``ptsv``, each call counted as a factorization; any other band
     eliminates the red unknowns of the mesh's red-black split exactly and
     keeps a banded Cholesky factor of the black Schur complement across
-    steps, as the preconditioner of the next steps' complements. ``march``
-    gives each member one; a second run starts from no factor, so its
-    results do not depend on what ran before."""
+    steps, as the preconditioner of the next steps' complements. B, the
+    red-black coupling block, is a ``CSR`` whose pattern the first such
+    solve builds and whose entries each solve reads from its band; its
+    two products, B x and B^T y, run on the same arrays, in scipy's
+    compiled sparse kernels. ``march`` gives each member one; a second
+    run starts from no factor, so its results do not depend on what ran
+    before."""
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
@@ -208,9 +184,9 @@ class BandedFactor:
         self.chol = None         # upper Cholesky factor in LAPACK band form
         self.factorizations = 0
         self.iterations = 0
-        # the split's B (with the last band's entries), B^T and S's fill,
+        # the split's B, whose entries each solve replaces, and S's fill,
         # built on the first red-black solve
-        self._B = self._Bt = self._fill = None
+        self._B = self._fill = None
 
     def solve(self, band: np.ndarray, rhs: np.ndarray,
               x0: np.ndarray) -> np.ndarray:
@@ -239,12 +215,10 @@ class BandedFactor:
         split = self.mesh.red_black
         red, black = split.red, split.black
         if self._B is None:
-            import scipy.sparse as sp
-            B = sp.csr_matrix((np.empty(len(split.coupling)), split.indices,
-                               split.indptr), shape=(len(red), len(black)))
-            self._B, self._Bt, self._fill = B, B.T, _schur_fill(split)
-        B, Bt = self._B, self._Bt
-        band.take(split.coupling, out=B.data)
+            self._B = CSR(np.empty(len(split.coupling)), split.indices,
+                          split.indptr, (len(red), len(black)))
+            self._fill = _schur_fill(split)
+        B = dataclasses.replace(self._B, data=band.take(split.coupling))
         diag = band[-1]
         # LAPACK pstrf's default rank tolerance: a pivot at or below it is
         # zero to working precision (a NaN fails every comparison)
@@ -253,9 +227,9 @@ class BandedFactor:
         if not d_r.min() > floor:      # the red pivots are A's diagonal
             raise _not_definite(int(np.argmin(d_r > floor)), len(diag))
         inv_r = 1.0 / d_r
-        schur = (B, Bt, inv_r, diag[black])
+        schur = (B, inv_r, diag[black])
         rhs_r = rhs[red]
-        rhs_b = rhs[black] - Bt @ (inv_r * rhs_r)
+        rhs_b = rhs[black] - B.transpose_product(inv_r * rhs_r)
         x_b = None
         if self.chol is not None:
             x_b, its = self._pcg(schur, rhs_b, x0[black],
@@ -277,7 +251,7 @@ class BandedFactor:
             x_b = self._back_solve(rhs_b)
         x = np.empty(rhs.shape)
         x[black] = x_b
-        x[red] = inv_r * (rhs_r - B @ x_b)
+        x[red] = inv_r * (rhs_r - B.product(x_b))
         return x
 
     def _back_solve(self, r: np.ndarray) -> np.ndarray:
@@ -395,13 +369,14 @@ def _check_info(info: int, routine: str) -> None:
 
 
 def _schur_product(schur: tuple, x: np.ndarray) -> np.ndarray:
-    """S x = D_b x - B^T (D_r^-1 (B x)) for ``schur`` = (B, B^T, D_r^-1,
-    D_b), B and B^T sparse, the two diagonals as vectors."""
-    B, Bt, inv_r, d_b = schur
-    y = B @ x
+    """S x = D_b x - B^T (D_r^-1 (B x)) for ``schur`` = (B, D_r^-1, D_b),
+    B a ``CSR`` (B^T its transpose product on the same arrays), the two
+    diagonals as vectors."""
+    B, inv_r, d_b = schur
+    y = B.product(x)
     y *= inv_r
     Sx = d_b * x
-    Sx -= Bt @ y
+    Sx -= B.transpose_product(y)
     return Sx
 
 
@@ -429,7 +404,7 @@ def _schur_band(schur: tuple, split: RedBlack, fill: tuple) -> np.ndarray:
     Fortran order so that LAPACK reads it without a copy: each product of
     ``fill`` (``_schur_fill(split)``) summed into its position, then D_b
     on the diagonal."""
-    B, _, inv_r, d_b = schur
+    B, inv_r, d_b = schur
     pos, left, right = fill
     rows = split.bandwidth + 1
     scaled = B.data * np.repeat(inv_r, np.diff(split.indptr))   # D_r^-1 B

@@ -375,7 +375,7 @@ class TestMain:
         # the CLI loads LAPACK's extension, by its file, and no scipy
         # package beside it: the Nehari scale needs no scipy.optimize,
         # ExpPower.F sums its own series, and only a mesh that is not a
-        # chain imports scipy.sparse
+        # chain loads scipy's sparse kernels, also by their file
         loaded, _ = self.scipy_modules("")
         assert "scipy.linalg._flapack" in loaded
         for name in self.HEAVY:
@@ -426,15 +426,65 @@ class TestMain:
         for name in self.HEAVY:
             assert name not in loaded
 
-    def test_rectangle_step_loads_scipy_sparse(self):
+    def test_rectangle_run_loads_only_the_sparse_kernels(self):
+        # a 2-D run with its well level and flux uses every sparse product
+        # (the gradient, its adjoint, the stiffness scatter and the Schur
+        # complement's), all through scipy's kernels, loaded by their file:
+        # the only scipy module it adds to the import's is that extension,
+        # beside LAPACK's, which the import loads
         loaded, at_import = self.scipy_modules(
             "import numpy as np\n"
+            "from tvheat import Field, Power, Rectangle, SolverConfig, "
+            "build_mesh, default_dictionary, estimate_dp, extract_flux, "
+            "run\n"
+            "mesh = build_mesh(Rectangle(1.0, 1.0), 8)\n"
+            "u0 = Field(mesh, np.sin(np.pi * mesh.nodes).prod(axis=1))"
+            ".constrained()\n"
+            "nl = Power(3.0)\n"
+            "assert np.isfinite(estimate_dp(mesh, 1.5, nl, "
+            "default_dictionary(mesh, 4)))\n"
+            "traj = run(mesh, u0, SolverConfig(p=1.5, T_end=0.004), nl)\n"
+            "assert traj.status.kind == 'completed' and traj.pcg_iterations\n"
+            "assert np.isfinite(extract_flux(traj.states[-1][1], 1.5).z)"
+            ".all()")
+        assert "scipy.linalg._flapack" in at_import
+        assert sorted(set(loaded) - set(at_import)) == [
+            "scipy.sparse._sparsetools"]
+        for name in self.HEAVY:
+            assert name not in loaded
+
+    def test_sparse_package_imports_after_a_2d_run(self):
+        # a process that ran on the kernels alone can still import
+        # scipy.sparse.linalg, as the benchmark's tracer does through
+        # solver.spla: the package adopts the extension already loaded,
+        # and its products and spsolve agree with the mesh's
+        src = pathlib.Path(cli.__file__).parents[1]
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
             "from tvheat import Field, Rectangle, SolverConfig, Zero, "
-            "build_mesh, step\n"
+            "build_mesh, solver, step\n"
             "mesh = build_mesh(Rectangle(1.0, 1.0), 6)\n"
             "u0 = Field(mesh, np.ones(mesh.n_nodes)).constrained()\n"
-            "step(u0, 0.0, SolverConfig(p=1.5), Zero())")
-        assert "scipy.sparse" in loaded and "scipy.sparse" not in at_import
+            "step(u0, 0.0, SolverConfig(p=1.5), Zero())\n"
+            "kernels = sys.modules['scipy.sparse._sparsetools']\n"
+            "assert 'scipy.sparse' not in sys.modules\n"
+            "spla = solver.spla\n"
+            "import scipy.sparse as sp\n"
+            "from scipy.sparse import _sparsetools\n"
+            "assert _sparsetools is kernels\n"
+            "g = mesh._grad\n"
+            "G = sp.csr_matrix((g.data, g.indices, g.indptr), shape=g.shape)\n"
+            "u = np.sin(np.arange(mesh.n_nodes))\n"
+            "assert (G @ u).tobytes() == g.product(u).tobytes()\n"
+            "A = sp.csc_matrix(G.T @ G + sp.identity(mesh.n_nodes))\n"
+            "x = spla.spsolve(A, u)\n"
+            "assert np.abs(A @ x - u).max() <= 1e-10 * np.abs(u).max()\n")
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+            text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_malformed_config_fails_by_name(self, tmp_path, capsys):
         path = tmp_path / "run.ini"

@@ -9,6 +9,7 @@ from tvheat import (Annulus, Field, Interval, Mesh, MeshError, Power,
                     Rectangle, SolverConfig, Zero, build_mesh,
                     default_dictionary, estimate_dp, load_field, step)
 from tvheat.limit import flux_from_vectors
+from tvheat.mesh import CSR
 
 
 class TestDomains:
@@ -208,6 +209,55 @@ class TestRectangleMesh:
             assert node in mesh.elements[e] and node not in mesh.elements[:e]
 
 
+def scipy_csr(op):
+    """The scipy.sparse matrix of a ``CSR`` operator, built from its
+    arrays: the reference for its products."""
+    return sp.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape)
+
+
+class TestCSR:
+    @pytest.fixture
+    def op(self):
+        # rows of 0 to 4 entries in unsorted columns, one column repeated
+        rng = np.random.default_rng(3)
+        counts = [3, 0, 4, 1, 2, 3]
+        indices = np.concatenate([rng.permutation(7)[:c] for c in counts])
+        indices[-1] = indices[-2]
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        return CSR(rng.normal(size=len(indices)), indices, indptr, (6, 7))
+
+    def test_products_are_scipys(self, op):
+        # scipy's A @ x and A.T @ x, for vectors and for stacked columns,
+        # bit for bit; each column of a stack gets its product alone
+        ref = scipy_csr(op)
+        rng = np.random.default_rng(5)
+        for product, A, n in ((op.product, ref, 7),
+                              (op.transpose_product, ref.T, 6)):
+            x = rng.normal(size=n)
+            assert product(x).tobytes() == (A @ x).tobytes()
+            X = rng.normal(size=(4, n)).T           # F order, as a stack's
+            Y = product(X)
+            assert Y.tobytes() == (A @ X).tobytes()
+            for k in range(4):
+                assert Y[:, k].tobytes() == product(X[:, k]).tobytes()
+
+    def test_arrays_are_read_only_with_scipys_index_type(self, op):
+        ref = scipy_csr(op)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(op, name), getattr(ref, name)
+            assert not a.flags.writeable
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert op.indices.dtype == np.int32
+
+    @pytest.mark.parametrize("shape", [(6,), (7, 2), (6, 2, 1), ()])
+    def test_operand_shape_is_checked(self, op, shape):
+        # the kernels read the operand unchecked: a shape the product does
+        # not take fails by name before any kernel runs
+        x = np.ones(shape)
+        with pytest.raises(MeshError, match="operand of shape"):
+            (op.product if shape[:1] != (7,) else op.transpose_product)(x)
+
+
 def dense(band, offsets):
     """The symmetric matrix held in the compact band ``band``."""
     A = np.diag(band[-1])
@@ -237,7 +287,12 @@ class TestInteriorBand:
         K = sum(D.T @ (w[:, None] * D) for D in np.moveaxis(grads, 1, 0))
         K = K[np.ix_(interior, interior)]
         m = len(interior)
-        band = (S @ w).reshape(len(offsets) + 1, m)
+        # every element's terms in distinct band entries, sorted by
+        # position: each entry sums its terms in element order
+        assert scipy_csr(S).has_canonical_format
+        ref = scipy_csr(S).T @ w
+        assert S.transpose_product(w).tobytes() == ref.tobytes()
+        band = ref.reshape(len(offsets) + 1, m)
         # the mesh's offsets are exactly the diagonals that hold a nonzero,
         # in decreasing order, and the first d entries of offset d's row
         # are zero
@@ -340,7 +395,8 @@ class TestInteriorBand:
         bands = mesh.interior_stiffness(w)
         assert bands.shape == (len(offsets) + 1, 3, len(interior))
         for i in range(3):
-            ref = (S @ w[i]).reshape(len(offsets) + 1, len(interior))
+            ref = (scipy_csr(S).T @ w[i]).reshape(len(offsets) + 1,
+                                                   len(interior))
             assert mesh.interior_stiffness(w[i]).tobytes() == ref.tobytes()
             assert np.ascontiguousarray(bands[:, i]).tobytes() == \
                 ref.tobytes()
@@ -360,7 +416,8 @@ class TestInteriorBand:
         rng = np.random.default_rng(11)
         for _ in range(3):
             z = rng.normal(size=(mesh.n_elements, 1))
-            ref = mesh._grad.T @ (mesh.element_volumes[:, None] * z).ravel()
+            ref = scipy_csr(mesh._grad).T @ (
+                mesh.element_volumes[:, None] * z).ravel()
             G = mesh.gradient_adjoint(z)
             assert G.shape == ref.shape and G.tobytes() == ref.tobytes()
 
@@ -570,7 +627,7 @@ class TestField:
         assert stack.l2().tolist() == [f.l2() for f in rows]
         if isinstance(domain, (Interval, Annulus)):
             # the chain's slices give the scatter's gradient
-            sparse = (mesh._grad @ stack.values[0]).reshape(-1, 1)
+            sparse = (scipy_csr(mesh._grad) @ stack.values[0]).reshape(-1, 1)
             assert rows[0].grad.tobytes() == sparse.tobytes()
         part = stack.rows([2, 0])
         assert {"grad", "grad_sq", "grad_mag"} <= set(vars(part))

@@ -691,6 +691,17 @@ class TestConditions:
         assert rep.growth_exponent == pytest.approx(2.0, abs=0.05)
         assert rep.vanishing_ratio < 1e-6
 
+    def test_overflowing_primitive_judged_where_finite(self):
+        # ExpPower(2, 50)'s f and F overflow on 38 points of the grid; the
+        # slack is judged on the rest, without an inf - inf, and holds
+        nl = ExpPower(2, 50)
+        t = np.logspace(-8, 1, 400)
+        with np.errstate(over="ignore"):
+            assert np.isinf(nl.F(t)).sum() == 19
+        rep = check_f_conditions(nl)    # a RuntimeWarning fails the test
+        assert rep.superlinearity_ok
+        assert math.isfinite(rep.superlinearity_slack)
+
     def test_zero_reaction_reported_degenerate(self):
         rep = check_f_conditions(Zero())
         assert rep.vanishing_ratio == 0.0

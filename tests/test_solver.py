@@ -13,8 +13,9 @@ import sys
 import numpy as np
 import pytest
 import scipy
-import scipy.sparse as sp
 from scipy.linalg import solveh_banded as lapack_solveh_banded
+
+from tvheat import mesh as mesh_mod
 
 from tvheat import (Annulus, Field, Interval, Power, Rectangle, SolverConfig,
                     WellStatus, Zero,
@@ -467,12 +468,12 @@ def dense(band, offsets):
 
 
 def schur_of(band, split):
-    """(B, B^T, 1 / D_r, D_b) of ``band`` in the red-black order of
-    ``split``, as ``BandedFactor.solve`` passes them on."""
-    B = sp.csr_matrix((band.take(split.coupling), split.indices,
-                       split.indptr), shape=(len(split.red), len(split.black)))
+    """(B, 1 / D_r, D_b) of ``band`` in the red-black order of ``split``,
+    as ``BandedFactor.solve`` passes them on."""
+    B = mesh_mod.CSR(band.take(split.coupling), split.indices, split.indptr,
+                     (len(split.red), len(split.black)))
     diag = band[-1]
-    return B, B.T, 1.0 / diag[split.red], diag[split.black]
+    return B, 1.0 / diag[split.red], diag[split.black]
 
 
 @pytest.fixture(scope="module")
@@ -660,36 +661,54 @@ class TestLinearSolve:
             x = solver.solveh_banded(ab, rhs, solver.BandedFactor(mesh), rhs)
             assert np.array_equal(x, lapack_solveh_banded(ab, rhs))
 
-    def test_lapack_routines_are_scipys(self):
-        # the extension loaded by its file is the one scipy.linalg.lapack
-        # re-exports, also when the package is imported after it
+    # each extension, the code that loads it, and a check that its
+    # package, imported after it, uses the same routines
+    EXTENSIONS = {
+        "scipy.linalg._flapack": (
+            "",
+            "import scipy.linalg.lapack as lapack\n"
+            "for name in ('dptsv', 'dpbtrf', 'dpbtrs'):\n"
+            "    assert getattr(solver, name) is getattr(lapack, name)\n"),
+        "scipy.sparse._sparsetools": (
+            "from tvheat import Rectangle, build_mesh\n"
+            "mesh = build_mesh(Rectangle(1.0, 1.0), 4)\n"
+            "mesh.gradient(mesh.nodes[:, 0])\n",
+            "from scipy.sparse import _compressed\n"
+            "assert _compressed._sparsetools is mesh._grad.kernels\n"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXTENSIONS))
+    def test_extension_is_scipys(self, name):
+        # the extension loaded by its file is the one its package uses,
+        # also when the package is imported after it
+        load, check = self.EXTENSIONS[name]
+        package, _, ext = name.rpartition(".")
         src = pathlib.Path(solver.__file__).parents[1]
         script = (
             "import sys\n"
-            "from tvheat import solver\n"
-            "module = sys.modules['scipy.linalg._flapack']\n"
-            "assert 'scipy.linalg' not in sys.modules\n"
-            "import scipy.linalg.lapack as lapack\n"
-            "from scipy.linalg import _flapack\n"
-            "assert _flapack is module\n"
-            "for name in ('dptsv', 'dpbtrf', 'dpbtrs'):\n"
-            "    assert getattr(solver, name) is getattr(lapack, name)\n")
+            "from tvheat import solver\n" + load +
+            f"module = sys.modules['{name}']\n"
+            f"assert '{package}' not in sys.modules\n"
+            f"from {package} import {ext}\n"
+            f"assert {ext} is module\n" + check)
         done = subprocess.run([sys.executable, "-c", script],
                               env={**os.environ, "PYTHONPATH": str(src)},
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         # a module already imported is reused
-        assert solver._load_flapack() is sys.modules["scipy.linalg._flapack"]
+        assert mesh_mod._load_extension(name) is sys.modules[name]
 
-    def test_missing_lapack_extension_fails_by_path(self, monkeypatch,
-                                                    tmp_path):
-        # no fallback to scipy.linalg.lapack: a scipy without the extension
-        # is named, with the directory searched
-        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    @pytest.mark.parametrize("name", sorted(EXTENSIONS))
+    def test_missing_extension_fails_by_path(self, monkeypatch, tmp_path,
+                                             name):
+        # no fallback to the package: a scipy without the extension is
+        # named, with the directory searched
+        monkeypatch.delitem(sys.modules, name, raising=False)
         monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
-        with pytest.raises(ImportError, match="_flapack in " + re.escape(
-                os.path.join(str(tmp_path), "linalg"))):
-            solver._load_flapack()
+        package, _, ext = name.rpartition(".")
+        where = os.path.join(str(tmp_path), package.split(".")[1])
+        with pytest.raises(ImportError, match=re.escape(f"{ext} in {where}")):
+            mesh_mod._load_extension(name)
 
     def test_tridiagonal_solve_rejects_indefinite_band(self):
         # [[1, 2, 0], [2, 1, 0.5], [0, 0.5, 1]]: the second minor is -3
@@ -840,7 +859,7 @@ class TestLinearSolve:
         # a chain with one interior node has a tridiagonal band too: a
         # plain field and each row of a stack solve by ptsv, one
         # factorization each, in a process that never imports
-        # scipy.sparse. ptsv scales a 1 x 1 system by the reciprocal of its
+        # scipy.sparse nor loads its kernels. ptsv scales a 1 x 1 system by the reciprocal of its
         # pivot, as the red elimination that solved it before did: the
         # values are pinned to those bits. (Inside a larger block-diagonal
         # matrix ptsv divides instead, which changes the second row's last
@@ -862,7 +881,7 @@ class TestLinearSolve:
             ".values[1] for i in range(3)]\n"
             "print(json.dumps([new.values[:, 1].tolist(), alone, "
             "[f.factorizations for f in factors], "
-            "'scipy.sparse' in sys.modules]))\n")
+            "any(m.startswith('scipy.sparse') for m in sys.modules)]))\n")
         done = subprocess.run([sys.executable, "-c", script],
                               env={**os.environ, "PYTHONPATH": str(src)},
                               capture_output=True, text=True)
