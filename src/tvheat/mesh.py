@@ -483,8 +483,7 @@ class Mesh:
         return np.ascontiguousarray(self._grad.product(values.T).T).reshape(
             values.shape[:-1] + (self.n_elements, self.dim_coord))
 
-    def interior_stiffness(self, w: np.ndarray,
-                           out: np.ndarray | None = None) -> np.ndarray:
+    def interior_stiffness(self, w: np.ndarray) -> np.ndarray:
         """The stiffness among the interior nodes for element weights ``w``
         (n_el,) in the compact band storage described in ``interior_band``,
         with the ``band_layout`` offsets: shape (len(offsets) + 1, m). For
@@ -493,15 +492,11 @@ class Mesh:
         flattens to that of one block-diagonal matrix whose blocks couple
         only through exact zeros (the first d entries of the row of offset
         d). Each member gets the band of its weights alone, bit for bit.
-
-        A chain mesh writes the band into ``out`` when it is given; the
-        scatter product of any other mesh makes its own array, which is
-        returned instead."""
+        The band is a new array, which the caller may write."""
         chain = self._chain
         if chain is not None:
             _, _, upper, diag_left, diag_right = chain
-            band = out if out is not None else np.empty(
-                (2,) + w.shape[:-1] + (w.shape[-1] - 1,))
+            band = np.empty((2,) + w.shape[:-1] + (w.shape[-1] - 1,))
             band[0, ..., 0] = 0.0
             np.multiply(upper, w[..., 1:-1], out=band[0, ..., 1:])
             np.multiply(diag_left, w[..., :-1], out=band[1])
@@ -638,9 +633,6 @@ def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # Field
 # ---------------------------------------------------------------------------
 
-_GRADIENTS = ("grad", "grad_sq", "grad_mag")
-
-
 @dataclass(frozen=True)
 class Field:
     """Nodal real values of u on a mesh at one time instant, or a stack of
@@ -652,9 +644,11 @@ class Field:
     element-wise gradient, its squared magnitude and its magnitude are
     computed at most once and kept in ``grad``, ``grad_sq`` and
     ``grad_mag``, and so are the sup norm, the reaction f(u) and the
-    lagged coefficient (``sup``, ``reaction``, ``coefficient``). A field
-    built from a caller's array copies it; ``step`` and ``Field.stack``
-    hand over arrays they made for the field instead (``Field._adopt``).
+    lagged coefficient (``sup``, ``reaction``, ``coefficient``). Each
+    field computes them for itself: one built from another's rows
+    (``rows``, ``stack``) keeps none of that field's. A field built from a
+    caller's array copies it; ``step`` and ``Field.stack`` hand over
+    arrays they made for the field instead (``Field._adopt``).
     """
 
     mesh: Mesh
@@ -712,59 +706,18 @@ class Field:
         return kept
 
     def rows(self, index) -> "Field":
-        """The rows of this stack that ``index`` selects, copied, keeping
-        the gradient arrays, the reaction and the coefficient already
-        computed for them: a plain field for a row number, a stack for a
-        slice or a sequence of row numbers (and, for a plain field, a
-        stack of one for None)."""
-        sub = Field(self.mesh, self.values[index])
-        kept = vars(self)
-        for name in _GRADIENTS:
-            if name in kept:
-                a = kept[name][index]
-                a.setflags(write=False)
-                vars(sub)[name] = a
-        if "_reaction" in kept:
-            nl, f = kept["_reaction"]
-            f = f[index]
-            f.setflags(write=False)
-            vars(sub)["_reaction"] = (nl, f)
-        if "_coefficient" in kept:
-            key, c = kept["_coefficient"]
-            c = c[index]
-            c.setflags(write=False)
-            if index is None:
-                key = (key,)
-            elif isinstance(index, slice) or np.ndim(index) == 0:
-                key = key[index]
-            else:
-                key = tuple(key[i] for i in index)
-            vars(sub)["_coefficient"] = (key, c)
-        return sub
+        """The rows of this stack that ``index`` selects, copied, as a new
+        field that keeps nothing computed for this one: a plain field for
+        a row number, a stack for a slice or a sequence of row numbers
+        (and, for a plain field, a stack of one for None)."""
+        return Field(self.mesh, self.values[index])
 
     @classmethod
     def stack(cls, fields) -> "Field":
-        """One stack of the rows of the stacks ``fields``, in order, keeping
-        the gradient arrays, the reaction and the coefficient that all of
-        them have computed."""
-        out = cls._adopt(fields[0].mesh,
-                        np.concatenate([f.values for f in fields]))
-        for name in _GRADIENTS:
-            if all(name in vars(f) for f in fields):
-                a = np.concatenate([vars(f)[name] for f in fields])
-                a.setflags(write=False)
-                vars(out)[name] = a
-        kept = [vars(f).get("_reaction") for f in fields]
-        if all(r is not None and r[0] is kept[0][0] for r in kept):
-            f = np.concatenate([r[1] for r in kept])
-            f.setflags(write=False)
-            vars(out)["_reaction"] = (kept[0][0], f)
-        kept = [vars(f).get("_coefficient") for f in fields]
-        if all(k is not None for k in kept):
-            c = np.concatenate([k[1] for k in kept])
-            c.setflags(write=False)
-            vars(out)["_coefficient"] = (sum((k[0] for k in kept), ()), c)
-        return out
+        """One stack of the rows of the stacks ``fields``, in order, as a
+        new field that keeps nothing computed for them."""
+        return cls._adopt(fields[0].mesh,
+                          np.concatenate([f.values for f in fields]))
 
     @classmethod
     def _adopt(cls, mesh: Mesh, values: np.ndarray,
@@ -792,25 +745,18 @@ class Field:
             kept = vars(self)["_reaction"] = (nl, f)
         return kept[1]
 
-    def coefficient(self, terms, out: np.ndarray | None = None
-                    ) -> np.ndarray:
+    def coefficient(self, terms) -> np.ndarray:
         """The lagged coefficient ``terms.coefficient`` of ``grad_sq``, for
-        the constants ``terms`` (a ``model.Terms``): the one kept for
-        constants of the same ``key``, read-only, when there is one, since
-        equal keys give every row the same bits. Otherwise it is
-        evaluated, into ``out`` when given, and kept, for the last key
-        asked for, only without ``out``: a snapshot keeps its state's
-        coefficient, and a step from a state that no snapshot evaluated
-        with its constants writes it into its workspace. ``rows`` and
-        ``stack`` keep it with each row's key."""
+        the constants ``terms`` (a ``model.Terms``), read-only: evaluated
+        once and kept, for the last ``key`` asked for, since equal keys
+        give every row the same bits. A snapshot evaluates its state's,
+        which the steps from the state then read."""
         kept = self._coefficient
-        if kept is not None and kept[0] == terms.key:
-            return kept[1]
-        c = terms.coefficient(self.grad_sq, out)
-        if out is None:
+        if kept is None or kept[0] != terms.key:
+            c = terms.coefficient(self.grad_sq)
             c.setflags(write=False)
-            vars(self)["_coefficient"] = (terms.key, c)
-        return c
+            kept = vars(self)["_coefficient"] = (terms.key, c)
+        return kept[1]
 
     @classmethod
     def zeros(cls, mesh: Mesh) -> "Field":

@@ -368,12 +368,10 @@ class Terms:
             self.coef_exp = (p - 2.0) / 2.0
             self.key = (self.coef_exp, self.eps_sq)
 
-    def coefficient(self, grad_sq: np.ndarray,
-                    out: np.ndarray | None = None) -> np.ndarray:
-        """``diffusivity`` with these constants, as a new array, or in
-        ``out`` (shaped as ``grad_sq``) where ``np.power`` writes there:
-        a plain field's one ``**``, a stack's rows each by ``_power``."""
-        s = np.add(grad_sq, self.eps_sq, out=out)
+    def coefficient(self, grad_sq: np.ndarray) -> np.ndarray:
+        """``diffusivity`` with these constants, as a new array: a plain
+        field's one ``**``, a stack's rows each by ``_power``."""
+        s = grad_sq + self.eps_sq
         np.maximum(s, 1e-300, out=s)
         e = self.coef_exp
         if isinstance(e, list):
@@ -694,7 +692,12 @@ def check_f_conditions(nl: Nonlinearity) -> ConditionReport:
 
     big = sample_grid[sample_grid >= 1.0]
     fb = np.abs(nl.f(big))
-    if np.all(fb > 0):
+    # the growth is fitted where f is finite: log(inf) is not a sample
+    finite = np.isfinite(fb)
+    big, fb = big[finite], fb[finite]
+    if len(fb) < 2:
+        slope = math.inf            # f overflows from t = 1 on
+    elif np.all(fb > 0):
         slope, _ = np.polyfit(np.log(big), np.log(fb), 1)
     else:
         slope = -math.inf

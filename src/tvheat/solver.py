@@ -98,6 +98,9 @@ class SolverConfig:
             raise SolverError(f"tol_ext must be finite, got {self.tol_ext}")
         if math.isnan(self.U_max):
             raise SolverError(f"U_max must not be NaN, got {self.U_max}")
+        # halving never takes dt below a dt_min <= 0: no dt_underflow then
+        if not 0 < self.dt_min:
+            raise SolverError(f"dt_min must be > 0, got {self.dt_min}")
         if not (self.dt_min < self.dt0 <= self.T_end):
             raise SolverError(
                 f"need dt_min < dt0 <= T_end, got {self.dt_min}, {self.dt0}, "
@@ -433,28 +436,8 @@ def _band_product(band: np.ndarray, x: np.ndarray, offsets: list[int],
 # One step
 # ---------------------------------------------------------------------------
 
-class _Workspace:
-    """The arrays a ``step`` of a plain field on ``mesh`` (``k`` None) or
-    of a stack of k fills in place: the element weights ``w``, the band,
-    the right-hand side and a row ``r`` (the mass term, then the gate's
-    residual). Only a chain mesh's band has a buffer, which the mesh writes
-    in place: any other mesh's comes from a sparse product, which makes its
-    own (``Mesh.interior_stiffness``)."""
-
-    __slots__ = ("w", "band", "rhs", "r")
-
-    def __init__(self, mesh: Mesh, k: int | None = None):
-        rows = () if k is None else (k,)
-        m = len(mesh.interior_weights)
-        self.w = np.empty(rows + (mesh.n_elements,))
-        self.band = (np.empty((len(mesh.band_layout) + 1,) + rows + (m,))
-                     if mesh._chain is not None else None)
-        self.rhs, self.r = np.empty(rows + (m,)), np.empty(rows + (m,))
-
-
 def step(state: Field, t, cfg, nl: Nonlinearity, dt=None, factor=None,
-         terms: Terms | None = None, work: _Workspace | None = None
-         ) -> Field:
+         terms: Terms | None = None) -> Field:
     """One semi-implicit step of size dt (default cfg.dt0): returns the new
     field. ``march`` judges the step from the two states' snapshots. The
     system is solved through ``factor``, one run's ``BandedFactor``, whose
@@ -474,9 +457,7 @@ def step(state: Field, t, cfg, nl: Nonlinearity, dt=None, factor=None,
 
     ``terms`` are the ``Terms`` of the configs' p and eps, which ``march``
     computes once per stack; without them ``step`` computes them from
-    ``cfg``, with the same result. ``work`` is the ``_Workspace`` that
-    the step fills (``march`` builds one per member and per stack);
-    without one ``step`` builds its own.
+    ``cfg``, with the same result.
     """
     mesh = state.mesh
     if not state.is_dirichlet():
@@ -493,16 +474,13 @@ def step(state: Field, t, cfg, nl: Nonlinearity, dt=None, factor=None,
             factor = [BandedFactor(mesh) for _ in range(len(u))]
     if terms is None:
         terms = _terms(cfg)
-    if work is None:
-        work = _Workspace(mesh, None if single else len(u))
-    w = np.multiply(state.coefficient(terms, work.w), mesh.element_volumes,
-                    out=work.w)
+    w = state.coefficient(terms) * mesh.element_volumes
     offsets = mesh.band_layout
     interior, qw = mesh.interior, mesh.interior_weights
-    band = mesh.interior_stiffness(w, work.band)
-    band[-1] += np.divide(qw, dt, out=work.r)
+    band = mesh.interior_stiffness(w)
+    band[-1] += qw / dt
     u_in = u[..., interior]
-    rhs = np.divide(u_in, dt, out=work.rhs)
+    rhs = u_in / dt
     rhs += state.reaction(nl)[..., interior]
     rhs *= qw
     try:
@@ -513,12 +491,12 @@ def step(state: Field, t, cfg, nl: Nonlinearity, dt=None, factor=None,
     new = np.zeros(u.shape)
     new[..., interior] = x
     if single:
-        if not _gate(band, x, rhs, offsets, work):
+        if not _gate(band, x, rhs, offsets):
             failure = ("banded solve residual above tolerance"
                        if np.isfinite(x).all() else "non-finite solution")
             raise StepFailureError(f"{failure} at t={t}")
         return Field._adopt(mesh, new, dirichlet=True)
-    passed = _gate(band, x, rhs, offsets, work)
+    passed = _gate(band, x, rhs, offsets)
     if all(passed):
         return Field._adopt(mesh, new, dirichlet=True)
     new[[not ok for ok in passed]] = np.nan
@@ -534,23 +512,22 @@ def _terms(cfg) -> Terms:
 
 
 def _gate(band: np.ndarray, x: np.ndarray, rhs: np.ndarray,
-          offsets: list[int], work: _Workspace) -> bool | list[bool]:
+          offsets: list[int]) -> bool | list[bool]:
     """The backward-stable residual gate ||Ax - b|| <= 1e-10 (||b|| +
     ||A||_inf ||x||), each norm the square root of ``v @ v``, in Python
     floats, for the solution ``x`` of the system in compact band storage
     ``band``, which it overwrites with its magnitudes. A plain field's
-    ``x`` that is not finite fails, before any arithmetic on it, and its
-    residual is written into ``work.r``. For a stack, whose band rows flatten to one
-    block-diagonal matrix, one verdict per member, each as it is alone,
-    False for a member whose solve failed (a row of NaN, as
-    ``solveh_banded`` returns it); such a member is read as zero here, so
-    that its blocks' zero couplings (0 * nan) cannot reach its
-    neighbours."""
+    ``x`` that is not finite fails, before any arithmetic on it. For a
+    stack, whose band rows flatten to one block-diagonal matrix, one
+    verdict per member, each as it is alone, False for a member whose
+    solve failed (a row of NaN, as ``solveh_banded`` returns it); such a
+    member is read as zero here, so that its blocks' zero couplings
+    (0 * nan) cannot reach its neighbours."""
     if x.ndim == 1:
         xx = x.dot(x)           # finite unless some entry is (or x is huge)
         if not (math.isfinite(xx) or np.isfinite(x).all()):
             return False
-        r = _band_product(band, x, offsets, out=work.r)
+        r = _band_product(band, x, offsets)
         r -= rhs
         norm_A = float(np.maximum.reduce(
             _abs_row_sums(band, offsets, out=band)))
@@ -614,21 +591,24 @@ def march(mesh: Mesh, u0: Field, cfgs, nl: Nonlinearity) -> list[Trajectory]:
 
     Each iteration advances every running member at once: one ``step`` call
     and one ``snapshot`` call serve the stack of their states (see
-    ``Field``), with the stack's constants (``_Stack``, with its
-    ``_Workspace``) built once, when it forms, and again only when a member
-    leaves it. Only ``_Stack`` makes a lone member a plain field, whose 1-D
-    arrays cost less than a (1, n) stack's: a trial that alone survives a
-    larger stack's iteration is judged as a stack of one. Each member's step
-    size, gate verdict, extinction bisection and stop reason are its own, in
-    Python floats, so each member ends bit for bit as it would alone; a
-    member that stops leaves the stack. A member's one trial per iteration
-    (its step, or the shortest extinct step that ``_extinction_crossing``
-    finds) is evaluated once, in a snapshot that also gives its E_p,eps, and
-    keeps its sup norm and f(u), which the next steps from it (retries and
-    extinction probes included) reuse; the bisection reads only its probes'
-    sup norms. A member's steps share one ``BandedFactor``. A member stores
-    only its initial state, the states at its targets (its checkpoint times
-    and T_end) and its last state.
+    ``Field``), with the stack's constants (``_Stack``) built once, when
+    it forms, and again only when a member leaves it. Only ``_Stack``
+    makes a lone member a plain field, whose 1-D arrays cost less than a
+    (1, n) stack's: a trial that alone survives a larger stack's iteration
+    is judged as a stack of one. Each member's step size, gate verdict,
+    extinction bisection and stop reason are its own, in Python floats, so
+    each member ends bit for bit as it would alone; a member that stops
+    leaves the stack. A member's one trial per iteration (its step, or the
+    shortest extinct step that ``_extinction_crossing`` finds) is
+    evaluated once, in a snapshot that also gives its E_p,eps, and keeps
+    its sup norm, f(u) and lagged coefficient, which the next steps from
+    that field (retries included) reuse; a field built from rows of
+    another (``Field.rows``, ``Field.stack``: a regathered stack, or the
+    state an extinction bisection starts from) evaluates them again, with
+    the same bits. The bisection reads only its probes' sup norms. A
+    member's steps share one ``BandedFactor``. A member stores only its
+    initial state, the states at its targets (its checkpoint times and
+    T_end) and its last state.
     """
     if u0.mesh is not mesh:
         raise SolverError("initial field lives on a different mesh")
@@ -638,7 +618,7 @@ def march(mesh: Mesh, u0: Field, cfgs, nl: Nonlinearity) -> list[Trajectory]:
     k = len(members)
     start = Field(mesh, u0.values if k == 1
                   else np.broadcast_to(u0.values, (k, mesh.n_nodes)))
-    stack = _Stack(members, mesh)
+    stack = _Stack(members)
     zeros = 0.0 if k == 1 else [0.0] * k
     snaps = snapshot(start, zeros, stack.terms, nl, zeros)
     running = []
@@ -654,14 +634,13 @@ def march(mesh: Mesh, u0: Field, cfgs, nl: Nonlinearity) -> list[Trajectory]:
             running.append(m)
     while running:
         if len(running) != len(stack.members):
-            stack = _Stack(running, mesh)
+            stack = _Stack(running)
         running = _advance(stack, mesh, nl)
     return [m.traj for m in members]
 
 
 class _Member:
-    """One member of a ``march``: its trajectory, factor and plain-field
-    ``_Workspace`` (for its steps alone and its probes), and its step
+    """One member of a ``march``: its trajectory and factor, and its step
     control in Python floats. Its current state is row ``row`` of the
     stack ``state``, or ``state`` itself, a plain field, when ``row`` is
     None, and ``snap`` is that state's snapshot; ``h`` is the size of its
@@ -669,14 +648,13 @@ class _Member:
     entry ``next_target``, at ``t_trial`` with dissipation ``diss`` and
     cumulative dissipation ``cum`` (``close``)."""
 
-    __slots__ = ("traj", "cfg", "factor", "work", "targets", "next_target",
-                 "t", "dt", "h", "target", "t_trial", "diss", "cum", "snap",
+    __slots__ = ("traj", "cfg", "factor", "targets", "next_target", "t",
+                 "dt", "h", "target", "t_trial", "diss", "cum", "snap",
                  "state", "row")
 
     def __init__(self, traj: Trajectory):
         cfg = traj.cfg
         self.traj, self.cfg, self.factor = traj, cfg, BandedFactor(traj.mesh)
-        self.work = _Workspace(traj.mesh)
         self.targets = sorted({float(c) for c in cfg.checkpoint_times}
                               | {cfg.T_end})
         self.next_target = 0
@@ -790,25 +768,24 @@ class _Member:
 
 class _Stack:
     """The members that one ``march`` iteration steps together, with what
-    ``step`` and ``snapshot`` take for them: their configs, factors,
-    ``Terms`` and a ``_Workspace``; for a stack of one (``one``), the
-    member's own, and its state becomes a plain field, here only. Built
-    when the stack forms, and again when a member leaves it."""
+    ``step`` and ``snapshot`` take for them: their configs, factors and
+    ``Terms``; for a stack of one (``one``), the member's own, and its
+    state becomes a plain field, here only. Built when the stack forms,
+    and again when a member leaves it."""
 
-    __slots__ = ("members", "one", "cfgs", "factors", "terms", "work")
+    __slots__ = ("members", "one", "cfgs", "factors", "terms")
 
-    def __init__(self, members: list[_Member], mesh: Mesh):
+    def __init__(self, members: list[_Member]):
         self.members = members
         self.one = len(members) == 1
         if self.one:
             m, = members
             if m.row is not None:       # the member left a larger stack
                 m.state, m.row = m.state.rows(m.row), None
-            self.cfgs, self.factors, self.work = m.cfg, m.factor, m.work
+            self.cfgs, self.factors = m.cfg, m.factor
         else:
             self.cfgs = [m.cfg for m in members]
             self.factors = [m.factor for m in members]
-            self.work = _Workspace(mesh, len(members))
         self.terms = _terms(self.cfgs)
 
 
@@ -827,7 +804,7 @@ def _advance(stack: _Stack, mesh: Mesh, nl: Nonlinearity) -> list[_Member]:
         state = m.state
         try:
             new = step(state, m.t, stack.cfgs, nl, m.h, factor=stack.factors,
-                       terms=stack.terms, work=stack.work)
+                       terms=stack.terms)
         except StepFailureError:
             new = None
         trial = m.trial(new, math.nan if new is None else new.sup(), state,
@@ -843,7 +820,7 @@ def _advance(stack: _Stack, mesh: Mesh, nl: Nonlinearity) -> list[_Member]:
     state = _gather([(m.state, m.row) for m in running])
     new = step(state, [m.t for m in running], stack.cfgs, nl,
                [m.h for m in running], factor=stack.factors,
-               terms=stack.terms, work=stack.work)
+               terms=stack.terms)
     members, trials = [], []
     for i, (m, sup) in enumerate(zip(running, new.sup().tolist())):
         trial = m.trial(new, sup, state, i, nl)
@@ -889,7 +866,7 @@ def _extinction_crossing(state: Field, m: _Member,
     lo, hi, found = 0.0, m.h, None
     for _ in range(EXTINCTION_HALVINGS):
         mid = 0.5 * (lo + hi)
-        new = step(state, m.t, m.cfg, nl, mid, factor=m.factor, work=m.work)
+        new = step(state, m.t, m.cfg, nl, mid, factor=m.factor)
         if new.sup() <= m.cfg.tol_ext:
             hi, found = mid, new
         else:

@@ -573,9 +573,12 @@ class TestMain:
         ("dt_max = 0", "[solver]: dt_max"),
         ("dt_max = -1", "[solver]: dt_max"),
         ("dt_max = nan", "[solver]: dt_max"),
+        ("dt_min = 0", "[solver]: dt_min"),
+        ("dt_min = -1", "[solver]: dt_min"),
     ], ids=["eps_nan", "eps_inf", "residual_tol_nan", "residual_tol_zero",
             "tol_ext_nan", "u_max_nan", "amplitude_nan", "amplitude_inf",
-            "dt_max_zero", "dt_max_negative", "dt_max_nan"])
+            "dt_max_zero", "dt_max_negative", "dt_max_nan", "dt_min_zero",
+            "dt_min_negative"])
     def test_value_that_switches_off_a_check_fails_by_name(
             self, tmp_path, capsys, line, key):
         # configparser keys are case-insensitive: U_max names key u_max

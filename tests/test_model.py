@@ -702,6 +702,22 @@ class TestConditions:
         assert rep.superlinearity_ok
         assert math.isfinite(rep.superlinearity_slack)
 
+    def test_overflowing_reaction_growth_fitted_where_finite(self):
+        # ExpPower(2, 50)'s f overflows on the grid's last points; the
+        # growth is fitted on the rest, where log(inf) made it nan. A grid
+        # without overflow keeps its fit, and radial_exp's summary its bytes
+        nl = ExpPower(2, 50)
+        t = np.logspace(-8, 1, 400)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(nl.f(t[t >= 1.0])).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_f_conditions(nl)
+        assert math.isfinite(rep.growth_exponent)
+        assert rep.growth_exponent > 0
+        assert check_f_conditions(ExpPower(3, 1)).growth_exponent == \
+            35.846815426891055
+
     def test_zero_reaction_reported_degenerate(self):
         rep = check_f_conditions(Zero())
         assert rep.vanishing_ratio == 0.0

@@ -87,6 +87,7 @@ class TestConfig:
         ("U_max", math.nan),
         ("dt_max", 0.0), ("dt_max", -1.0), ("dt_max", math.nan),
         ("dt_max", math.inf),
+        ("dt_min", 0.0), ("dt_min", -1.0), ("dt_min", -math.inf),
     ])
     def test_values_that_switch_off_a_check(self, key, value):
         # NaN fails every comparison: a NaN tolerance or threshold would
@@ -379,32 +380,53 @@ class TestRun:
 
     def test_coefficient_once_per_state(self, monkeypatch):
         # a snapshot evaluates its state's lagged coefficient and keeps it
-        # with the state (Field.coefficient), and Field.rows and
-        # Field.stack keep it with each row. Every step from an evaluated
-        # state then reads it: the next step, a retry after a rejection,
-        # the extinction probes, and a step from the state's row in a
-        # regathered or smaller stack. So the rows evaluated are the
-        # snapshots' rows, u0's, each accepted state's and each rejected
-        # trial's, with none for the probes or a stack change
+        # with the state (Field.coefficient), and every step from that
+        # field reads it: the next step and a retry after a rejection. A
+        # field that Field.rows or Field.stack builds from another keeps
+        # nothing, so a step from it (a regathered stack, the state an
+        # extinction bisection starts from, a member that goes on alone)
+        # evaluates it once, for all the steps from that field. So the
+        # rows evaluated are the rows of every distinct field a step or a
+        # snapshot takes, once each: the snapshots' rows (u0's, each
+        # accepted state's and each rejected trial's), plus those of the
+        # fields the steps start from that no snapshot took
         rows = [0]
         coefficient = model.Terms.coefficient
+        snapshot_, step_ = solver.snapshot, solver.step
+        taken = {"snapshot": {}, "step": {}}
 
-        def counted(self, grad_sq, out=None):
+        def counted(self, grad_sq):
             rows[0] += 1 if grad_sq.ndim == 1 else len(grad_sq)
-            return coefficient(self, grad_sq, out)
+            return coefficient(self, grad_sq)
+
+        def counted_snapshot(field, *args, **kwargs):
+            taken["snapshot"][id(field)] = field
+            return snapshot_(field, *args, **kwargs)
+
+        def counted_step(state, *args, **kwargs):
+            taken["step"][id(state)] = state
+            return step_(state, *args, **kwargs)
 
         monkeypatch.setattr(model.Terms, "coefficient", counted)
+        monkeypatch.setattr(solver, "snapshot", counted_snapshot)
+        monkeypatch.setattr(solver, "step", counted_step)
 
         def snapshot_rows(trajs):
             return sum(len(t.snapshots) + t.rejected_steps for t in trajs)
 
-        # criterion 1's run
+        def unsnapshotted_rows():
+            return sum(1 if f.values.ndim == 1 else len(f.values)
+                       for i, f in taken["step"].items()
+                       if i not in taken["snapshot"])
+
+        # criterion 1's run: every step starts from a snapshot's field
         mesh = build_mesh(Interval(1.0), 400)
         u0 = Field(mesh, np.ones(mesh.n_nodes)).constrained()
         traj = run(mesh, u0, SolverConfig(p=1.01, eps=1e-4, T_end=1.0),
                    Zero())
         assert traj.rejected_steps > 0 and traj.extinction_probes > 0
-        assert rows[0] == snapshot_rows([traj])
+        assert unsnapshotted_rows() == 0
+        assert rows[0] == snapshot_rows([traj]) == 1728
         # two members: one bisects its extinction crossing from its row
         # of the stack and leaves, the other goes on alone; both reject
         # trials, and their verdicts differ in some iterations
@@ -412,11 +434,14 @@ class TestRun:
         cfgs = [SolverConfig(p=1.05, T_end=0.05),
                 SolverConfig(p=1.5, T_end=0.05, checkpoint_times=(0.025,))]
         rows[0] = 0
+        taken["snapshot"].clear()
+        taken["step"].clear()
         trajs = march(mesh, hat(mesh, 0.1), cfgs, Zero())
         assert [t.status.kind for t in trajs] == ["extinct", "completed"]
         assert trajs[0].extinction_probes > 0
         assert all(t.rejected_steps > 0 for t in trajs)
-        assert rows[0] == snapshot_rows(trajs)
+        assert unsnapshotted_rows() > 0
+        assert rows[0] == snapshot_rows(trajs) + unsnapshotted_rows()
         # a state that no snapshot evaluated is evaluated by its step
         rows[0] = 0
         step(hat(mesh).constrained(), 0.0, cfgs[1], Zero(), 1e-3)
@@ -780,8 +805,7 @@ class TestLinearSolve:
             ref = lapack_solveh_banded(ab, rhs)
             x = solver.BandedFactor(mesh).solve(band, rhs, rhs)
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
-            assert solver._gate(band, x, rhs, offsets,
-                                solver._Workspace(mesh))
+            assert solver._gate(band, x, rhs, offsets)
 
     @pytest.mark.parametrize("resolution", [8, [16, 8], [9, 16], 32])
     def test_schur_band_is_the_dense_complement(self, resolution):
