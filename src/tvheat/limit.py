@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .mesh import Annulus, Field, Mesh
-from .model import Nonlinearity, diffusivity, grad_p_norm, total_variation, \
+from .model import Nonlinearity, Terms, grad_p_norm, total_variation, \
     well_levels
 from .solver import SolverConfig, march
 
@@ -72,7 +72,7 @@ def extract_flux(field: Field, p: float, eps: float = 0.0) -> FluxField:
     if eps < 0:
         raise LimitError(f"eps must be >= 0, got {eps}")
     return flux_from_vectors(field.mesh,
-                             diffusivity(field.grad_sq, p, eps)[:, None]
+                             Terms(p, eps).coefficient(field.grad_sq)[:, None]
                              * field.grad)
 
 

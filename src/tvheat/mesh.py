@@ -335,9 +335,13 @@ class Mesh:
         j = np.concatenate(jj)
         d = j - np.concatenate(ii)
         # a coefficient that is exactly zero (a right angle's coupling) adds
-        # nothing for any w: only the diagonals holding a nonzero are stored
-        diagonals = np.union1d(d[coef != 0], [0])[::-1]
-        row = np.full(d.max(initial=0) + 1, -1)
+        # nothing for any w: only the diagonals holding a nonzero are stored,
+        # found by flags (np.union1d would load numpy.ma, about 1 MB)
+        held = np.zeros(d.max(initial=0) + 1, dtype=bool)
+        held[0] = True
+        held[d[coef != 0]] = True
+        diagonals = np.flatnonzero(held)[::-1]
+        row = np.full(len(held), -1)
         row[diagonals] = np.arange(len(diagonals))
         keep = row[d] >= 0
         elem, at, coef = elem[keep], row[d[keep]] * m + j[keep], coef[keep]

@@ -137,8 +137,8 @@ class ExpPower(Nonlinearity):
 
     F(u) = |u|^q / q * 1F1(q/2; q/2 + 1; z), z = alpha u^2, the closed form
     of the series  sum_k alpha^k |u|^(q+2k) / (k! (q+2k)); for q = 2 it is
-    (exp(alpha u^2) - 1) / (2 alpha). Both return +-inf without a warning
-    where they overflow.
+    (exp(alpha u^2) - 1) / (2 alpha). Where they overflow, f is +-inf and
+    F, which is never negative, +inf, without a warning.
 
     F is evaluated node by node, by Kummer's series of 1F1 with a = q/2
     (DLMF 13.2.2 with b = a + 1): 1F1 = sum_(k>=0) a / (a + k) z^k / k!.
@@ -154,15 +154,16 @@ class ExpPower(Nonlinearity):
       q = 2. The sum stops at the first k where d_k z_max^(k-1), for the
       array's largest z, is below 2^-55 d_1, so a decayed state needs only
       a few terms.
-    - Where Z0 < z < ``z_inf``, F is |u|^q / q * 1F1, with the running
+    - Where Z0 < z < ``_Z_OVER``, F is |u|^q / q * 1F1, with the running
       term t_k = t_(k-1) z / k weighted by a / (a + k). The sum stops at
       the first k past the largest z of these nodes where that node's
       term is below 2^-55 of its partial sum; at such k a smaller z has a
       smaller term-to-sum ratio. Its terms start at 2^-64, which changes
-      no bit, so that z^k / k! (inf from about z = 714) stays finite as
-      long as the sum does.
-    - From ``z_inf`` on, and at +-inf, 1F1 is inf and so is F; at nan F is
-      nan. Neither is summed.
+      no bit and keeps z^k / k! (inf from about z = 714) and the sum
+      finite; unscaling the sum by 2^64 makes it inf from the first z at
+      which it exceeds the largest float, about 716.
+    - From ``_Z_OVER`` on, and at +-inf, 1F1 is inf and so is F; at nan F
+      is nan. Neither is summed.
     """
 
     # where the d_k sum gives way to the running term's: on 801 nodes with
@@ -192,23 +193,6 @@ class ExpPower(Nonlinearity):
             self._d.append(d)
             z0_k *= self.Z0
 
-    @functools.cached_property
-    def z_inf(self) -> float:
-        """The smallest z at which 1F1(q/2; q/2 + 1; z), as ``F`` sums it,
-        is inf: about 716. Found once per instance, the first time a node
-        lies between _Z_FINITE and _Z_OVER, by multisection over the floats
-        between the two: every rounded operation of the sum is monotone,
-        so the sum never falls as z rises."""
-        lo, hi = np.array([_Z_FINITE, _Z_OVER]).view(np.int64).tolist()
-        with np.errstate(over="ignore"):
-            while hi - lo > 1:
-                bits = sorted({lo + (hi - lo) * j // 64
-                               for j in range(1, 64)} - {lo})
-                z = np.array(bits, dtype=np.int64).view(float)
-                finite = int(np.isfinite(self._kummer(z)).sum())
-                lo, hi = ([lo] + bits)[finite], (bits + [hi])[finite]
-        return float(np.array(hi, dtype=np.int64).view(float))
-
     @_nodewise
     def f(self, u):
         with np.errstate(over="ignore"):
@@ -228,13 +212,10 @@ class ExpPower(Nonlinearity):
             # nan, +-inf or z above Z0 somewhere
             small = z <= self.Z0
             zb = z[~small]
-            # nan stays nan, and from z_inf on 1F1 is inf. z_inf lies in
-            # [_Z_FINITE, _Z_OVER), so only a node there needs it
+            # nan stays nan, and from _Z_OVER on 1F1 is inf
             s = np.ones(z.shape)
             s[~small] = np.where(np.isnan(zb), zb, np.inf)
-            near = (zb >= _Z_FINITE) & (zb < _Z_OVER)
-            end = self.z_inf if near.any() else _Z_FINITE
-            summed = ~small & (z < end)
+            summed = ~small & (z < _Z_OVER)
             if summed.any():
                 s[summed] = self._kummer(z[summed])
             F = lead * s
@@ -260,9 +241,9 @@ class ExpPower(Nonlinearity):
         return r
 
     def _kummer(self, z: np.ndarray) -> np.ndarray:
-        """1F1(q/2; q/2 + 1; z) for a 1-D array of z in (Z0, _Z_OVER],
-        node by node, as a new array: inf where it overflows, under the
-        caller's ``np.errstate``."""
+        """1F1(q/2; q/2 + 1; z) for a 1-D array of z in (Z0, _Z_OVER),
+        node by node, as a new array: inf where the unscaled sum
+        overflows, under the caller's ``np.errstate``."""
         a = 0.5 * self.q
         i = int(z.argmax())
         z_max = float(z[i])
@@ -284,13 +265,11 @@ _EIGHTH_ULP = 2.0 ** -55
 
 # the first term of ExpPower's sum past Z0. A power of two scales every
 # term and sum without rounding, and 2^-64 keeps the terms and their sum
-# finite up to _Z_OVER
+# finite below _Z_OVER
 _SCALE = 2.0 ** -64
 
-# 1F1(a; a + 1; z) <= e^z < e^709 < 2^1023 for every a: no node below
-# _Z_FINITE overflows. 1F1(a; a + 1; z) >= min(a, 1) (e^z - 1) / z and a
-# > 1/2, so every node from _Z_OVER on does
-_Z_FINITE = 709.0
+# 1F1(a; a + 1; z) >= min(a, 1) (e^z - 1) / z and a > 1/2, so every node
+# from _Z_OVER on overflows
 _Z_OVER = 723.0
 
 
@@ -317,23 +296,13 @@ def _check_p(p: float):
         raise ModelError(f"p must exceed 1, got {p}")
 
 
-# the exponents for which numpy's ``**`` may take a shortcut (square, sqrt,
-# reciprocal) where ``np.power(x, e, out=...)`` calls pow, depending on the
-# numpy version; for every other scalar exponent both call pow
-_SHORTCUTS = (2.0, 0.5, -1.0)
-
-
 def _power(x: np.ndarray, e: list, out: np.ndarray) -> np.ndarray:
-    """x ** e for a stack's (k, n) x and a list of k exponents (``Terms``):
-    each row is raised to its own scalar exponent, which gives it the bits
-    of the row's own ``**``, written into its row of ``out`` by
-    ``np.power``, or by ``**`` for an exponent in ``_SHORTCUTS`` (one
-    exponent array for all rows would call pow where ``**`` squares)."""
+    """x ** e for a stack's (k, n) x and a list of k exponents (``Terms``),
+    into ``out``: each row by ``**`` with its own scalar exponent, which
+    gives it the bits of the row alone (one exponent array for all rows
+    would call pow where ``**`` squares)."""
     for i, ei in enumerate(e):
-        if ei in _SHORTCUTS:
-            out[i] = x[i] ** ei
-        else:
-            np.power(x[i], ei, out=out[i])
+        out[i] = x[i] ** ei
     return out
 
 
@@ -345,9 +314,9 @@ class Terms:
 
     For a plain field each is a float. For a stack of k fields, given p
     and eps as (k,) arrays, ``eps_sq`` is the (k, 1) column of each row's
-    own Python square and each exponent a list of k floats, which
-    ``_power`` raises each row to. Every row then gets the bits it gets
-    alone. ``key`` is the pair (coefficient exponent, eps^2) that decides
+    own Python square and each exponent a list of k floats, to which
+    ``_power`` raises each row by ``**``, as for a plain field. Every row
+    then gets the bits it gets alone. ``key`` is the pair (coefficient exponent, eps^2) that decides
     a row's coefficient, and for a stack the tuple of its rows' pairs:
     constants of equal keys give a field the same coefficient, which is
     how ``Field.coefficient`` finds the one it keeps.
@@ -369,14 +338,16 @@ class Terms:
             self.key = (self.coef_exp, self.eps_sq)
 
     def coefficient(self, grad_sq: np.ndarray) -> np.ndarray:
-        """``diffusivity`` with these constants, as a new array: a plain
-        field's one ``**``, a stack's rows each by ``_power``."""
+        """The regularized p-Laplacian coefficient (|g|^2 + eps^2)^((p-2)/2)
+        per element, from the squared gradient magnitudes ``grad_sq`` =
+        |g|^2 (``Field.grad_sq``), as a new array: a plain field's one
+        ``**``, a stack's rows each by ``_power``. With eps = 0 a flat
+        element would make it 0^((p-2)/2); the cap 1e-300 keeps it finite,
+        and coefficient times g is then 0 there."""
         s = grad_sq + self.eps_sq
         np.maximum(s, 1e-300, out=s)
         e = self.coef_exp
-        if isinstance(e, list):
-            return _power(s, e, s)
-        return s ** e if e in _SHORTCUTS else np.power(s, e, out=s)
+        return _power(s, e, s) if isinstance(e, list) else s ** e
 
     def density(self, grad_sq: np.ndarray, coef: np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
@@ -389,16 +360,6 @@ class Terms:
         s = np.add(grad_sq, self.eps_sq, out=out)
         s *= coef
         return s
-
-
-def diffusivity(grad_sq: np.ndarray, p, eps) -> np.ndarray:
-    """The regularized p-Laplacian coefficient (|g|^2 + eps^2)^((p-2)/2) per
-    element, from the squared gradient magnitudes ``grad_sq`` = |g|^2
-    (``Field.grad_sq``). For a stack's (k, n_el) ``grad_sq``, p and eps are
-    (k,) arrays, one per row, and each row is what it would be alone. With
-    eps = 0 a flat element would make it 0^((p-2)/2); the cap 1e-300 keeps
-    it finite, and coefficient times g is then 0 there."""
-    return Terms(p, eps).coefficient(grad_sq)
 
 
 def grad_p_norm(field: Field, p: float) -> float:
@@ -426,7 +387,7 @@ def regularized_energy(field: Field, p: float, eps: float,
     Computed as E_p(u) + (1/p)(int (|grad u|^2 + eps^2)^(p/2) -
     int |grad u|^p) from ``snap``, the snapshot of ``field``, so that F is
     not evaluated a second time, with the lifted density of
-    ``Terms.density``. A snapshot given the ``Terms`` of p and eps, alone
+    ``Terms.density``. The snapshot at the ``Terms`` of p and eps, alone
     or as a stack's row, holds the same value as ``E_eps``.
     """
     _check_p(p)
@@ -450,7 +411,7 @@ def energy_derivative(field: Field, direction: Field, p: float,
     _check_p(p)
     m = field.mesh
     diff = float(m.element_volumes
-                 @ (diffusivity(field.grad_sq, p, 0.0)
+                 @ (Terms(p).coefficient(field.grad_sq)
                     * (field.grad * direction.grad).sum(axis=1)))
     return diff - m.integrate(nl.f(field.values) * direction.values)
 
@@ -728,31 +689,24 @@ class EnergySnapshot:
     E_eps: float    # E_p,eps at the eps of the snapshot's Terms
 
 
-def snapshot(field: Field, t, p, nl: Nonlinearity, dissipation_cum
-             ) -> EnergySnapshot | list[EnergySnapshot]:
-    """The diagnostics of ``field`` in one pass: int |grad u|^p, f(u),
-    F(u) and the lagged coefficient are each evaluated once, f(u) and the
-    coefficient are kept with the field (``Field.reaction``,
-    ``Field.coefficient``) for the steps from it, and every integral is
-    one quadrature dot product. Every field equals its definition
-    (``energy``, ``nehari_I``, ``total_variation``, ``Field.l2``,
-    ``Field.sup``, ``grad_p_norm``) bit for bit.
+def snapshot(field: Field, t, terms: Terms, nl: Nonlinearity,
+             dissipation_cum) -> EnergySnapshot | list[EnergySnapshot]:
+    """The diagnostics of ``field`` at the p and eps of ``terms`` in one
+    pass: int |grad u|^p, f(u), F(u) and the lagged coefficient are each
+    evaluated once, f(u) and the coefficient are kept with the field
+    (``Field.reaction``, ``Field.coefficient``) for the steps from it, and
+    every integral is one quadrature dot product. Every field equals its
+    definition (``energy``, ``nehari_I``, ``total_variation``,
+    ``Field.l2``, ``Field.sup``, ``grad_p_norm``) bit for bit.
 
     A stack of k fields is evaluated in the same pass, with ``t`` and
-    ``dissipation_cum`` given per row (k values) and ``p`` as the ``Terms``
-    of the rows' p and eps, which ``march`` computes once per stack; the
-    result is then the list of the k rows' snapshots, each equal to the
-    snapshot of that row alone. A plain field's ``p`` may be a float,
-    which stands for ``Terms(p)``, whose eps is 0, and gives the same
-    bits. ``E_eps`` is E_p,eps at the eps of the ``Terms``, equal to
+    ``dissipation_cum`` given per row (k values) and ``terms`` holding the
+    rows' p and eps, which ``march`` computes once per stack; the result
+    is then the list of the k rows' snapshots, each equal to the snapshot
+    of that row alone. ``E_eps`` is E_p,eps, equal to
     ``regularized_energy``, from the same pass: the energy that the step
     gate compares, whose lifted density (``Terms.density``) is the
     coefficient times |grad u|^2 + eps^2."""
-    if isinstance(p, Terms):
-        terms = p
-    else:
-        _check_p(p)
-        terms = Terms(p)
     m = field.mesh
     u, mag, g = field.values, field.grad_mag, field.grad_sq
     vol, qw = m.element_volumes, m.quad_weights

@@ -383,7 +383,8 @@ class TestMain:
 
     def test_1d_runs_load_no_scipy_package(self):
         # a criterion 1 run and a two-member continuation, with its flux
-        # audits, load no scipy module that the import did not
+        # audits, load no scipy module that the import did not, nor
+        # numpy.ma
         loaded, at_import = self.scipy_modules(
             "import numpy as np\n"
             "from tvheat import ContinuationPlan, Field, Interval, "
@@ -394,7 +395,8 @@ class TestMain:
             ".status.kind == 'extinct'\n"
             "plan = ContinuationPlan(u0, Zero(), SolverConfig(p=1.5, "
             "T_end=0.05), p_sequence=(1.5, 1.25), checkpoint_times=(0.04,))\n"
-            "assert len(run_continuation(plan).records) == 2")
+            "assert len(run_continuation(plan).records) == 2\n"
+            "assert 'numpy.ma' not in sys.modules")
         assert loaded == at_import
         for name in self.HEAVY:
             assert name not in loaded
@@ -431,7 +433,8 @@ class TestMain:
         # (the gradient, its adjoint, the stiffness scatter and the Schur
         # complement's), all through scipy's kernels, loaded by their file:
         # the only scipy module it adds to the import's is that extension,
-        # beside LAPACK's, which the import loads
+        # beside LAPACK's, which the import loads. Nor does it load
+        # numpy.ma, which costs a process about 1 MB resident
         loaded, at_import = self.scipy_modules(
             "import numpy as np\n"
             "from tvheat import Field, Power, Rectangle, SolverConfig, "
@@ -446,7 +449,8 @@ class TestMain:
             "traj = run(mesh, u0, SolverConfig(p=1.5, T_end=0.004), nl)\n"
             "assert traj.status.kind == 'completed' and traj.pcg_iterations\n"
             "assert np.isfinite(extract_flux(traj.states[-1][1], 1.5).z)"
-            ".all()")
+            ".all()\n"
+            "assert 'numpy.ma' not in sys.modules")
         assert "scipy.linalg._flapack" in at_import
         assert sorted(set(loaded) - set(at_import)) == [
             "scipy.sparse._sparsetools"]

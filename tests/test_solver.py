@@ -870,7 +870,8 @@ class TestLinearSolve:
         u = Field(mesh, np.sin(np.pi * mesh.nodes).prod(axis=1)).constrained()
         cfg, factor = SolverConfig(p=1.5), solver.BandedFactor(mesh)
         band = mesh.interior_stiffness(
-            model.diffusivity(u.grad_sq, 1.5, cfg.eps) * mesh.element_volumes)
+            model.Terms(1.5, cfg.eps).coefficient(u.grad_sq)
+            * mesh.element_volumes)
         qw = mesh.interior_weights
         exact = qw * u.values[mesh.interior] / 1e-3 / (band[-1] + qw / 1e-3)
         for _ in range(2):
@@ -1133,12 +1134,12 @@ class TestEnergyGate:
         traj = run(mesh, u0, cfg, Zero())
         t, u = traj.states[-1]
         assert t == 0.3
-        old = model.snapshot(u, t, p, Zero(), 0.0)
+        old = model.snapshot(u, t, model.Terms(p), Zero(), 0.0)
         E_eps = regularized_energy(u, p, eps, old)
         r_eps = []
         for dt in (1e-6, 1e-5, 1e-4, 1e-3):
             new = step(u, t, cfg, Zero(), dt)
-            snap = model.snapshot(new, t + dt, p, Zero(), 0.0)
+            snap = model.snapshot(new, t + dt, model.Terms(p), Zero(), 0.0)
             diss = mesh.quad_weights @ (new.values - u.values) ** 2 / dt
             r_eps.append(diss + regularized_energy(new, p, eps, snap) - E_eps)
             r_p = diss + snap.E_p - old.E_p
@@ -1150,7 +1151,7 @@ class TestEnergyGate:
     def test_regularized_energy_definition(self, mesh):
         u = hat(mesh)
         p, eps = 1.5, 0.25
-        snap = model.snapshot(u, 0.0, p, Power(q=3.0), 0.0)
+        snap = model.snapshot(u, 0.0, model.Terms(p), Power(q=3.0), 0.0)
         lifted = mesh.element_volumes @ (u.grad_mag ** 2 + eps ** 2) ** (p / 2)
         direct = lifted / p - mesh.integrate(Power(q=3.0).F(u.values))
         assert regularized_energy(u, p, eps, snap) == pytest.approx(
