@@ -69,8 +69,8 @@ def flux_from_vectors(mesh: Mesh, z: np.ndarray) -> FluxField:
 
 def extract_flux(field: Field, p: float, eps: float = 0.0) -> FluxField:
     """Flux of a state at parameter p with gradient regularization eps."""
-    if eps < 0:
-        raise LimitError(f"eps must be >= 0, got {eps}")
+    if not (0 <= eps and math.isfinite(eps * eps)):
+        raise LimitError(f"eps must be >= 0 with a finite square, got {eps}")
     return flux_from_vectors(field.mesh,
                              Terms(p, eps).coefficient(field.grad_sq)[:, None]
                              * field.grad)

@@ -311,7 +311,8 @@ class Mesh:
         holds super-diagonal ``offsets[r]`` and the last row the diagonal,
         each as in LAPACK upper banded storage (A[i, i + d] in column
         i + d); every other diagonal is zero. Built on first use, from the
-        gradient table.
+        gradient table, in one pass over each element's local node pairs
+        a <= c: G[e, a] . G[e, c] is G[e, c] . G[e, a] bit for bit.
         """
         interior = np.flatnonzero(self.interior_mask)
         m = len(interior)
@@ -320,20 +321,15 @@ class Mesh:
         n_el, n_loc = self.elements.shape
         G = self.grad_coeff
         # element e adds w_e G[e, a] . G[e, c] to entry (i, j) of the upper
-        # triangle, i <= j, for each local node pair with both nodes interior
-        P = pos[self.elements]
-        coef, ii, jj, elem = [], [], [], []
-        for a in range(n_loc):
-            for c in range(n_loc):
-                i, j = P[:, a], P[:, c]
-                keep = (i >= 0) & (i <= j)
-                coef.append((G[keep, a] * G[keep, c]).sum(axis=1))
-                ii.append(i[keep])
-                jj.append(j[keep])
-                elem.append(np.flatnonzero(keep))
-        coef, elem = np.concatenate(coef), np.concatenate(elem)
-        j = np.concatenate(jj)
-        d = j - np.concatenate(ii)
+        # triangle for each pair of its local nodes a <= c with both nodes
+        # interior, i and j the lesser and the greater of their positions
+        a, c = np.triu_indices(n_loc)
+        Pa, Pc = pos[self.elements[:, a]], pos[self.elements[:, c]]
+        keep = (Pa >= 0) & (Pc >= 0)
+        elem = np.nonzero(keep)[0]
+        coef = (G[:, a] * G[:, c]).sum(axis=2)[keep]
+        j = np.maximum(Pa, Pc)[keep]
+        d = j - np.minimum(Pa, Pc)[keep]
         # a coefficient that is exactly zero (a right angle's coupling) adds
         # nothing for any w: only the diagonals holding a nonzero are stored,
         # found by flags (np.union1d would load numpy.ma, about 1 MB)
@@ -650,9 +646,10 @@ class Field:
     ``grad_mag``, and so are the sup norm, the reaction f(u) and the
     lagged coefficient (``sup``, ``reaction``, ``coefficient``). Each
     field computes them for itself: one built from another's rows
-    (``rows``, ``stack``) keeps none of that field's. A field built from a
-    caller's array copies it; ``step`` and ``Field.stack`` hand over
-    arrays they made for the field instead (``Field._adopt``).
+    (``rows``, or a stack ``solver._gather`` joins) keeps none of that
+    field's. A field built from a caller's array copies it; ``step`` and
+    ``_gather`` hand over arrays they made for the field instead
+    (``Field._adopt``).
     """
 
     mesh: Mesh
@@ -712,16 +709,8 @@ class Field:
     def rows(self, index) -> "Field":
         """The rows of this stack that ``index`` selects, copied, as a new
         field that keeps nothing computed for this one: a plain field for
-        a row number, a stack for a slice or a sequence of row numbers
-        (and, for a plain field, a stack of one for None)."""
+        a row number, a stack for a slice or a sequence of row numbers."""
         return Field(self.mesh, self.values[index])
-
-    @classmethod
-    def stack(cls, fields) -> "Field":
-        """One stack of the rows of the stacks ``fields``, in order, as a
-        new field that keeps nothing computed for them."""
-        return cls._adopt(fields[0].mesh,
-                          np.concatenate([f.values for f in fields]))
 
     @classmethod
     def _adopt(cls, mesh: Mesh, values: np.ndarray,

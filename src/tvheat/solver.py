@@ -89,8 +89,9 @@ class SolverConfig:
             raise SolverError(f"p must exceed 1, got {self.p}")
         # NaN fails every comparison, so each test is written to fail on it:
         # a NaN tolerance or threshold would switch its check off
-        if not 0 <= self.eps < math.inf:
-            raise SolverError(f"eps must be finite and >= 0, got {self.eps}")
+        if not (0 <= self.eps and math.isfinite(self.eps * self.eps)):
+            raise SolverError(f"eps must be >= 0 with a finite square, got "
+                              f"{self.eps}")
         if not 0 < self.energy_residual_tol < math.inf:
             raise SolverError(f"energy_residual_tol must be finite and > 0, "
                               f"got {self.energy_residual_tol}")
@@ -603,12 +604,14 @@ def march(mesh: Mesh, u0: Field, cfgs, nl: Nonlinearity) -> list[Trajectory]:
     evaluated once, in a snapshot that also gives its E_p,eps, and keeps
     its sup norm, f(u) and lagged coefficient, which the next steps from
     that field (retries included) reuse; a field built from rows of
-    another (``Field.rows``, ``Field.stack``: a regathered stack, or the
-    state an extinction bisection starts from) evaluates them again, with
-    the same bits. The bisection reads only its probes' sup norms. A
-    member's steps share one ``BandedFactor``. A member stores only its
-    initial state, the states at its targets (its checkpoint times and
-    T_end) and its last state.
+    another (``_gather``'s regathered stack, or ``Field.rows``' state that
+    an extinction bisection starts from) evaluates them again, with the
+    same bits. The bisection reads only its probes' sup norms. A member's
+    steps share one ``BandedFactor``. Every state a member holds, u0's
+    included, enters through ``_Member.take``, so that u0 is judged by
+    the tests that judge an accepted step (a u0 at or past U_max ends
+    ``blowup`` at t = 0), and stored at the same targets: t = 0, its
+    checkpoint times and T_end. Its last state is stored too.
     """
     if u0.mesh is not mesh:
         raise SolverError("initial field lives on a different mesh")
@@ -621,17 +624,9 @@ def march(mesh: Mesh, u0: Field, cfgs, nl: Nonlinearity) -> list[Trajectory]:
     stack = _Stack(members)
     zeros = 0.0 if k == 1 else [0.0] * k
     snaps = snapshot(start, zeros, stack.terms, nl, zeros)
-    running = []
-    for row, (m, snap) in enumerate(zip(members,
-                                        [snaps] if k == 1 else snaps)):
-        m.state, m.row, m.snap = start, (None if k == 1 else row), snap
-        m.traj.times.append(0.0)
-        m.traj.snapshots.append(snap)
-        m.traj.states.append((0.0, u0.copy()))
-        if snap.sup <= m.cfg.tol_ext:
-            m.stop(Status("extinct", 0.0, "tol_ext"))
-        else:
-            running.append(m)
+    running = [m for row, (m, snap) in enumerate(
+        zip(members, [snaps] if k == 1 else snaps))
+        if m.take(start, None if k == 1 else row, snap)]
     while running:
         if len(running) != len(stack.members):
             stack = _Stack(running)
@@ -643,10 +638,10 @@ class _Member:
     """One member of a ``march``: its trajectory and factor, and its step
     control in Python floats. Its current state is row ``row`` of the
     stack ``state``, or ``state`` itself, a plain field, when ``row`` is
-    None, and ``snap`` is that state's snapshot; ``h`` is the size of its
-    trial in flight, which ends at or before ``target``, its targets'
-    entry ``next_target``, at ``t_trial`` with dissipation ``diss`` and
-    cumulative dissipation ``cum`` (``close``)."""
+    None, and ``snap`` is that state's snapshot, which ``take`` sets; ``h``
+    is the size of its trial in flight, which ends at or before
+    ``target``, its targets' entry ``next_target``, at ``t_trial`` with
+    dissipation ``diss`` and cumulative dissipation ``cum`` (``close``)."""
 
     __slots__ = ("traj", "cfg", "factor", "targets", "next_target", "t",
                  "dt", "h", "target", "t_trial", "diss", "cum", "snap",
@@ -655,8 +650,8 @@ class _Member:
     def __init__(self, traj: Trajectory):
         cfg = traj.cfg
         self.traj, self.cfg, self.factor = traj, cfg, BandedFactor(traj.mesh)
-        self.targets = sorted({float(c) for c in cfg.checkpoint_times}
-                              | {cfg.T_end})
+        self.targets = sorted({0.0, cfg.T_end}
+                              | {float(c) for c in cfg.checkpoint_times})
         self.next_target = 0
         self.t, self.row = 0.0, None
         self.dt = min(cfg.dt0, cfg.dt_max)
@@ -703,25 +698,29 @@ class _Member:
 
     def judge(self, state: Field, row: int | None,
               snap: EnergySnapshot) -> bool:
-        """Accept or reject the closed trial, row ``row`` of ``state``,
-        evaluated in ``snap``, or stop at an energy that overflowed;
-        returns whether the member still runs."""
+        """Accept the closed trial, row ``row`` of ``state``, evaluated in
+        ``snap`` (``take``), and set the next dt from its residual; or
+        reject it, or stop at an energy that overflowed. Returns whether
+        the member still runs."""
         if not (math.isfinite(snap.E_p) and math.isfinite(snap.I_p)):
             # the reaction overflowed; the residual gate cannot judge this
             self.stop(Status("blowup", self.t, "energy_overflow"))
             return False
         residual = self.diss + snap.E_eps - self.snap.E_eps
         tol = self.cfg.energy_residual_tol * (1.0 + abs(snap.E_p))
-        if not abs(residual) > tol:
-            self.accept(state, row, snap, residual, tol)
-        else:
+        if abs(residual) > tol:
             self.reject()
+        elif self.take(state, row, snap):
+            self.dt = (min(self.h * 1.4, self.cfg.dt_max)
+                       if abs(residual) < 0.2 * tol else self.h)
         return self.traj.status is None
 
-    def accept(self, state: Field, row: int | None, snap: EnergySnapshot,
-               residual: float, tol: float) -> None:
-        """Take the trial, row ``row`` of ``state``, evaluated in ``snap``;
-        stop at blow-up, extinction or T_end, else set the next dt."""
+    def take(self, state: Field, row: int | None,
+             snap: EnergySnapshot) -> bool:
+        """Take the state, row ``row`` of ``state``, evaluated in ``snap``
+        (the initial state, or an accepted trial), storing it at a target;
+        stop at blow-up, extinction or T_end. Returns whether the member
+        still runs."""
         traj, cfg = self.traj, self.cfg
         self.state, self.row, self.snap = state, row, snap
         self.t = snap.time
@@ -735,10 +734,7 @@ class _Member:
             self.stop(Status("extinct", self.t, "tol_ext"))
         elif self.t >= cfg.T_end:
             self.stop(Status("completed", cfg.T_end, "t_end"))
-        elif abs(residual) < 0.2 * tol:
-            self.dt = min(self.h * 1.4, cfg.dt_max)
-        else:
-            self.dt = self.h
+        return traj.status is None
 
     def reject(self) -> None:
         """Halve the size of the trial in flight; step underflow is treated
@@ -761,9 +757,8 @@ class _Member:
     def _field(self) -> Field:
         """A copy of the current state, without gradient arrays; a stack's
         row is copied so that the stored state does not keep its stack."""
-        values = self.state.values
-        return Field(self.state.mesh,
-                     values if self.row is None else values[self.row])
+        return (self.state.copy() if self.row is None
+                else self.state.rows(self.row))
 
 
 class _Stack:
@@ -846,13 +841,14 @@ def _advance(stack: _Stack, mesh: Mesh, nl: Nonlinearity) -> list[_Member]:
 def _gather(refs: list) -> Field:
     """The states ``refs`` = [(field, row), ...] name (row ``row`` of a
     stack, or a plain field for row None) as one stack in order, a stack
-    of one for a single ref; no copy when they are a whole stack."""
+    of one for a single ref: the whole stack itself when they are one, or
+    else the one copy ``np.stack`` makes, which the field adopts."""
     first = refs[0][0]
     if len(refs) == len(first.values) and all(
             f is first and r == i for i, (f, r) in enumerate(refs)):
         return first
-    return Field.stack([f.rows(None if r is None else slice(r, r + 1))
-                        for f, r in refs])
+    return Field._adopt(first.mesh, np.stack(
+        [f.values if r is None else f.values[r] for f, r in refs]))
 
 
 def _extinction_crossing(state: Field, m: _Member,

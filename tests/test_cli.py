@@ -218,6 +218,19 @@ class TestRunExperiment:
             ("blowup", "u_max")
         assert summary["t_max"] != "inf"
 
+    def test_u0_past_u_max_ends_at_t0(self, tmp_path):
+        # u0 is judged as an accepted step is: with no reaction, sup u0 =
+        # 2e6 past the default U_max = 1e6 ends blowup at t = 0
+        text = BASE.replace("[reaction]\nkind = power\nq = 3\n", "") \
+                   .replace("amplitude = 0.01", "amplitude = 2e6")
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output-dir", str(out)]) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["status"], summary["stop_reason"],
+                summary["t_final"]) == ("blowup", "u_max", 0.0)
+
     def test_summary_is_byte_stable(self, tmp_path):
         cfg = parse_config(BASE)
         cfg.out_dir = str(tmp_path)
@@ -568,6 +581,7 @@ class TestMain:
     @pytest.mark.parametrize("line, key", [
         ("eps = nan", "[solver]: eps"),
         ("eps = inf", "[solver]: eps"),
+        ("eps = 1e300", "[solver]: eps"),
         ("energy_residual_tol = nan", "[solver]: energy_residual_tol"),
         ("energy_residual_tol = 0", "[solver]: energy_residual_tol"),
         ("tol_ext = nan", "[solver]: tol_ext"),
@@ -579,10 +593,10 @@ class TestMain:
         ("dt_max = nan", "[solver]: dt_max"),
         ("dt_min = 0", "[solver]: dt_min"),
         ("dt_min = -1", "[solver]: dt_min"),
-    ], ids=["eps_nan", "eps_inf", "residual_tol_nan", "residual_tol_zero",
-            "tol_ext_nan", "u_max_nan", "amplitude_nan", "amplitude_inf",
-            "dt_max_zero", "dt_max_negative", "dt_max_nan", "dt_min_zero",
-            "dt_min_negative"])
+    ], ids=["eps_nan", "eps_inf", "eps_square_overflow", "residual_tol_nan",
+            "residual_tol_zero", "tol_ext_nan", "u_max_nan", "amplitude_nan",
+            "amplitude_inf", "dt_max_zero", "dt_max_negative", "dt_max_nan",
+            "dt_min_zero", "dt_min_negative"])
     def test_value_that_switches_off_a_check_fails_by_name(
             self, tmp_path, capsys, line, key):
         # configparser keys are case-insensitive: U_max names key u_max

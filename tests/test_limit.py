@@ -36,8 +36,9 @@ class TestFlux:
     def test_shape_validation(self, mesh):
         with pytest.raises(LimitError):
             flux_from_vectors(mesh, np.zeros((3, 1)))
-        with pytest.raises(LimitError):
-            extract_flux(hat(mesh), 1.5, eps=-1.0)
+        for eps in (-1.0, math.nan, math.inf, 1e300):
+            with pytest.raises(LimitError):
+                extract_flux(hat(mesh), 1.5, eps=eps)
 
     def test_flat_flux_on_an_interval(self, mesh):
         # a 1-D mesh takes an (n_el,) flux as its (n_el, 1) column; a 2-D

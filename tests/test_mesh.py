@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from tvheat import (Annulus, Field, Interval, Mesh, MeshError, Power,
                     Rectangle, SolverConfig, Zero, build_mesh,
                     default_dictionary, estimate_dp, load_field, step)
+from tvheat import solver
 from tvheat.limit import flux_from_vectors
 from tvheat.mesh import CSR
 
@@ -615,7 +616,8 @@ class TestField:
         (Rectangle(2.0, 1.0), [9, 7])], ids=["interval", "annulus", "rect"])
     def test_stack_is_row_by_row(self, domain, resolution):
         # a stack's gradient arrays and norms are its rows', bit for bit,
-        # and so are those of the fields rows and stack build from it
+        # and so are those of the fields that rows and the march's
+        # _gather build from it
         mesh = build_mesh(domain, resolution)
         rng = np.random.default_rng(9)
         stack = Field(mesh, rng.normal(size=(3, mesh.n_nodes)))
@@ -635,7 +637,7 @@ class TestField:
         one = stack.rows(1)
         assert one.values.shape == (mesh.n_nodes,)
         assert one.grad_sq.tobytes() == rows[1].grad_sq.tobytes()
-        both = Field.stack([stack.rows(slice(0, 1)), rows[1].rows(None)])
+        both = solver._gather([(stack, 0), (rows[1], None)])
         assert both.values.tobytes() == stack.values[:2].tobytes()
         assert both.grad_mag.tobytes() == stack.grad_mag[:2].tobytes()
         assert both.values.flags.c_contiguous

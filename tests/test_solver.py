@@ -17,10 +17,11 @@ from scipy.linalg import solveh_banded as lapack_solveh_banded
 
 from tvheat import mesh as mesh_mod
 
-from tvheat import (Annulus, Field, Interval, Power, Rectangle, SolverConfig,
-                    WellStatus, Zero,
+from tvheat import (Annulus, ContinuationPlan, Field, Interval, Power,
+                    Rectangle, SolverConfig, WellStatus, Zero,
                     build_mesh, default_dictionary, energy, estimate_dp,
-                    march, nehari_scale, run, step, detect_tmax,
+                    march, nehari_scale, run, run_continuation, step,
+                    detect_tmax,
                     gradient_bound_audit, l2_audit, well_invariance_audit,
                     well_status, write_trajectory_csv)
 from tvheat import model, solver
@@ -34,6 +35,9 @@ from tvheat.solver import SolverError, Status, StepFailureError, Trajectory
 # plain run: step, snapshot and the march's bookkeeping each pay their
 # helpers once
 PLAIN_CALLS_PER_STEP = 33
+# the same for criterion 7's six-member continuation, whose stacked march
+# also gathers rows, judges each member and extracts the checkpoint fluxes
+STACKED_CALLS_PER_STEP = 89
 
 
 @pytest.fixture
@@ -80,7 +84,7 @@ class TestConfig:
             SolverConfig(p=1.5, dt0=2.0, T_end=1.0)
 
     @pytest.mark.parametrize("key, value", [
-        ("eps", math.nan), ("eps", math.inf),
+        ("eps", math.nan), ("eps", math.inf), ("eps", 1e300),
         ("energy_residual_tol", math.nan), ("energy_residual_tol", math.inf),
         ("energy_residual_tol", 0.0), ("energy_residual_tol", -1e-5),
         ("tol_ext", math.nan), ("tol_ext", math.inf), ("tol_ext", -math.inf),
@@ -338,6 +342,23 @@ class TestRun:
             assert (traj.rejected_steps, traj.extinction_probes,
                     traj.factorizations) == (0, 0, 0)
 
+    def test_u0_past_u_max_takes_no_step(self, mesh, monkeypatch):
+        # u0 is judged as an accepted step is: sup u0 >= U_max ends the
+        # run blowup at t = 0 on its initial snapshot and state
+        def no_step(*args, **kwargs):
+            raise AssertionError("step called")
+
+        monkeypatch.setattr(solver, "step", no_step)
+        cfg = SolverConfig(p=1.5)
+        u0 = Field(mesh, np.full(mesh.n_nodes, 2.0 * cfg.U_max)).constrained()
+        traj = run(mesh, u0, cfg, Zero())
+        assert (traj.status.kind, traj.status.reason, traj.status.time) \
+            == ("blowup", "u_max", 0.0)
+        assert traj.times == [0.0] and len(traj.snapshots) == 1
+        assert [t for t, _ in traj.states] == [0.0]
+        assert traj.states[0][1].values.tobytes() == u0.values.tobytes()
+        assert traj.factorizations == 0
+
     @pytest.mark.parametrize("initial, message", [
         (lambda mesh: hat(build_mesh(Interval(1.0), 100)), "different mesh"),
         (lambda mesh: Field(mesh, np.ones(mesh.n_nodes)), "not Dirichlet"),
@@ -382,7 +403,7 @@ class TestRun:
         # a snapshot evaluates its state's lagged coefficient and keeps it
         # with the state (Field.coefficient), and every step from that
         # field reads it: the next step and a retry after a rejection. A
-        # field that Field.rows or Field.stack builds from another keeps
+        # field that Field.rows or _gather builds from another keeps
         # nothing, so a step from it (a regathered stack, the state an
         # extinction bisection starts from, a member that goes on alone)
         # evaluates it once, for all the steps from that field. So the
@@ -977,6 +998,39 @@ class TestLinearSolve:
                     for name, n in calls.most_common()}
         assert sum(calls.values()) <= PLAIN_CALLS_PER_STEP * steps, per_step
 
+    def test_stacked_march_python_calls_per_step(self):
+        # the twin of test_1d_run_python_calls_per_step for criterion 7's
+        # continuation: at most STACKED_CALLS_PER_STEP calls to tvheat's
+        # Python functions per step call, so that a helper layer added to
+        # the stacked march fails here, by name
+        package = os.path.dirname(solver.__file__) + os.sep
+        mesh = build_mesh(Interval(1.0), 400)
+        u0 = Field(mesh, np.ones(mesh.n_nodes)).constrained()
+        plan = ContinuationPlan(
+            u0, Zero(), SolverConfig(p=1.5, eps=1e-4, T_end=0.41),
+            p_sequence=tuple(1.0 + 2.0 ** (-m) for m in range(1, 7)),
+            checkpoint_times=(0.4,))
+        run(mesh, u0, SolverConfig(p=1.5, T_end=1e-3), Zero())  # mesh caches
+        calls = collections.Counter()
+
+        def count(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_filename.startswith(package):
+                calls[f"{os.path.basename(code.co_filename)}:"
+                      f"{code.co_name}"] += 1
+
+        sys.setprofile(count)
+        try:
+            run_continuation(plan)
+        finally:
+            sys.setprofile(None)
+        # one step call steps every running member
+        steps = calls["solver.py:step"]
+        assert steps == 3322
+        per_step = {name: round(n / steps, 2)
+                    for name, n in calls.most_common()}
+        assert sum(calls.values()) <= STACKED_CALLS_PER_STEP * steps, per_step
+
     def test_2d_run_unchanged(self, rect_run):
         # the 2-D companion: the stale-factor PCG run, pinned to the last bit
         traj, _, _ = rect_run
@@ -1021,6 +1075,17 @@ class TestLockstep:
                                          Zero()) == \
             [("extinct", "tol_ext"), ("completed", "t_end"),
              ("completed", "t_end")]
+
+    def test_member_past_u_max_stops_at_t0(self):
+        # the first member's u0 is past its U_max: it stops at t = 0,
+        # before the first step, and the second marches on alone
+        mesh = build_mesh(Interval(1.0), 50)
+        u0 = hat(mesh, 0.1)
+        cfgs = [SolverConfig(p=1.5, U_max=0.05),
+                SolverConfig(p=1.5, T_end=0.02)]
+        assert march(mesh, u0, cfgs, Zero())[0].times == [0.0]
+        assert self.assert_each_as_alone(mesh, u0, cfgs, Zero()) == \
+            [("blowup", "u_max"), ("completed", "t_end")]
 
     def test_failed_solve_leaves_while_others_complete(self):
         # eps = 0 on a flat profile: the member's band is not positive
