@@ -498,8 +498,8 @@ class Mesh:
             _, _, upper, diag_left, diag_right = chain
             band = np.empty((2,) + w.shape[:-1] + (w.shape[-1] - 1,))
             band[0, ..., 0] = 0.0
-            np.multiply(upper, w[..., 1:-1], out=band[0, ..., 1:])
-            np.multiply(diag_left, w[..., :-1], out=band[1])
+            np.multiply(upper, w[..., 1:-1], band[0, ..., 1:])
+            np.multiply(diag_left, w[..., :-1], band[1])
             band[1] += diag_right * w[..., 1:]
             return band
         S, offsets = self.interior_band
@@ -642,14 +642,14 @@ class Field:
 
     Immutable: ``values`` is read-only and owned by the field, so the
     element-wise gradient, its squared magnitude and its magnitude are
-    computed at most once and kept in ``grad``, ``grad_sq`` and
-    ``grad_mag``, and so are the sup norm, the reaction f(u) and the
-    lagged coefficient (``sup``, ``reaction``, ``coefficient``). Each
-    field computes them for itself: one built from another's rows
-    (``rows``, or a stack ``solver._gather`` joins) keeps none of that
-    field's. A field built from a caller's array copies it; ``step`` and
-    ``_gather`` hand over arrays they made for the field instead
-    (``Field._adopt``).
+    computed together at most once and kept (``gradients``, read as
+    ``grad``, ``grad_sq`` and ``grad_mag``), and so are the sup norm, the
+    reaction f(u) and the lagged coefficient (``sup``, ``reaction``,
+    ``coefficient``). Each field computes them for itself: one built from
+    another's rows (``rows``, or a stack ``solver._gather`` joins) keeps
+    none of that field's. A field built from a caller's array copies it;
+    ``step`` and ``_gather`` hand over arrays they made for the field
+    instead (``Field._adopt``).
     """
 
     mesh: Mesh
@@ -657,7 +657,7 @@ class Field:
 
     # the kept values' defaults, until the field's dictionary holds its own:
     # a read is then one attribute lookup
-    _sup = _boundary_max = _reaction = _coefficient = None
+    _sup = _boundary_max = _reaction = _coefficient = _gradients = None
 
     def __post_init__(self):
         # C order: a stack's rows are then contiguous, and BLAS sums a
@@ -670,40 +670,41 @@ class Field:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    @cached_property
+    @property
     def grad(self) -> np.ndarray:
         """Piecewise-constant gradient per element, shape (n_el, dim_coord)
         ((k, n_el, dim_coord) for a stack)."""
-        return self._gradients()["grad"]
+        return self.gradients()[0]
 
-    @cached_property
+    @property
     def grad_sq(self) -> np.ndarray:
         """Element-wise |grad u|^2, shape (n_el,) ((k, n_el) for a stack):
         the squares of the components summed in component order, which is
         ``(grad ** 2).sum(axis=-1)`` bit for bit."""
-        return self._gradients()["grad_sq"]
+        return self.gradients()[1]
 
-    @cached_property
+    @property
     def grad_mag(self) -> np.ndarray:
         """Element-wise gradient magnitude |grad u|, shape (n_el,) ((k, n_el)
         for a stack)."""
-        return self._gradients()["grad_mag"]
+        return self.gradients()[2]
 
-    def _gradients(self) -> dict:
-        """Compute ``grad``, ``grad_sq`` and ``grad_mag`` together and keep
-        all three, read-only, in the field's dictionary, where the next
-        reads of the other two find them without a descriptor call;
-        returns that dictionary."""
-        g = self.mesh.gradient(self.values)
-        sq = g[..., 0] * g[..., 0]
-        for k in range(1, g.shape[-1]):
-            sq += g[..., k] * g[..., k]
-        mag = np.sqrt(sq)
-        g.setflags(write=False)
-        sq.setflags(write=False)
-        mag.setflags(write=False)
-        kept = vars(self)
-        kept.update(grad=g, grad_sq=sq, grad_mag=mag)
+    def gradients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(``grad``, ``grad_sq``, ``grad_mag``), read-only: computed
+        together, from one ``Mesh.gradient``, on the first call, and
+        kept."""
+        kept = self._gradients
+        if kept is None:
+            g = self.mesh.gradient(self.values)
+            gk = g[..., 0]
+            sq = gk * gk
+            for k in range(1, g.shape[-1]):
+                gk = g[..., k]
+                sq += gk * gk
+            kept = g, sq, np.sqrt(sq)
+            for a in kept:
+                a.setflags(write=False)
+            vars(self)["_gradients"] = kept
         return kept
 
     def rows(self, index) -> "Field":
@@ -721,16 +722,16 @@ class Field:
         says that the caller wrote zeros on every boundary node, so that
         ``is_dirichlet`` need not look."""
         field = object.__new__(cls)
-        object.__setattr__(field, "mesh", mesh)
         values.setflags(write=False)
-        object.__setattr__(field, "values", values)
-        if dirichlet:
-            vars(field)["_boundary_max"] = 0.0
+        vars(field).update(mesh=mesh, values=values,
+                           _boundary_max=0.0 if dirichlet else None)
         return field
 
     def reaction(self, nl) -> np.ndarray:
         """f(u) of the reaction ``nl`` (a ``model.Nonlinearity``), read-only:
-        evaluated once and kept, for the last reaction asked for."""
+        evaluated once and kept, for the last reaction asked for, as
+        ``(nl, f)`` in ``_reaction``, where ``model.snapshot`` keeps the
+        f(u) that it evaluates with F(u)."""
         kept = self._reaction
         if kept is None or kept[0] is not nl:
             f = np.asarray(nl.f(self.values), dtype=float)
@@ -746,7 +747,7 @@ class Field:
         which the steps from the state then read."""
         kept = self._coefficient
         if kept is None or kept[0] != terms.key:
-            c = terms.coefficient(self.grad_sq)
+            c = terms.coefficient(self.gradients()[1])
             c.setflags(write=False)
             kept = vars(self)["_coefficient"] = (terms.key, c)
         return kept[1]

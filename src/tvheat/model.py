@@ -76,6 +76,15 @@ class Nonlinearity:
     def F(self, u):
         raise NotImplementedError
 
+    def f_and_F(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(f(u), F(u)) for a float array u of one or more dimensions, as
+        float arrays equal to ``f`` and ``F`` bit for bit, under the
+        caller's ``np.errstate``: ``snapshot`` evaluates a state's reaction
+        by it. ``Zero`` and ``ExpPower`` make both in one pass, and a
+        subclass of either that redefines f or F redefines this too."""
+        return (np.asarray(self.f(u), dtype=float),
+                np.asarray(self.F(u), dtype=float))
+
 
 class Zero(Nonlinearity):
     """No reaction: the pure diffusion flow."""
@@ -87,6 +96,9 @@ class Zero(Nonlinearity):
     @_nodewise
     def F(self, u):
         return np.zeros(u.shape)
+
+    def f_and_F(self, u):
+        return np.zeros(u.shape), np.zeros(u.shape)
 
 
 class Power(Nonlinearity):
@@ -162,8 +174,10 @@ class ExpPower(Nonlinearity):
       no bit and keeps z^k / k! (inf from about z = 714) and the sum
       finite; unscaling the sum by 2^64 makes it inf from the first z at
       which it exceeds the largest float, about 716.
-    - From ``_Z_OVER`` on, and at +-inf, 1F1 is inf and so is F; at nan F
-      is nan. Neither is summed.
+    - Where that 1F1 is inf (from about 716, and from ``_Z_OVER`` on,
+      where it is not summed) at a finite z, F is taken in log space
+      (``_past_overflow``): finite wherever the product is in range, also
+      where |u|^q / q underflows. At +-inf F is inf, at nan nan.
     """
 
     # where the d_k sum gives way to the running term's: on 801 nodes with
@@ -181,7 +195,8 @@ class ExpPower(Nonlinearity):
         self.alpha = float(alpha)
         self.theta = float(q)
         # d_1, d_2, ...: every coefficient whose term can reach
-        # _EIGHTH_ULP times the first, d_1 z, at some z <= Z0
+        # _EIGHTH_ULP times the first, d_1 z, at some z <= Z0; also as 0-d
+        # arrays, which a ufunc takes without converting a Python float
         a = 0.5 * self.q
         self._d = []
         inv_fact = z0_k = 1.0
@@ -192,6 +207,7 @@ class ExpPower(Nonlinearity):
                 break
             self._d.append(d)
             z0_k *= self.Z0
+        self._d_arrays = [np.array(d) for d in self._d]
 
     @_nodewise
     def f(self, u):
@@ -200,44 +216,76 @@ class ExpPower(Nonlinearity):
 
     @_nodewise
     def F(self, u):
-        with np.errstate(over="ignore"):
-            z = self.alpha * u ** 2
-            lead = np.abs(u) ** self.q / self.q
-            z_max = float(z.max(initial=0.0))
-            if z_max <= self.Z0:
-                F = self._tail(z, z_max)
-                F *= lead
-                F += lead
-                return F
-            # nan, +-inf or z above Z0 somewhere
-            small = z <= self.Z0
-            zb = z[~small]
-            # nan stays nan, and from _Z_OVER on 1F1 is inf
-            s = np.ones(z.shape)
-            s[~small] = np.where(np.isnan(zb), zb, np.inf)
-            summed = ~small & (z < _Z_OVER)
-            if summed.any():
-                s[summed] = self._kummer(z[summed])
-            F = lead * s
-            if small.any():
-                zs = z[small]
-                F[small] += lead[small] * self._tail(zs, float(zs.max()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._primitive(np.abs(u), self.alpha * u ** 2)
+
+    def f_and_F(self, u):
+        au, z = np.abs(u), self.alpha * u ** 2
+        return (np.sign(u) * au ** (self.q - 1.0) * np.exp(z),
+                self._primitive(au, z))
+
+    def _primitive(self, au: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """F from |u| and z = alpha u^2, as a new array, under the caller's
+        ``np.errstate``."""
+        lead = au ** self.q / self.q
+        z_max = float(np.maximum.reduce(z, axis=None, initial=0.0))
+        if z_max <= self.Z0:
+            F = self._tail(z, z_max)
+            F *= lead
+            F += lead
             return F
+        # nan, +-inf or z above Z0 somewhere
+        small = z <= self.Z0
+        zb = z[~small]
+        # nan stays nan, and from _Z_OVER on 1F1 is inf
+        s = np.ones(z.shape)
+        s[~small] = np.where(np.isnan(zb), zb, np.inf)
+        summed = ~small & (z < _Z_OVER)
+        if summed.any():
+            s[summed] = self._kummer(z[summed])
+        F = lead * s
+        if small.any():
+            zs = z[small]
+            F[small] += lead[small] * self._tail(zs, float(zs.max()))
+        over = np.isinf(s) & (z < math.inf)
+        if over.any():
+            F[over] = self._past_overflow(au[over], z[over])
+        return F
+
+    def _past_overflow(self, au: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """F at |u| = ``au`` for a 1-D array of finite z from about 716 on,
+        as the exponential of its logarithm. By 1F1(a; a + 1; z) = a
+        int_0^1 t^(a-1) e^(zt) dt (DLMF 13.4.1), F = |u|^(q-2) e^z J /
+        (2 alpha), J = int_0^z (1 - v/z)^(a-1) e^(-v) dv, which tends to 1
+        as z grows. In x = c v, c = 1 + (a - 1) / z, J is int e^(-x) (1/c)
+        e^((a-1)(y + log(1 - y))) dx, y = x / (c z), whose factor beside
+        e^(-x) is flat at x = 0: 16-point Gauss-Laguerre quadrature gives
+        log J within 1e-15 of mpmath's for a from 0.51 to 1e5 and z from
+        716 to 1e6."""
+        a = 0.5 * self.q
+        x, w = np.polynomial.laguerre.laggauss(16)
+        cz = z + (a - 1.0)
+        y = x / cz[:, None]
+        J = (np.exp((a - 1.0) * (y + np.log1p(-y))) * w).sum(axis=1)
+        J *= z / cz
+        return np.exp((self.q - 2.0) * np.log(au) + z + np.log(J)
+                      - math.log(2.0) - math.log(self.alpha))
 
     def _tail(self, z: np.ndarray, z_max: float) -> np.ndarray:
         """1F1(q/2; q/2 + 1; z) - 1 for an array of finite z in [0, Z0]
         whose largest is ``z_max``, node by node, as a new array."""
         d_1 = self._d[0]
-        r = z * d_1
+        r = z * self._d_arrays[0]
         zk = z.copy()
         t = np.empty(z.shape)
         z_max_k = 1.0
-        for d in self._d[1:]:
+        for d, d_array in zip(self._d[1:], self._d_arrays[1:]):
             z_max_k *= z_max
             if d * z_max_k < _EIGHTH_ULP * d_1:
                 break
-            np.multiply(zk, z, out=zk)
-            r += np.multiply(zk, d, out=t)
+            # out by position, which numpy parses faster than by keyword
+            np.multiply(zk, z, zk)
+            r += np.multiply(zk, d_array, t)
         return r
 
     def _kummer(self, z: np.ndarray) -> np.ndarray:
@@ -306,20 +354,27 @@ def _power(x: np.ndarray, e: list, out: np.ndarray) -> np.ndarray:
     return out
 
 
+# the floor of the coefficient's |g|^2 + eps^2, as a 0-d array, which a
+# ufunc takes without converting a Python float
+_CAP = np.array(1e-300)
+
+
 class Terms:
     """The constants of the regularized p-terms, computed once for a plain
     field or a stack and shared by every evaluation: p, eps^2 and the
     exponents p and (p - 2)/2 (the coefficient's). They define the
     lagged coefficient and, through it, the lifted energy density.
 
-    For a plain field each is a float. For a stack of k fields, given p
-    and eps as (k,) arrays, ``eps_sq`` is the (k, 1) column of each row's
-    own Python square and each exponent a list of k floats, to which
-    ``_power`` raises each row by ``**``, as for a plain field. Every row
-    then gets the bits it gets alone. ``key`` is the pair (coefficient exponent, eps^2) that decides
-    a row's coefficient, and for a stack the tuple of its rows' pairs:
-    constants of equal keys give a field the same coefficient, which is
-    how ``Field.coefficient`` finds the one it keeps.
+    For a plain field each is a float, and ``eps_sq`` a 0-d array, which
+    a ufunc takes without converting a Python float. For a stack of k
+    fields, given p and eps as (k,) arrays, ``eps_sq`` is the (k, 1)
+    column of each row's own Python square and each exponent a list of k
+    floats, to which ``_power`` raises each row by ``**``, as for a plain
+    field. Every row then gets the bits it gets alone. ``key`` is the pair
+    (coefficient exponent, eps^2) that decides a row's coefficient, and
+    for a stack the tuple of its rows' pairs: constants of equal keys give
+    a field the same coefficient, which is how ``Field.coefficient`` finds
+    the one it keeps.
     """
 
     __slots__ = ("eps_sq", "p_exp", "coef_exp", "key")
@@ -333,9 +388,9 @@ class Terms:
             self.key = tuple(zip(self.coef_exp, eps_sq))
         else:
             self.p_exp = p
-            self.eps_sq = eps ** 2
             self.coef_exp = (p - 2.0) / 2.0
-            self.key = (self.coef_exp, self.eps_sq)
+            self.key = (self.coef_exp, eps ** 2)
+            self.eps_sq = np.array(self.key[1])
 
     def coefficient(self, grad_sq: np.ndarray) -> np.ndarray:
         """The regularized p-Laplacian coefficient (|g|^2 + eps^2)^((p-2)/2)
@@ -345,7 +400,7 @@ class Terms:
         element would make it 0^((p-2)/2); the cap 1e-300 keeps it finite,
         and coefficient times g is then 0 there."""
         s = grad_sq + self.eps_sq
-        np.maximum(s, 1e-300, out=s)
+        np.maximum(s, _CAP, out=s)
         e = self.coef_exp
         return _power(s, e, s) if isinstance(e, list) else s ** e
 
@@ -692,12 +747,16 @@ class EnergySnapshot:
 def snapshot(field: Field, t, terms: Terms, nl: Nonlinearity,
              dissipation_cum) -> EnergySnapshot | list[EnergySnapshot]:
     """The diagnostics of ``field`` at the p and eps of ``terms`` in one
-    pass: int |grad u|^p, f(u), F(u) and the lagged coefficient are each
-    evaluated once, f(u) and the coefficient are kept with the field
-    (``Field.reaction``, ``Field.coefficient``) for the steps from it, and
-    every integral is one quadrature dot product. Every field equals its
-    definition (``energy``, ``nehari_I``, ``total_variation``,
-    ``Field.l2``, ``Field.sup``, ``grad_p_norm``) bit for bit.
+    pass: int |grad u|^p, f(u) with F(u) (``Nonlinearity.f_and_F``) and
+    the lagged coefficient are each evaluated once, f(u) and the
+    coefficient are kept with the field (``Field.reaction``,
+    ``Field.coefficient``) for the steps from it, and every integral is
+    one quadrature dot product. Every field equals its definition
+    (``energy``, ``nehari_I``, ``total_variation``, ``Field.l2``,
+    ``Field.sup``, ``grad_p_norm``) bit for bit. The pass runs under one
+    ``np.errstate`` that lets values overflow to inf, and products such as
+    inf * 0 give nan, without a warning: a state past the float range is
+    judged by its snapshot's values (its sup, E_p and I_p), as any other.
 
     A stack of k fields is evaluated in the same pass, with ``t`` and
     ``dissipation_cum`` given per row (k values) and ``terms`` holding the
@@ -708,33 +767,38 @@ def snapshot(field: Field, t, terms: Terms, nl: Nonlinearity,
     gate compares, whose lifted density (``Terms.density``) is the
     coefficient times |grad u|^2 + eps^2."""
     m = field.mesh
-    u, mag, g = field.values, field.grad_mag, field.grad_sq
-    vol, qw = m.element_volumes, m.quad_weights
-    coef = field.coefficient(terms)
-    if u.ndim == 1:
-        # ndarray.dot: the bits of ``@`` (one BLAS ddot) at a lower fixed
-        # cost
-        cells = [float((mag ** terms.p_exp).dot(vol)), float(mag.dot(vol)),
-                 float(terms.density(g, coef).dot(vol))]
-        nodes = [float(nl.F(u).dot(qw)), float((field.reaction(nl) * u).dot(qw)),
-                 float((u * u).dot(qw))]
-        return EnergySnapshot(*_fields(t, terms.p_exp, dissipation_cum,
-                                       field.sup(), cells, nodes))
-    # a stack: the integrands of each quadrature are the rows of one array
-    # (element-wise |grad u|^p, |grad u| and the lifted density; nodal F(u),
-    # f(u) u and u^2), and one matrix product takes one dot product per row
-    k = len(u)
-    cells = np.empty((k, 3, m.n_elements))
-    _power(mag, terms.p_exp, cells[:, 0])
-    cells[:, 1] = mag
-    terms.density(g, coef, cells[:, 2])
-    nodes = np.empty((k, 3, m.n_nodes))
-    nodes[:, 0] = nl.F(u)
-    np.multiply(field.reaction(nl), u, out=nodes[:, 1])
-    np.multiply(u, u, out=nodes[:, 2])
-    return [EnergySnapshot(*_fields(*row)) for row in zip(
-        t, terms.p_exp, dissipation_cum, field.sup().tolist(),
-        rowdot(cells, vol).tolist(), rowdot(nodes, qw).tolist())]
+    u, vol, qw = field.values, m.element_volumes, m.quad_weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, g, mag = field.gradients()
+        coef = field.coefficient(terms)
+        f, F = nl.f_and_F(u)
+        f.setflags(write=False)
+        vars(field)["_reaction"] = (nl, f)
+        if u.ndim == 1:
+            # ndarray.dot: the bits of ``@`` (one BLAS ddot) at a lower
+            # fixed cost
+            return EnergySnapshot(*_fields(
+                t, terms.p_exp, dissipation_cum, field.sup(),
+                (float((mag ** terms.p_exp).dot(vol)), float(mag.dot(vol)),
+                 float(terms.density(g, coef).dot(vol))),
+                (float(F.dot(qw)), float((f * u).dot(qw)),
+                 float((u * u).dot(qw)))))
+        # a stack: the integrands of each quadrature are the rows of one
+        # array (element-wise |grad u|^p, |grad u| and the lifted density;
+        # nodal F(u), f(u) u and u^2), and one matrix product takes one
+        # dot product per row
+        k = len(u)
+        cells = np.empty((k, 3, m.n_elements))
+        _power(mag, terms.p_exp, cells[:, 0])
+        cells[:, 1] = mag
+        terms.density(g, coef, cells[:, 2])
+        nodes = np.empty((k, 3, m.n_nodes))
+        nodes[:, 0] = F
+        np.multiply(f, u, out=nodes[:, 1])
+        np.multiply(u, u, out=nodes[:, 2])
+        return [EnergySnapshot(*_fields(*row)) for row in zip(
+            t, terms.p_exp, dissipation_cum, field.sup().tolist(),
+            rowdot(cells, vol).tolist(), rowdot(nodes, qw).tolist())]
 
 
 def _fields(t, p, dissipation_cum, sup, cells, nodes) -> tuple:

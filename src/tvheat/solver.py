@@ -421,16 +421,25 @@ def _schur_band(schur: tuple, split: RedBlack, fill: tuple) -> np.ndarray:
     return ab
 
 
-def _band_product(band: np.ndarray, x: np.ndarray, offsets: list[int],
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """A @ x (into ``out`` if given) for the symmetric matrix A in compact
-    band storage ``band`` with super-diagonals at ``offsets``."""
-    Ax = np.multiply(band[-1], x, out=out)
-    for row, d in zip(band, offsets):
+def _residual(band: np.ndarray, x: np.ndarray, rhs: np.ndarray,
+              offsets: list[int], out: np.ndarray | None = None) -> tuple:
+    """(A x - b, the absolute row sums of A) for the symmetric matrix A in
+    compact band storage ``band`` with super-diagonals at ``offsets``: the
+    residual into ``out`` if given, and the row sums, whose maximum is
+    ||A||_inf, into the last row of ``band``, which holds A's magnitudes
+    afterwards."""
+    r = np.multiply(band[-1], x, out)
+    for d, row in zip(offsets, band):
         a = row[d:]                    # A[i, i + d] for i = 0 .. m - d - 1
-        Ax[:-d] += a * x[d:]
-        Ax[d:] += a * x[:-d]
-    return Ax
+        r[:-d] += a * x[d:]
+        r[d:] += a * x[:-d]
+    r -= rhs
+    row_abs = np.abs(band, band)[-1]
+    for d, a in zip(offsets, band):
+        a = a[d:]
+        row_abs[:-d] += a
+        row_abs[d:] += a
+    return r, row_abs
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +475,8 @@ def step(state: Field, t, cfg, nl: Nonlinearity, dt=None, factor=None,
     u = state.values
     single = u.ndim == 1
     if single:
-        dt = cfg.dt0 if dt is None else dt
+        # a 0-d array, which a ufunc takes without converting a Python float
+        dt = np.array(cfg.dt0 if dt is None else dt)
         if factor is None:
             factor = BandedFactor(mesh)
     else:
@@ -528,23 +538,19 @@ def _gate(band: np.ndarray, x: np.ndarray, rhs: np.ndarray,
         xx = x.dot(x)           # finite unless some entry is (or x is huge)
         if not (math.isfinite(xx) or np.isfinite(x).all()):
             return False
-        r = _band_product(band, x, offsets)
-        r -= rhs
-        norm_A = float(np.maximum.reduce(
-            _abs_row_sums(band, offsets, out=band)))
-        return _accurate(r.dot(r), rhs.dot(rhs), norm_A, xx)
+        r, row_abs = _residual(band, x, rhs, offsets)
+        return _accurate(r.dot(r), rhs.dot(rhs),
+                         float(np.maximum.reduce(row_abs)), xx)
     finite = ~np.isnan(x[:, 0])         # a failed member is a row of NaN
     if not finite.all():
         x = np.where(finite[:, None], x, 0.0)
     # each member's r, b and x: the rows of one array, one dot product each
     v = np.empty((3,) + x.shape)
-    flat = band.reshape(len(band), -1)
-    r = _band_product(flat, x.reshape(-1), offsets, out=v[0].reshape(-1))
-    r -= rhs.reshape(-1)
+    _, row_abs = _residual(band.reshape(len(band), -1), x.reshape(-1),
+                           rhs.reshape(-1), offsets, out=v[0].reshape(-1))
     v[1], v[2] = rhs, x
     rr, bb, xx = rowdot(v, v).tolist()
-    row_abs = _abs_row_sums(flat, offsets, out=flat).reshape(x.shape)
-    norm_A = row_abs.max(axis=-1).tolist()
+    norm_A = np.maximum.reduce(row_abs.reshape(x.shape), axis=-1).tolist()
     return [f and _accurate(*norms)
             for f, *norms in zip(finite.tolist(), rr, bb, norm_A, xx)]
 
@@ -553,22 +559,6 @@ def _accurate(rr: float, bb: float, norm_A: float, xx: float) -> bool:
     """The gate's verdict from ||r||^2, ||b||^2, ||A||_inf and ||x||^2."""
     scale = math.sqrt(bb) + norm_A * math.sqrt(xx)
     return math.sqrt(rr) <= 1e-10 * max(scale, 1e-300)
-
-
-def _abs_row_sums(band: np.ndarray, offsets: list[int],
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """The absolute row sums of the symmetric matrix A held in compact band
-    storage ``band`` with super-diagonals at ``offsets``: ||A||_inf is
-    their maximum. The magnitudes of ``band`` are written into ``out``
-    (shaped as ``band``, or ``band`` itself) if given, and the sums into
-    its last row."""
-    magnitudes = np.abs(band, out=out)
-    row_abs = magnitudes[-1]
-    for a, d in zip(magnitudes, offsets):
-        a = a[d:]                      # |A[i, i + d]| for i = 0 .. m - d - 1
-        row_abs[:-d] += a
-        row_abs[d:] += a
-    return row_abs
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import hyp1f1
@@ -52,6 +53,23 @@ def z_inf(nl):
 class RootPower(Power):
     """``Power`` under another class: ``nehari_scale`` takes the closed form
     only for ``Power`` itself, so this reaction reaches the root finder."""
+
+
+# every library reaction, with ExpPower past Z0, past its overflow and
+# where |u|^q / q underflows
+REACTIONS = [Zero(), Power(3.0), Power(1.5), SumPowers(4.0, 2.5),
+             ExpPower(3.0, 1.0), ExpPower(2.0, 4096.0), ExpPower(2.5, 1e300),
+             ExpPower(1.2, 0.7)]
+# signed zeros, subnormals, +-inf, nan, values past Z0 and past the overflow
+# of f or F for some reaction above, and any other float
+_U = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1e-310, math.inf,
+                                -math.inf, math.nan, 0.3, -1.0, 26.8, -30.0,
+                                3e-149, -2e-149, 1e155, -1e200]),
+               st.floats())
+
+
+def _bits(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
 
 
 class TestNonlinearities:
@@ -278,8 +296,9 @@ class TestNonlinearities:
         assert ulps.max() <= 8.0
 
     def test_exp_power_primitive_edge_values(self):
-        # at alpha = 4096, |u|^q / q < 1 up to z_inf, so F is finite just
-        # below it and inf from it on: 1F1 overflows there, not F's product
+        # at alpha = 4096, |u|^q / q < 1 up to z_inf, so F is finite on
+        # both sides of it: from z_inf on, where 1F1 overflows but F's
+        # product does not, F is taken in log space
         nl = ExpPower(3.0, 4096.0)
         u = self._exp_power_sample(nl)
         u_below, u_at = self._u_around_z_inf(nl)
@@ -292,14 +311,51 @@ class TestNonlinearities:
         assert zero == 0.0 and nl.F(np.zeros(3)).tolist() == [0.0] * 3
         np.testing.assert_array_equal(F, F_neg)
         assert math.isnan(nan) and np.isnan(F[-3])
-        assert math.isfinite(below) and at == math.inf
-        assert np.all(past == math.inf)
+        assert math.isfinite(below) and math.isfinite(at)
+        assert abs(at / below - 1.0) < 1e-12
+        assert past[0] == past[1] == at and np.all(past[2:] == math.inf)
         # z_inf is the first float at which the sum itself overflows
         with np.errstate(over="ignore"):
             kummer = nl._kummer(np.array([np.nextafter(z_inf(nl), 0.0),
                                           z_inf(nl)]))
         assert math.isfinite(kummer[0]) and kummer[1] == math.inf
         assert np.all(F[np.isfinite(u) & (u != 0)] > 0)
+
+    @settings(deadline=None, max_examples=200)
+    @given(nl=st.sampled_from(REACTIONS), rows=st.integers(0, 3),
+           data=st.data())
+    def test_one_pass_reaction_is_f_and_F(self, nl, rows, data):
+        # f_and_F, which snapshot evaluates, gives f and F bit for bit, on
+        # a plain array (rows = 0) and on a stack of rows, under the
+        # errstate snapshot evaluates it in
+        n = data.draw(st.integers(1, 6))
+        u = np.array(data.draw(st.lists(_U, min_size=n * max(rows, 1),
+                                        max_size=n * max(rows, 1))))
+        if rows:
+            u = u.reshape(rows, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pair = nl.f_and_F(u)
+            assert _bits(*pair) == _bits(nl.f(u), nl.F(u))
+        assert [a.shape for a in pair] == [u.shape, u.shape]
+
+    @pytest.mark.parametrize("q, alpha, u", [
+        (3.0, 1e6, math.sqrt(720e-6)),     # 1F1 overflows, F is 6.6e304
+        (3.0, 1e300, 3e-149)], ids=["1F1_overflows", "lead_underflows"])
+    def test_exp_power_primitive_past_the_overflow(self, q, alpha, u):
+        # where 1F1 overflows but F is in range, and where |u|^q / q
+        # underflows while 1F1 overflows, F is finite, within 1e-12 of
+        # mpmath's at 40 digits, and evaluated without a warning
+        mpmath = pytest.importorskip("mpmath")
+        nl = ExpPower(q, alpha)
+        with mpmath.workdps(40):
+            v = mpmath.mpf(u)
+            a = mpmath.mpf(q) / 2
+            ref = abs(v) ** q / q * mpmath.hyp1f1(a, a + 1, alpha * v * v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            F = nl.F(u)
+            assert nl.F([u, -u, 0.5 * u]).tolist()[:2] == [F, F]
+        assert math.isfinite(F) and abs(F - ref) <= 1e-12 * ref
 
     def test_make_nonlinearity(self):
         assert isinstance(make_nonlinearity("zero"), Zero)

@@ -34,10 +34,10 @@ from tvheat.solver import SolverError, Status, StepFailureError, Trajectory
 # calls to tvheat's own Python functions per step call of criterion 1's
 # plain run: step, snapshot and the march's bookkeeping each pay their
 # helpers once
-PLAIN_CALLS_PER_STEP = 33
+PLAIN_CALLS_PER_STEP = 28
 # the same for criterion 7's six-member continuation, whose stacked march
 # also gathers rows, judges each member and extracts the checkpoint fluxes
-STACKED_CALLS_PER_STEP = 89
+STACKED_CALLS_PER_STEP = 84
 
 
 @pytest.fixture
@@ -358,6 +358,23 @@ class TestRun:
         assert [t for t, _ in traj.states] == [0.0]
         assert traj.states[0][1].values.tobytes() == u0.values.tobytes()
         assert traj.factorizations == 0
+
+    @pytest.mark.parametrize("members", [1, 2], ids=["run", "march"])
+    def test_u0_past_the_float_range_ends_at_t0(self, members):
+        # the squares of u0 and of its gradient, and its reaction, pass the
+        # float range: u0's snapshot, plain or a stack's, evaluates to inf
+        # and nan without a warning (the suite makes one an error), and
+        # the run, or each member of a march, ends blowup at t = 0
+        mesh = build_mesh(Interval(1.0), 20)
+        u0 = hat(mesh, 1e200)
+        cfgs = [SolverConfig(p=1.5), SolverConfig(p=1.2)][:members]
+        trajs = ([run(mesh, u0, cfgs[0], Power(3.0))] if members == 1
+                 else march(mesh, u0, cfgs, Power(3.0)))
+        for traj in trajs:
+            assert (traj.status.kind, traj.status.reason, traj.status.time) \
+                == ("blowup", "u_max", 0.0)
+            assert traj.times == [0.0] and traj.factorizations == 0
+            assert traj.snapshots[0].sup == 1e200
 
     @pytest.mark.parametrize("initial, message", [
         (lambda mesh: hat(build_mesh(Interval(1.0), 100)), "different mesh"),
@@ -966,6 +983,30 @@ class TestLinearSolve:
         digest = hashlib.sha256(traj.states[-1][1].values.tobytes())
         assert digest.hexdigest() == ("fba7ea92087b593fb8a5031a5899d327"
                                       "bc5a80a3f0a9ef8b705b8ac4d116bc97")
+
+    def test_1d_reaction_run_enters_errstate_once_per_step(self):
+        # test_1d_reaction_run_unchanged's run enters np.errstate at most
+        # once per step call, counted under sys.setprofile: each snapshot
+        # evaluates its state, reaction included, under one errstate
+        mesh = build_mesh(Annulus(1.0, 2.0, dim=3), 100)
+        u0 = model.tent(mesh, 1.0, [1.5], [1.0])
+        cfg, nl = SolverConfig(p=1.5, T_end=1.0), ExpPower(3.0, 1.0, p0=1.9)
+        calls = collections.Counter()
+
+        def count(frame, event, arg):
+            code = frame.f_code
+            where = (os.path.basename(code.co_filename), code.co_name)
+            if event == "call" and where in (("_ufunc_config.py", "__enter__"),
+                                             ("solver.py", "step")):
+                calls[code.co_name] += 1
+
+        sys.setprofile(count)
+        try:
+            run(mesh, u0, cfg, nl)
+        finally:
+            sys.setprofile(None)
+        assert calls["step"] == 2498
+        assert calls["__enter__"] <= calls["step"], calls
 
     def test_1d_run_python_calls_per_step(self):
         # criterion 1's run makes at most PLAIN_CALLS_PER_STEP calls to
