@@ -150,7 +150,8 @@ class ExpPower(Nonlinearity):
     F(u) = |u|^q / q * 1F1(q/2; q/2 + 1; z), z = alpha u^2, the closed form
     of the series  sum_k alpha^k |u|^(q+2k) / (k! (q+2k)); for q = 2 it is
     (exp(alpha u^2) - 1) / (2 alpha). Where they overflow, f is +-inf and
-    F, which is never negative, +inf, without a warning.
+    F, which is never negative, +inf, without a warning. Where e^z
+    overflows but f is in range, f is taken in log space (``_reaction``).
 
     F is evaluated node by node, by Kummer's series of 1F1 with a = q/2
     (DLMF 13.2.2 with b = a + 1): 1F1 = sum_(k>=0) a / (a + k) z^k / k!.
@@ -178,6 +179,8 @@ class ExpPower(Nonlinearity):
       where it is not summed) at a finite z, F is taken in log space
       (``_past_overflow``): finite wherever the product is in range, also
       where |u|^q / q underflows. At +-inf F is inf, at nan nan.
+    - Where Z0 < z and |u|^q / q is subnormal or 0 while 1F1 is finite,
+      F is exp(q log|u| - log q + log 1F1), in range where the product is.
     """
 
     # where the d_k sum gives way to the running term's: on 801 nodes with
@@ -211,24 +214,39 @@ class ExpPower(Nonlinearity):
 
     @_nodewise
     def f(self, u):
-        with np.errstate(over="ignore"):
-            return _odd_power(u, self.q - 1.0) * np.exp(self.alpha * u ** 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = self.alpha * u ** 2
+            return self._reaction(u, np.abs(u), z, _largest(z))
 
     @_nodewise
     def F(self, u):
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._primitive(np.abs(u), self.alpha * u ** 2)
+            z = self.alpha * u ** 2
+            return self._primitive(np.abs(u), z, _largest(z))
 
     def f_and_F(self, u):
         au, z = np.abs(u), self.alpha * u ** 2
-        return (np.sign(u) * au ** (self.q - 1.0) * np.exp(z),
-                self._primitive(au, z))
+        z_max = _largest(z)
+        return self._reaction(u, au, z, z_max), self._primitive(au, z, z_max)
 
-    def _primitive(self, au: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """F from |u| and z = alpha u^2, as a new array, under the caller's
-        ``np.errstate``."""
+    def _reaction(self, u: np.ndarray, au: np.ndarray, z: np.ndarray,
+                  z_max: float) -> np.ndarray:
+        """f from u, |u|, z = alpha u^2 and ``_largest(z)``, under the
+        caller's ``np.errstate``; where e^z overflows at a finite z, as
+        sign(u) e^((q-1) log|u| + z), also where |u|^(q-1) underflows."""
+        e = np.exp(z)
+        f = np.sign(u) * au ** (self.q - 1.0) * e
+        if z_max > 709.0:              # e^z overflows from 709.78 on
+            over = np.isinf(e) & (z < math.inf)
+            f[over] = np.sign(u[over]) * np.exp(
+                (self.q - 1.0) * np.log(au[over]) + z[over])
+        return f
+
+    def _primitive(self, au: np.ndarray, z: np.ndarray,
+                   z_max: float) -> np.ndarray:
+        """F from |u|, z = alpha u^2 and ``_largest(z)``, as a new array,
+        under the caller's ``np.errstate``."""
         lead = au ** self.q / self.q
-        z_max = float(np.maximum.reduce(z, axis=None, initial=0.0))
         if z_max <= self.Z0:
             F = self._tail(z, z_max)
             F *= lead
@@ -250,6 +268,11 @@ class ExpPower(Nonlinearity):
         over = np.isinf(s) & (z < math.inf)
         if over.any():
             F[over] = self._past_overflow(au[over], z[over])
+        # where |u|^q / q is subnormal or 0 and 1F1 finite: log space
+        tiny = summed & ~over & (lead < np.finfo(float).tiny)
+        if tiny.any():
+            F[tiny] = np.exp(self.q * np.log(au[tiny]) - math.log(self.q)
+                             + np.log(s[tiny]))
         return F
 
     def _past_overflow(self, au: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -320,6 +343,11 @@ _SCALE = 2.0 ** -64
 # from _Z_OVER on overflows
 _Z_OVER = 723.0
 
+def _largest(z: np.ndarray) -> float:
+    """The largest z, 0 for an empty z, nan where one is nan."""
+    return float(np.maximum.reduce(z, axis=None, initial=0.0))
+
+
 
 _KINDS = {"zero": Zero, "power": Power, "sum_powers": SumPowers,
           "exp_power": ExpPower}
@@ -344,11 +372,18 @@ def _check_p(p: float):
         raise ModelError(f"p must exceed 1, got {p}")
 
 
-def _power(x: np.ndarray, e: list, out: np.ndarray) -> np.ndarray:
-    """x ** e for a stack's (k, n) x and a list of k exponents (``Terms``),
-    into ``out``: each row by ``**`` with its own scalar exponent, which
-    gives it the bits of the row alone (one exponent array for all rows
-    would call pow where ``**`` squares)."""
+# the exponents that ``x ** e`` sends to a numpy fast path (reciprocal,
+# ones, sqrt, a copy, square) instead of pow, whose last bit can differ
+_FAST_EXPONENTS = frozenset((-1.0, 0.0, 0.5, 1.0, 2.0))
+
+
+def _power(x: np.ndarray, e, out: np.ndarray) -> np.ndarray:
+    """x ** e for a stack's (k, n) x and its k exponents ``e`` (``Terms``)
+    into ``out``, each row with the bits of ``x[i] ** e_i``: a (k, 1)
+    column by one np.power call, which runs each row through the loop
+    that ``**`` runs for a scalar exponent, a list row by row by ``**``."""
+    if type(e) is not list:
+        return np.power(x, e, out)
     for i, ei in enumerate(e):
         out[i] = x[i] ** ei
     return out
@@ -368,26 +403,29 @@ class Terms:
     For a plain field each is a float, and ``eps_sq`` a 0-d array, which
     a ufunc takes without converting a Python float. For a stack of k
     fields, given p and eps as (k,) arrays, ``eps_sq`` is the (k, 1)
-    column of each row's own Python square and each exponent a list of k
-    floats, to which ``_power`` raises each row by ``**``, as for a plain
-    field. Every row then gets the bits it gets alone. ``key`` is the pair
+    column of each row's own Python square, ``p`` the list of k floats and
+    each exponent their (k, 1) column, or their list where one is in
+    _FAST_EXPONENTS, as ``_power`` takes them. Every row then gets the
+    bits it gets alone. ``key`` is the pair
     (coefficient exponent, eps^2) that decides a row's coefficient, and
     for a stack the tuple of its rows' pairs: constants of equal keys give
     a field the same coefficient, which is how ``Field.coefficient`` finds
     the one it keeps.
     """
 
-    __slots__ = ("eps_sq", "p_exp", "coef_exp", "key")
+    __slots__ = ("eps_sq", "p", "p_exp", "coef_exp", "key")
 
     def __init__(self, p, eps=0.0):
         if isinstance(p, np.ndarray):
             eps_sq = [e ** 2 for e in eps.tolist()]
             self.eps_sq = np.array(eps_sq)[:, None]
-            self.p_exp = p.tolist()
-            self.coef_exp = ((p - 2.0) / 2.0).tolist()
-            self.key = tuple(zip(self.coef_exp, eps_sq))
+            self.p, coef_exp = p.tolist(), ((p - 2.0) / 2.0).tolist()
+            self.p_exp, self.coef_exp = [
+                e if _FAST_EXPONENTS.intersection(e) else np.array(e)[:, None]
+                for e in (self.p, coef_exp)]
+            self.key = tuple(zip(coef_exp, eps_sq))
         else:
-            self.p_exp = p
+            self.p = self.p_exp = p
             self.coef_exp = (p - 2.0) / 2.0
             self.key = (self.coef_exp, eps ** 2)
             self.eps_sq = np.array(self.key[1])
@@ -402,7 +440,7 @@ class Terms:
         s = grad_sq + self.eps_sq
         np.maximum(s, _CAP, out=s)
         e = self.coef_exp
-        return _power(s, e, s) if isinstance(e, list) else s ** e
+        return s ** e if isinstance(e, float) else _power(s, e, s)
 
     def density(self, grad_sq: np.ndarray, coef: np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
@@ -593,7 +631,11 @@ def default_dictionary(mesh: Mesh, count: int = 8) -> list[Field]:
     lo = mesh.nodes.min(axis=0)
     span = mesh.nodes.max(axis=0) - lo
     n_centers = max(1, (count + 1) // 2)
-    centers = [lo + span * (j + 1) / (n_centers + 1) for j in range(n_centers)]
+    # span * (j + 1) overflows past half the float range: divide first there
+    with np.errstate(over="ignore"):
+        scaled = [span * (j + 1) for j in range(n_centers)]
+    centers = [lo + np.where(np.isinf(s), span / (n_centers + 1) * (j + 1),
+                             s / (n_centers + 1)) for j, s in enumerate(scaled)]
     for w in (0.5, 0.25):
         for c in centers:
             if len(fields) >= count:
@@ -608,13 +650,15 @@ def well_levels(mesh: Mesh, u0: Field, nl: Nonlinearity, ps) -> list[float]:
     """The level estimate d_hat (``estimate_dp``) of a run from ``u0`` at
     each p in ``ps``, over the 8 bumps of ``default_dictionary`` and u0
     itself when it is nonzero; infinity at every p without a reaction,
-    where the well is the whole space."""
+    where the well is the whole space. A u0 past the float range gives no
+    finite level, without a warning, and the bumps decide."""
     if isinstance(nl, Zero):
         return [math.inf] * len(ps)
     dictionary = default_dictionary(mesh)
     if u0.sup() > 0:
         dictionary.append(u0)
-    return [estimate_dp(mesh, p, nl, dictionary) for p in ps]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [estimate_dp(mesh, p, nl, dictionary) for p in ps]
 
 
 # ---------------------------------------------------------------------------
@@ -777,36 +821,31 @@ def snapshot(field: Field, t, terms: Terms, nl: Nonlinearity,
         if u.ndim == 1:
             # ndarray.dot: the bits of ``@`` (one BLAS ddot) at a lower
             # fixed cost
-            return EnergySnapshot(*_fields(
-                t, terms.p_exp, dissipation_cum, field.sup(),
-                (float((mag ** terms.p_exp).dot(vol)), float(mag.dot(vol)),
-                 float(terms.density(g, coef).dot(vol))),
-                (float(F.dot(qw)), float((f * u).dot(qw)),
-                 float((u * u).dot(qw)))))
-        # a stack: the integrands of each quadrature are the rows of one
-        # array (element-wise |grad u|^p, |grad u| and the lifted density;
-        # nodal F(u), f(u) u and u^2), and one matrix product takes one
-        # dot product per row
-        k = len(u)
-        cells = np.empty((k, 3, m.n_elements))
-        _power(mag, terms.p_exp, cells[:, 0])
-        cells[:, 1] = mag
-        terms.density(g, coef, cells[:, 2])
-        nodes = np.empty((k, 3, m.n_nodes))
-        nodes[:, 0] = F
-        np.multiply(f, u, out=nodes[:, 1])
-        np.multiply(u, u, out=nodes[:, 2])
-        return [EnergySnapshot(*_fields(*row)) for row in zip(
-            t, terms.p_exp, dissipation_cum, field.sup().tolist(),
-            rowdot(cells, vol).tolist(), rowdot(nodes, qw).tolist())]
-
-
-def _fields(t, p, dissipation_cum, sup, cells, nodes) -> tuple:
-    """The fields of one snapshot, in Python floats, from its element
-    quadratures (int |grad u|^p, int |grad u| and the lifted integral) and
-    nodal ones (int F(u), int f(u) u, int u^2)."""
-    grad_p, tv, lifted = cells
-    F, fu, uu = nodes
-    E_p = grad_p / p - F
-    return (t, E_p, grad_p - fu, tv, math.sqrt(uu), sup, dissipation_cum,
-            grad_p, E_p + (lifted - grad_p) / p)
+            rows = [(t, terms.p, dissipation_cum, field.sup(),
+                     (float((mag ** terms.p_exp).dot(vol)),
+                      float(mag.dot(vol)),
+                      float(terms.density(g, coef).dot(vol))),
+                     (float(F.dot(qw)), float((f * u).dot(qw)),
+                      float((u * u).dot(qw))))]
+        else:
+            # a stack: each quadrature's integrands are one block of rows,
+            # and one matrix product takes one dot product per row
+            k = len(u)
+            cells = np.empty((3, k, m.n_elements))
+            _power(mag, terms.p_exp, cells[0])
+            cells[1] = mag
+            terms.density(g, coef, cells[2])
+            nodes = np.empty((3, k, m.n_nodes))
+            nodes[0] = F
+            np.multiply(f, u, out=nodes[1])
+            np.multiply(u, u, out=nodes[2])
+            rows = zip(t, terms.p, dissipation_cum, field.sup().tolist(),
+                       zip(*rowdot(cells, vol).tolist()),
+                       zip(*rowdot(nodes, qw).tolist()))
+        # each row's fields in Python floats, from its quadratures
+        snaps = [EnergySnapshot(ti, (E_p := grad_p / p - Fi), grad_p - fu, tv,
+                                math.sqrt(uu), sup, cum, grad_p,
+                                E_p + (lifted - grad_p) / p)
+                 for ti, p, cum, sup, (grad_p, tv, lifted), (Fi, fu, uu)
+                 in rows]
+    return snaps[0] if u.ndim == 1 else snaps

@@ -338,7 +338,7 @@ def solveh_banded(band: np.ndarray, rhs: np.ndarray, factor,
     if factor[0].tridiagonal and rhs.shape[1] > 1:
         _, _, x, info = dptsv(band[1].ravel(), band[0].ravel()[1:],
                               rhs.ravel())
-        if info == 0 and np.isfinite(x).all():
+        if info == 0 and (math.isfinite(x.dot(x)) or np.isfinite(x).all()):
             for f in factor:
                 f.factorizations += 1
             return x.reshape(rhs.shape)
@@ -541,9 +541,9 @@ def _gate(band: np.ndarray, x: np.ndarray, rhs: np.ndarray,
         r, row_abs = _residual(band, x, rhs, offsets)
         return _accurate(r.dot(r), rhs.dot(rhs),
                          float(np.maximum.reduce(row_abs)), xx)
-    finite = ~np.isnan(x[:, 0])         # a failed member is a row of NaN
-    if not finite.all():
-        x = np.where(finite[:, None], x, 0.0)
+    failed = np.isnan(x[:, 0])          # a failed member is a row of NaN
+    if True in failed.tolist():
+        x = np.where(failed[:, None], 0.0, x)
     # each member's r, b and x: the rows of one array, one dot product each
     v = np.empty((3,) + x.shape)
     _, row_abs = _residual(band.reshape(len(band), -1), x.reshape(-1),
@@ -551,8 +551,8 @@ def _gate(band: np.ndarray, x: np.ndarray, rhs: np.ndarray,
     v[1], v[2] = rhs, x
     rr, bb, xx = rowdot(v, v).tolist()
     norm_A = np.maximum.reduce(row_abs.reshape(x.shape), axis=-1).tolist()
-    return [f and _accurate(*norms)
-            for f, *norms in zip(finite.tolist(), rr, bb, norm_A, xx)]
+    return [not f and _accurate(r2, b2, a, x2)
+            for f, r2, b2, a, x2 in zip(failed.tolist(), rr, bb, norm_A, xx)]
 
 
 def _accurate(rr: float, bb: float, norm_A: float, xx: float) -> bool:
@@ -611,14 +611,15 @@ def march(mesh: Mesh, u0: Field, cfgs, nl: Nonlinearity) -> list[Trajectory]:
     k = len(members)
     start = Field(mesh, u0.values if k == 1
                   else np.broadcast_to(u0.values, (k, mesh.n_nodes)))
-    stack = _Stack(members)
     zeros = 0.0 if k == 1 else [0.0] * k
-    snaps = snapshot(start, zeros, stack.terms, nl, zeros)
+    snaps = snapshot(start, zeros, _terms(
+        members[0].cfg if k == 1 else [m.cfg for m in members]), nl, zeros)
     running = [m for row, (m, snap) in enumerate(
         zip(members, [snaps] if k == 1 else snaps))
         if m.take(start, None if k == 1 else row, snap)]
+    stack = None
     while running:
-        if len(running) != len(stack.members):
+        if stack is None or len(running) != len(stack.members):
             stack = _Stack(running)
         running = _advance(stack, mesh, nl)
     return [m.traj for m in members]
@@ -646,21 +647,22 @@ class _Member:
         self.t, self.row = 0.0, None
         self.dt = min(cfg.dt0, cfg.dt_max)
 
-    def aim(self) -> None:
+    def aim(self) -> float:
         """Set the next target, the first one past t (a step that ends
-        near a target ends on it), and the size of the next step."""
+        near a target ends on it), and return h, the next step's size."""
         while self.targets[self.next_target] <= self.t:
             self.next_target += 1
         self.target = self.targets[self.next_target]
-        self.h = min(self.dt, self.target - self.t)
+        self.h = h = min(self.dt, self.target - self.t)
+        return h
 
     def trial(self, new: Field | None, sup: float, state: Field,
-              row: int | None, nl: Nonlinearity) -> tuple | None:
-        """The member's one trial, as (field, row): the step from
-        ``state`` to ``new`` (row ``row`` of stacks, or plain fields for
-        None) of sup norm ``sup``, or the shortest extinct step that
-        ``_extinction_crossing`` finds. None, after stopping the member,
-        when its solve (``sup`` NaN) or a probe's failed."""
+              row: int | None, nl: Nonlinearity) -> Field | None:
+        """The member's one trial when its step from ``state`` to ``new``
+        (row ``row`` of stacks, or plain fields for None) of sup norm
+        ``sup`` is extinct or failed (NaN): the shortest extinct step that
+        ``_extinction_crossing`` finds, or ``new``; None, after stopping
+        the member, when its solve or a probe's failed."""
         if sup <= self.cfg.tol_ext:
             try:
                 probe = _extinction_crossing(
@@ -670,11 +672,11 @@ class _Member:
             else:
                 self.traj.extinction_probes += EXTINCTION_HALVINGS
                 if probe is not None:
-                    return probe, None
+                    return probe
         if sup != sup:                  # NaN: the member's solve failed
             self.stop(Status("step_failure", self.t, "linear_solve"))
             return None
-        return new, row
+        return new
 
     def close(self, quad: float) -> None:
         """Set the trial's end ``t_trial`` (the target when within 1e-12
@@ -754,11 +756,12 @@ class _Member:
 class _Stack:
     """The members that one ``march`` iteration steps together, with what
     ``step`` and ``snapshot`` take for them: their configs, factors and
-    ``Terms``; for a stack of one (``one``), the member's own, and its
-    state becomes a plain field, here only. Built when the stack forms,
-    and again when a member leaves it."""
+    ``Terms``, and ``state``, their current states as one stack, which
+    ``_advance`` keeps; for a stack of one (``one``), the member's own,
+    and its state becomes a plain field, here only. Built when the stack
+    forms, and again when a member leaves it."""
 
-    __slots__ = ("members", "one", "cfgs", "factors", "terms")
+    __slots__ = ("members", "one", "cfgs", "factors", "terms", "state")
 
     def __init__(self, members: list[_Member]):
         self.members = members
@@ -767,77 +770,87 @@ class _Stack:
             m, = members
             if m.row is not None:       # the member left a larger stack
                 m.state, m.row = m.state.rows(m.row), None
-            self.cfgs, self.factors = m.cfg, m.factor
+            self.cfgs, self.factors, self.state = m.cfg, m.factor, m.state
         else:
             self.cfgs = [m.cfg for m in members]
             self.factors = [m.factor for m in members]
+            self.state = _gather([(m.state, m.row) for m in members])
         self.terms = _terms(self.cfgs)
 
 
 def _advance(stack: _Stack, mesh: Mesh, nl: Nonlinearity) -> list[_Member]:
     """One iteration of ``march``: step the running members of ``stack``
-    once, judge one trial per member, all in one snapshot, and return the
-    members still running. A stack of one passes its member's plain field
-    and floats as they are; a larger stack gathers rows and lists, and
-    judges its surviving trials as a stack, of one row if one survives."""
-    running = stack.members
-    for m in running:
-        m.aim()
+    once from its state, judge one trial per member, all in one snapshot,
+    and return the members still running. A stack of one passes its
+    member's plain field and floats as they are; a larger stack passes
+    lists, and judges the step itself unless a member's trial is not its
+    step (``_Member.trial``): then the surviving trials, gathered."""
+    running, state = stack.members, stack.state
     qw = mesh.quad_weights
     if stack.one:
         m, = running
-        state = m.state
         try:
-            new = step(state, m.t, stack.cfgs, nl, m.h, factor=stack.factors,
-                       terms=stack.terms)
+            new = step(state, m.t, stack.cfgs, nl, m.aim(),
+                       factor=stack.factors, terms=stack.terms)
+            sup = new.sup()
         except StepFailureError:
-            new = None
-        trial = m.trial(new, math.nan if new is None else new.sup(), state,
-                        None, nl)
-        if trial is None:
-            return []
-        new = trial[0]
+            new, sup = None, math.nan
+        if not sup > m.cfg.tol_ext:
+            new = m.trial(new, sup, state, None, nl)
+            if new is None:
+                return []
         step_sq = new.values - state.values
         step_sq *= step_sq
         m.close(float(step_sq.dot(qw)))
         snap = snapshot(new, m.t_trial, stack.terms, nl, m.cum)
-        return running if m.judge(new, None, snap) else []
-    state = _gather([(m.state, m.row) for m in running])
-    new = step(state, [m.t for m in running], stack.cfgs, nl,
-               [m.h for m in running], factor=stack.factors,
-               terms=stack.terms)
-    members, trials = [], []
-    for i, (m, sup) in enumerate(zip(running, new.sup().tolist())):
-        trial = m.trial(new, sup, state, i, nl)
-        if trial is not None:
-            members.append(m)
-            trials.append(trial)
-    if not members:
-        return []
-    old = _gather([(m.state, m.row) for m in members])
-    new = _gather(trials)
-    step_sq = new.values - old.values
+        if not m.judge(new, None, snap):
+            return []
+        stack.state = m.state
+        return running
+    new = step(state, None, stack.cfgs, nl, [m.aim() for m in running],
+               factor=stack.factors, terms=stack.terms)
+    members, old, judged, terms = running, state, new, stack.terms
+    sups = new.sup().tolist()
+    odd = [i for i, (m, sup) in enumerate(zip(running, sups))
+           if not sup > m.cfg.tol_ext]
+    if odd:
+        refs = [(new, i) for i in range(len(running))]
+        for i in odd:
+            trial = running[i].trial(new, sups[i], state, i, nl)
+            refs[i] = None if trial is None else (
+                trial, i if trial is new else None)
+        members = [m for m, ref in zip(running, refs) if ref is not None]
+        if not members:
+            return []
+        judged = _gather([ref for ref in refs if ref is not None])
+        if len(members) < len(running):
+            old = _gather([(m.state, m.row) for m in members])
+            terms = _terms([m.cfg for m in members])
+    step_sq = judged.values - old.values
     step_sq *= step_sq
-    for m, q in zip(members, rowdot(step_sq, qw).tolist()):
-        m.close(q)
-    terms = (stack.terms if len(members) == len(running)
-             else _terms([m.cfg for m in members]))
-    snaps = snapshot(new, [m.t_trial for m in members], terms, nl,
-                     [m.cum for m in members])
-    return [m for i, (m, snap) in enumerate(zip(members, snaps))
-            if m.judge(new, i, snap)]
+    ts, cums = [], []
+    for m, quad in zip(members, rowdot(step_sq, qw).tolist()):
+        m.close(quad)
+        ts.append(m.t_trial)
+        cums.append(m.cum)
+    snaps = snapshot(judged, ts, terms, nl, cums)
+    still, took = [], 0
+    for i, (m, snap) in enumerate(zip(members, snaps)):
+        if m.judge(judged, i, snap):
+            still.append(m)
+            took += m.state is judged
+    if took and len(still) == len(running):
+        stack.state = (judged if took == len(still)
+                       else _gather([(m.state, m.row) for m in still]))
+    return still
 
 
 def _gather(refs: list) -> Field:
     """The states ``refs`` = [(field, row), ...] name (row ``row`` of a
     stack, or a plain field for row None) as one stack in order, a stack
-    of one for a single ref: the whole stack itself when they are one, or
-    else the one copy ``np.stack`` makes, which the field adopts."""
-    first = refs[0][0]
-    if len(refs) == len(first.values) and all(
-            f is first and r == i for i, (f, r) in enumerate(refs)):
-        return first
-    return Field._adopt(first.mesh, np.stack(
+    of one for a single ref: the one copy ``np.stack`` makes, which the
+    field adopts."""
+    return Field._adopt(refs[0][0].mesh, np.stack(
         [f.values if r is None else f.values[r] for f, r in refs]))
 
 

@@ -7,10 +7,11 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tvheat import Interval, build_mesh, cli, default_p_sequence, \
     load_field
@@ -559,6 +560,29 @@ class TestMain:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "blowup"
 
+    @pytest.mark.parametrize("reaction", [
+        "kind = power\nq = 3", "kind = exp_power\nq = 3\nalpha = 1"],
+        ids=["power", "exp_power"])
+    def test_u0_past_the_float_range_ends_blowup_without_warning(
+            self, tmp_path, reaction):
+        # a hat of amplitude 1e200: u0's gradient squares and |u0|^q
+        # overflow in its well level, which the bumps decide without a
+        # warning, and the run ends blowup at t = 0
+        text = BASE.replace("kind = power\nq = 3", reaction) \
+                   .replace("resolution = 50", "resolution = 20") \
+                   .replace("amplitude = 0.01", "amplitude = 1e200")
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", str(path), "--output-dir", str(out)]) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["status"], summary["stop_reason"]) == \
+            ("blowup", "u_max")
+        if reaction.startswith("kind = power"):
+            assert summary["d_hat"] == 41.025641025640965
+
     @pytest.mark.parametrize("initial, key", [
         ("center = abc\nwidth = 1", "center"),
         ("center = 0.5\nwidth = 0", "width"),
@@ -802,6 +826,8 @@ def test_every_base_parses(u0_path, base):
     if (s, k) != ("domain", "resolution")])
 @settings(deadline=None, max_examples=12)
 @given(value=st.one_of(_line, _numbers, st.integers().map(str)))
+# a span past half the float range: default_dictionary's centers overflowed
+@example(value="4.49423283715579e+307")
 def test_every_key_parses_or_fails_by_name(u0_path, section, key, value):
     # any one-line text as one key's value, in a config that uses the key,
     # gives a RunConfig or a ConfigError; resolution is left out because
@@ -814,6 +840,17 @@ def test_every_key_parses_or_fails_by_name(u0_path, section, key, value):
     except ConfigError:
         return
     assert isinstance(cfg, RunConfig)
+
+
+def test_dictionary_past_half_the_float_range_is_finite(u0_path):
+    # ly = 4.49e307: span * (j + 1) overflows, and the centers divide first
+    base = next(b for b in _BASES if "ly" in b.get("domain", {}))
+    sections = {s: dict(keys) for s, keys in base.items()}
+    sections["domain"]["ly"] = "4.49423283715579e+307"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cfg = parse_config(render(sections, u0_path))
+    assert cfg.u0.sup() > 0 and np.all(np.isfinite(cfg.u0.values))
 
 
 @settings(deadline=None)

@@ -340,7 +340,9 @@ class TestNonlinearities:
 
     @pytest.mark.parametrize("q, alpha, u", [
         (3.0, 1e6, math.sqrt(720e-6)),     # 1F1 overflows, F is 6.6e304
-        (3.0, 1e300, 3e-149)], ids=["1F1_overflows", "lead_underflows"])
+        (3.0, 1e300, 3e-149),
+        (2.5, 1e300, 2e-149)],             # z = 400: 1F1 is finite
+        ids=["1F1_overflows", "lead_underflows", "lead_underflows_1F1_finite"])
     def test_exp_power_primitive_past_the_overflow(self, q, alpha, u):
         # where 1F1 overflows but F is in range, and where |u|^q / q
         # underflows while 1F1 overflows, F is finite, within 1e-12 of
@@ -356,6 +358,27 @@ class TestNonlinearities:
             F = nl.F(u)
             assert nl.F([u, -u, 0.5 * u]).tolist()[:2] == [F, F]
         assert math.isfinite(F) and abs(F - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("q, alpha, u, ref", [
+        (3.0, 1e300, 3e-149, "6.595932800077603551116502350411214e93"),
+        (400.0, 43680.0, 0.15, "1.216267711889656242390841383290421e98")],
+        ids=["exp_overflows", "power_underflows"])
+    def test_exp_power_reaction_past_the_overflow(self, q, alpha, u, ref):
+        # where e^(alpha u^2) overflows but f is in range, f is finite,
+        # within 1e-12 of mpmath's at 40 digits (``ref``), odd, evaluated
+        # without a warning, and f_and_F (under the errstate a snapshot
+        # gives it) gives the bits of f and F
+        nl = ExpPower(q, alpha)
+        u3 = np.array([u, -u, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            f = nl.f(u)
+            alone = nl.f(u3), nl.F(u3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pair = nl.f_and_F(u3)
+        assert math.isfinite(f) and abs(f - float(ref)) <= 1e-12 * float(ref)
+        assert alone[0].tolist()[:2] == [f, -f]
+        assert _bits(*pair) == _bits(*alone)
 
     def test_make_nonlinearity(self):
         assert isinstance(make_nonlinearity("zero"), Zero)
