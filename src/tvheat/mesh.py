@@ -461,6 +461,11 @@ class Mesh:
         qw.setflags(write=False)
         return qw
 
+    @cached_property
+    def interior_weight_max(self) -> float:
+        """The largest interior quadrature weight (0 without any)."""
+        return float(self.interior_weights.max(initial=0.0))
+
     # -- operations --------------------------------------------------------
 
     def gradient(self, values: np.ndarray) -> np.ndarray:

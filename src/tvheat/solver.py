@@ -5,9 +5,9 @@ the current state (lagged diffusivity), solves the resulting symmetric
 positive-definite system on the interior nodes by banded Cholesky, and treats
 the reaction explicitly. A system that is not tridiagonal eliminates the red
 nodes of the mesh's red-black split exactly, and within one run its black
-Schur complement is solved by conjugate gradients preconditioned with the
-banded Cholesky factor of an earlier step's complement, which changes little
-from step to step.
+Schur complement is solved by conjugate gradients from the projection on the
+run's last solutions, preconditioned with the banded Cholesky factor of an
+earlier step's complement, which changes little from step to step.
 
 A lagged step is a gradient-flow step of the regularized energy
 E_p,eps(u) = (1/p) int (|grad u|^2 + eps^2)^(p/2) - int F(u), so the step
@@ -165,6 +165,7 @@ class Trajectory:
 PCG_REFACTOR_ITERS = 5   # a solve that needs more iterations refactors next
 PCG_MAX_ITERS = 50       # past this, refactor and solve directly
 PCG_RTOL = 1e-13         # ||r|| <= PCG_RTOL ||b||: 1000x inside the gate
+PCG_HISTORY = 6          # past solutions whose span PCG starts from
 
 
 class BandedFactor:
@@ -174,13 +175,13 @@ class BandedFactor:
     LAPACK ``ptsv``, each call counted as a factorization; any other band
     eliminates the red unknowns of the mesh's red-black split exactly and
     keeps a banded Cholesky factor of the black Schur complement across
-    steps, as the preconditioner of the next steps' complements. B, the
+    steps, as the preconditioner of the next steps' complements, and its
+    last PCG_HISTORY solutions' black parts, for PCG's start. B, the
     red-black coupling block, is a ``CSR`` whose pattern the first such
-    solve builds and whose entries each solve reads from its band; its
-    two products, B x and B^T y, run on the same arrays, in scipy's
-    compiled sparse kernels. ``march`` gives each member one; a second
-    run starts from no factor, so its results do not depend on what ran
-    before."""
+    solve builds and whose entries each solve reads from its band; its two
+    products, B x and B^T y, run on the same arrays, in scipy's compiled
+    sparse kernels. ``march`` gives each member one; a second run starts
+    from no factor, so its results do not depend on what ran before."""
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
@@ -188,9 +189,10 @@ class BandedFactor:
         self.chol = None         # upper Cholesky factor in LAPACK band form
         self.factorizations = 0
         self.iterations = 0
-        # the split's B, whose entries each solve replaces, and S's fill,
-        # built on the first red-black solve
-        self._B = self._fill = None
+        # the split's B, whose entries each solve replaces, S's fill and the
+        # history of solutions (_remember), built on the first red-black solve
+        self._B = self._fill = self._history = None
+        self._held = self._newest = 0
 
     def solve(self, band: np.ndarray, rhs: np.ndarray,
               x0: np.ndarray) -> np.ndarray:
@@ -200,7 +202,8 @@ class BandedFactor:
         split (``Mesh.red_black``), A = [[D_r, B], [B^T, D_b]]: the black
         unknowns solve S x_b = b_b - B^T D_r^-1 b_r, S = D_b - B^T D_r^-1 B,
         and then x_r = D_r^-1 (b_r - B x_b). S is solved by PCG from
-        ``x0``'s black part with the held factor; a solve that needs more
+        ``_start`` (the projection of x_b on the held solutions, or ``x0``'s
+        black part) with the held factor; a solve that needs more
         than PCG_REFACTOR_ITERS iterations drops the factor, and with no
         factor held, or when PCG fails, S's band is built and factored with
         LAPACK ``pbtrf`` and solved directly with ``pbtrs``. A matrix that
@@ -222,6 +225,7 @@ class BandedFactor:
             self._B = CSR(np.empty(len(split.coupling)), split.indices,
                           split.indptr, (len(red), len(black)))
             self._fill = _schur_fill(split)
+            self._history = np.zeros((len(black), PCG_HISTORY))
         B = dataclasses.replace(self._B, data=band.take(split.coupling))
         diag = band[-1]
         # LAPACK pstrf's default rank tolerance: a pivot at or below it is
@@ -236,7 +240,7 @@ class BandedFactor:
         rhs_b = rhs[black] - B.transpose_product(inv_r * rhs_r)
         x_b = None
         if self.chol is not None:
-            x_b, its = self._pcg(schur, rhs_b, x0[black],
+            x_b, its = self._pcg(schur, *self._start(schur, rhs_b, x0, black),
                                  PCG_RTOL * np.linalg.norm(rhs))
             self.iterations += its
             if its > PCG_REFACTOR_ITERS:
@@ -253,6 +257,7 @@ class BandedFactor:
             self.chol = chol
             self.factorizations += 1
             x_b = self._back_solve(rhs_b)
+        self._remember(x_b)
         x = np.empty(rhs.shape)
         x[black] = x_b
         x[red] = inv_r * (rhs_r - B.product(x_b))
@@ -264,18 +269,51 @@ class BandedFactor:
         _check_info(info, "pbtrs")
         return x
 
-    def _pcg(self, schur: tuple, rhs: np.ndarray, x: np.ndarray,
+    def _start(self, schur: tuple, rhs: np.ndarray, x0: np.ndarray,
+               black: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """PCG's start x and rhs - S x: the S-norm projection x = V c of the
+        solution on the held solutions V (Fischer, CMAME 1998), with
+        (V^T S V) c = V^T rhs scaled by its diagonal and solved by LAPACK
+        ``posv``; ``x0``'s black part with fewer than two held, or if that
+        system is not positive definite and finite, without a warning."""
+        if self._held > 1:
+            V = self._history[:, -self._held:]
+            with np.errstate(all="ignore"):
+                SV = _schur_product(schur, V)
+                G = V.T @ SV
+                s = 1.0 / np.sqrt(G.diagonal())
+                _, c, info = _flapack.dposv(G * s * s[:, None], s * (rhs @ V))
+                c *= s
+                if info == 0 and math.isfinite(c.dot(c)):
+                    return V @ c, rhs - SV @ c
+        x = x0[black]
+        return x, rhs - _schur_product(schur, x)
+
+    def _remember(self, x: np.ndarray) -> None:
+        """Enter solution ``x`` into the history's backward differences x_n,
+        x_n - x_(n-1), ... (the raw solutions' Gram matrix is singular to
+        working precision), in a rotating order: new difference j + 1 is
+        new j less old j, in old j's column; x_n takes the dropped one's."""
+        V, K, prev = self._history, self._history.shape[1], x
+        for j in range(min(self._held, K - 1)):
+            col = V[:, (self._newest + j) % K]
+            np.subtract(prev, col, out=col)
+            prev = col
+        self._newest = (self._newest - 1) % K
+        V[:, self._newest] = x
+        self._held = min(self._held + 1, K)
+
+    def _pcg(self, schur: tuple, x: np.ndarray, r: np.ndarray,
              tol: float) -> tuple[np.ndarray | None, int]:
         """Conjugate gradients on the Schur complement ``schur`` (see
-        ``_schur_product``) from ``x``, which it updates in place,
-        preconditioned by the held factor
-        (Saad, Iterative Methods for Sparse Linear Systems, 2003, Alg.
-        9.1), until ||rhs - S x|| <= ``tol``. Returns (x, iterations), with
+        ``_schur_product``) from ``x`` with its residual ``r`` (see
+        ``_start``), both updated in place, preconditioned by the held
+        factor (Saad, Iterative Methods for Sparse Linear Systems, 2003,
+        Alg. 9.1), until ||r|| <= ``tol``. Returns (x, iterations), with
         x None when the stopping test is not met within PCG_MAX_ITERS or
         the iteration breaks down. The residual is tested before it is
         preconditioned, so k iterations make k back-solves: a solve that
         meets the test makes none for the residual it stops at."""
-        r = rhs - _schur_product(schur, x)
         rz = None
         k = 0
         # ||r|| as np.linalg.norm takes it, the root of r . r; x, r and d
@@ -314,8 +352,9 @@ def solveh_banded(band: np.ndarray, rhs: np.ndarray, factor,
     routine scipy's ``solveh_banded`` ends in, without its argument checks,
     which cost more than the solve of a few hundred unknowns. Otherwise the
     red unknowns of the mesh's red-black split are eliminated exactly, and
-    the black ones are solved by conjugate gradients from ``x0``,
-    preconditioned by ``factor``'s held factorization, or by a fresh
+    the black ones are solved by conjugate gradients from the projection
+    on ``factor``'s last solutions (or ``x0``), preconditioned by
+    ``factor``'s held factorization, or by a fresh
     factorization. A matrix that is not positive definite raises
     LinAlgError.
 
@@ -375,8 +414,10 @@ def _check_info(info: int, routine: str) -> None:
 def _schur_product(schur: tuple, x: np.ndarray) -> np.ndarray:
     """S x = D_b x - B^T (D_r^-1 (B x)) for ``schur`` = (B, D_r^-1, D_b),
     B a ``CSR`` (B^T its transpose product on the same arrays), the two
-    diagonals as vectors."""
+    diagonals as vectors, and x a vector or (n_b, k) columns."""
     B, inv_r, d_b = schur
+    if x.ndim == 2:                  # k columns, each scaled by the diagonals
+        inv_r, d_b = inv_r[:, None], d_b[:, None]
     y = B.product(x)
     y *= inv_r
     Sx = d_b * x
@@ -453,7 +494,8 @@ def step(state: Field, t, cfg, nl: Nonlinearity, dt=None, factor=None,
     system is solved through ``factor``, one run's ``BandedFactor``, whose
     held factorization preconditions PCG off a tridiagonal band; without
     one, the step solves through a fresh ``BandedFactor``, which factors
-    directly. A failed solve raises StepFailureError. The reaction term is
+    directly. A failed solve, or a mass term qw / dt past the float range,
+    raises StepFailureError. The reaction term is
     the state's kept f(u) (``Field.reaction``), and the lagged coefficient
     is the one kept with the state for ``terms`` (``Field.coefficient``),
     which the state's snapshot evaluated, or else evaluated here.
@@ -475,8 +517,11 @@ def step(state: Field, t, cfg, nl: Nonlinearity, dt=None, factor=None,
     u = state.values
     single = u.ndim == 1
     if single:
+        dt = float(cfg.dt0 if dt is None else dt)
+        if not mesh.interior_weight_max / dt < math.inf:  # no numpy warning
+            raise StepFailureError(f"mass term qw / dt overflows at t={t}")
         # a 0-d array, which a ufunc takes without converting a Python float
-        dt = np.array(cfg.dt0 if dt is None else dt)
+        dt = np.array(dt)
         if factor is None:
             factor = BandedFactor(mesh)
     else:

@@ -724,6 +724,25 @@ class TestMain:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "step_failure"
 
+    def test_weights_past_the_float_range_end_step_failure(self, tmp_path):
+        # ly = 4.49e307: the quadrature weights are near the float range,
+        # so the step's mass term qw / dt overflows; the step fails before
+        # it forms the system, without a RuntimeWarning, and the run ends
+        # step_failure
+        text = ("[domain]\nkind = rectangle\nlx = 1\n"
+                "ly = 4.49423283715579e+307\nresolution = 4\n"
+                "[initial]\nprofile = dictionary\nindex = 1\n"
+                "[solver]\np = 1.5\nt_end = 0.01\n")
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", str(path), "--output-dir", str(out)]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["status"], summary["stop_reason"]) == \
+            ("step_failure", "linear_solve")
+
     def test_continuation_blowup_exit_code(self, tmp_path):
         text = BASE.replace("amplitude = 0.01", "amplitude = 100.0") \
                    .replace("p = 1.5\nt_end = 0.02",

@@ -561,20 +561,78 @@ def rect_states(rect_kept):
     return rect_kept[3]
 
 
+@pytest.fixture(scope="module")
+def rect_run_from_x0(rect_run):
+    """``rect_run`` again with a history of one solution: every PCG solve
+    starts from the black part of u^n."""
+    traj, cfg, nl = rect_run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "PCG_HISTORY", 1)
+        return run(traj.mesh, traj.states[0][1], cfg, nl)
+
+
+def black_part(field):
+    """The black unknowns of ``field``'s interior values, in the order of
+    its mesh's red-black split."""
+    mesh = field.mesh
+    return field.values[mesh.interior][mesh.red_black.black]
+
+
 class TestLinearSolve:
     @pytest.mark.parametrize("lag", [1, 5, 20])
     def test_stale_factor_pcg_matches_direct_solve(self, rect_run,
                                                    rect_states, lag):
+        # from old's factor, with the one solution of that factor's solve,
+        # so from the black part of u^n, and then with a full history
         traj, cfg, nl = rect_run
         t_old, old = rect_states[-2 - lag]
         t, state = rect_states[-2]
         dt = traj.times[-1] - t
-        factor = solver.BandedFactor(traj.mesh)
-        step(old, t_old, cfg, nl, dt, factor=factor)   # factors old's matrix
-        pcg = step(state, t, cfg, nl, dt, factor=factor)
-        assert factor.factorizations == 1 and factor.iterations > 0
         direct = step(state, t, cfg, nl, dt)
-        assert np.abs(pcg.values - direct.values).max() <= \
+        for full in (False, True):
+            factor = solver.BandedFactor(traj.mesh)
+            step(old, t_old, cfg, nl, dt, factor=factor)   # factors old's
+            if full:
+                # the history a run holds here, its latest accepted states:
+                # PCG starts from their S-norm projection
+                for _, f in rect_states[-1 - solver.PCG_HISTORY:-1]:
+                    factor._remember(black_part(f))
+                assert factor._held == solver.PCG_HISTORY
+            pcg = step(state, t, cfg, nl, dt, factor=factor)
+            assert factor.factorizations == 1 and factor.iterations > 0
+            assert np.abs(pcg.values - direct.values).max() <= \
+                1e-12 * np.abs(direct.values).max()
+
+    @pytest.mark.parametrize("second", ["repeated", "non-finite"])
+    def test_degenerate_history_starts_from_x0(self, rect_run, rect_states,
+                                               monkeypatch, second):
+        # a history of one solution held twice (a zero difference, so a
+        # singular Gram matrix) or of a non-finite second solution gives
+        # no projection: PCG starts from the black part of u^n, with no
+        # RuntimeWarning (an error in this suite), and the step is the
+        # direct solve's
+        traj, cfg, nl = rect_run
+        t_old, old = rect_states[-7]
+        t, state = rect_states[-2]
+        dt = traj.times[-1] - t
+        factor = solver.BandedFactor(traj.mesh)
+        step(old, t_old, cfg, nl, dt, factor=factor)
+        held = factor._history[:, factor._newest].copy()
+        factor._remember(held if second == "repeated"
+                         else np.full_like(held, np.inf))
+        starts = []
+        pcg = solver.BandedFactor._pcg
+
+        def recorded(self, schur, x, *args):
+            starts.append(x.copy())
+            return pcg(self, schur, x, *args)
+
+        monkeypatch.setattr(solver.BandedFactor, "_pcg", recorded)
+        new = step(state, t, cfg, nl, dt, factor=factor)
+        assert len(starts) == 1
+        assert starts[0].tobytes() == black_part(state).tobytes()
+        direct = step(state, t, cfg, nl, dt)
+        assert np.abs(new.values - direct.values).max() <= \
             1e-12 * np.abs(direct.values).max()
 
     @pytest.mark.parametrize("dt_factor, dt", [(1e-8, 1e-4), (1e-4, 1e-8)])
@@ -1072,15 +1130,30 @@ class TestLinearSolve:
                     for name, n in calls.most_common()}
         assert sum(calls.values()) <= STACKED_CALLS_PER_STEP * steps, per_step
 
-    def test_2d_run_unchanged(self, rect_run):
-        # the 2-D companion: the stale-factor PCG run, pinned to the last bit
-        traj, _, _ = rect_run
-        digest = hashlib.sha256(traj.states[-1][1].values.tobytes())
-        assert digest.hexdigest() == ("5bac88a2b806aab4a3bdbe51bdb533ac"
-                                      "eecf2cadf9b341ab6edb5a064014461c")
-        assert len(traj.times) - 1 == 281
-        assert traj.status.kind == "completed"
-        assert (traj.factorizations, traj.pcg_iterations) == (3, 1379)
+    def test_2d_run_unchanged(self, rect_run, rect_run_from_x0):
+        # the 2-D companion: the stale-factor PCG run, pinned to the last
+        # bit, with its start from the history's projection and from u^n
+        for traj, hexdigest, counts in (
+                (rect_run[0], "a054f41994f9239e6c1695be0ffcd949"
+                              "dbc2f0a440c60d32d975f4afbbc8e1ec", (2, 303)),
+                (rect_run_from_x0, "5bac88a2b806aab4a3bdbe51bdb533ac"
+                                   "eecf2cadf9b341ab6edb5a064014461c",
+                 (3, 1379))):
+            digest = hashlib.sha256(traj.states[-1][1].values.tobytes())
+            assert digest.hexdigest() == hexdigest
+            assert len(traj.times) - 1 == 281
+            assert traj.status.kind == "completed"
+            assert (traj.factorizations, traj.pcg_iterations) == counts
+
+    def test_2d_start_moves_only_the_last_bits(self, rect_run,
+                                               rect_run_from_x0):
+        # the projected start changes the run only within PCG's tolerance:
+        # the same steps, and a final state within 1e-11 relative
+        traj, plain = rect_run[0], rect_run_from_x0
+        assert traj.times == plain.times
+        assert traj.rejected_steps == plain.rejected_steps
+        a, b = traj.states[-1][1].values, plain.states[-1][1].values
+        assert np.abs(a - b).max() <= 1e-11 * np.abs(b).max()
 
 
 class TestLockstep:
